@@ -21,7 +21,7 @@ from .hyperplanes import (VeroneseHyperplane, extract_h_function,
                           hyperplane_from_symplectic)
 from .incidence import CapacityError, IncidenceStructure
 from .reduct import build_reduct, net_violation_witness, recover_veronese
-from .configs import check_net_axiom
+from .configs import FalsificationError, check_net_axiom
 from .parallelism import search_leaf_closed_parallelism
 from .spaces import (affine_space, polar_space_quadratic,
                      polar_space_symplectic, projective_space)
@@ -339,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run verification suites")
     p.add_argument("--suite", default="all")
-    p.add_argument("--profile", default="desk", choices=["desk"])
     p.add_argument("--space", help="check one space instead of the battery")
     p.add_argument("--out")
     p.set_defaults(func=cmd_verify)
@@ -358,6 +357,9 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
+    except FalsificationError as exc:
+        print(f"falsified: {exc}", file=sys.stderr)
+        return 1
     except (UsageError, CapacityError, FileNotFoundError, KeyError,
             ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -443,11 +443,18 @@ def gamma_plane_classes(G: IncidenceStructure,
                         planes: Sequence[frozenset[int]]) -> list[frozenset[int]]:
     """Chain-connectivity classes of a plane family, returned as point unions.
 
-    Two planes chain when their intersection contains a line of G.  The
+    Planes are point sets of G.  Two planes chain when both contain a common
+    line of G.  Each plane finds
+    the lines it contains among the lines through its points; the first
+    plane to contain a line owns it, and every later plane containing that
+    line is unioned with its owner.  Lines of fewer than 2 points are
+    rejected: containing one does not make two planes share a line.  The
     union of each class is returned (sorted); points on no plane are not
     represented.
     """
-    line_set = set(G.lines)
+    if any(len(l) < 2 for l in G.lines):
+        raise ValueError("gamma chains need lines of at least 2 points")
+    through = G.lines_through()
     parent = list(range(len(planes)))
 
     def find(x: int) -> int:
@@ -461,22 +468,14 @@ def gamma_plane_classes(G: IncidenceStructure,
         if rx != ry:
             parent[max(rx, ry)] = min(rx, ry)
 
-    by_point: dict[int, list[int]] = {}
+    owner: dict[int, int] = {}
     for idx, pl in enumerate(planes):
         for q in pl:
-            by_point.setdefault(q, []).append(idx)
-    checked: set[tuple[int, int]] = set()
-    for idxs in by_point.values():
-        for x in range(len(idxs)):
-            for y in range(x + 1, len(idxs)):
-                a, b = idxs[x], idxs[y]
-                key = (min(a, b), max(a, b))
-                if key in checked:
-                    continue
-                checked.add(key)
-                shared = planes[a] & planes[b]
-                if len(shared) >= 2 and any(l <= shared for l in line_set):
-                    union(a, b)
+            for li in through[q]:
+                if G.lines[li] <= pl:
+                    first = owner.setdefault(li, idx)
+                    if first != idx:
+                        union(first, idx)
 
     classes: dict[int, set[int]] = {}
     for idx, pl in enumerate(planes):

@@ -75,14 +75,21 @@ def projective_space(n: int, p: int) -> IncidenceStructure:
         raise ValueError(f"{p} is not prime")
     pts = projective_points(n + 1, p)
     index = {v: i for i, v in enumerate(pts)}
-    lines = set()
+    # joined[i] has bit j set once a built line holds both i and j, so each
+    # line is built from its first pair only
+    joined = [0] * len(pts)
+    lines = []
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
+            if joined[i] >> j & 1:
+                continue
             line = frozenset(index[w] for w in algebra._line_points(pts[i], pts[j], p))
-            lines.add(line)
+            mask = sum(1 << q for q in line)
+            for q in line:
+                joined[q] |= mask
+            lines.append(line)
     labels = {i: v for i, v in enumerate(pts)}
-    return IncidenceStructure(len(pts), sorted(lines, key=lambda l: tuple(sorted(l))),
-                              labels=labels)
+    return IncidenceStructure(len(pts), lines, labels=labels)
 
 
 def projective_hyperplanes(G: IncidenceStructure, p: int) -> list[frozenset[int]]:
@@ -100,7 +107,8 @@ def projective_plane_family(G: IncidenceStructure, p: int) -> list[frozenset[int
     """Point sets of the 3-dimensional vector subspaces (projective planes).
 
     Built by extending each line by an outside point; for PG(2,p) this is
-    the whole point set.
+    the whole point set.  A point already on a plane through the line spans
+    that plane again, so it is skipped.
     """
     pts = [G.labels[i] for i in range(G.point_count)]
     index = {v: i for i, v in enumerate(pts)}
@@ -108,8 +116,9 @@ def projective_plane_family(G: IncidenceStructure, p: int) -> list[frozenset[int
     for line in G.lines:
         rep = sorted(line)
         u, v = pts[rep[0]], pts[rep[1]]
+        covered = set(line)
         for w_idx in range(G.point_count):
-            if w_idx in line:
+            if w_idx in covered:
                 continue
             w = pts[w_idx]
             plane = set()
@@ -118,6 +127,7 @@ def projective_plane_family(G: IncidenceStructure, p: int) -> list[frozenset[int
                 if any(vec):
                     plane.add(index[normalize_vector(vec, p)])
             planes.add(frozenset(plane))
+            covered |= plane
     return sorted(planes, key=lambda s: tuple(sorted(s)))
 
 
@@ -248,19 +258,28 @@ def polar_space_quadratic(Q: QuadraticForm) -> tuple[IncidenceStructure, tuple[i
 
 def singular_plane_family(Q: QuadraticForm,
                           G: IncidenceStructure) -> list[frozenset[int]]:
-    """Projective planes fully on the quadric, as point sets of G = PG."""
+    """Projective planes fully on the quadric, as point sets of G = PG.
+
+    Q is evaluated once per point of G.  Every point of a singular plane
+    through a singular line is joined to each point of that line by a
+    singular line, so only those common neighbours extend the line; a point
+    already on a singular plane through the line spans that plane again and
+    is skipped.
+    """
     p = Q.p
     pts = [G.labels[i] for i in range(G.point_count)]
     index = {v: i for i, v in enumerate(pts)}
-    on = [i for i in range(G.point_count) if Q.evaluate(pts[i]) == 0]
-    on_set = set(on)
+    on_set = {i for i in range(G.point_count) if Q.evaluate(pts[i]) == 0}
     planes = set()
     sing_lines = [l for l in G.lines if l <= on_set]
+    collinear = IncidenceStructure(G.point_count, sing_lines,
+                                   sort_lines=False).adjacency()
     for line in sing_lines:
         rep = sorted(line)
         u, v = pts[rep[0]], pts[rep[1]]
-        for w_idx in on:
-            if w_idx in line:
+        covered = set(line)
+        for w_idx in set.intersection(*(collinear[q] for q in line)):
+            if w_idx in covered:
                 continue
             w = pts[w_idx]
             plane = set()
@@ -269,13 +288,14 @@ def singular_plane_family(Q: QuadraticForm,
                 vec = tuple((a * x + b * y + c * z) % p for x, y, z in zip(u, v, w))
                 if not any(vec):
                     continue
-                nv = normalize_vector(vec, p)
-                if Q.evaluate(nv) != 0:
+                q = index[normalize_vector(vec, p)]
+                if q not in on_set:
                     ok = False
                     break
-                plane.add(index[nv])
+                plane.add(q)
             if ok and len(plane) > len(line):
                 planes.add(frozenset(plane))
+                covered |= plane
     return sorted(planes, key=lambda s: tuple(sorted(s)))
 
 

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from verogeo import cli
 from verogeo.cli import main
+from verogeo.configs import FalsificationError
 
 
 def run(argv):
@@ -204,3 +206,12 @@ def test_hyperplane_rejects_quadratic_form(tmp_path, capsys):
     rc = run(["hyperplane", "--space", str(v), "--form", str(form),
               "--out", str(tmp_path / "h.json")])
     assert rc == 2
+
+
+def test_falsification_exits_1_with_its_message(monkeypatch, capsys):
+    def falsified(n, p):
+        raise FalsificationError(f"PG({n},{p}) lost a line")
+    monkeypatch.setattr(cli, "projective_space", falsified)
+    rc = run(["build", "pg", "3", "3"])
+    assert rc == 1
+    assert "falsified: PG(3,3) lost a line" in capsys.readouterr().err

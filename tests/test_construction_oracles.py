@@ -1,0 +1,136 @@
+"""The line and plane constructions against their all-pairs definitions.
+
+Each oracle below is the direct construction: join every pair of points,
+extend every line by every outside point, test every pair of planes for a
+common line.  The library builds each line and plane once instead and must
+return exactly the same families, in the same order.
+"""
+
+import itertools
+from math import comb
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from verogeo.algebra import (QuadraticForm, _line_points, normalize_vector,
+                             projective_points)
+from verogeo.incidence import IncidenceStructure, gamma_plane_classes
+from verogeo.spaces import (projective_plane_family, projective_space,
+                            singular_plane_family)
+
+
+def _sorted_family(sets):
+    return sorted(sets, key=lambda s: tuple(sorted(s)))
+
+
+def all_pairs_lines(n, p):
+    pts = projective_points(n + 1, p)
+    index = {v: i for i, v in enumerate(pts)}
+    return _sorted_family({frozenset(index[w] for w in _line_points(u, v, p))
+                           for u, v in itertools.combinations(pts, 2)})
+
+
+def _span(u, v, w, p, index):
+    out = set()
+    for a, b, c in itertools.product(range(p), repeat=3):
+        vec = tuple((a * x + b * y + c * z) % p for x, y, z in zip(u, v, w))
+        if any(vec):
+            out.add(index[normalize_vector(vec, p)])
+    return frozenset(out)
+
+
+def all_outside_points_planes(G, p, keep=lambda plane: True):
+    """Every line extended by every point off it; planes failing keep dropped."""
+    pts = [G.labels[i] for i in range(G.point_count)]
+    index = {v: i for i, v in enumerate(pts)}
+    planes = set()
+    for line in G.lines:
+        rep = sorted(line)
+        for w in range(G.point_count):
+            if w not in line:
+                plane = _span(pts[rep[0]], pts[rep[1]], pts[w], p, index)
+                if keep(plane):
+                    planes.add(plane)
+    return _sorted_family(planes)
+
+
+def pairwise_gamma_classes(G, planes):
+    """Planes chain when their intersection contains a line of G."""
+    parent = list(range(len(planes)))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for a, b in itertools.combinations(range(len(planes)), 2):
+        shared = planes[a] & planes[b]
+        if len(shared) >= 2 and any(l <= shared for l in G.lines):
+            ra, rb = find(a), find(b)
+            parent[max(ra, rb)] = min(ra, rb)
+    classes = {}
+    for idx, pl in enumerate(planes):
+        classes.setdefault(find(idx), set()).update(pl)
+    return _sorted_family(frozenset(c) for c in classes.values())
+
+
+@st.composite
+def structures_with_planes(draw):
+    n = draw(st.integers(3, 9))
+    subset = lambda lo, hi: st.frozensets(st.integers(0, n - 1), min_size=lo,
+                                          max_size=min(hi, n))
+    lines = draw(st.lists(subset(2, 4), max_size=12))
+    planes = draw(st.lists(subset(0, 6), max_size=10))
+    return IncidenceStructure(n, lines), planes
+
+
+@settings(max_examples=300, deadline=None)
+@given(structures_with_planes())
+def test_gamma_classes_match_pairwise_rule(case):
+    G, planes = case
+    assert gamma_plane_classes(G, planes) == pairwise_gamma_classes(G, planes)
+
+
+@pytest.mark.parametrize("line", [frozenset(), frozenset({0})])
+def test_gamma_classes_reject_degenerate_lines(line):
+    G = IncidenceStructure(4, [line, {1, 2}])
+    with pytest.raises(ValueError):
+        gamma_plane_classes(G, [frozenset({0, 1, 2}), frozenset({0, 1, 3})])
+
+
+@pytest.mark.parametrize("n,p", [(n, p) for n in (1, 2, 3) for p in (2, 3, 5)])
+def test_projective_space_matches_all_pairs_join(n, p):
+    assert list(projective_space(n, p).lines) == all_pairs_lines(n, p)
+
+
+def test_pg53_joins_every_pair_exactly_once():
+    G = projective_space(5, 3)
+    assert G.point_count == 364 and len(G.lines) == 11011
+    assert all(len(l) == 4 for l in G.lines)
+    assert len(G.lines) * comb(4, 2) == comb(364, 2)
+    pairs = {pair for l in G.lines for pair in itertools.combinations(sorted(l), 2)}
+    assert len(pairs) == comb(364, 2)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_projective_plane_family_matches_all_outside_points(p):
+    G = projective_space(3, p)
+    assert projective_plane_family(G, p) == all_outside_points_planes(G, p)
+
+
+@pytest.mark.parametrize("n,p,pairs", [
+    (5, 2, ((0, 1), (2, 3), (4, 5))),   # Q+(5,2)
+    (4, 3, ((0, 1), (2, 3))),           # cone over Q+(3,3)
+    (4, 2, ((0, 1), (2, 3))),           # cone over Q+(3,2)
+])
+def test_singular_plane_family_matches_all_outside_points(n, p, pairs):
+    M = [[0] * (n + 1) for _ in range(n + 1)]
+    for i, j in pairs:
+        M[i][j] = 1
+    Q = QuadraticForm(p, tuple(map(tuple, M)))
+    G = projective_space(n, p)
+    on = frozenset(i for i in G.points if Q.evaluate(G.labels[i]) == 0)
+    singular = IncidenceStructure(G.point_count, [l for l in G.lines if l <= on],
+                                  labels=G.labels)
+    expected = all_outside_points_planes(singular, p, keep=lambda pl: pl <= on)
+    assert expected and singular_plane_family(Q, G) == expected
