@@ -281,33 +281,6 @@ def _line_points(u: Vector, v: Vector, p: int) -> list[Vector]:
     return sorted(pts)
 
 
-def singular_lines(Q: QuadraticForm) -> list[frozenset[Vector]]:
-    """Projective lines lying entirely on the quadric."""
-    on = quadric_points(Q)
-    out = set()
-    for i in range(len(on)):
-        for j in range(i + 1, len(on)):
-            pts = _line_points(on[i], on[j], Q.p)
-            if all(Q.evaluate(w) == 0 for w in pts):
-                out.add(frozenset(pts))
-    return sorted(out, key=lambda s: tuple(sorted(s)))
-
-
-def isotropic_index_at_least_2(Q: QuadraticForm) -> bool:
-    """Witt index >= 2: some projective line lies entirely on the quadric.
-
-    Found by extending singular points to singular lines; this is the
-    condition for the quadric to carry lines at all.
-    """
-    on = quadric_points(Q)
-    for i in range(len(on)):
-        for j in range(i + 1, len(on)):
-            pts = _line_points(on[i], on[j], Q.p)
-            if all(Q.evaluate(w) == 0 for w in pts):
-                return True
-    return False
-
-
 # ---------------------------------------------------------------------------
 # alternating multilinear forms
 

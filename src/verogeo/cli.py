@@ -85,6 +85,11 @@ def _build_named(kind: str, n: int, p: int, quadric_type: str = "hyperbolic"
     raise UsageError(f"unknown space kind {kind!r}")
 
 
+def _read_json(path: str) -> dict:
+    with open(path) as fh:
+        return json.load(fh)
+
+
 def _load_base(token: str) -> IncidenceStructure:
     if ":" in token:
         parts = token.split(":")
@@ -94,13 +99,11 @@ def _load_base(token: str) -> IncidenceStructure:
         if kind == "quadric" and len(parts) == 4:
             return _build_named(kind, int(parts[1]), int(parts[2]), parts[3])
         raise UsageError(f"bad named space {token!r}")
-    with open(token) as fh:
-        return IncidenceStructure.from_json(json.load(fh))
+    return IncidenceStructure.from_json(_read_json(token))
 
 
 def _load_veronese(path: str) -> VeroneseSpace:
-    with open(path) as fh:
-        data = json.load(fh)
+    data = _read_json(path)
     if data.get("kind") != "veronese":
         raise UsageError(f"{path} does not hold a Veronese space")
     base = IncidenceStructure.from_json(data["base"])
@@ -113,8 +116,7 @@ def _load_veronese(path: str) -> VeroneseSpace:
 
 
 def _load_form(path: str):
-    with open(path) as fh:
-        data = json.load(fh)
+    data = _read_json(path)
     if "arity" in data:
         return AlternatingMultiForm.from_json(data)
     if data.get("kind") == "quadratic":
@@ -122,9 +124,7 @@ def _load_form(path: str):
     return BilinearForm.from_json(data)
 
 
-def _load_hyperplane(path: str, V: VeroneseSpace) -> VeroneseHyperplane:
-    with open(path) as fh:
-        data = json.load(fh)
+def _load_hyperplane(data: dict, V: VeroneseSpace) -> VeroneseHyperplane:
     points = frozenset(data["points"])
     return VeroneseHyperplane(V, points, extract_h_function(V, points),
                               degenerate=data.get("degenerate", False),
@@ -169,7 +169,7 @@ def cmd_hyperplane(args) -> int:
 
 def cmd_reduct(args) -> int:
     V = _load_veronese(args.space)
-    H = _load_hyperplane(args.hyperplane, V)
+    H = _load_hyperplane(_read_json(args.hyperplane), V)
     A = build_reduct(V, H)
     data = {
         "kind": "reduct",
@@ -185,17 +185,15 @@ def cmd_reduct(args) -> int:
 
 
 def _rebuild_reduct(path: str):
-    with open(path) as fh:
-        data = json.load(fh)
+    data = _read_json(path)
     if data.get("kind") != "reduct":
         raise UsageError(f"{path} does not hold a reduct")
+    missing = [key for key in ("space", "hyperplane") if key not in data]
+    if missing:
+        raise UsageError(f"{path}: reduct file lacks {', '.join(missing)}")
     base = IncidenceStructure.from_json(data["space"]["base"])
     V = build_veronese(base, data["space"]["level"])
-    points = frozenset(data["hyperplane"]["points"])
-    H = VeroneseHyperplane(V, points, extract_h_function(V, points),
-                           degenerate=data["hyperplane"].get("degenerate", False),
-                           source=data["hyperplane"].get("source", "file"))
-    return build_reduct(V, H), data
+    return build_reduct(V, _load_hyperplane(data["hyperplane"], V)), data
 
 
 def cmd_recover(args) -> int:
@@ -252,11 +250,8 @@ def cmd_verify(args) -> int:
 def _verify_on_space(args) -> int:
     if args.suite != "net-axiom":
         raise UsageError("--space applies to the net-axiom suite only")
-    try:
+    if _read_json(args.space).get("kind") == "reduct":
         A, _ = _rebuild_reduct(args.space)
-    except (UsageError, KeyError):
-        A = None
-    if A is not None:
         witness = net_violation_witness(A)
         verdict = {"claim": "net-axiom-on-reduct", "ok": not witness["found"],
                    "witness": witness if witness["found"] else None,

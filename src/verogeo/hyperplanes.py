@@ -22,16 +22,15 @@ checked honestly against the hyperplane definition.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from . import incidence as inc
 from .algebra import (AlternatingMultiForm, BilinearForm,
-                      alternating_forms_up_to_scalar, is_nondegenerate,
-                      is_nondegenerate_alternating, is_symplectic)
-from .configs import FalsificationError
-from .incidence import CapacityError, IncidenceStructure
+                      alternating_forms_up_to_scalar,
+                      is_nondegenerate_alternating, is_prime, is_symplectic)
+from .configs import FalsificationError, _join
+from .incidence import CapacityError
 from .multiset import EMPTY, Multiset, scale_point
 from .veronese import VeroneseSpace
 
@@ -183,7 +182,6 @@ def vari1_construction(V: VeroneseSpace, xi: BilinearForm,
     if not h0 <= selfconj:
         a = min(x for x in sorted(h0) if x not in kappa[x])
         q = min(kappa[a] - h0)
-        from .configs import _join
         join = _join(V.base, a, q)
         block = frozenset(V.index[Multiset.from_expansion([a, x])] for x in join)
         inside = sorted(block & points)
@@ -410,13 +408,10 @@ def verify_characterization(V: VeroneseSpace, mode: str = "auto"
 
 
 def _base_prime(V: VeroneseSpace) -> int:
-    # infer p from the coordinate labels: entries live in {0..p-1} and the
-    # base point count is (p^dim - 1)/(p - 1)
+    # a line of PG(dim-1, p) has p + 1 points, and the base has
+    # (p^dim - 1)/(p - 1) of them
     coords = _coordinates(V)
-    dim = len(coords[0])
-    top = max(max(c) for c in coords)
-    for p in range(max(2, top + 1), top + 30):
-        from .algebra import is_prime
-        if is_prime(p) and (p ** dim - 1) // (p - 1) == len(coords):
-            return p
-    raise ValueError("could not infer the base field size")
+    p = len(V.base.lines[0]) - 1 if V.base.lines else 0
+    if not (is_prime(p) and (p ** len(coords[0]) - 1) // (p - 1) == len(coords)):
+        raise ValueError("could not infer the base field size")
+    return p

@@ -15,7 +15,7 @@ their own plane families.
 from __future__ import annotations
 
 import json
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 
 class IncidenceStructure:
@@ -203,49 +203,48 @@ def is_subspace(G: IncidenceStructure, X: Iterable[int]) -> bool:
 def is_strong(G: IncidenceStructure, X: Iterable[int]) -> bool:
     """Subspace with all points pairwise adjacent."""
     X = frozenset(X)
-    if not is_subspace(G, X):
-        return False
+    return is_subspace(G, X) and _is_clique(G.adjacency(), X)
+
+
+def common_neighbours(G: IncidenceStructure, X: frozenset[int]) -> set[int]:
+    """Points adjacent to every point of X (empty for empty X)."""
     adj = G.adjacency()
-    pts = sorted(X)
-    for i, a in enumerate(pts):
-        for b in pts[i + 1:]:
-            if b not in adj[a]:
-                return False
-    return True
+    return set.intersection(*(adj[a] for a in X)) if X else set()
+
+
+def strong_extensions(G: IncidenceStructure, X: frozenset[int]
+                      ) -> Iterator[frozenset[int]]:
+    """The strong one-point extensions of X, in increasing order of the point.
+
+    For each point p outside X adjacent to all of X, yields the closure of
+    X + p when that closure is pairwise adjacent.  Every strong proper
+    superset of a strong subspace X contains one of them, so X is maximal
+    strong exactly when this yields nothing.
+    """
+    adj = G.adjacency()
+    for p in sorted(common_neighbours(G, X) - X):
+        Y = subspace_closure(G, X | {p})
+        if _is_clique(adj, Y):
+            yield Y
 
 
 def maximal_strong_subspaces(G: IncidenceStructure) -> list[frozenset[int]]:
     """All inclusion-maximal strong subspaces containing at least one line.
 
-    Grown from each line by single-point extensions whose closure stays
-    strong; a state with no valid extension is maximal (any strong proper
-    superset would supply one).  Deterministic output order.
+    Grown from each line through every strong one-point extension; a state
+    with none is maximal.  Deterministic output order.
     """
-    adj = G.adjacency()
     results: set[frozenset[int]] = set()
     seen: set[frozenset[int]] = set()
-
-    def candidates(X: frozenset[int]) -> list[int]:
-        if not X:
-            return []
-        common = None
-        for a in X:
-            common = adj[a] if common is None else common & adj[a]
-        return sorted((common or set()) - X)
 
     def grow(X: frozenset[int]) -> None:
         if X in seen:
             return
         seen.add(X)
         extended = False
-        for p in candidates(X):
-            Y = subspace_closure(G, X | {p})
-            if Y in seen:
-                extended = True  # already explored a strict superset path
-                continue
-            if _is_clique(adj, Y):
-                extended = True
-                grow(Y)
+        for Y in strong_extensions(G, X):
+            extended = True
+            grow(Y)
         if not extended:
             results.add(X)
 

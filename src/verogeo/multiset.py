@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 
 @dataclass(frozen=True)
@@ -107,18 +107,6 @@ def scale(f: Multiset, r: int) -> Multiset:
     return Multiset(tuple((q, r * m) for q, m in f.entries))
 
 
-def support(f: Multiset) -> frozenset[int]:
-    return f.support()
-
-
-def degree(f: Multiset) -> int:
-    return f.degree
-
-
-def add(e: Multiset, f: Multiset) -> Multiset:
-    return e + f
-
-
 def enumerate_multisets(n: int, k: int) -> list[Multiset]:
     """All degree-k multisets over {0..n-1}.
 
@@ -147,7 +135,3 @@ def enumerate_lower_multisets(n: int, k: int) -> list[Multiset]:
     for degree_ in range(k):
         out.extend(enumerate_multisets(n, degree_))
     return out
-
-
-def iter_expansions(f: Multiset) -> Iterator[int]:
-    return iter(f.expansion())

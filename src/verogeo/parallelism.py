@@ -17,7 +17,6 @@ it touches, and the resulting identity pins k = 1.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -25,6 +24,14 @@ from typing import Optional, Sequence
 from .incidence import veblen_parallel_lines
 from .spaces import ParallelStructure
 from .veronese import VeroneseSpace
+
+
+def _block_directions(V: VeroneseSpace, base: ParallelStructure) -> list[int]:
+    """Base parallel class of each block's generating base line, by block."""
+    class_of_base_line = base.class_of()
+    base_index = base.base.line_index()
+    return [class_of_base_line[base_index[V.base.lines[V.provenance[bi][0][1]]]]
+            for bi in range(len(V.structure.lines))]
 
 
 def induced_relation(V: VeroneseSpace, base: ParallelStructure
@@ -35,13 +42,8 @@ def induced_relation(V: VeroneseSpace, base: ParallelStructure
     if base.base is not V.base:
         if set(base.base.lines) != set(V.base.lines):
             raise ValueError("parallel structure does not match the base")
-    class_of_base_line = base.class_of()
-    base_index = {line: i for i, line in enumerate(base.base.lines)}
     out: dict[int, list[int]] = {}
-    for bi in range(len(V.structure.lines)):
-        e, li = V.provenance[bi][0]
-        base_line = V.base.lines[li]
-        ci = class_of_base_line[base_index[base_line]]
+    for bi, ci in enumerate(_block_directions(V, base)):
         out.setdefault(ci, []).append(bi)
     return {ci: tuple(sorted(v)) for ci, v in sorted(out.items())}
 
@@ -49,13 +51,8 @@ def induced_relation(V: VeroneseSpace, base: ParallelStructure
 def related_by_definition(V: VeroneseSpace, base: ParallelStructure,
                           b1: int, b2: int) -> bool:
     """Direct reading of the induced relation for one block pair."""
-    class_of_base_line = base.class_of()
-    base_index = {line: i for i, line in enumerate(base.base.lines)}
-    (e1, l1) = V.provenance[b1][0]
-    (e2, l2) = V.provenance[b2][0]
-    c1 = class_of_base_line[base_index[V.base.lines[l1]]]
-    c2 = class_of_base_line[base_index[V.base.lines[l2]]]
-    return c1 == c2
+    direction = _block_directions(V, base)
+    return direction[b1] == direction[b2]
 
 
 @dataclass
@@ -251,13 +248,9 @@ def veblen_parallel_dual_route(V: VeroneseSpace, base: ParallelStructure,
     lines are parallel.  A disagreement is raised, not returned.
     """
     formula = veblen_parallel_lines(V.structure, b1, b2)
-    (e1, l1) = V.provenance[b1][0]
-    (e2, l2) = V.provenance[b2][0]
-    class_of_base_line = base.class_of()
-    base_index = {line: i for i, line in enumerate(base.base.lines)}
-    shape = (e1 == e2
-             and class_of_base_line[base_index[V.base.lines[l1]]]
-             == class_of_base_line[base_index[V.base.lines[l2]]])
+    direction = _block_directions(V, base)
+    shape = (V.provenance[b1][0][0] == V.provenance[b2][0][0]
+             and direction[b1] == direction[b2])
     if formula != shape:
         raise AssertionError(
             f"Veblen parallelism routes disagree on blocks {b1}, {b2}: "
@@ -270,12 +263,8 @@ def leaf_preparallelism(V: VeroneseSpace, base: ParallelStructure
     """Union of the per-leaf Veblen parallelisms: classes keyed by
     (leaf, base direction).  A preparallelism: classes have pairwise
     disjoint distinct blocks."""
-    class_of_base_line = base.class_of()
-    base_index = {line: i for i, line in enumerate(base.base.lines)}
     out: dict[tuple, list[int]] = {}
-    for bi in range(len(V.structure.lines)):
-        e, li = V.provenance[bi][0]
-        ci = class_of_base_line[base_index[V.base.lines[li]]]
-        out.setdefault((e, ci), []).append(bi)
+    for bi, ci in enumerate(_block_directions(V, base)):
+        out.setdefault((V.provenance[bi][0][0], ci), []).append(bi)
     return {key: tuple(sorted(v)) for key, v in sorted(
         out.items(), key=lambda kv: (kv[0][0].sort_key(), kv[0][1]))}

@@ -20,13 +20,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from . import incidence as inc
-from .configs import FalsificationError, find_quadrangles
+from .configs import FalsificationError, _join, find_quadrangles
 from .hyperplanes import VeroneseHyperplane
 from .incidence import IncidenceStructure, crossing_index, subspace_closure
 from .multiset import Multiset, scale_point
+from .spaces import affine_reduct_of
 from .veronese import VeroneseSpace
 
 ONE_LEAF = "ONE_LEAF"
@@ -43,22 +45,27 @@ class TruncatedLine:
 
 
 class AffineReduct:
-    """V(k, M0) minus a hyperplane, with the induced parallelism."""
+    """V(k, M0) minus a hyperplane, with the induced parallelism.
+
+    classes[e] lists, in line order, the truncated lines whose deleted
+    point is e.  The lookups below that name ambient data (lines by their
+    parent block, trace rows, double-leaf tops) serve the guided searches,
+    which use them to pick witnesses, never to accept one.
+    """
 
     def __init__(self, ambient: VeroneseSpace, hyperplane: VeroneseHyperplane,
                  structure: IncidenceStructure, amb_of: tuple[int, ...],
-                 lines: tuple[TruncatedLine, ...]):
+                 lines: tuple[TruncatedLine, ...],
+                 classes: dict[int, tuple[int, ...]]):
         self.ambient = ambient
         self.hyperplane = hyperplane
         self.structure = structure
         self.amb_of = amb_of
         self.red_of = {a: r for r, a in enumerate(amb_of)}
         self.lines = lines
-        classes: dict[int, list[int]] = {}
-        for i, t in enumerate(lines):
-            classes.setdefault(t.infinite, []).append(i)
-        self.classes: dict[int, tuple[int, ...]] = {
-            e: tuple(v) for e, v in sorted(classes.items())}
+        self.classes = classes
+        self._line_of_parent = {t.parent: li for li, t in enumerate(lines)}
+        self._line_at: dict[tuple[int, frozenset[int]], Optional[int]] = {}
         self._cross: Optional[list[set[int]]] = None
         self._tops: Optional[tuple[list[int], list[frozenset[int]]]] = None
         self._planes: Optional[list[frozenset[int]]] = None
@@ -81,35 +88,59 @@ class AffineReduct:
     def infinite_label(self, e: int) -> Multiset:
         return self.ambient.points[e]
 
+    def line_at(self, x: int, base_line: frozenset[int]) -> Optional[int]:
+        """The reduct line cut from the level-2 block x + base_line, or None
+        when that block lies inside the hyperplane."""
+        key = (x, base_line)
+        if key not in self._line_at:
+            V = self.ambient
+            block = frozenset(V.index[Multiset.from_expansion([x, z])]
+                              for z in base_line)
+            self._line_at[key] = self._line_of_parent.get(
+                V.structure.line_index().get(block))
+        return self._line_at[key]
+
+    @cached_property
+    def rows(self) -> dict[int, object]:
+        """rows[x]: the trace of the hyperplane on the leaf of base point x."""
+        H = self.hyperplane
+        return {x: H.h_function[scale_point(1, x)]
+                for x in range(self.ambient.base.point_count)}
+
+    @cached_property
+    def double_tops(self) -> dict[int, int]:
+        """Base point x -> the visible top of the first line in direction 2x,
+        for every x whose double is deleted."""
+        V = self.ambient
+        top_of, _ = visible_tops(self)
+        out = {}
+        for x in range(V.base.point_count):
+            members = self.classes.get(V.index[scale_point(2, x)])
+            if members:
+                out[x] = top_of[members[0]]
+        return out
+
+    @cached_property
+    def leaf_reducts(self) -> set[frozenset[int]]:
+        """The nonempty leaves minus the hyperplane, in reduct indexing."""
+        out = {frozenset(self.red_of[q] for q in leaf - self.hyperplane.points)
+               for leaf in self.ambient.leaves.values()}
+        out.discard(frozenset())
+        return out
+
 
 def build_reduct(V: VeroneseSpace, H: VeroneseHyperplane) -> AffineReduct:
-    """Delete the hyperplane; a line not inside it keeps all points but one.
+    """Delete the hyperplane from the Veronese space.
 
-    Verifies the 1-or-all law per block and the line floor; the parallel
-    classes partition the truncated lines by construction.
+    spaces.affine_reduct_of verifies the hyperplane, the 1-or-all law per
+    block and the line floor; its parallel classes, keyed here by deleted
+    point, partition the truncated lines.
     """
-    pts = H.points
-    if not inc.is_hyperplane(V.structure, pts):
-        raise ValueError("the given point set is not a hyperplane")
-    amb_of = tuple(i for i in range(len(V.points)) if i not in pts)
-    red_of = {a: r for r, a in enumerate(amb_of)}
-    lines: list[TruncatedLine] = []
-    for bi, block in enumerate(V.structure.lines):
-        deleted = block & pts
-        if len(deleted) == len(block):
-            continue
-        if len(deleted) != 1:
-            raise FalsificationError(
-                f"block {bi} meets the hyperplane in {len(deleted)} points")
-        trace = frozenset(red_of[q] for q in block - pts)
-        if len(trace) < 2:
-            raise ValueError(f"block {bi} keeps fewer than 2 points")
-        lines.append(TruncatedLine(trace, bi, next(iter(deleted))))
-    lines.sort(key=lambda t: tuple(sorted(t.points)))
-    labels = {r: V.points[a] for r, a in enumerate(amb_of)}
-    structure = IncidenceStructure(len(amb_of), [t.points for t in lines],
-                                   labels=labels, sort_lines=False)
-    return AffineReduct(V, H, structure, amb_of, tuple(lines))
+    data = affine_reduct_of(V.structure, H.points)
+    lines = tuple(TruncatedLine(pts, parent, inf) for pts, parent, inf in zip(
+        data.structure.lines, data.parents, data.infinite_points))
+    classes = {lines[c[0]].infinite: c for c in data.parallel.parallel_classes}
+    return AffineReduct(V, H, data.structure, data.kept, lines, classes)
 
 
 def check_classes_disjoint(A: AffineReduct) -> bool:
@@ -151,29 +182,14 @@ def visible_tops(A: AffineReduct) -> tuple[list[int], list[frozenset[int]]]:
     if A._tops is not None:
         return A._tops
     G = A.structure
-    adj = G.adjacency()
     top_of: list[Optional[int]] = [None] * len(G.lines)
     subspaces: list[frozenset[int]] = []
-
-    def grow(X: frozenset[int]) -> frozenset[int]:
-        while True:
-            common = None
-            for a in X:
-                common = adj[a] if common is None else common & adj[a]
-            extended = False
-            for p in sorted((common or set()) - X):
-                Y = subspace_closure(G, X | {p})
-                if inc._is_clique(adj, Y):
-                    X = Y
-                    extended = True
-                    break
-            if not extended:
-                return X
-
     for li, line in enumerate(G.lines):
         if top_of[li] is not None:
             continue
-        T = grow(subspace_closure(G, line))
+        T = subspace_closure(G, line)
+        while (Y := next(inc.strong_extensions(G, T), None)) is not None:
+            T = Y
         ti = len(subspaces)
         subspaces.append(T)
         for lj in range(len(G.lines)):
@@ -191,35 +207,16 @@ def verify_maximal_strong(A: AffineReduct) -> dict:
     point adjacent to a whole line lies in that line's subspace (so no
     strong set escapes).
     """
-    V, H = A.ambient, A.hyperplane
     top_of, subs = visible_tops(A)
-    # oracle leaf reducts: (x + S) minus the hyperplane, for every leaf
-    expected = set()
-    for e, leaf in V.leaves.items():
-        kept = frozenset(A.red_of[q] for q in leaf - H.points)
-        if kept:
-            expected.add(kept)
-    ok_sets = set(subs) == expected
+    # oracle: the leaf reducts (x + S) minus the hyperplane
+    ok_sets = set(subs) == A.leaf_reducts
     G = A.structure
-    adj = G.adjacency()
     ok_strong = all(inc.is_strong(G, T) for T in subs)
-    ok_maximal = True
-    for T in subs:
-        common = None
-        for a in T:
-            common = adj[a] if common is None else common & adj[a]
-        for p in sorted((common or set()) - T):
-            if inc._is_clique(adj, subspace_closure(G, T | {p})):
-                ok_maximal = False
+    ok_maximal = all(next(inc.strong_extensions(G, T), None) is None
+                     for T in subs)
     ok_cover = all(t is not None for t in top_of)
-    ok_pinning = True
-    for li, line in enumerate(G.lines):
-        common = None
-        for a in line:
-            common = adj[a] if common is None else common & adj[a]
-        if not (common or set()) <= subs[top_of[li]]:
-            ok_pinning = False
-            break
+    ok_pinning = all(inc.common_neighbours(G, line) <= subs[top_of[li]]
+                     for li, line in enumerate(G.lines))
     return {"sets_match_leaf_reducts": ok_sets, "all_strong": ok_strong,
             "all_maximal": ok_maximal, "every_line_covered": ok_cover,
             "adjacency_pins_leaf": ok_pinning,
@@ -421,54 +418,37 @@ def recover_horizon_double_lines(A: AffineReduct) -> set[frozenset[int]]:
     for a, b are chosen with ambient guidance (off the conjugates of the
     points involved); every acceptance decision is reduct-visible.
     """
-    V, H = A.ambient, A.hyperplane
+    V = A.ambient
     if A.hyperplane.degenerate:
         raise ValueError("horizon recovery needs a nondegenerate hyperplane")
     base = V.base
     n = base.point_count
-    rows = {x: H.h_function[scale_point(1, x)] for x in range(n)}
     top_of, subs = visible_tops(A)
-    leaf_sub_of: dict[int, int] = {}
-    for x in range(n):
-        e = V.index[Multiset.from_expansion([x, x])]
-        members = A.classes.get(e)
-        if members:
-            leaf_sub_of[x] = top_of[members[0]]
-
-    block_lookup = {V.structure.lines[t.parent]: li
-                    for li, t in enumerate(A.lines)}
-
-    def line_index(e_pt: int, line: frozenset[int]) -> Optional[int]:
-        block = frozenset(V.index[Multiset.from_expansion([e_pt, z])]
-                          for z in line)
-        return block_lookup.get(block)
-
-    from .configs import _join
 
     def declared(x: int, x1: int, x2: int, L0: frozenset[int]) -> bool:
         """Witness that 2x, 2x1, 2x2 are collinear; validation visible."""
-        bad = rows[x] | rows[x1] | rows[x2] | {x, x1, x2}
+        bad = A.rows[x] | A.rows[x1] | A.rows[x2] | {x, x1, x2}
         candidates = [a for a in range(n) if a not in bad]
         for a, b in itertools.combinations(candidates, 2):
             nline = _join(base, a, b)
-            q_lines = [line_index(a, L0), line_index(x1, nline),
-                       line_index(b, L0), line_index(x2, nline)]
+            q_lines = [A.line_at(a, L0), A.line_at(x1, nline),
+                       A.line_at(b, L0), A.line_at(x2, nline)]
             if any(q is None for q in q_lines):
                 continue
             if not _visible_proper_quadrangle(A, q_lines, top_of):
                 continue
             opp1, side1, opp2, side2 = q_lines
-            kx = line_index(x, nline)
+            kx = A.line_at(x, nline)
             if kx is None or kx in (opp1, opp2):
                 continue
             if not _crosses_both(A, kx, opp1, opp2):
                 continue
             # the anchor sides witness x1 and x2; tops pin the leaves
-            if top_of[kx] != leaf_sub_of.get(x):
+            if top_of[kx] != A.double_tops.get(x):
                 continue
-            if top_of[side1] != leaf_sub_of.get(x1):
+            if top_of[side1] != A.double_tops.get(x1):
                 continue
-            if top_of[side2] != leaf_sub_of.get(x2):
+            if top_of[side2] != A.double_tops.get(x2):
                 continue
             if not (_crosses_both(A, side1, opp1, opp2)
                     and _crosses_both(A, side2, opp1, opp2)):
@@ -524,12 +504,7 @@ def scan_declared_double_triples(A: AffineReduct, max_quadrangles: int = 400
     doubles against base collinearity (an oracle comparison)."""
     V = A.ambient
     top_of, subs = visible_tops(A)
-    sub_to_base: dict[int, Optional[int]] = {}
-    for x in range(V.base.point_count):
-        e = V.index[Multiset.from_expansion([x, x])]
-        members = A.classes.get(e)
-        if members:
-            sub_to_base[top_of[members[0]]] = x
+    sub_to_base = {t: x for x, t in A.double_tops.items()}
     cross = A.cross()
     scanned = 0
     declared = 0
@@ -547,7 +522,6 @@ def scan_declared_double_triples(A: AffineReduct, max_quadrangles: int = 400
                     xs.append(base_pt)
             if len(set(xs)) >= 3:
                 declared += 1
-                from .configs import _join
                 xs = sorted(set(xs))
                 line = _join(V.base, xs[0], xs[1])
                 if not set(xs) <= line:
@@ -631,16 +605,8 @@ def net_violation_witness(A: AffineReduct) -> dict:
     V, H = A.ambient, A.hyperplane
     base = V.base
     n_pts = base.point_count
-    row = {x: H.h_function[scale_point(1, x)] for x in range(n_pts)}
     top_of, subs = visible_tops(A)
-    block_lookup = {V.structure.lines[t.parent]: li for li, t in enumerate(A.lines)}
-
-    def line_index(e_pt: int, line: frozenset[int]) -> Optional[int]:
-        block = frozenset(V.index[Multiset.from_expansion([e_pt, z])]
-                          for z in line)
-        return block_lookup.get(block)
-
-    mixed = [(x, y) for x in range(n_pts) for y in sorted(row[x])
+    mixed = [(x, y) for x in range(n_pts) for y in sorted(A.rows[x])
              if x < y]
     if not mixed:
         return {"found": False, "reason": "no mixed deleted point",
@@ -650,31 +616,31 @@ def net_violation_witness(A: AffineReduct) -> dict:
     for x, y in mixed:
         for mi in through[x]:
             m = base.lines[mi]
-            if y in m or m <= row[y]:
+            if y in m or m <= A.rows[y]:
                 continue
             for ni in through[y]:
                 nline = base.lines[ni]
-                if x in nline or nline <= row[x] or nline == m:
+                if x in nline or nline <= A.rows[x] or nline == m:
                     continue
                 # l3 = y + m in leaf y, k3 = x + n in leaf x; ambient meet x+y
-                a_opts = [a for a in sorted(nline - {y}) if a not in row[x]]
-                b_opts = [b for b in sorted(m - {x}) if b not in row[y]]
+                a_opts = [a for a in sorted(nline - {y}) if a not in A.rows[x]]
+                b_opts = [b for b in sorted(m - {x}) if b not in A.rows[y]]
                 for a1, b1 in itertools.combinations(a_opts, 2):
                     for a2, b2 in itertools.combinations(b_opts, 2):
                         if {a1, b1} & {a2, b2}:
                             continue
                         checked += 1
-                        if (a2 in row[a1] or b2 in row[a1]
-                                or a2 in row[b1] or b2 in row[b1]):
+                        if (a2 in A.rows[a1] or b2 in A.rows[a1]
+                                or a2 in A.rows[b1] or b2 in A.rows[b1]):
                             continue
-                        q_lines = [line_index(a1, m), line_index(a2, nline),
-                                   line_index(b1, m), line_index(b2, nline)]
+                        q_lines = [A.line_at(a1, m), A.line_at(a2, nline),
+                                   A.line_at(b1, m), A.line_at(b2, nline)]
                         if any(q is None for q in q_lines):
                             continue
                         if not _visible_proper_quadrangle(A, q_lines, top_of):
                             continue
-                        l3 = line_index(y, m)
-                        k3 = line_index(x, nline)
+                        l3 = A.line_at(y, m)
+                        k3 = A.line_at(x, nline)
                         if l3 is None or k3 is None or l3 in q_lines \
                                 or k3 in q_lines:
                             continue
@@ -765,18 +731,7 @@ def _net_completion_exists(A: AffineReduct, i: int, j: int,
                            top_of: Sequence[int]) -> bool:
     """Guided search for a proper quadrangle with i crossing one opposite
     pair and j the other; validation is reduct-visible."""
-    V, H = A.ambient, A.hyperplane
-    base = V.base
-    n_pts = base.point_count
-    rows = {x: H.h_function[scale_point(1, x)] for x in range(n_pts)}
-    block_lookup = {V.structure.lines[t.parent]: li
-                    for li, t in enumerate(A.lines)}
-
-    def line_index(e_pt: int, line: frozenset[int]) -> Optional[int]:
-        block = frozenset(V.index[Multiset.from_expansion([e_pt, z])]
-                          for z in line)
-        return block_lookup.get(block)
-
+    V = A.ambient
     # parents (guidance): i inside leaf x with base line m, j inside leaf y
     # with base line nline; the completion needs y on m and x on nline
     (ei, mi) = V.provenance[A.lines[i].parent][0]
@@ -789,14 +744,14 @@ def _net_completion_exists(A: AffineReduct, i: int, j: int,
     nline = V.base.lines[mj]
     if y not in m or x not in nline:
         return False
-    a_opts = [a for a in sorted(nline - {x, y}) if a not in rows[y]]
-    b_opts = [b for b in sorted(m - {x, y}) if b not in rows[x]]
+    a_opts = [a for a in sorted(nline - {x, y}) if a not in A.rows[y]]
+    b_opts = [b for b in sorted(m - {x, y}) if b not in A.rows[x]]
     for a1, b1 in itertools.combinations(a_opts, 2):
         for a2, b2 in itertools.combinations(b_opts, 2):
             if {a1, b1} & {a2, b2}:
                 continue
-            q_lines = [line_index(a1, m), line_index(a2, nline),
-                       line_index(b1, m), line_index(b2, nline)]
+            q_lines = [A.line_at(a1, m), A.line_at(a2, nline),
+                       A.line_at(b1, m), A.line_at(b2, nline)]
             if any(q is None for q in q_lines):
                 continue
             if not _visible_proper_quadrangle(A, q_lines, top_of):

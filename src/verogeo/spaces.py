@@ -249,11 +249,12 @@ def restriction(G: IncidenceStructure, S0: Sequence[int]
 
 def polar_space_quadratic(Q: QuadraticForm) -> tuple[IncidenceStructure, tuple[int, ...]]:
     """Restriction of PG to the quadric; requires the quadric to carry lines."""
-    if not algebra.isotropic_index_at_least_2(Q):
-        raise ValueError("quadric carries no lines: not a polar space")
     G = projective_space(Q.dim - 1, Q.p)
     on = [i for i in range(G.point_count) if Q.evaluate(G.labels[i]) == 0]
-    return restriction(G, on)
+    polar, kept = restriction(G, on)
+    if not polar.lines:
+        raise ValueError("quadric carries no lines: not a polar space")
+    return polar, kept
 
 
 def singular_plane_family(Q: QuadraticForm,
@@ -362,8 +363,3 @@ def affine_reduct_of(G: IncidenceStructure, trace: Sequence[int]) -> AffineReduc
     parallel = ParallelStructure(structure, classes, affine=False,
                                  sub_pls_floor=floor_broken)
     return AffineReductData(structure, parallel, kept, parents, infinites)
-
-
-def affine_polar_space(polar: IncidenceStructure, trace: Sequence[int]) -> AffineReductData:
-    """Affine reduct of a polar space by a hyperplane trace."""
-    return affine_reduct_of(polar, trace)

@@ -455,12 +455,7 @@ def suite_polar_pipeline() -> list[Verdict]:
                                 source="polar-intersection")
         A = build_reduct(VW, HW)
         trunc_planes = truncated_plane_family(VW, pts, planes, A.red_of)
-        trunc_leaves = set()
-        for leaf in VW.leaves.values():
-            kept = frozenset(A.red_of[q] for q in leaf - pts)
-            if kept:
-                trunc_leaves.add(kept)
-        ok_reduct = gamma_matches_leaves(A.structure, trunc_planes, trunc_leaves)
+        ok_reduct = gamma_matches_leaves(A.structure, trunc_planes, A.leaf_reducts)
         return (ok_full and ok_reduct, None,
                 {"full_space": ok_full, "reduct": ok_reduct})
 

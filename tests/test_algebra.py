@@ -7,10 +7,10 @@ from verogeo.algebra import (AlternatingMultiForm, BilinearForm, PrimeField,
                              QuadraticForm, alternating_forms_up_to_scalar,
                              determinant_form, is_nondegenerate,
                              is_nondegenerate_alternating, is_reflexive,
-                             is_symplectic, isotropic_index_at_least_2,
-                             normalize_vector, nullspace, projective_points,
-                             quadric_points, quasi_correlation, radical,
-                             standard_symplectic)
+                             is_symplectic, normalize_vector, nullspace,
+                             projective_points, quadric_points,
+                             quasi_correlation, radical, standard_symplectic)
+from verogeo.spaces import polar_space_quadratic
 
 
 def test_prime_field():
@@ -165,13 +165,14 @@ def test_hyperbolic_quadric_points():
     M = ((0, 1, 0, 0), (0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 0, 0))
     Q = QuadraticForm(3, M)
     assert len(quadric_points(Q)) == 16
-    assert isotropic_index_at_least_2(Q)
+    assert polar_space_quadratic(Q)[0].lines
 
 
 def test_elliptic_line_quadric_empty():
     Q = QuadraticForm(3, ((1, 0), (0, 1)))
     assert quadric_points(Q) == []
-    assert not isotropic_index_at_least_2(Q)
+    with pytest.raises(ValueError):
+        polar_space_quadratic(Q)
 
 
 def test_zero_form_all_singular():
@@ -184,7 +185,8 @@ def test_elliptic_quadric_has_no_lines():
     M = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1), (0, 0, 0, 0))
     Q = QuadraticForm(3, M)
     assert len(quadric_points(Q)) == 10
-    assert not isotropic_index_at_least_2(Q)
+    with pytest.raises(ValueError):
+        polar_space_quadratic(Q)
 
 
 def test_alternating_forms_up_to_scalar_counts():

@@ -121,6 +121,24 @@ def test_verify_net_axiom_on_reduct_space(tmp_path, capsys):
     assert verdict["details"]["reason"] == "complete shape enumeration exhausted"
 
 
+def test_reduct_file_without_hyperplane_exits_2(tmp_path, capsys):
+    v = tmp_path / "v.json"
+    h = tmp_path / "h.json"
+    r = tmp_path / "r.json"
+    form = tmp_path / "form.json"
+    form.write_text(json.dumps({"p": 3, "matrix": [[0, 1], [2, 0]]}))
+    run(["veronese", "--base", "pg:1:3", "--level", "2", "--out", str(v)])
+    run(["hyperplane", "--space", str(v), "--form", str(form), "--out", str(h)])
+    run(["reduct", "--space", str(v), "--hyperplane", str(h), "--out", str(r)])
+    data = json.loads(r.read_text())
+    del data["hyperplane"]
+    r.write_text(json.dumps(data))
+    capsys.readouterr()
+    rc = run(["verify", "--suite", "net-axiom", "--space", str(r)])
+    assert rc == 2
+    assert "hyperplane" in capsys.readouterr().err
+
+
 def test_unknown_flag_exit_2(capsys):
     assert run(["verify", "--no-such-flag"]) == 2
 

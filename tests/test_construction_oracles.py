@@ -1,9 +1,10 @@
-"""The line and plane constructions against their all-pairs definitions.
+"""The constructions against their direct definitions.
 
 Each oracle below is the direct construction: join every pair of points,
 extend every line by every outside point, test every pair of planes for a
-common line.  The library builds each line and plane once instead and must
-return exactly the same families, in the same order.
+common line, truncate every block of a Veronese space by the hyperplane,
+try every subset of points for a maximal strong subspace.  The library
+does less work and must return exactly the same results, in the same order.
 """
 
 import itertools
@@ -13,10 +14,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from verogeo.algebra import (QuadraticForm, _line_points, normalize_vector,
-                             projective_points)
-from verogeo.incidence import IncidenceStructure, gamma_plane_classes
-from verogeo.spaces import (projective_plane_family, projective_space,
-                            singular_plane_family)
+                             projective_points, standard_symplectic)
+from verogeo.hyperplanes import (VeroneseHyperplane, extract_h_function,
+                                 hyperplane_from_symplectic, polar_hyperplane)
+from verogeo.incidence import (IncidenceStructure, gamma_plane_classes, is_strong,
+                               maximal_strong_subspaces)
+from verogeo.reduct import build_reduct
+from verogeo.spaces import (polar_space_symplectic, projective_plane_family,
+                            projective_space, singular_plane_family)
+from verogeo.veronese import build_veronese
 
 
 def _sorted_family(sets):
@@ -134,3 +140,95 @@ def test_singular_plane_family_matches_all_outside_points(n, p, pairs):
                                   labels=G.labels)
     expected = all_outside_points_planes(singular, p, keep=lambda pl: pl <= on)
     assert expected and singular_plane_family(Q, G) == expected
+
+
+def block_loop_reduct(V, H):
+    """Truncate every block not inside H by its one deleted point."""
+    pts = H.points
+    amb_of = tuple(i for i in range(len(V.points)) if i not in pts)
+    red_of = {a: r for r, a in enumerate(amb_of)}
+    lines = []
+    for bi, block in enumerate(V.structure.lines):
+        deleted = block & pts
+        if deleted == block:
+            continue
+        assert len(deleted) == 1
+        lines.append((frozenset(red_of[q] for q in block - pts), bi,
+                      next(iter(deleted))))
+    lines.sort(key=lambda t: tuple(sorted(t[0])))
+    classes = {}
+    for i, (_, _, e) in enumerate(lines):
+        classes.setdefault(e, []).append(i)
+    return {"amb_of": amb_of, "red_of": red_of, "lines": lines,
+            "labels": {r: V.points[a] for r, a in enumerate(amb_of)},
+            "classes": {e: tuple(v) for e, v in sorted(classes.items())}}
+
+
+def pg33_symplectic():
+    V = build_veronese(projective_space(3, 3), 2)
+    return V, hyperplane_from_symplectic(V, standard_symplectic(4, 3))
+
+
+def w33_polar_intersection():
+    xi = standard_symplectic(4, 3)
+    VW = build_veronese(polar_space_symplectic(xi), 2)
+    HP = hyperplane_from_symplectic(build_veronese(projective_space(3, 3), 2), xi)
+    pts = polar_hyperplane(VW, HP)
+    return VW, VeroneseHyperplane(VW, pts, extract_h_function(VW, pts),
+                                  source="polar-intersection")
+
+
+@pytest.mark.parametrize("instance", [pg33_symplectic, w33_polar_intersection])
+def test_build_reduct_matches_block_loop(instance):
+    V, H = instance()
+    A = build_reduct(V, H)
+    want = block_loop_reduct(V, H)
+    assert A.amb_of == want["amb_of"]
+    assert A.red_of == want["red_of"]
+    assert [(t.points, t.parent, t.infinite) for t in A.lines] == want["lines"]
+    assert list(A.structure.lines) == [t[0] for t in want["lines"]]
+    assert A.structure.point_count == len(want["amb_of"])
+    assert A.structure.labels == want["labels"]
+    assert list(A.classes.items()) == list(want["classes"].items())
+
+
+def brute_force_maximal_strong(G):
+    """Inclusion-maximal strong subspaces holding a line, over all subsets."""
+    strong = [X for r in range(G.point_count + 1)
+              for X in map(frozenset, itertools.combinations(G.points, r))
+              if any(l <= X for l in G.lines) and is_strong(G, X)]
+    return _sorted_family(X for X in strong if not any(X < Y for Y in strong))
+
+
+@st.composite
+def random_partial_linear_spaces(draw):
+    """Random 3- and 4-point lines, each kept if it meets the kept ones at most once."""
+    n = draw(st.integers(3, 10))
+    candidates = draw(st.lists(st.frozensets(st.integers(0, n - 1), min_size=3,
+                                             max_size=min(4, n)), max_size=15))
+    lines = []
+    for c in candidates:
+        if all(len(c & l) <= 1 for l in lines):
+            lines.append(c)
+    return IncidenceStructure(n, lines)
+
+
+PG32 = projective_space(3, 2)
+
+
+@st.composite
+def pg32_pieces(draw):
+    """Some lines of PG(3,2) inside up to 10 of its points: dense in
+    triangles and planes, so strong subspaces overlap and grow past lines."""
+    pts = draw(st.lists(st.integers(0, 14), min_size=3, max_size=10, unique=True))
+    new_of = {q: i for i, q in enumerate(pts)}
+    inside = [l for l in PG32.lines if l <= new_of.keys()]
+    keep = draw(st.lists(st.booleans(), min_size=len(inside), max_size=len(inside)))
+    return IncidenceStructure(len(pts), [frozenset(new_of[q] for q in l)
+                                         for l, k in zip(inside, keep) if k])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(random_partial_linear_spaces(), pg32_pieces()))
+def test_maximal_strong_subspaces_match_subset_search(G):
+    assert maximal_strong_subspaces(G) == brute_force_maximal_strong(G)

@@ -3,7 +3,7 @@ import pytest
 from verogeo.algebra import (BilinearForm, determinant_form,
                              standard_symplectic)
 from verogeo.configs import FalsificationError
-from verogeo.hyperplanes import (FULL, enumerate_hyperplanes_level2,
+from verogeo.hyperplanes import (FULL, _base_prime, enumerate_hyperplanes_level2,
                                  extract_h_function, hyperplane_from_alternating,
                                  hyperplane_from_symplectic, l_transversal_from_h,
                                  leaf_pencil, polar_hyperplane,
@@ -11,8 +11,9 @@ from verogeo.hyperplanes import (FULL, enumerate_hyperplanes_level2,
 from verogeo.incidence import (enumerate_hyperplanes, is_hyperplane,
                                is_l_transversal, is_subspace)
 from verogeo.multiset import EMPTY, Multiset, scale_point
-from verogeo.spaces import (polar_space_quadratic, polar_space_symplectic,
-                            projective_hyperplanes, projective_space)
+from verogeo.spaces import (affine_space, polar_space_quadratic,
+                            polar_space_symplectic, projective_hyperplanes,
+                            projective_space)
 from verogeo.veronese import build_veronese
 
 
@@ -210,6 +211,17 @@ def test_characterization_v2_pg13():
         assert extra["traces_hyperplane_or_full"]
         assert extra["relation_symmetric"]
         assert extra["leaf_pencil_over"] is not None
+
+
+@pytest.mark.parametrize("n,p", [(2, 2), (1, 3), (2, 3), (1, 5)])
+def test_base_prime_from_line_size(n, p):
+    assert _base_prime(v2(n, p)) == p
+
+
+def test_base_prime_rejects_a_base_that_is_no_projective_space():
+    # AG(2,3): 3-point lines would mean GF(2), but PG(2,2) has 7 points, not 9
+    with pytest.raises(ValueError):
+        _base_prime(build_veronese(affine_space(2, 3).base, 2))
 
 
 def test_leaf_trace_enumeration_matches_scan():

@@ -3,8 +3,8 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from verogeo.multiset import (EMPTY, Multiset, add, degree, enumerate_multisets,
-                              enumerate_lower_multisets, scale_point, support)
+from verogeo.multiset import (EMPTY, Multiset, enumerate_multisets,
+                              enumerate_lower_multisets, scale_point)
 
 
 def pascal_binomial(n, k):
@@ -46,9 +46,9 @@ def test_empty_universe():
 def test_add_examples():
     e = Multiset.from_expansion([0, 1])
     f = scale_point(1, 1)
-    assert add(e, f) == Multiset.from_pairs([[0, 1], [1, 2]])
-    assert add(e, EMPTY) == e
-    g = add(scale_point(2, 0), scale_point(1, 2))
+    assert e + f == Multiset.from_pairs([[0, 1], [1, 2]])
+    assert e + EMPTY == e
+    g = scale_point(2, 0) + scale_point(1, 2)
     assert g == Multiset.from_pairs([[0, 2], [2, 1]])
     assert g.degree == 3
 
@@ -73,9 +73,9 @@ def test_scale_point():
 
 def test_support_degree():
     f = Multiset.from_pairs([[0, 2], [1, 1]])
-    assert support(f) == {0, 1}
-    assert support(EMPTY) == frozenset()
-    assert degree(EMPTY) == 0
+    assert f.support() == {0, 1}
+    assert EMPTY.support() == frozenset()
+    assert EMPTY.degree == 0
     for f in enumerate_multisets(5, 3):
         assert f.degree == 3
         assert len(f.support()) <= 3

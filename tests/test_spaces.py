@@ -5,7 +5,7 @@ import pytest
 from verogeo.algebra import QuadraticForm, standard_symplectic
 from verogeo.incidence import (is_connected, is_hyperplane, is_partial_linear,
                                is_strong, maximal_strong_subspaces)
-from verogeo.spaces import (affine_plane_family, affine_polar_space,
+from verogeo.spaces import (affine_plane_family, affine_reduct_of,
                             affine_space, polar_space_quadratic,
                             polar_space_symplectic, projective_hyperplanes,
                             projective_plane_family, projective_space,
@@ -129,7 +129,7 @@ def test_affine_polar_space_from_w33():
     P = projective_space(3, 3)
     trace = projective_hyperplanes(P, 3)[0]
     assert is_hyperplane(W, trace)
-    red = affine_polar_space(W, sorted(trace))
+    red = affine_reduct_of(W, sorted(trace))
     assert red.structure.point_count == 40 - len(trace)
     assert is_connected(red.structure)
     ok, _ = red.parallel.check_preparallelism()
@@ -143,11 +143,11 @@ def test_affine_polar_maximal_strong_are_affine():
     W = polar_space_symplectic(standard_symplectic(4, 3))
     P = projective_space(3, 3)
     trace = projective_hyperplanes(P, 3)[0]
-    red = affine_polar_space(W, sorted(trace))
+    red = affine_reduct_of(W, sorted(trace))
     strongs = maximal_strong_subspaces(red.structure)
     assert strongs
     # chart: delete the same trace from PG(3,3); affine lines = truncated PG lines
-    chart = affine_polar_space(P, sorted(trace))
+    chart = affine_reduct_of(P, sorted(trace))
     affine_lines = set(chart.structure.lines)
     # reindex red points into chart points via shared ambient indexing
     red_to_chart = {}
@@ -216,7 +216,7 @@ def test_polar_and_affine_polar_strongly_connected():
     kept_pos = {old: new for new, old in enumerate(kept)}
     trace_old = projective_hyperplanes(P, 3)[0]
     trace = sorted(kept_pos[q] for q in trace_old if q in kept_pos)
-    red = affine_polar_space(polar, trace)
+    red = affine_reduct_of(polar, trace)
     red_pos = {old: new for new, old in enumerate(red.kept)}
     trace_set = set(trace)
     trunc = []
