@@ -264,6 +264,13 @@ def polar_hyperplane(V_polar: VeroneseSpace, H_proj: VeroneseHyperplane,
 LEVEL2_BASE_CAP = 16
 
 
+def _pair_index(V: VeroneseSpace) -> list[list[int]]:
+    """pair[x][y]: index of the level-2 point x + y."""
+    n = V.base.point_count
+    return [[V.index[Multiset.from_expansion([x, y])] for y in range(n)]
+            for x in range(n)]
+
+
 def enumerate_hyperplanes_level2(V: VeroneseSpace,
                                  base_hyperplanes: Optional[list[frozenset[int]]] = None
                                  ) -> list[frozenset[int]]:
@@ -273,6 +280,12 @@ def enumerate_hyperplanes_level2(V: VeroneseSpace,
     symmetry x in h(y) iff y in h(x); the double-leaf trace is the
     selfconjugacy diagonal {x : x in h(x)} and must itself be FULL or a
     base hyperplane.  Survivors face the honest hyperplane check.
+
+    The search runs on bitsets.  Symmetry fixes the bits of h(x) below x,
+    so the rows allowed at x are one lookup in a table of candidates keyed
+    by those bits; the chosen rows' bits above their own point are kept in
+    one integer, n bits per point, from which each prefix is read.  The
+    point set and the diagonal are ORed together row by row.
     """
     if V.level != 2:
         raise ValueError("leaf-trace search applies to level 2 only")
@@ -281,42 +294,41 @@ def enumerate_hyperplanes_level2(V: VeroneseSpace,
         raise CapacityError(f"base has {n} points, above the {LEVEL2_BASE_CAP} cap")
     if base_hyperplanes is None:
         base_hyperplanes = inc.enumerate_hyperplanes(V.base)
-    full_set = frozenset(range(n))
     candidates = sorted(base_hyperplanes, key=lambda s: tuple(sorted(s)))
-    candidates.append(full_set)
-    admissible_diag = set(candidates)
+    candidates.append(frozenset(range(n)))
+    masks = [sum(1 << y for y in c) for c in candidates]
+    admissible_diag = set(masks)
+    pair = _pair_index(V)
 
-    rows: list[frozenset[int]] = []
-    found: list[frozenset[int]] = []
+    # rows_at[x][prefix]: (column bits, points, diagonal bit) of each
+    # candidate h(x) whose bits below x are prefix, in candidate order;
+    # bit z*n + x of the column bits says z in h(x), for z > x
+    rows_at: list[dict[int, list[tuple[int, int, int]]]] = []
+    for x in range(n):
+        table: dict[int, list[tuple[int, int, int]]] = {}
+        for c, cm in zip(candidates, masks):
+            column = sum(1 << (z * n + x) for z in c if z > x)
+            pts = sum(1 << pair[x][z] for z in c)
+            table.setdefault(cm & ((1 << x) - 1), []).append(
+                (column, pts, cm & (1 << x)))
+        rows_at.append(table)
+    prefix_mask = [(1 << x) - 1 for x in range(n)]
+    G = V.structure
+    found: set[int] = set()
 
-    def dfs(x: int) -> None:
+    def dfs(x: int, columns: int, X: int, diag: int) -> None:
         if x == n:
-            diag = frozenset(y for y in range(n) if y in rows[y])
-            if diag not in admissible_diag:
-                return
-            h: dict[Multiset, object] = {
-                EMPTY: FULL if diag == full_set else diag}
-            for y in range(n):
-                h[scale_point(1, y)] = FULL if rows[y] == full_set else rows[y]
-            pts = assemble_from_h(V, h)
-            if len(pts) == len(V.points):
-                return
-            if inc.is_hyperplane(V.structure, pts):
-                found.append(pts)
+            if diag in admissible_diag and inc.is_hyperplane_mask(G, X):
+                found.add(X)
             return
-        for cand in candidates:
-            ok = True
-            for y in range(x):
-                if (y in cand) != (x in rows[y]):
-                    ok = False
-                    break
-            if ok:
-                rows.append(cand)
-                dfs(x + 1)
-                rows.pop()
+        for column, pts, d in rows_at[x].get(columns >> (x * n) & prefix_mask[x], ()):
+            dfs(x + 1, columns | column, X | pts, diag | d)
 
-    dfs(0)
-    return sorted(set(found), key=lambda s: tuple(sorted(s)))
+    dfs(0, 0, 0, 0)
+    # each frozenset is copied from a set, which sizes its table to its
+    # points; built from the generator it would keep up to twice the room
+    return sorted((frozenset({q for q in range(len(V.points)) if X >> q & 1})
+                   for X in found), key=lambda s: tuple(sorted(s)))
 
 
 # ---------------------------------------------------------------------------
@@ -365,38 +377,36 @@ def verify_characterization(V: VeroneseSpace, mode: str = "auto"
         constructed.append(hyperplane_from_symplectic(V, xi).points)
     constructed = sorted(set(constructed), key=lambda s: tuple(sorted(s)))
 
+    base_hyps = inc.enumerate_hyperplanes(V.base)
     if mode == "auto":
         mode = "scan" if V.structure.point_count <= inc.MAX_SCAN_POINTS else "leaf-trace"
     if mode == "scan":
         enumerated = inc.enumerate_hyperplanes(V.structure)
     elif mode == "leaf-trace":
-        enumerated = enumerate_hyperplanes_level2(V)
+        enumerated = enumerate_hyperplanes_level2(V, base_hyperplanes=base_hyps)
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
+    pencils: dict[frozenset[int], list[int]] = {}
+    for bh in base_hyps:
+        pencils.setdefault(leaf_pencil(V, bh), sorted(bh))
+    n = V.base.point_count
+    pair = _pair_index(V)
     constructed_set = set(constructed)
     extras = []
     for H in enumerated:
         if H in constructed_set:
             continue
         h = extract_h_function(V, H)
-        n = V.base.point_count
-        symmetric = all(
-            (V.index[Multiset.from_expansion([x, y])] in H)
-            == (V.index[Multiset.from_expansion([y, x])] in H)
-            for x in range(n) for y in range(n))
+        symmetric = all((pair[x][y] in H) == (pair[y][x] in H)
+                        for x in range(n) for y in range(n))
         traces_ok = all(val == FULL or inc.is_hyperplane(V.base, val)
                         for val in h.values())
-        pencil_match = None
-        for bh in inc.enumerate_hyperplanes(V.base):
-            if leaf_pencil(V, bh) == H:
-                pencil_match = sorted(bh)
-                break
         extras.append({
             "points": sorted(H),
             "traces_hyperplane_or_full": traces_ok,
             "relation_symmetric": symmetric,
-            "leaf_pencil_over": pencil_match,
+            "leaf_pencil_over": pencils.get(H),
         })
     return CharacterizationReport(
         enumerated=enumerated,

@@ -40,6 +40,7 @@ class IncidenceStructure:
         self.labels = dict(labels) if labels else None
         self._adjacency: Optional[list[set[int]]] = None
         self._lines_through: Optional[list[list[int]]] = None
+        self._line_masks: Optional[list[int]] = None
         self._line_index: Optional[dict[frozenset, int]] = None
 
     def __repr__(self):
@@ -70,6 +71,12 @@ class IncidenceStructure:
                     through[a].append(i)
             self._lines_through = through
         return self._lines_through
+
+    def line_masks(self) -> list[int]:
+        """line_masks()[i]: line i as a bitset, bit q set for each point q."""
+        if self._line_masks is None:
+            self._line_masks = [sum(1 << q for q in line) for line in self.lines]
+        return self._line_masks
 
     def line_index(self) -> dict[frozenset, int]:
         if self._line_index is None:
@@ -280,6 +287,21 @@ def is_hyperplane(G: IncidenceStructure, X: Iterable[int]) -> bool:
     if len(X) == G.point_count:
         return False
     return is_l_transversal(G, X) and is_subspace(G, X)
+
+
+def is_hyperplane_mask(G: IncidenceStructure, X: int) -> bool:
+    """is_hyperplane for a point set given as a bitset (bit q for point q).
+
+    Every line must meet X in exactly one point or lie inside it, and X
+    must not be the whole point set.
+    """
+    if X == (1 << G.point_count) - 1:
+        return False
+    for L in G.line_masks():
+        m = L & X
+        if not m or (m != L and m & (m - 1)):
+            return False
+    return True
 
 
 def is_spiky(G: IncidenceStructure, X: Iterable[int]) -> tuple[bool, Optional[int]]:

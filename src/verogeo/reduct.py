@@ -375,12 +375,11 @@ def reduct_plane_family(A: AffineReduct) -> list[frozenset[int]]:
 
 
 def plane_direction_trace(A: AffineReduct, plane: frozenset[int]) -> frozenset[int]:
-    """Directions (deleted ambient points) of the lines inside a plane."""
-    out = set()
-    for li, t in enumerate(A.lines):
-        if t.points <= plane:
-            out.add(t.infinite)
-    return frozenset(out)
+    """Directions (deleted ambient points) of the lines inside a plane,
+    found among the lines through the plane's points."""
+    through = A.structure.lines_through()
+    return frozenset(A.lines[li].infinite for q in plane for li in through[q]
+                     if A.lines[li].points <= plane)
 
 
 # ---------------------------------------------------------------------------

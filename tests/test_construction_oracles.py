@@ -3,8 +3,10 @@
 Each oracle below is the direct construction: join every pair of points,
 extend every line by every outside point, test every pair of planes for a
 common line, truncate every block of a Veronese space by the hyperplane,
-try every subset of points for a maximal strong subspace.  The library
-does less work and must return exactly the same results, in the same order.
+try every subset of points for a maximal strong subspace, a subspace or a
+hyperplane, filter every leaf-trace row against every earlier row, scan
+every reduct line for a plane's directions.  The library does less work
+and must return exactly the same results, in the same order.
 """
 
 import itertools
@@ -15,13 +17,18 @@ from hypothesis import given, settings, strategies as st
 
 from verogeo.algebra import (QuadraticForm, _line_points, normalize_vector,
                              projective_points, standard_symplectic)
-from verogeo.hyperplanes import (VeroneseHyperplane, extract_h_function,
-                                 hyperplane_from_symplectic, polar_hyperplane)
-from verogeo.incidence import (IncidenceStructure, gamma_plane_classes, is_strong,
-                               maximal_strong_subspaces)
-from verogeo.reduct import build_reduct
-from verogeo.spaces import (polar_space_symplectic, projective_plane_family,
-                            projective_space, singular_plane_family)
+from verogeo.hyperplanes import (FULL, VeroneseHyperplane, assemble_from_h,
+                                 enumerate_hyperplanes_level2, extract_h_function,
+                                 hyperplane_from_symplectic, leaf_pencil,
+                                 polar_hyperplane, verify_characterization)
+from verogeo.incidence import (IncidenceStructure, enumerate_hyperplanes,
+                               gamma_plane_classes, is_hyperplane, is_hyperplane_mask,
+                               is_strong, maximal_strong_subspaces, subspace_closure)
+from verogeo.multiset import EMPTY, Multiset, scale_point
+from verogeo.reduct import build_reduct, plane_direction_trace, reduct_plane_family
+from verogeo.spaces import (polar_space_quadratic, polar_space_symplectic,
+                            projective_plane_family, projective_space,
+                            singular_plane_family)
 from verogeo.veronese import build_veronese
 
 
@@ -232,3 +239,170 @@ def pg32_pieces(draw):
 @given(st.one_of(random_partial_linear_spaces(), pg32_pieces()))
 def test_maximal_strong_subspaces_match_subset_search(G):
     assert maximal_strong_subspaces(G) == brute_force_maximal_strong(G)
+
+
+def all_subsets(G):
+    return [frozenset(X) for r in range(G.point_count + 1)
+            for X in itertools.combinations(G.points, r)]
+
+
+def pairwise_is_subspace(X, G):
+    """Every line through two points of X lies inside X."""
+    return all(line <= X for a, b in itertools.combinations(sorted(X), 2)
+               for line in G.lines if a in line and b in line)
+
+
+def subset_search_hyperplanes(G):
+    """Proper subspaces meeting every line, over all subsets."""
+    return _sorted_family(X for X in all_subsets(G)
+                          if len(X) < G.point_count and pairwise_is_subspace(X, G)
+                          and all(line & X for line in G.lines))
+
+
+@st.composite
+def structures_with_a_subset(draw):
+    G = draw(st.one_of(random_partial_linear_spaces(), pg32_pieces()))
+    return G, draw(st.frozensets(st.integers(0, G.point_count - 1)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(structures_with_a_subset())
+def test_subspace_closure_is_least_subspace_over_subsets(case):
+    G, X = case
+    holding = [S for S in all_subsets(G) if X <= S and pairwise_is_subspace(S, G)]
+    assert subspace_closure(G, X) == frozenset.intersection(*holding)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(random_partial_linear_spaces(), pg32_pieces()))
+def test_is_hyperplane_and_enumeration_match_subset_search(G):
+    want = subset_search_hyperplanes(G)
+    assert _sorted_family(X for X in all_subsets(G) if is_hyperplane(G, X)) == want
+    assert enumerate_hyperplanes(G) == want
+
+
+@st.composite
+def small_incidence_structures(draw):
+    """Lines of 0 to 4 points, meeting anyhow: no partial linear space needed."""
+    n = draw(st.integers(0, 8))
+    lines = draw(st.lists(st.frozensets(st.integers(0, n - 1), max_size=min(4, n)),
+                          max_size=10)) if n else []
+    return IncidenceStructure(n, lines)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(small_incidence_structures(), random_partial_linear_spaces(),
+                 pg32_pieces()))
+def test_mask_hyperplane_test_matches_is_hyperplane(G):
+    for X in all_subsets(G):
+        assert is_hyperplane_mask(G, sum(1 << q for q in X)) == is_hyperplane(G, X)
+
+
+def characterization_extras(V, enumerated, constructed):
+    """The extras of verify_characterization, with the base hyperplanes
+    enumerated again for each extra and the point relation read through
+    both orderings of each pair."""
+    extras = []
+    for H in enumerated:
+        if H in constructed:
+            continue
+        n = V.base.point_count
+        symmetric = all(
+            (V.index[Multiset.from_expansion([x, y])] in H)
+            == (V.index[Multiset.from_expansion([y, x])] in H)
+            for x in range(n) for y in range(n))
+        traces_ok = all(val == FULL or is_hyperplane(V.base, val)
+                        for val in extract_h_function(V, H).values())
+        pencil_match = next((sorted(bh) for bh in enumerate_hyperplanes(V.base)
+                             if leaf_pencil(V, bh) == H), None)
+        extras.append({"points": sorted(H), "traces_hyperplane_or_full": traces_ok,
+                       "relation_symmetric": symmetric, "leaf_pencil_over": pencil_match})
+    return extras
+
+
+@pytest.mark.parametrize("n,mode", [(1, "scan"), (2, "leaf-trace")])
+def test_characterization_extras_match_per_extra_search(n, mode):
+    V = build_veronese(projective_space(n, 3), 2)
+    report = verify_characterization(V, mode=mode)
+    assert report.extras == characterization_extras(V, report.enumerated,
+                                                    set(report.constructed))
+    assert report.extras and all(e["leaf_pencil_over"] for e in report.extras)
+
+
+def leaf_trace_dfs(V, base_hyperplanes):
+    """The leaf-trace search with each row filtered against every earlier
+    row and each leaf's points assembled from its trace function."""
+    n = V.base.point_count
+    full_set = frozenset(range(n))
+    candidates = _sorted_family(base_hyperplanes) + [full_set]
+    admissible_diag = set(candidates)
+    rows, found = [], set()
+
+    def dfs(x):
+        if x == n:
+            diag = frozenset(y for y in range(n) if y in rows[y])
+            if diag not in admissible_diag:
+                return
+            h = {EMPTY: FULL if diag == full_set else diag}
+            for y in range(n):
+                h[scale_point(1, y)] = FULL if rows[y] == full_set else rows[y]
+            pts = assemble_from_h(V, h)
+            if len(pts) < len(V.points) and is_hyperplane(V.structure, pts):
+                found.add(pts)
+            return
+        for cand in candidates:
+            if all((y in cand) == (x in rows[y]) for y in range(x)):
+                rows.append(cand)
+                dfs(x + 1)
+                rows.pop()
+
+    dfs(0)
+    return _sorted_family(found)
+
+
+Q_PLUS_32 = QuadraticForm(2, ((0, 1, 0, 0), (0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 0, 0)))
+CENSUS_BASES = {
+    "PG(2,2)": lambda: projective_space(2, 2),
+    "PG(1,3)": lambda: projective_space(1, 3),
+    "PG(2,3)": lambda: projective_space(2, 3),
+    "PG(3,2)": lambda: PG32,
+    "Q+(3,2)": lambda: polar_space_quadratic(Q_PLUS_32)[0],
+}
+
+
+@pytest.mark.parametrize("name", CENSUS_BASES)
+def test_level2_census_matches_leaf_trace_dfs(name):
+    V = build_veronese(CENSUS_BASES[name](), 2)
+    want = leaf_trace_dfs(V, enumerate_hyperplanes(V.base))
+    assert want and enumerate_hyperplanes_level2(V) == want
+
+
+@st.composite
+def relabelled_census_bases(draw):
+    base = CENSUS_BASES[draw(st.sampled_from(sorted(CENSUS_BASES)))]()
+    perm = draw(st.permutations(range(base.point_count)))
+    return IncidenceStructure(base.point_count, [[perm[q] for q in line]
+                                                 for line in base.lines])
+
+
+@settings(max_examples=12, deadline=None)
+@given(relabelled_census_bases())
+def test_level2_census_matches_leaf_trace_dfs_relabelled(base):
+    V = build_veronese(base, 2)
+    base_hyps = enumerate_hyperplanes(base)
+    assert (enumerate_hyperplanes_level2(V, base_hyperplanes=base_hyps)
+            == leaf_trace_dfs(V, base_hyps))
+
+
+def test_plane_direction_trace_matches_all_lines_scan():
+    A = build_reduct(*pg33_symplectic())
+    planes = reduct_plane_family(A)
+    assert len(planes) == 1560
+    # in a plane or a leaf reduct every direction has a line through every
+    # point; a plane short of a point, or two planes, are not like that
+    sets = (planes + _sorted_family(A.leaf_reducts)
+            + [P - {min(P)} for P in planes]
+            + [P | Q for P, Q in zip(planes[::20], planes[1::20])])
+    for X in sets:
+        want = frozenset(t.infinite for t in A.lines if t.points <= X)
+        assert plane_direction_trace(A, X) == want
