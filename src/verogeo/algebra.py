@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 Vector = tuple[int, ...]
 
@@ -117,7 +117,7 @@ def nullspace(M: Sequence[Sequence[int]], p: int) -> list[Vector]:
 
 
 # ---------------------------------------------------------------------------
-# bilinear forms and quasi-correlations
+# bilinear forms and their orthogonality tables
 
 
 @dataclass(frozen=True)
@@ -181,20 +181,21 @@ def is_nondegenerate(xi: BilinearForm) -> bool:
     return not radical(xi)
 
 
-def quasi_correlation(xi: BilinearForm, q: Vector,
-                      ambient: Optional[list[Vector]] = None) -> frozenset[Vector]:
-    """kappa(q) = projective points <u> with xi(u, v_q) = 0.
+def perp_rows(xi: BilinearForm, coords: Sequence[Vector]) -> list[frozenset[int]]:
+    """rows[i] = {j : xi(coords[i], coords[j]) = 0}, the orthogonality table.
 
-    For nonzero xi this is a projective hyperplane unless q is radical,
-    in which case it is the whole point set.
+    Row i reads the functional w_i = coords[i]^T M, computed once per
+    point, against every point; for a symplectic form row i is the
+    quasi-correlation kappa(x_i) = x_i^perp as a set of point indices.
     """
-    if xi.is_zero():
-        raise ValueError("quasi-correlation needs a nonzero form")
-    if ambient is None:
-        ambient = projective_points(xi.dim, xi.p)
-    Mq = mat_vec(xi.matrix, q, xi.p)
-    return frozenset(u for u in ambient
-                     if sum(a * b for a, b in zip(u, Mq)) % xi.p == 0)
+    p = xi.p
+    columns = list(zip(*xi.matrix))
+    rows = []
+    for u in coords:
+        w = [sum(a * b for a, b in zip(u, col)) % p for col in columns]
+        rows.append(frozenset(j for j, v in enumerate(coords)
+                              if not sum(a * b for a, b in zip(w, v)) % p))
+    return rows
 
 
 def standard_symplectic(dim: int, p: int) -> BilinearForm:

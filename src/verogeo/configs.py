@@ -244,8 +244,8 @@ def classify_proper_quadrangle(V: VeroneseSpace, q: QuadrangleFigure) -> str:
             return UNCLASSIFIABLE
         if not ({a1, b1} <= n1 and {a2, b2} <= m1):
             return UNCLASSIFIABLE
-        expected = {_pair(V, a1, a2), _pair(V, a1, b2),
-                    _pair(V, b1, a2), _pair(V, b1, b2)}
+        expected = {V.pair[a1][a2], V.pair[a1][b2],
+                    V.pair[b1][a2], V.pair[b1][b2]}
         if set(q.vertices) != expected:
             return UNCLASSIFIABLE
         return TWO_LINE_TYPE
@@ -263,20 +263,12 @@ def classify_proper_quadrangle(V: VeroneseSpace, q: QuadrangleFigure) -> str:
         b, l = translate_of(flank2)
         if not ({a, b} <= n and a in m and c in m and b in l and c in l):
             return UNCLASSIFIABLE
-        expected = {_double(V, a), _pair(V, a, c), _double(V, b), _pair(V, b, c)}
+        expected = {V.pair[a][a], V.pair[a][c], V.pair[b][b], V.pair[b][c]}
         if set(q.vertices) != expected:
             return UNCLASSIFIABLE
         return THREE_LINE_TYPE
 
     return UNCLASSIFIABLE
-
-
-def _pair(V: VeroneseSpace, x: int, y: int) -> int:
-    return V.index[Multiset.from_expansion([x, y])]
-
-
-def _double(V: VeroneseSpace, x: int) -> int:
-    return V.index[Multiset.from_expansion([x, x])]
 
 
 def classify_crossing_line(V: VeroneseSpace, l1: int, l2: int, k: int) -> str:

@@ -3,9 +3,10 @@
 Level 2 over a projective space: a symplectic quasi-correlation kappa
 yields the point set H = union of x + kappa(x); its leaf trace function h
 has h(x) = kappa(x) and h(0) = S, and H is verified (never assumed) to be
-a hyperplane.  Choosing h(0) equal to a projective hyperplane not inside
-the selfconjugate set destroys the subspace property, with an explicit
-witness block.
+a hyperplane.  kappa(x) is read from the form's orthogonality rows
+(algebra.perp_rows) and x + y from the pair table V.pair.  Choosing h(0)
+equal to a projective hyperplane not inside the selfconjugate set destroys
+the subspace property, with an explicit witness block.
 
 Level k over a projective space: a k-linear alternating form eta yields
 H = {q1 + ... + qk : eta vanishes}; the complement consists of k-subsets.
@@ -28,7 +29,8 @@ from typing import Optional, Sequence
 from . import incidence as inc
 from .algebra import (AlternatingMultiForm, BilinearForm,
                       alternating_forms_up_to_scalar,
-                      is_nondegenerate_alternating, is_prime, is_symplectic)
+                      is_nondegenerate_alternating, is_prime, is_symplectic,
+                      perp_rows)
 from .configs import FalsificationError, _join
 from .incidence import CapacityError
 from .multiset import EMPTY, Multiset, scale_point
@@ -123,32 +125,22 @@ def hyperplane_from_symplectic(V: VeroneseSpace, xi: BilinearForm) -> VeroneseHy
         raise ValueError("form is not symplectic; construction not applicable")
     if xi.is_zero():
         raise ValueError("zero form rejected")
-    coords = _coordinates(V)
-    n = len(coords)
+    rows = perp_rows(xi, _coordinates(V))
+    n = len(rows)
     h: dict[Multiset, object] = {EMPTY: FULL}
-    pts: set[int] = set()
     degenerate = False
-    for i in range(n):
-        row = frozenset(j for j in range(n)
-                        if xi.evaluate(coords[i], coords[j]) == 0)
+    for i, row in enumerate(rows):
         if len(row) == n:
             h[scale_point(1, i)] = FULL
             degenerate = True
         else:
             h[scale_point(1, i)] = row
-        for j in row:
-            pts.add(V.index[Multiset.from_expansion([i, j])])
-    pts.update(V.index[Multiset.from_expansion([i, i])] for i in range(n))
-    points = frozenset(pts)
-    # the union of the single-point traces already carries every double
-    without_doubles = set()
-    for i in range(n):
-        row = h[scale_point(1, i)]
-        base_pts = range(n) if row == FULL else row
-        without_doubles.update(V.index[Multiset.from_expansion([i, j])]
-                               for j in base_pts)
-    if frozenset(without_doubles) != points:
+    # the double leaf is FULL, so the union of the single-point traces
+    # must carry every double 2x, i.e. x in kappa(x)
+    if not all(i in row for i, row in enumerate(rows)):
         raise FalsificationError("symplectic union missed a double point")
+    pair = V.pair
+    points = frozenset(pair[i][j] for i, row in enumerate(rows) for j in row)
     if not inc.is_hyperplane(V.structure, points):
         raise FalsificationError("symplectic construction failed the hyperplane check")
     return VeroneseHyperplane(V, points, h, degenerate=degenerate,
@@ -166,28 +158,22 @@ def vari1_construction(V: VeroneseSpace, xi: BilinearForm,
     """
     if V.level != 2:
         raise ValueError("construction needs level 2")
-    coords = _coordinates(V)
-    n = len(coords)
-    kappa = [frozenset(j for j in range(n)
-                       if xi.evaluate(coords[i], coords[j]) == 0)
-             for i in range(n)]
-    pts: set[int] = set()
-    for i in range(n):
-        pts.update(V.index[Multiset.from_expansion([i, j])] for j in kappa[i])
-    pts.update(V.index[Multiset.from_expansion([x, x])] for x in h0)
-    points = frozenset(pts)
+    kappa = perp_rows(xi, _coordinates(V))
+    pair = V.pair
+    points = frozenset([pair[i][j] for i, row in enumerate(kappa) for j in row]
+                       + [pair[x][x] for x in h0])
 
-    selfconj = frozenset(i for i in range(n) if i in kappa[i])
+    selfconj = frozenset(i for i, row in enumerate(kappa) if i in row)
     report: dict = {"h0_inside_selfconjugate": h0 <= selfconj}
     if not h0 <= selfconj:
         a = min(x for x in sorted(h0) if x not in kappa[x])
         q = min(kappa[a] - h0)
         join = _join(V.base, a, q)
-        block = frozenset(V.index[Multiset.from_expansion([a, x])] for x in join)
+        block = frozenset(pair[a][x] for x in join)
         inside = sorted(block & points)
         outside = sorted(block - points)
-        assert V.index[Multiset.from_expansion([a, a])] in block & points
-        assert V.index[Multiset.from_expansion([a, q])] in block & points
+        assert pair[a][a] in block & points
+        assert pair[a][q] in block & points
         report["witness_block"] = sorted(block)
         report["witness_inside"] = inside
         report["witness_outside"] = outside
@@ -264,13 +250,6 @@ def polar_hyperplane(V_polar: VeroneseSpace, H_proj: VeroneseHyperplane,
 LEVEL2_BASE_CAP = 16
 
 
-def _pair_index(V: VeroneseSpace) -> list[list[int]]:
-    """pair[x][y]: index of the level-2 point x + y."""
-    n = V.base.point_count
-    return [[V.index[Multiset.from_expansion([x, y])] for y in range(n)]
-            for x in range(n)]
-
-
 def enumerate_hyperplanes_level2(V: VeroneseSpace,
                                  base_hyperplanes: Optional[list[frozenset[int]]] = None
                                  ) -> list[frozenset[int]]:
@@ -298,7 +277,7 @@ def enumerate_hyperplanes_level2(V: VeroneseSpace,
     candidates.append(frozenset(range(n)))
     masks = [sum(1 << y for y in c) for c in candidates]
     admissible_diag = set(masks)
-    pair = _pair_index(V)
+    pair = V.pair
 
     # rows_at[x][prefix]: (column bits, points, diagonal bit) of each
     # candidate h(x) whose bits below x are prefix, in candidate order;
@@ -391,7 +370,7 @@ def verify_characterization(V: VeroneseSpace, mode: str = "auto"
     for bh in base_hyps:
         pencils.setdefault(leaf_pencil(V, bh), sorted(bh))
     n = V.base.point_count
-    pair = _pair_index(V)
+    pair = V.pair
     constructed_set = set(constructed)
     extras = []
     for H in enumerated:

@@ -24,6 +24,7 @@ from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from . import incidence as inc
+from .algebra import perp_rows
 from .configs import FalsificationError, _join, find_quadrangles
 from .hyperplanes import VeroneseHyperplane
 from .incidence import IncidenceStructure, crossing_index, subspace_closure
@@ -94,8 +95,7 @@ class AffineReduct:
         key = (x, base_line)
         if key not in self._line_at:
             V = self.ambient
-            block = frozenset(V.index[Multiset.from_expansion([x, z])]
-                              for z in base_line)
+            block = frozenset(V.pair[x][z] for z in base_line)
             self._line_at[key] = self._line_of_parent.get(
                 V.structure.line_index().get(block))
         return self._line_at[key]
@@ -115,7 +115,7 @@ class AffineReduct:
         top_of, _ = visible_tops(self)
         out = {}
         for x in range(V.base.point_count):
-            members = self.classes.get(V.index[scale_point(2, x)])
+            members = self.classes.get(V.pair[x][x])
             if members:
                 out[x] = top_of[members[0]]
         return out
@@ -464,7 +464,7 @@ def recover_horizon_double_lines(A: AffineReduct) -> set[frozenset[int]]:
                 raise RecoveryError(
                     f"no quadrangle witnesses the double horizon line over "
                     f"{sorted(bl)} at point {x}")
-        line = frozenset(V.index[Multiset.from_expansion([x, x])] for x in xs)
+        line = frozenset(V.pair[x][x] for x in xs)
         recovered.add(line)
     return recovered
 
@@ -648,7 +648,7 @@ def net_violation_witness(A: AffineReduct) -> dict:
                             continue
                         if A.structure.lines[l3] & A.structure.lines[k3]:
                             continue
-                        meet = V.index[Multiset.from_expansion([x, y])]
+                        meet = V.pair[x][y]
                         return {"found": True, "quadrangle": q_lines,
                                 "l3": l3, "k3": k3,
                                 "ambient_meet": meet,
@@ -668,13 +668,7 @@ def net_violation_shape_on_base(P, xi) -> Optional[tuple]:
     enumeration; over GF(3) the answer is None, over GF(5) a witness
     exists.
     """
-    coords = [P.labels[i] for i in range(P.point_count)]
-
-    def perp(i, j):
-        return xi.evaluate(coords[i], coords[j]) == 0
-
-    kappa = {i: frozenset(j for j in range(P.point_count) if perp(i, j))
-             for i in range(P.point_count)}
+    kappa = perp_rows(xi, [P.labels[i] for i in range(P.point_count)])
     through = P.lines_through()
     for v in range(P.point_count):
         for w in sorted(kappa[v]):
@@ -694,7 +688,7 @@ def net_violation_shape_on_base(P, xi) -> Optional[tuple]:
                         for a2, b2 in itertools.combinations(b_pool, 2):
                             if {a1, b1} & {a2, b2}:
                                 continue
-                            if any(perp(u, t) for u in (a1, b1)
+                            if any(t in kappa[u] for u in (a1, b1)
                                    for t in (a2, b2)):
                                 continue
                             return (v, w, mi, ni, a1, b1, a2, b2)

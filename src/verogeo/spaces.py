@@ -216,13 +216,9 @@ def polar_space_symplectic(xi: BilinearForm) -> IncidenceStructure:
         raise ValueError("degenerate symplectic form rejected")
     p = xi.p
     G = projective_space(xi.dim - 1, p)
-    pts = [G.labels[i] for i in range(G.point_count)]
-    lines = []
-    for line in G.lines:
-        rep = sorted(line)
-        u, v = pts[rep[0]], pts[rep[1]]
-        if xi.evaluate(u, v) == 0:
-            lines.append(line)
+    rows = algebra.perp_rows(xi, [G.labels[i] for i in range(G.point_count)])
+    # any two points span their line: it is totally isotropic iff they are orthogonal
+    lines = [line for line in G.lines if sorted(line)[1] in rows[min(line)]]
     return IncidenceStructure(G.point_count, lines, labels=dict(G.labels),
                               sort_lines=False)
 

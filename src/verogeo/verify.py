@@ -20,21 +20,25 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 from . import incidence as inc
-from .algebra import BilinearForm, determinant_form, standard_symplectic
+from .algebra import (BilinearForm, QuadraticForm, alternating_forms_up_to_scalar,
+                      determinant_form, perp_rows, standard_symplectic)
 from .configs import (BASE_EMBEDDED, FOUR_POINT_TRANSLATE, THREE_POINT_WITH_2M,
                       UNCLASSIFIABLE, check_net_axiom,
                       check_parallelogram_completion, check_tamaschke,
                       classify_all_veblen)
-from .hyperplanes import (hyperplane_from_alternating, hyperplane_from_symplectic,
-                          leaf_pencil, polar_hyperplane, vari1_construction,
+from .hyperplanes import (VeroneseHyperplane, enumerate_hyperplanes_level2,
+                          extract_h_function, hyperplane_from_alternating,
+                          hyperplane_from_symplectic, leaf_pencil,
+                          polar_hyperplane, vari1_construction,
                           verify_characterization)
 from .multiset import EMPTY, Multiset
 from .parallelism import (check_euclid_failure, counting_identity_solutions,
                           induced_relation, search_leaf_closed_parallelism)
 from .reduct import (build_reduct, classify_directions, gamma_matches_leaves,
-                     net_violation_witness, recover_veronese,
-                     truncated_plane_family, veblen_subclass_map)
-from .spaces import (affine_space, polar_space_symplectic,
+                     net_violation_shape_on_base, net_violation_witness,
+                     recover_veronese, truncated_plane_family,
+                     veblen_subclass_map)
+from .spaces import (affine_space, polar_space_quadratic, polar_space_symplectic,
                      projective_hyperplanes, projective_plane_family,
                      projective_space)
 from .veronese import build_veronese, leaf_plane_family, parameters
@@ -268,9 +272,8 @@ def suite_negative_control() -> list[Verdict]:
         identity = BilinearForm(3, tuple(tuple(1 if i == j else 0
                                                for j in range(3))
                                          for i in range(3)))
-        coords = [V.base.labels[i] for i in range(13)]
-        selfconj = {i for i in range(13)
-                    if identity.evaluate(coords[i], coords[i]) == 0}
+        rows = perp_rows(identity, [V.base.labels[i] for i in range(13)])
+        selfconj = {i for i, row in enumerate(rows) if i in row}
         h0 = next(h for h in projective_hyperplanes(V.base, 3)
                   if not h <= selfconj)
         points, report = vari1_construction(V, identity, h0)
@@ -339,7 +342,6 @@ def suite_net_axiom() -> list[Verdict]:
         "V(2, AG(2,3))", check_ag))
 
     def check_reduct():
-        from .reduct import net_violation_shape_on_base
         witness = net_violation_witness(_reduct_pg33())
         # the claim under test: the reduct VIOLATES the axiom
         shape_gf5 = net_violation_shape_on_base(
@@ -450,7 +452,6 @@ def suite_polar_pipeline() -> list[Verdict]:
         # and on the reduct: truncated planes against truncated leaves
         H = _symplectic_hyperplane_pg33()
         pts = polar_hyperplane(VW, H)
-        from .hyperplanes import VeroneseHyperplane, extract_h_function
         HW = VeroneseHyperplane(VW, pts, extract_h_function(VW, pts),
                                 source="polar-intersection")
         A = build_reduct(VW, HW)
@@ -474,10 +475,6 @@ def suite_polar_conjecture() -> list[Verdict]:
     family inherited from the ambient projective Veronese."""
 
     def check():
-        from .algebra import QuadraticForm, alternating_forms_up_to_scalar
-        from .hyperplanes import (VeroneseHyperplane, enumerate_hyperplanes_level2,
-                                  extract_h_function)
-        from .spaces import polar_space_quadratic
         Q = QuadraticForm(3, ((0, 1, 0, 0), (0, 0, 0, 0),
                               (0, 0, 0, 1), (0, 0, 0, 0)))
         polar, kept = polar_space_quadratic(Q)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .incidence import IncidenceStructure, is_partial_linear
@@ -43,6 +44,15 @@ class VeroneseSpace:
     def leaf_translate(self, e: Multiset, x: int) -> int:
         """Index of e + (k-|e|)*x, the copy of base point x on leaf e."""
         return self.index[e + scale_point(self.level - e.degree, x)]
+
+    @cached_property
+    def pair(self) -> list[list[int]]:
+        """pair[x][y]: index of the level-2 point x + y, built on first use."""
+        if self.level != 2:
+            raise ValueError("the pair table is defined at level 2 only")
+        n = self.base.point_count
+        return [[self.index[Multiset.from_expansion([x, y])] for y in range(n)]
+                for x in range(n)]
 
     def to_json(self) -> dict:
         return {"kind": "veronese", "level": self.level,

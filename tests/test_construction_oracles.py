@@ -5,27 +5,35 @@ extend every line by every outside point, test every pair of planes for a
 common line, truncate every block of a Veronese space by the hyperplane,
 try every subset of points for a maximal strong subspace, a subspace or a
 hyperplane, filter every leaf-trace row against every earlier row, scan
-every reduct line for a plane's directions.  The library does less work
+every reduct line for a plane's directions, evaluate a form on every pair
+of points and look every sum x + y up by its multiset.  The library does less work
 and must return exactly the same results, in the same order.
 """
 
 import itertools
+import random
 from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from verogeo.algebra import (QuadraticForm, _line_points, normalize_vector,
+from verogeo.algebra import (BilinearForm, QuadraticForm, _line_points,
+                             alternating_forms_up_to_scalar, is_reflexive,
+                             normalize_vector, nullspace, perp_rows,
                              projective_points, standard_symplectic)
+from verogeo.configs import _join
 from verogeo.hyperplanes import (FULL, VeroneseHyperplane, assemble_from_h,
                                  enumerate_hyperplanes_level2, extract_h_function,
                                  hyperplane_from_symplectic, leaf_pencil,
-                                 polar_hyperplane, verify_characterization)
+                                 polar_hyperplane, vari1_construction,
+                                 verify_characterization)
 from verogeo.incidence import (IncidenceStructure, enumerate_hyperplanes,
                                gamma_plane_classes, is_hyperplane, is_hyperplane_mask,
-                               is_strong, maximal_strong_subspaces, subspace_closure)
+                               is_strong, is_subspace, maximal_strong_subspaces,
+                               subspace_closure)
 from verogeo.multiset import EMPTY, Multiset, scale_point
-from verogeo.reduct import build_reduct, plane_direction_trace, reduct_plane_family
+from verogeo.reduct import (build_reduct, net_violation_shape_on_base,
+                            plane_direction_trace, reduct_plane_family)
 from verogeo.spaces import (polar_space_quadratic, polar_space_symplectic,
                             projective_plane_family, projective_space,
                             singular_plane_family)
@@ -406,3 +414,163 @@ def test_plane_direction_trace_matches_all_lines_scan():
     for X in sets:
         want = frozenset(t.infinite for t in A.lines if t.points <= X)
         assert plane_direction_trace(A, X) == want
+
+
+def test_perp_rows_match_evaluate_on_a_non_reflexive_form():
+    rng = random.Random(20261018)
+    xi = BilinearForm(5, tuple(tuple(rng.randrange(5) for _ in range(3))
+                               for _ in range(3)))
+    assert not is_reflexive(xi)
+    coords = projective_points(3, 5)
+    rows = perp_rows(xi, coords)
+    assert rows == [frozenset(j for j, v in enumerate(coords) if xi.evaluate(u, v) == 0)
+                    for u in coords]
+    # row i is xi(c_i, .), not xi(., c_i)
+    assert rows != [frozenset(j for j, v in enumerate(coords) if xi.evaluate(v, u) == 0)
+                    for u in coords]
+
+
+def test_pair_table_matches_multiset_lookup():
+    fano = IncidenceStructure(7, [[6, 2, 0], [6, 1, 5], [6, 3, 4], [2, 1, 4],
+                                  [2, 3, 5], [0, 1, 3], [0, 4, 5]])
+    for base in (projective_space(2, 3), fano):
+        V = build_veronese(base, 2)
+        n = base.point_count
+        assert V.pair == [[V.index[Multiset.from_expansion([x, y])] for y in range(n)]
+                          for x in range(n)]
+    with pytest.raises(ValueError):
+        build_veronese(projective_space(1, 3), 3).pair
+
+
+def symplectic_per_pair(V, xi):
+    """(points, h, degenerate) of the symplectic hyperplane, with the form
+    evaluated on every pair of points and every x + y looked up by its
+    multiset."""
+    coords = [V.base.labels[i] for i in range(V.base.point_count)]
+    n = len(coords)
+    h = {EMPTY: FULL}
+    pts = set()
+    degenerate = False
+    for i in range(n):
+        row = frozenset(j for j in range(n) if xi.evaluate(coords[i], coords[j]) == 0)
+        if len(row) == n:
+            h[scale_point(1, i)] = FULL
+            degenerate = True
+        else:
+            h[scale_point(1, i)] = row
+        pts.update(V.index[Multiset.from_expansion([i, j])] for j in row)
+    pts.update(V.index[Multiset.from_expansion([i, i])] for i in range(n))
+    return frozenset(pts), h, degenerate
+
+
+@pytest.mark.parametrize("n,sample", [(2, None), (3, 40)])
+def test_symplectic_hyperplane_matches_per_pair_construction(n, sample):
+    V = build_veronese(projective_space(n, 3), 2)
+    forms = alternating_forms_up_to_scalar(n + 1, 3)
+    if sample:
+        forms = random.Random(20261018).sample(forms, sample)
+    degenerate_seen = False
+    for xi in forms:
+        H = hyperplane_from_symplectic(V, xi)
+        points, h, degenerate = symplectic_per_pair(V, xi)
+        assert H.points == points
+        assert list(H.h_function.items()) == list(h.items())
+        assert H.degenerate == degenerate
+        degenerate_seen |= degenerate
+    assert degenerate_seen
+
+
+def vari1_per_pair(V, xi, h0):
+    """vari1_construction with the form evaluated on every pair of points
+    and every x + y looked up by its multiset."""
+    coords = [V.base.labels[i] for i in range(V.base.point_count)]
+    n = len(coords)
+    kappa = [frozenset(j for j in range(n) if xi.evaluate(coords[i], coords[j]) == 0)
+             for i in range(n)]
+    pts = set()
+    for i in range(n):
+        pts.update(V.index[Multiset.from_expansion([i, j])] for j in kappa[i])
+    pts.update(V.index[Multiset.from_expansion([x, x])] for x in h0)
+    points = frozenset(pts)
+    selfconj = frozenset(i for i in range(n) if i in kappa[i])
+    report = {"h0_inside_selfconjugate": h0 <= selfconj}
+    if not h0 <= selfconj:
+        a = min(x for x in sorted(h0) if x not in kappa[x])
+        q = min(kappa[a] - h0)
+        block = frozenset(V.index[Multiset.from_expansion([a, x])]
+                          for x in _join(V.base, a, q))
+        report["witness_block"] = sorted(block)
+        report["witness_inside"] = sorted(block & points)
+        report["witness_outside"] = sorted(block - points)
+        report["is_subspace"] = is_subspace(V.structure, points)
+    return points, report
+
+
+def test_vari1_matches_per_pair_construction():
+    V = build_veronese(projective_space(2, 3), 2)
+    identity = BilinearForm(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    reports = []
+    for h0 in V.base.lines:
+        got = vari1_construction(V, identity, h0)
+        assert got == vari1_per_pair(V, identity, h0)
+        reports.append(got[1])
+    # the selfconjugate points of the identity form are a conic, so every
+    # line leaves it and every report carries a witness block
+    assert all("witness_block" in r for r in reports)
+
+
+def shape_search_per_pair(P, xi):
+    """net_violation_shape_on_base with every conjugacy test evaluating
+    the form."""
+    coords = [P.labels[i] for i in range(P.point_count)]
+
+    def perp(i, j):
+        return xi.evaluate(coords[i], coords[j]) == 0
+
+    kappa = {i: frozenset(j for j in range(P.point_count) if perp(i, j))
+             for i in range(P.point_count)}
+    through = P.lines_through()
+    for v in range(P.point_count):
+        for w in sorted(kappa[v]):
+            if w == v:
+                continue
+            for mi in through[v]:
+                m0 = P.lines[mi]
+                if w in m0 or m0 <= kappa[w]:
+                    continue
+                for ni in through[w]:
+                    n0 = P.lines[ni]
+                    if v in n0 or n0 <= kappa[v] or ni == mi:
+                        continue
+                    a_pool = [a for a in sorted(n0 - {w}) if a not in kappa[v]]
+                    b_pool = [b for b in sorted(m0 - {v}) if b not in kappa[w]]
+                    for a1, b1 in itertools.combinations(a_pool, 2):
+                        for a2, b2 in itertools.combinations(b_pool, 2):
+                            if {a1, b1} & {a2, b2}:
+                                continue
+                            if any(perp(u, t) for u in (a1, b1) for t in (a2, b2)):
+                                continue
+                            return (v, w, mi, ni, a1, b1, a2, b2)
+    return None
+
+
+def conjugated_symplectic(rng, p):
+    """g^T J g for a random g in GL(4, p)."""
+    while True:
+        g = [[rng.randrange(p) for _ in range(4)] for _ in range(4)]
+        if not nullspace(g, p):
+            break
+    M = standard_symplectic(4, p).matrix
+    return BilinearForm(p, tuple(
+        tuple(sum(g[k][i] * M[k][l] * g[l][j] for k in range(4) for l in range(4)) % p
+              for j in range(4)) for i in range(4)))
+
+
+def test_net_violation_shape_matches_per_pair_search():
+    P = projective_space(3, 5)
+    rng = random.Random(20261018)
+    forms = [standard_symplectic(4, 5)]
+    forms += [conjugated_symplectic(rng, 5) for _ in range(3)]
+    hits = [net_violation_shape_on_base(P, xi) for xi in forms]
+    assert hits == [shape_search_per_pair(P, xi) for xi in forms]
+    assert hits[0] == (0, 6, 6, 31, 1, 11, 33, 34)

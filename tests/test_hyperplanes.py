@@ -78,6 +78,10 @@ def test_vari1_negative_control():
     assert not is_subspace(V.structure, points)
     assert len(report["witness_inside"]) >= 2
     assert report["witness_outside"]
+    # the verify suite reads the same conic off the orthogonality rows
+    from verogeo import verify as vfy
+    (verdict,) = vfy.SUITES["negative-control"]()
+    assert verdict.ok and verdict.details == {"selfconjugate_points": len(selfconj)}
 
 
 def test_extract_h_of_symplectic():
