@@ -18,6 +18,12 @@ event, never silently skipped.
 Enumeration budgets: structures up to 200 points get exhaustive scans;
 larger ones scan a deterministic stratified sample whose strata are
 recorded in the returned report.
+
+The affine conditions read each violation from two class rows: for a
+line t and a parallel class c, the bitmask of the members of c that meet
+t.  Their checked counts still count the four-line configurations (or
+triangle-line pairs) the scan covers, in closed form wherever the rows
+rule out a violation.
 """
 
 from __future__ import annotations
@@ -398,6 +404,32 @@ def check_net_axiom(G: IncidenceStructure, top_of: Sequence,
 # affine conditions
 
 
+def _class_members(G: IncidenceStructure, class_of: dict[int, int]
+                   ) -> tuple[dict[int, list[int]], list[int]]:
+    """The lines of each class, in class_of order, and each classed line's
+    index among its class's members."""
+    members: dict[int, list[int]] = {}
+    position = [0] * len(G.lines)
+    for li, ci in class_of.items():
+        position[li] = len(members.setdefault(ci, []))
+        members[ci].append(li)
+    return members, position
+
+
+def _class_rows(G: IncidenceStructure, t: int, class_of: dict[int, int],
+                position: list[int], through: list[list[int]]) -> dict[int, int]:
+    """{class: mask} for line t: bit position[m] of mask is set for each
+    line m of the class that shares a point with t, position[m] being m's
+    index among its class's members.  A classed t meets itself."""
+    rows: dict[int, int] = {}
+    for q in G.lines[t]:
+        for m in through[q]:
+            c = class_of.get(m)
+            if c is not None:
+                rows[c] = rows.get(c, 0) | 1 << position[m]
+    return rows
+
+
 def check_tamaschke(G: IncidenceStructure, class_of: dict[int, int],
                     budget_points: int = EXHAUSTIVE_POINT_BUDGET) -> ScanReport:
     """Tamaschke condition: a line parallel to one side of a triangle that
@@ -407,12 +439,16 @@ def check_tamaschke(G: IncidenceStructure, class_of: dict[int, int],
     carry no parallels.  Triangles are enumerated from each apex (the two
     sides through it and a third side crossing both elsewhere), so over
     all apexes every side takes the parallel role.
+
+    The lines meeting each side through an apex, and the class rows of
+    those sides, are built once per apex.  A triangle is read from the
+    rows of its two apex sides over the class c of the third: a parallel
+    crossing one side but not the other is a set bit of their XOR.
+    checked still counts the (triangle, line of c) pairs the scan covers,
+    len(members[c]) per triangle without a violation.
     """
-    cross = crossing_index(G)
     through = G.lines_through()
-    members: dict[int, list[int]] = {}
-    for li, ci in class_of.items():
-        members.setdefault(ci, []).append(li)
+    members, position = _class_members(G, class_of)
     apexes = range(G.point_count)
     strata = None
     exhaustive = G.point_count <= budget_points
@@ -423,21 +459,25 @@ def check_tamaschke(G: IncidenceStructure, class_of: dict[int, int],
     checked = 0
     for p in apexes:
         here = through[p]
+        meets = {t: {m for q in G.lines[t] for m in through[q]} for t in here}
+        rows = {t: _class_rows(G, t, class_of, position, through) for t in here}
         for a in range(len(here)):
             for b in range(a + 1, len(here)):
                 t2, t3 = here[a], here[b]
-                for t1 in sorted(cross[t2] & cross[t3]):
+                for t1 in sorted(meets[t2] & meets[t3]):
                     if p in G.lines[t1]:
                         continue
-                    if class_of.get(t1) is None:
+                    c = class_of.get(t1)
+                    if c is None:
                         continue
-                    for m in members[class_of[t1]]:
-                        hits2 = bool(G.lines[m] & G.lines[t2])
-                        hits3 = bool(G.lines[m] & G.lines[t3])
-                        checked += 1
-                        if hits2 != hits3:
-                            return ScanReport(False, (p, t1, t2, t3, m),
-                                              checked, exhaustive, strata)
+                    d = rows[t2].get(c, 0) ^ rows[t3].get(c, 0)
+                    if not d:
+                        checked += len(members[c])
+                        continue
+                    j = (d & -d).bit_length() - 1
+                    checked += j + 1
+                    return ScanReport(False, (p, t1, t2, t3, members[c][j]),
+                                      checked, exhaustive, strata)
     return ScanReport(True, None, checked, exhaustive, strata)
 
 
@@ -446,11 +486,18 @@ def check_parallelogram_completion(G: IncidenceStructure,
                                    budget_points: int = EXHAUSTIVE_POINT_BUDGET
                                    ) -> ScanReport:
     """If two pairs of parallel lines realize three of the four crossings
-    between non-parallel lines, the fourth crossing exists as well."""
-    members: dict[int, list[int]] = {}
-    for li, ci in class_of.items():
-        members.setdefault(ci, []).append(li)
+    between non-parallel lines, the fourth crossing exists as well.
+
+    For parallels l1, l2 and a later class cm, let r1, r2 be their class
+    rows over cm.  Some pair of cm has exactly three crossings iff r1 & r2
+    (a line meeting both) and r1 ^ r2 (a line meeting one) are nonzero.
+    checked still counts the four-line configurations the scan covers,
+    C(|cm|, 2) per class pair without a violation; a violation is found by
+    walking the pairs of cm in order.
+    """
+    members, position = _class_members(G, class_of)
     class_ids = sorted(members)
+    through = G.lines_through()
     strata = None
     exhaustive = G.point_count <= budget_points
     pick_l = class_ids
@@ -461,15 +508,18 @@ def check_parallelogram_completion(G: IncidenceStructure,
     checked = 0
     for cl in pick_l:
         ls = members[cl]
+        later = [cm for cm in class_ids if not cm <= cl]
+        rows = {l: _class_rows(G, l, class_of, position, through) for l in ls}
         for l1, l2 in itertools.combinations(ls, 2):
-            for cm in class_ids:
-                if cm <= cl:
+            for cm in later:
+                r1, r2 = rows[l1].get(cm, 0), rows[l2].get(cm, 0)
+                ms = members[cm]
+                if not (r1 & r2 and r1 ^ r2):
+                    checked += len(ms) * (len(ms) - 1) // 2
                     continue
-                for m1, m2 in itertools.combinations(members[cm], 2):
-                    crossings = [bool(G.lines[a] & G.lines[b])
-                                 for a in (l1, l2) for b in (m1, m2)]
+                for i, j in itertools.combinations(range(len(ms)), 2):
                     checked += 1
-                    if sum(crossings) == 3:
-                        return ScanReport(False, (l1, l2, m1, m2),
+                    if (r1 >> i & 1) + (r1 >> j & 1) + (r2 >> i & 1) + (r2 >> j & 1) == 3:
+                        return ScanReport(False, (l1, l2, ms[i], ms[j]),
                                           checked, exhaustive, strata)
     return ScanReport(True, None, checked, exhaustive, strata)

@@ -189,6 +189,30 @@ def test_parallelogram_completion_missing_fourth_crossing():
     assert report.witness == (0, 1, 2, 3)
 
 
+def test_parallelogram_completion_counts_past_a_clean_class_pair():
+    # class 1 meets both parallels of class 0 everywhere: C(3,2) = 3
+    # configurations, no violation.  In class 2 the pairs come in the order
+    # (N1, N1b) with all four crossings, (N1, N2) with two and (N1, N3) with
+    # three, so the scan stops after 3 + 3 configurations.
+    G = IncidenceStructure(16, [
+        [0, 1, 2],     # L1
+        [3, 4, 5],     # L2
+        [0, 3, 6],     # M1
+        [1, 4, 7],     # M2
+        [2, 5, 8],     # M3
+        [0, 5, 9],     # N1 meets L1 and L2
+        [2, 3, 15],    # N1b meets L1 and L2
+        [10, 11, 12],  # N2 meets neither
+        [1, 13, 14],   # N3 meets L1 only
+    ], sort_lines=False)
+    class_of = {0: 0, 1: 0, 2: 1, 3: 1, 4: 1, 5: 2, 6: 2, 7: 2, 8: 2}
+    report = check_parallelogram_completion(G, class_of)
+    assert not report.ok
+    assert report.witness == (0, 1, 5, 8)
+    assert report.checked == 6
+    assert report.exhaustive
+
+
 def test_quadrangle_classification_exhaustive_v2_ag23():
     # the affine plane has 3-point lines, so four-translate-of-one-line
     # quadrangles cannot occur; both shapes still classify everywhere
