@@ -47,9 +47,6 @@ class PrimeField:
             raise ZeroDivisionError("no inverse of 0")
         return pow(a, self.p - 2, self.p)
 
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
-
 
 def normalize_vector(v: Sequence[int], p: int) -> Vector:
     """Scale so the first nonzero coordinate is 1; canonical per 1-space."""

@@ -32,7 +32,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .incidence import IncidenceStructure, crossing_index
+from .incidence import IncidenceStructure
 from .multiset import EMPTY, Multiset
 from .veronese import VeroneseSpace
 
@@ -82,16 +82,13 @@ class QuadrangleFigure:
 # Veblen configurations
 
 
-def find_incomplete_veblen(G: IncidenceStructure,
-                           cross: Optional[list[set[int]]] = None
-                           ) -> Iterator[VeblenFigure]:
+def find_incomplete_veblen(G: IncidenceStructure) -> Iterator[VeblenFigure]:
     """All incomplete Veblen configurations, deterministic order.
 
     The no-three-concurrent requirement is enforced: the two non-apex
     lines must cross each apex line in distinct points.
     """
-    if cross is None:
-        cross = crossing_index(G)
+    cross = G.crossing()
     through = G.lines_through()
     for p in range(G.point_count):
         here = through[p]
@@ -183,45 +180,46 @@ def classify_all_veblen(V: VeroneseSpace) -> dict[str, int]:
 # quadrangles without diagonals
 
 
-def find_quadrangles(G: IncidenceStructure,
-                     top_of: Optional[Sequence] = None,
-                     proper_only: bool = True,
-                     cross: Optional[list[set[int]]] = None
+def find_quadrangles(G: IncidenceStructure, top_of: Sequence
                      ) -> Iterator[QuadrangleFigure]:
-    """Quadrangles without diagonals, one canonical representative each.
+    """Proper quadrangles without diagonals, one canonical representative
+    each: the four tops top_of[line] are pairwise distinct.
 
     Canonical form: the first line is the least index of the four and the
-    two lines adjacent to it are increasing.  When proper_only, the four
-    tops must be pairwise distinct (top_of is then required).
+    two lines adjacent to it are increasing.
     """
-    if proper_only and top_of is None:
-        raise ValueError("proper quadrangles need a top assignment")
-    if cross is None:
-        cross = crossing_index(G)
+    cross = G.crossing()
     adj = G.adjacency()
     nlines = len(G.lines)
     for l1 in range(nlines):
         k1_candidates = sorted(k for k in cross[l1] if k > l1)
         for k1 in k1_candidates:
-            if proper_only and top_of[k1] == top_of[l1]:
+            if top_of[k1] == top_of[l1]:
                 continue
             p1 = _meet(G, l1, k1)
             for l2 in sorted(x for x in cross[k1] if x > l1 and x != k1):
-                if proper_only and (top_of[l2] == top_of[l1]
-                                    or top_of[l2] == top_of[k1]):
+                if top_of[l2] == top_of[l1] or top_of[l2] == top_of[k1]:
                     continue
                 p2 = _meet(G, k1, l2)
                 for k2 in sorted(x for x in cross[l2] & cross[l1]
                                  if x > k1 and x != l2):
-                    if proper_only and (top_of[k2] == top_of[l1]
-                                        or top_of[k2] == top_of[k1]
-                                        or top_of[k2] == top_of[l2]):
+                    if (top_of[k2] == top_of[l1] or top_of[k2] == top_of[k1]
+                            or top_of[k2] == top_of[l2]):
                         continue
                     p3 = _meet(G, l2, k2)
                     p4 = _meet(G, k2, l1)
                     if p3 in adj[p1] or p4 in adj[p2]:
                         continue
                     yield QuadrangleFigure((l1, k1, l2, k2), (p1, p2, p3, p4))
+
+
+def fresh_crossings(G: IncidenceStructure, top_of: Sequence, a: int, b: int
+                    ) -> list[int]:
+    """The lines crossing both a and b whose top is neither of theirs,
+    in increasing order."""
+    cross = G.crossing()
+    return sorted(m for m in cross[a] & cross[b]
+                  if top_of[m] not in (top_of[a], top_of[b]))
 
 
 def classify_proper_quadrangle(V: VeroneseSpace, q: QuadrangleFigure) -> str:
@@ -375,7 +373,6 @@ def check_net_axiom(G: IncidenceStructure, top_of: Sequence,
     Exhaustive up to budget_points points; beyond that the quadrangles are
     restricted to a deterministic sample of first lines (strata recorded).
     """
-    cross = crossing_index(G)
     strata = None
     allowed = None
     exhaustive = G.point_count <= budget_points
@@ -384,14 +381,12 @@ def check_net_axiom(G: IncidenceStructure, top_of: Sequence,
         allowed = set(range(0, len(G.lines), step))
         strata = ("first_line_in", 0, step, len(G.lines))
     checked = 0
-    for q in find_quadrangles(G, top_of, proper_only=True, cross=cross):
+    for q in find_quadrangles(G, top_of):
         if allowed is not None and q.lines[0] not in allowed:
             continue
         l1, k1, l2, k2 = q.lines
-        crossing_l = sorted(m for m in cross[l1] & cross[l2]
-                            if top_of[m] not in (top_of[l1], top_of[l2]))
-        crossing_k = sorted(m for m in cross[k1] & cross[k2]
-                            if top_of[m] not in (top_of[k1], top_of[k2]))
+        crossing_l = fresh_crossings(G, top_of, l1, l2)
+        crossing_k = fresh_crossings(G, top_of, k1, k2)
         for m3 in crossing_k:
             for n3 in crossing_l:
                 checked += 1
@@ -440,14 +435,16 @@ def check_tamaschke(G: IncidenceStructure, class_of: dict[int, int],
     sides through it and a third side crossing both elsewhere), so over
     all apexes every side takes the parallel role.
 
-    The lines meeting each side through an apex, and the class rows of
-    those sides, are built once per apex.  A triangle is read from the
-    rows of its two apex sides over the class c of the third: a parallel
-    crossing one side but not the other is a set bit of their XOR.
+    Third sides come from the crossing index G.crossing(), and the class
+    rows of the sides through an apex are built once per apex.  A triangle
+    is read from the rows of its two apex sides over the class c of the
+    third: a parallel crossing one side but not the other is a set bit of
+    their XOR.
     checked still counts the (triangle, line of c) pairs the scan covers,
     len(members[c]) per triangle without a violation.
     """
     through = G.lines_through()
+    cross = G.crossing()
     members, position = _class_members(G, class_of)
     apexes = range(G.point_count)
     strata = None
@@ -459,12 +456,11 @@ def check_tamaschke(G: IncidenceStructure, class_of: dict[int, int],
     checked = 0
     for p in apexes:
         here = through[p]
-        meets = {t: {m for q in G.lines[t] for m in through[q]} for t in here}
         rows = {t: _class_rows(G, t, class_of, position, through) for t in here}
         for a in range(len(here)):
             for b in range(a + 1, len(here)):
                 t2, t3 = here[a], here[b]
-                for t1 in sorted(meets[t2] & meets[t3]):
+                for t1 in sorted(cross[t2] & cross[t3]):
                     if p in G.lines[t1]:
                         continue
                     c = class_of.get(t1)

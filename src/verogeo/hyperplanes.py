@@ -47,9 +47,6 @@ class VeroneseHyperplane:
     degenerate: bool = False
     source: str = ""
 
-    def trace(self, e: Multiset):
-        return self.h_function[e]
-
     def to_json(self) -> dict:
         h_json = {}
         for e, val in self.h_function.items():
@@ -321,12 +318,6 @@ class CharacterizationReport:
     constructed_subset_of_enumerated: bool
     equal: bool
     extras: list[dict] = field(default_factory=list)
-
-    def summary(self) -> str:
-        return (f"enumerated {len(self.enumerated)} hyperplanes, "
-                f"constructed {len(self.constructed)} symplectic ones; "
-                f"symplectic side contained: {self.constructed_subset_of_enumerated}; "
-                f"sets equal: {self.equal}")
 
 
 def leaf_pencil(V: VeroneseSpace, base_hyperplane: frozenset[int]) -> frozenset[int]:

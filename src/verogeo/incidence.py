@@ -22,7 +22,8 @@ class IncidenceStructure:
     """Points 0..point_count-1 plus a family of lines (frozensets of points).
 
     Instances are immutable after construction and safe to share; the
-    adjacency and point-to-line indexes are computed lazily and cached.
+    adjacency, point-to-line and crossing indexes are computed lazily and
+    cached.
     Equality is identity; compare line sets explicitly when needed.
     """
 
@@ -42,6 +43,7 @@ class IncidenceStructure:
         self._lines_through: Optional[list[list[int]]] = None
         self._line_masks: Optional[list[int]] = None
         self._line_index: Optional[dict[frozenset, int]] = None
+        self._crossing: Optional[list[set[int]]] = None
 
     def __repr__(self):
         return f"IncidenceStructure({self.point_count} points, {len(self.lines)} lines)"
@@ -71,6 +73,18 @@ class IncidenceStructure:
                     through[a].append(i)
             self._lines_through = through
         return self._lines_through
+
+    def crossing(self) -> list[set[int]]:
+        """crossing()[i] = indexes of the other lines sharing a point with line i."""
+        if self._crossing is None:
+            through = self.lines_through()
+            cross: list[set[int]] = [set() for _ in self.lines]
+            for i, line in enumerate(self.lines):
+                for q in line:
+                    cross[i].update(through[q])
+                cross[i].discard(i)
+            self._crossing = cross
+        return self._crossing
 
     def line_masks(self) -> list[int]:
         """line_masks()[i]: line i as a bitset, bit q set for each point q."""
@@ -407,8 +421,7 @@ def enumerate_hyperplanes(G: IncidenceStructure) -> list[frozenset[int]]:
 # Veblen parallelism (line relation over bare incidence)
 
 
-def veblen_parallel_lines(G: IncidenceStructure, i: int, j: int,
-                          cross: Optional[list[set[int]]] = None) -> bool:
+def veblen_parallel_lines(G: IncidenceStructure, i: int, j: int) -> bool:
     """Coplanarity-style parallelism of lines i, j.
 
     Holds when i == j, or when the lines are disjoint and there are two
@@ -422,8 +435,7 @@ def veblen_parallel_lines(G: IncidenceStructure, i: int, j: int,
     li, lj = G.lines[i], G.lines[j]
     if li & lj:
         return False
-    if cross is None:
-        cross = crossing_index(G)
+    cross = G.crossing()
     candidates = sorted(cross[i] & cross[j])
     adj = G.adjacency()
     for a in candidates:
@@ -443,17 +455,6 @@ def veblen_parallel_lines(G: IncidenceStructure, i: int, j: int,
             if a2 in adj[pa_i]:
                 return True
     return False
-
-
-def crossing_index(G: IncidenceStructure) -> list[set[int]]:
-    """crossing_index(G)[i] = indexes of lines sharing a point with line i."""
-    through = G.lines_through()
-    cross: list[set[int]] = [set() for _ in G.lines]
-    for i, line in enumerate(G.lines):
-        for q in line:
-            cross[i].update(through[q])
-        cross[i].discard(i)
-    return cross
 
 
 # ---------------------------------------------------------------------------

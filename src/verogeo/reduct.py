@@ -25,9 +25,9 @@ from typing import Iterable, Optional, Sequence
 
 from . import incidence as inc
 from .algebra import perp_rows
-from .configs import FalsificationError, _join, find_quadrangles
-from .hyperplanes import VeroneseHyperplane
-from .incidence import IncidenceStructure, crossing_index, subspace_closure
+from .configs import FalsificationError, _join, find_quadrangles, fresh_crossings
+from .hyperplanes import FULL, VeroneseHyperplane
+from .incidence import IncidenceStructure, subspace_closure
 from .multiset import Multiset, scale_point
 from .spaces import affine_reduct_of
 from .veronese import VeroneseSpace
@@ -67,17 +67,11 @@ class AffineReduct:
         self.classes = classes
         self._line_of_parent = {t.parent: li for li, t in enumerate(lines)}
         self._line_at: dict[tuple[int, frozenset[int]], Optional[int]] = {}
-        self._cross: Optional[list[set[int]]] = None
         self._tops: Optional[tuple[list[int], list[frozenset[int]]]] = None
         self._planes: Optional[list[frozenset[int]]] = None
         self._veblen_cache: dict[tuple[int, int], bool] = {}
 
     # -- cached geometry ---------------------------------------------------
-
-    def cross(self) -> list[set[int]]:
-        if self._cross is None:
-            self._cross = crossing_index(self.structure)
-        return self._cross
 
     def class_of_line(self) -> dict[int, int]:
         out = {}
@@ -101,11 +95,15 @@ class AffineReduct:
         return self._line_at[key]
 
     @cached_property
-    def rows(self) -> dict[int, object]:
-        """rows[x]: the trace of the hyperplane on the leaf of base point x."""
-        H = self.hyperplane
-        return {x: H.h_function[scale_point(1, x)]
-                for x in range(self.ambient.base.point_count)}
+    def rows(self) -> dict[int, frozenset[int]]:
+        """rows[x]: the trace of the hyperplane on the leaf of base point x,
+        the whole base point set when that leaf lies in the hyperplane."""
+        everything = frozenset(self.ambient.base.points)
+        rows = {}
+        for x in self.ambient.base.points:
+            trace = self.hyperplane.h_function[scale_point(1, x)]
+            rows[x] = everything if trace == FULL else trace
+        return rows
 
     @cached_property
     def double_tops(self) -> dict[int, int]:
@@ -162,7 +160,7 @@ def veblen_parallel(A: AffineReduct, i: int, j: int) -> bool:
     key = (min(i, j), max(i, j))
     hit = A._veblen_cache.get(key)
     if hit is None:
-        hit = inc.veblen_parallel_lines(A.structure, i, j, A.cross())
+        hit = inc.veblen_parallel_lines(A.structure, i, j)
         A._veblen_cache[key] = hit
     return hit
 
@@ -430,11 +428,8 @@ def recover_horizon_double_lines(A: AffineReduct) -> set[frozenset[int]]:
         candidates = [a for a in range(n) if a not in bad]
         for a, b in itertools.combinations(candidates, 2):
             nline = _join(base, a, b)
-            q_lines = [A.line_at(a, L0), A.line_at(x1, nline),
-                       A.line_at(b, L0), A.line_at(x2, nline)]
-            if any(q is None for q in q_lines):
-                continue
-            if not _visible_proper_quadrangle(A, q_lines, top_of):
+            q_lines = _two_line_quadrangle(A, L0, nline, a, b, x1, x2, top_of)
+            if q_lines is None:
                 continue
             opp1, side1, opp2, side2 = q_lines
             kx = A.line_at(x, nline)
@@ -469,23 +464,34 @@ def recover_horizon_double_lines(A: AffineReduct) -> set[frozenset[int]]:
     return recovered
 
 
-def _visible_proper_quadrangle(A: AffineReduct, q_lines: Sequence[int],
-                               top_of: Sequence[int]) -> bool:
+def _two_line_quadrangle(A: AffineReduct, m: frozenset[int], n: frozenset[int],
+                         a1: int, b1: int, a2: int, b2: int,
+                         top_of: Sequence[int]) -> Optional[list[int]]:
+    """The reduct lines [a1+m, a2+n, b1+m, b2+n] when all four survive and
+    form a proper quadrangle without diagonals, else None.
+
+    The base points and lines only name the candidate lines; the
+    acceptance (distinct lines and tops, four crossings, no diagonal) is
+    decided on reduct incidence and visible tops.
+    """
+    q_lines = [A.line_at(a1, m), A.line_at(a2, n), A.line_at(b1, m), A.line_at(b2, n)]
+    if None in q_lines:
+        return None
     G = A.structure
     l1, k1, l2, k2 = q_lines
-    if len({l1, k1, l2, k2}) != 4:
-        return False
-    if len({top_of[l1], top_of[k1], top_of[l2], top_of[k2]}) != 4:
-        return False
+    if len(set(q_lines)) != 4 or len({top_of[t] for t in q_lines}) != 4:
+        return None
     p1 = G.lines[l1] & G.lines[k1]
     p2 = G.lines[k1] & G.lines[l2]
     p3 = G.lines[l2] & G.lines[k2]
     p4 = G.lines[k2] & G.lines[l1]
     if not (p1 and p2 and p3 and p4):
-        return False
+        return None
     p1, p2, p3, p4 = (next(iter(s)) for s in (p1, p2, p3, p4))
     adj = G.adjacency()
-    return p3 not in adj[p1] and p4 not in adj[p2]
+    if p3 in adj[p1] or p4 in adj[p2]:
+        return None
+    return q_lines
 
 
 def _crosses_both(A: AffineReduct, k: int, a: int, b: int) -> bool:
@@ -504,18 +510,15 @@ def scan_declared_double_triples(A: AffineReduct, max_quadrangles: int = 400
     V = A.ambient
     top_of, subs = visible_tops(A)
     sub_to_base = {t: x for x, t in A.double_tops.items()}
-    cross = A.cross()
     scanned = 0
     declared = 0
-    for q in find_quadrangles(A.structure, top_of, proper_only=True, cross=cross):
+    for q in find_quadrangles(A.structure, top_of):
         if scanned >= max_quadrangles:
             break
         scanned += 1
         for (a, b) in q.opposite_pairs:
             xs = []
-            for k in sorted(cross[a] & cross[b]):
-                if top_of[k] in (top_of[a], top_of[b]):
-                    continue
+            for k in fresh_crossings(A.structure, top_of, a, b):
                 base_pt = sub_to_base.get(top_of[k])
                 if base_pt is not None:
                     xs.append(base_pt)
@@ -632,11 +635,9 @@ def net_violation_witness(A: AffineReduct) -> dict:
                         if (a2 in A.rows[a1] or b2 in A.rows[a1]
                                 or a2 in A.rows[b1] or b2 in A.rows[b1]):
                             continue
-                        q_lines = [A.line_at(a1, m), A.line_at(a2, nline),
-                                   A.line_at(b1, m), A.line_at(b2, nline)]
-                        if any(q is None for q in q_lines):
-                            continue
-                        if not _visible_proper_quadrangle(A, q_lines, top_of):
+                        q_lines = _two_line_quadrangle(A, m, nline, a1, b1,
+                                                       a2, b2, top_of)
+                        if q_lines is None:
                             continue
                         l3 = A.line_at(y, m)
                         k3 = A.line_at(x, nline)
@@ -743,11 +744,8 @@ def _net_completion_exists(A: AffineReduct, i: int, j: int,
         for a2, b2 in itertools.combinations(b_opts, 2):
             if {a1, b1} & {a2, b2}:
                 continue
-            q_lines = [A.line_at(a1, m), A.line_at(a2, nline),
-                       A.line_at(b1, m), A.line_at(b2, nline)]
-            if any(q is None for q in q_lines):
-                continue
-            if not _visible_proper_quadrangle(A, q_lines, top_of):
+            q_lines = _two_line_quadrangle(A, m, nline, a1, b1, a2, b2, top_of)
+            if q_lines is None:
                 continue
             l1, k1, l2, k2 = q_lines
             if i in q_lines or j in q_lines:

@@ -35,15 +35,8 @@ class VeroneseSpace:
     leaves: dict[Multiset, frozenset[int]]
     block_top: dict[int, Multiset]
 
-    def point_of(self, f: Multiset) -> int:
-        return self.index[f]
-
     def leaf_keys(self) -> list[Multiset]:
         return sorted(self.leaves, key=lambda e: e.sort_key())
-
-    def leaf_translate(self, e: Multiset, x: int) -> int:
-        """Index of e + (k-|e|)*x, the copy of base point x on leaf e."""
-        return self.index[e + scale_point(self.level - e.degree, x)]
 
     @cached_property
     def pair(self) -> list[list[int]]:

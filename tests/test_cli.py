@@ -194,9 +194,10 @@ def test_verify_net_axiom_on_veronese_space(tmp_path, capsys):
     assert verdict["checked"] > 0
 
 
-def test_recover_refuses_degenerate_hyperplane(tmp_path, capsys):
-    # every alternating form on a 3-dimensional space is degenerate, so
-    # the recovery must refuse with a diagnostic
+def degenerate_pg23_reduct(tmp_path):
+    """Write V(2,PG(2,3)) minus the hyperplane of a degenerate form (every
+    alternating form on a 3-dimensional space is degenerate); return the
+    reduct file."""
     v = tmp_path / "v.json"
     h = tmp_path / "h.json"
     r = tmp_path / "r.json"
@@ -210,9 +211,26 @@ def test_recover_refuses_degenerate_hyperplane(tmp_path, capsys):
     assert json.loads(h.read_text())["degenerate"]
     assert run(["reduct", "--space", str(v), "--hyperplane", str(h),
                 "--out", str(r)]) == 0
+    return r
+
+
+def test_recover_refuses_degenerate_hyperplane(tmp_path, capsys):
+    # the recovery must refuse a degenerate hyperplane with a diagnostic
+    r = degenerate_pg23_reduct(tmp_path)
     rc = run(["recover", "--reduct", str(r)])
     assert rc == 2
     assert "nondegenerate" in capsys.readouterr().err
+
+
+def test_verify_net_axiom_on_degenerate_reduct(tmp_path, capsys):
+    # the leaf of the form's radical point lies in the hyperplane; the
+    # shape search still runs to exhaustion
+    r = degenerate_pg23_reduct(tmp_path)
+    rc = run(["verify", "--suite", "net-axiom", "--space", str(r)])
+    verdict = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert rc == 0
+    assert verdict["ok"] is True
+    assert verdict["details"]["configurations_checked"] == 540
 
 
 def test_hyperplane_rejects_quadratic_form(tmp_path, capsys):

@@ -103,10 +103,9 @@ def test_quadrangle_vertices_match_shapes():
 
 
 def test_crossing_line_classification_exhaustive_small():
-    from verogeo.incidence import crossing_index
     V = build_veronese(projective_space(1, 3), 2)
     tops = tops_list(V)
-    cross = crossing_index(V.structure)
+    cross = V.structure.crossing()
     checked = 0
     for q in find_quadrangles(V.structure, tops):
         for (a, b) in q.opposite_pairs:
@@ -122,10 +121,9 @@ def test_crossing_line_classification_exhaustive_small():
 def test_crossing_line_classification_exhaustive_pg23():
     # every crossing line of every opposite pair of every proper
     # quadrangle classifies; all three shapes occur
-    from verogeo.incidence import crossing_index
     V = build_veronese(projective_space(2, 3), 2)
     tops = tops_list(V)
-    cross = crossing_index(V.structure)
+    cross = V.structure.crossing()
     seen = set()
     quadrangles = 0
     crossings = 0

@@ -22,18 +22,18 @@ from verogeo.algebra import (BilinearForm, QuadraticForm, _line_points,
                              alternating_forms_up_to_scalar, is_reflexive,
                              normalize_vector, nullspace, perp_rows,
                              projective_points, standard_symplectic)
-from verogeo.configs import (ScanReport, _join, check_parallelogram_completion,
-                             check_tamaschke)
+from verogeo.configs import (QuadrangleFigure, ScanReport, _join,
+                             check_parallelogram_completion, check_tamaschke,
+                             find_quadrangles)
 from verogeo.hyperplanes import (FULL, VeroneseHyperplane, assemble_from_h,
                                  enumerate_hyperplanes_level2, extract_h_function,
                                  hyperplane_from_symplectic, leaf_pencil,
                                  polar_hyperplane, vari1_construction,
                                  verify_characterization)
-from verogeo.incidence import (IncidenceStructure, crossing_index,
-                               enumerate_hyperplanes, gamma_plane_classes,
-                               is_hyperplane, is_hyperplane_mask, is_strong,
-                               is_subspace, maximal_strong_subspaces,
-                               subspace_closure)
+from verogeo.incidence import (IncidenceStructure, enumerate_hyperplanes,
+                               gamma_plane_classes, is_hyperplane,
+                               is_hyperplane_mask, is_strong, is_subspace,
+                               maximal_strong_subspaces, subspace_closure)
 from verogeo.multiset import EMPTY, Multiset, scale_point
 from verogeo.reduct import (build_reduct, net_violation_shape_on_base,
                             plane_direction_trace, reduct_plane_family,
@@ -311,6 +311,71 @@ def test_mask_hyperplane_test_matches_is_hyperplane(G):
         assert is_hyperplane_mask(G, sum(1 << q for q in X)) == is_hyperplane(G, X)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(small_incidence_structures(), random_partial_linear_spaces(),
+                 pg32_pieces()))
+def test_crossing_index_matches_pairwise_intersection(G):
+    cross = G.crossing()
+    assert cross == [{j for j, other in enumerate(G.lines) if j != i and line & other}
+                     for i, line in enumerate(G.lines)]
+    assert G.crossing() is cross
+
+
+def quadrangles_per_quadruple(G, top_of):
+    """find_quadrangles over every quadruple of distinct lines in canonical
+    form, with crossings and diagonals found by intersecting point sets."""
+    def meet(a, b):
+        common = G.lines[a] & G.lines[b]
+        return next(iter(common)) if common else None
+
+    def adjacent(p, q):
+        return any(p in line and q in line for line in G.lines)
+
+    n = len(G.lines)
+    found = []
+    for l1, k1, l2, k2 in itertools.product(range(n), repeat=4):
+        if l1 >= min(k1, l2, k2) or k1 >= k2 or l2 in (k1, k2):
+            continue
+        if len({top_of[t] for t in (l1, k1, l2, k2)}) != 4:
+            continue
+        vertices = (meet(l1, k1), meet(k1, l2), meet(l2, k2), meet(k2, l1))
+        if None in vertices:
+            continue
+        p1, p2, p3, p4 = vertices
+        if not (adjacent(p1, p3) or adjacent(p2, p4)):
+            found.append(QuadrangleFigure((l1, k1, l2, k2), vertices))
+    return found
+
+
+@st.composite
+def grid_nets(draw):
+    """Rows and columns of an n x n grid and the symbol classes of the
+    cyclic Latin square, each line kept or not: partial linear spaces
+    rich in quadrangles, some of them with diagonals."""
+    n = draw(st.integers(3, 5))
+    lines = [frozenset(n * i + j for j in range(n)) for i in range(n)]
+    lines += [frozenset(n * i + j for i in range(n)) for j in range(n)]
+    lines += [frozenset(n * i + (s - i) % n for i in range(n)) for s in range(n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(lines), max_size=len(lines)))
+    return IncidenceStructure(n * n, [l for l, k in zip(lines, keep) if k])
+
+
+@st.composite
+def structures_with_tops(draw):
+    """A structure and a top for each line out of five, so that some
+    crossing lines share a top and some quadrangles are not proper."""
+    G = draw(st.one_of(random_partial_linear_spaces(), pg32_pieces(), grid_nets()))
+    return G, draw(st.lists(st.integers(0, 4), min_size=len(G.lines),
+                            max_size=len(G.lines)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(structures_with_tops())
+def test_find_quadrangles_matches_quadruple_search(case):
+    G, top_of = case
+    assert list(find_quadrangles(G, top_of)) == quadrangles_per_quadruple(G, top_of)
+
+
 def characterization_extras(V, enumerated, constructed):
     """The extras of verify_characterization, with the base hyperplanes
     enumerated again for each extra and the point relation read through
@@ -582,9 +647,15 @@ def test_net_violation_shape_matches_per_pair_search():
 
 
 def tamaschke_per_line(G, class_of, budget_points=200):
-    """check_tamaschke with each parallel tested against both apex sides by
-    intersecting point sets."""
-    cross = crossing_index(G)
+    """check_tamaschke with the third sides found, and each parallel tested
+    against both apex sides, by intersecting point sets."""
+    meeting = {}
+
+    def meets(t):
+        if t not in meeting:
+            meeting[t] = {m for m, line in enumerate(G.lines) if line & G.lines[t]}
+        return meeting[t]
+
     through = G.lines_through()
     members = {}
     for li, ci in class_of.items():
@@ -598,7 +669,7 @@ def tamaschke_per_line(G, class_of, budget_points=200):
     checked = 0
     for p in apexes:
         for t2, t3 in itertools.combinations(through[p], 2):
-            for t1 in sorted(cross[t2] & cross[t3]):
+            for t1 in sorted(meets(t2) & meets(t3)):
                 if p in G.lines[t1] or class_of.get(t1) is None:
                     continue
                 for m in members[class_of[t1]]:

@@ -260,6 +260,22 @@ def test_net_violation_absent_without_mixed_points():
     assert witness["reason"] == "no mixed deleted point"
 
 
+def test_net_violation_search_on_degenerate_reduct():
+    # the form's radical point (0,0,1) is conjugate to every point, so its
+    # leaf lies in the hyperplane and its row is the whole base
+    P = projective_space(2, 3)
+    V = build_veronese(P, 2)
+    H = hyperplane_from_symplectic(
+        V, BilinearForm(3, ((0, 1, 0), (2, 0, 0), (0, 0, 0))))
+    A = build_reduct(V, H)
+    radical = next(x for x in P.points if P.labels[x] == (0, 0, 1))
+    assert H.degenerate
+    assert A.rows[radical] == frozenset(P.points)
+    assert net_violation_witness(A) == {
+        "found": False, "reason": "complete shape enumeration exhausted",
+        "configurations_checked": 540}
+
+
 def test_parallelism_reconstruction_sample():
     A = pg33_reduct()
     report = check_parallelism_reconstruction(A, sample_per_kind=8)
