@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import incidence as inc
 from .algebra import perp_rows
@@ -444,9 +444,6 @@ def recover_horizon_double_lines(A: AffineReduct) -> set[frozenset[int]]:
                 continue
             if top_of[side2] != A.double_tops.get(x2):
                 continue
-            if not (_crosses_both(A, side1, opp1, opp2)
-                    and _crosses_both(A, side2, opp1, opp2)):
-                continue
             return True
         return False
 
@@ -590,71 +587,99 @@ def recover_veronese(A: AffineReduct) -> RecoveryReport:
 # Net axiom violation
 
 
+def _net_frames(base: IncidenceStructure, rows, pairs: Iterable[tuple[int, int]]
+                ) -> Iterator[tuple[int, int, int, int]]:
+    """The outer part of the Net-violation shape, as (x, y, mi, ni).
+
+    For each (x, y) of pairs in order: base lines m = lines[mi] through x
+    and n = lines[ni] through y with y not on m, x not on n, m != n, m not
+    inside rows[y] and n not inside rows[x] (so y+m and x+n survive).
+    """
+    through = base.lines_through()
+    for x, y in pairs:
+        for mi in through[x]:
+            m = base.lines[mi]
+            if y in m or m <= rows[y]:
+                continue
+            for ni in through[y]:
+                n = base.lines[ni]
+                if x in n or n <= rows[x] or ni == mi:
+                    continue
+                yield x, y, mi, ni
+
+
+def _net_sides(rows, x: int, y: int, m: frozenset[int], n: frozenset[int]
+               ) -> Iterator[tuple[int, int, int, int]]:
+    """The inner part of the shape for fixed x, y, m, n, as (a1, b1, a2, b2):
+    disjoint pairs a1 < b1 on n - {x, y} off rows[x] and a2 < b2 on
+    m - {x, y} off rows[y], naming the sides a1+m, b1+m, a2+n, b2+n."""
+    a_pool = [a for a in sorted(n - {x, y}) if a not in rows[x]]
+    b_pool = [b for b in sorted(m - {x, y}) if b not in rows[y]]
+    for a1, b1 in itertools.combinations(a_pool, 2):
+        for a2, b2 in itertools.combinations(b_pool, 2):
+            if a1 != a2 and a1 != b2 and b1 != a2 and b1 != b2:
+                yield a1, b1, a2, b2
+
+
+def _net_completion(A: AffineReduct, m: frozenset[int], n: frozenset[int],
+                    a1: int, b1: int, a2: int, b2: int, l: int, k: int,
+                    top_of: Sequence[int]) -> Optional[list[int]]:
+    """The quadrangle [a1+m, a2+n, b1+m, b2+n] when it is proper, l and k
+    are not among its sides, l crosses both n-sides and k both m-sides;
+    else None.  Every test is on reduct incidence and visible tops."""
+    q_lines = _two_line_quadrangle(A, m, n, a1, b1, a2, b2, top_of)
+    if q_lines is None or l in q_lines or k in q_lines:
+        return None
+    l1, k1, l2, k2 = q_lines
+    if _crosses_both(A, l, k1, k2) and _crosses_both(A, k, l1, l2):
+        return q_lines
+    return None
+
+
 def net_violation_witness(A: AffineReduct) -> dict:
     """Search for two reduct lines meeting only at a deleted mixed point,
     completed to a proper quadrangle they cross (one opposite pair each),
     which would witness a Net-axiom failure in the reduct.
 
     By the crossing-line classification every such configuration has the
-    shape: base lines m (through y) and n (through x) for a deleted mixed
+    shape: base lines m (through x) and n (through y) for a deleted mixed
     point x+y, quadrangle sides a1+m, a2+n, b1+m, b2+n with a1,b1 on n
     and a2,b2 on m, and the disjoint pair y+m, x+n.  The search is a
-    complete enumeration over that shape; an exhausted search is a
-    certificate that no violation of this kind exists (over GF(3) the
-    vertex conditions are in fact unsatisfiable, so the certificate is
-    the expected outcome there).
+    complete enumeration over that shape (_net_frames, _net_sides), and
+    configurations_checked is the position of the candidate reached; an
+    exhausted search is a certificate that no violation of this kind
+    exists (over GF(3) the vertex conditions are in fact unsatisfiable,
+    so the certificate is the expected outcome there).
     """
     V, H = A.ambient, A.hyperplane
     base = V.base
-    n_pts = base.point_count
+    rows = A.rows
     top_of, subs = visible_tops(A)
-    mixed = [(x, y) for x in range(n_pts) for y in sorted(A.rows[x])
+    mixed = [(x, y) for x in range(base.point_count) for y in sorted(rows[x])
              if x < y]
     if not mixed:
         return {"found": False, "reason": "no mixed deleted point",
                 "configurations_checked": 0}
-    through = base.lines_through()
+    lines = A.structure.lines
     checked = 0
-    for x, y in mixed:
-        for mi in through[x]:
-            m = base.lines[mi]
-            if y in m or m <= A.rows[y]:
+    for x, y, mi, ni in _net_frames(base, rows, mixed):
+        m, n = base.lines[mi], base.lines[ni]
+        for a1, b1, a2, b2 in _net_sides(rows, x, y, m, n):
+            checked += 1
+            if (a2 in rows[a1] or b2 in rows[a1]
+                    or a2 in rows[b1] or b2 in rows[b1]):
                 continue
-            for ni in through[y]:
-                nline = base.lines[ni]
-                if x in nline or nline <= A.rows[x] or nline == m:
-                    continue
-                # l3 = y + m in leaf y, k3 = x + n in leaf x; ambient meet x+y
-                a_opts = [a for a in sorted(nline - {y}) if a not in A.rows[x]]
-                b_opts = [b for b in sorted(m - {x}) if b not in A.rows[y]]
-                for a1, b1 in itertools.combinations(a_opts, 2):
-                    for a2, b2 in itertools.combinations(b_opts, 2):
-                        if {a1, b1} & {a2, b2}:
-                            continue
-                        checked += 1
-                        if (a2 in A.rows[a1] or b2 in A.rows[a1]
-                                or a2 in A.rows[b1] or b2 in A.rows[b1]):
-                            continue
-                        q_lines = _two_line_quadrangle(A, m, nline, a1, b1,
-                                                       a2, b2, top_of)
-                        if q_lines is None:
-                            continue
-                        l3 = A.line_at(y, m)
-                        k3 = A.line_at(x, nline)
-                        if l3 is None or k3 is None or l3 in q_lines \
-                                or k3 in q_lines:
-                            continue
-                        if not (_crosses_both(A, l3, q_lines[1], q_lines[3])
-                                and _crosses_both(A, k3, q_lines[0], q_lines[2])):
-                            continue
-                        if A.structure.lines[l3] & A.structure.lines[k3]:
-                            continue
-                        meet = V.pair[x][y]
-                        return {"found": True, "quadrangle": q_lines,
-                                "l3": l3, "k3": k3,
-                                "ambient_meet": meet,
-                                "meet_in_hyperplane": meet in H.points,
-                                "configurations_checked": checked}
+            # l3 = y + m in leaf y, k3 = x + n in leaf x; ambient meet x+y
+            l3, k3 = A.line_at(y, m), A.line_at(x, n)
+            q_lines = _net_completion(A, m, n, a1, b1, a2, b2, l3, k3, top_of)
+            if q_lines is None or lines[l3] & lines[k3]:
+                continue
+            meet = V.pair[x][y]
+            return {"found": True, "quadrangle": q_lines,
+                    "l3": l3, "k3": k3,
+                    "ambient_meet": meet,
+                    "meet_in_hyperplane": meet in H.points,
+                    "configurations_checked": checked}
     return {"found": False, "reason": "complete shape enumeration exhausted",
             "configurations_checked": checked}
 
@@ -664,35 +689,21 @@ def net_violation_shape_on_base(P, xi) -> Optional[tuple]:
 
     All reduct-level conditions of the Net-violation shape (survival of
     the six lines, proper crossings and vertices, the deleted meet) are
-    conjugacy conditions on the base, so the search runs without building
-    the Veronese space.  Returns the first hit or None after complete
-    enumeration; over GF(3) the answer is None, over GF(5) a witness
-    exists.
+    conjugacy conditions on the base, so the search runs the shape
+    enumeration on the orthogonality table, over every ordered pair of
+    distinct conjugate points, without building the Veronese space.
+    Returns the first hit (v, w, mi, ni, a1, b1, a2, b2) or None after
+    complete enumeration; over GF(3) the answer is None, over GF(5) a
+    witness exists.
     """
     kappa = perp_rows(xi, [P.labels[i] for i in range(P.point_count)])
-    through = P.lines_through()
-    for v in range(P.point_count):
-        for w in sorted(kappa[v]):
-            if w == v:
-                continue
-            for mi in through[v]:
-                m0 = P.lines[mi]
-                if w in m0 or m0 <= kappa[w]:
-                    continue
-                for ni in through[w]:
-                    n0 = P.lines[ni]
-                    if v in n0 or n0 <= kappa[v] or ni == mi:
-                        continue
-                    a_pool = [a for a in sorted(n0 - {w}) if a not in kappa[v]]
-                    b_pool = [b for b in sorted(m0 - {v}) if b not in kappa[w]]
-                    for a1, b1 in itertools.combinations(a_pool, 2):
-                        for a2, b2 in itertools.combinations(b_pool, 2):
-                            if {a1, b1} & {a2, b2}:
-                                continue
-                            if any(t in kappa[u] for u in (a1, b1)
-                                   for t in (a2, b2)):
-                                continue
-                            return (v, w, mi, ni, a1, b1, a2, b2)
+    pairs = ((v, w) for v in range(P.point_count) for w in sorted(kappa[v])
+             if w != v)
+    for v, w, mi, ni in _net_frames(P, kappa, pairs):
+        for a1, b1, a2, b2 in _net_sides(kappa, v, w, P.lines[mi], P.lines[ni]):
+            if not (a2 in kappa[a1] or b2 in kappa[a1]
+                    or a2 in kappa[b1] or b2 in kappa[b1]):
+                return (v, w, mi, ni, a1, b1, a2, b2)
     return None
 
 
@@ -726,8 +737,8 @@ def _net_completion_exists(A: AffineReduct, i: int, j: int,
     """Guided search for a proper quadrangle with i crossing one opposite
     pair and j the other; validation is reduct-visible."""
     V = A.ambient
-    # parents (guidance): i inside leaf x with base line m, j inside leaf y
-    # with base line nline; the completion needs y on m and x on nline
+    # parents (guidance): i = x + m and j = y + n with y on m and x on n,
+    # the lines l3 and k3 of the Net-violation shape for the pair (y, x)
     (ei, mi) = V.provenance[A.lines[i].parent][0]
     (ej, mj) = V.provenance[A.lines[j].parent][0]
     if ei.degree != 1 or ej.degree != 1:
@@ -735,25 +746,11 @@ def _net_completion_exists(A: AffineReduct, i: int, j: int,
     x = next(iter(ei.support()))
     y = next(iter(ej.support()))
     m = V.base.lines[mi]
-    nline = V.base.lines[mj]
-    if y not in m or x not in nline:
+    n = V.base.lines[mj]
+    if y not in m or x not in n:
         return False
-    a_opts = [a for a in sorted(nline - {x, y}) if a not in A.rows[y]]
-    b_opts = [b for b in sorted(m - {x, y}) if b not in A.rows[x]]
-    for a1, b1 in itertools.combinations(a_opts, 2):
-        for a2, b2 in itertools.combinations(b_opts, 2):
-            if {a1, b1} & {a2, b2}:
-                continue
-            q_lines = _two_line_quadrangle(A, m, nline, a1, b1, a2, b2, top_of)
-            if q_lines is None:
-                continue
-            l1, k1, l2, k2 = q_lines
-            if i in q_lines or j in q_lines:
-                continue
-            if (_crosses_both(A, i, k1, k2) and _crosses_both(A, j, l1, l2)) \
-               or (_crosses_both(A, j, k1, k2) and _crosses_both(A, i, l1, l2)):
-                return True
-    return False
+    return any(_net_completion(A, m, n, a1, b1, a2, b2, i, j, top_of) is not None
+               for a1, b1, a2, b2 in _net_sides(A.rows, y, x, m, n))
 
 
 def check_parallelism_reconstruction(A: AffineReduct,

@@ -6,8 +6,9 @@ common line, truncate every block of a Veronese space by the hyperplane,
 try every subset of points for a maximal strong subspace, a subspace or a
 hyperplane, filter every leaf-trace row against every earlier row, scan
 every reduct line for a plane's directions, evaluate a form on every pair
-of points, look every sum x + y up by its multiset and intersect the point
-sets of every line pair an affine condition names.  The library does less
+of points, look every sum x + y up by its multiset, intersect the point
+sets of every line pair an affine condition names and write the
+Net-violation shape loops out per search.  The library does less
 work and must return exactly the same results, in the same order.
 """
 
@@ -35,13 +36,15 @@ from verogeo.incidence import (IncidenceStructure, enumerate_hyperplanes,
                                is_hyperplane_mask, is_strong, is_subspace,
                                maximal_strong_subspaces, subspace_closure)
 from verogeo.multiset import EMPTY, Multiset, scale_point
-from verogeo.reduct import (build_reduct, net_violation_shape_on_base,
-                            plane_direction_trace, reduct_plane_family,
-                            veblen_subclass_map)
+from verogeo.reduct import (_crosses_both, _two_line_quadrangle, build_reduct,
+                            net_violation_shape_on_base, net_violation_witness,
+                            plane_direction_trace, reconstruct_parallel_pair,
+                            reduct_plane_family, veblen_parallel,
+                            veblen_subclass_map, visible_tops)
 from verogeo.spaces import (affine_space, polar_space_quadratic,
                             polar_space_symplectic, projective_plane_family,
                             projective_space, singular_plane_family)
-from verogeo.verify import _reduct_pg33, _symplectic_hyperplane_pg33
+from verogeo.verify import _reduct_pg33, _symplectic_hyperplane_pg33, _vpg
 from verogeo.veronese import build_veronese
 
 
@@ -644,6 +647,144 @@ def test_net_violation_shape_matches_per_pair_search():
     hits = [net_violation_shape_on_base(P, xi) for xi in forms]
     assert hits == [shape_search_per_pair(P, xi) for xi in forms]
     assert hits[0] == (0, 6, 6, 31, 1, 11, 33, 34)
+
+
+def witness_per_frame(A):
+    """net_violation_witness with its own shape loop: the pools a1, b1 on
+    n - {y} and a2, b2 on m - {x}, disjointness by set intersection, and
+    the line survival, side and crossing tests in their first order."""
+    V, H = A.ambient, A.hyperplane
+    base = V.base
+    top_of, _ = visible_tops(A)
+    mixed = [(x, y) for x in range(base.point_count) for y in sorted(A.rows[x])
+             if x < y]
+    if not mixed:
+        return {"found": False, "reason": "no mixed deleted point",
+                "configurations_checked": 0}
+    through = base.lines_through()
+    checked = 0
+    for x, y in mixed:
+        for mi in through[x]:
+            m = base.lines[mi]
+            if y in m or m <= A.rows[y]:
+                continue
+            for ni in through[y]:
+                n = base.lines[ni]
+                if x in n or n <= A.rows[x] or n == m:
+                    continue
+                a_opts = [a for a in sorted(n - {y}) if a not in A.rows[x]]
+                b_opts = [b for b in sorted(m - {x}) if b not in A.rows[y]]
+                for a1, b1 in itertools.combinations(a_opts, 2):
+                    for a2, b2 in itertools.combinations(b_opts, 2):
+                        if {a1, b1} & {a2, b2}:
+                            continue
+                        checked += 1
+                        if any(t in A.rows[u] for u in (a1, b1) for t in (a2, b2)):
+                            continue
+                        q = _two_line_quadrangle(A, m, n, a1, b1, a2, b2, top_of)
+                        if q is None:
+                            continue
+                        l3, k3 = A.line_at(y, m), A.line_at(x, n)
+                        if l3 is None or k3 is None or l3 in q or k3 in q:
+                            continue
+                        if not (_crosses_both(A, l3, q[1], q[3])
+                                and _crosses_both(A, k3, q[0], q[2])):
+                            continue
+                        if A.structure.lines[l3] & A.structure.lines[k3]:
+                            continue
+                        meet = V.pair[x][y]
+                        return {"found": True, "quadrangle": q, "l3": l3,
+                                "k3": k3, "ambient_meet": meet,
+                                "meet_in_hyperplane": meet in H.points,
+                                "configurations_checked": checked}
+    return {"found": False, "reason": "complete shape enumeration exhausted",
+            "configurations_checked": checked}
+
+
+def reconstruct_both_orientations(A, i, j):
+    """reconstruct_parallel_pair with its own completion loop, which also
+    tries i against the m-sides and j against the n-sides."""
+    if i == j:
+        return True
+    top_of, _ = visible_tops(A)
+    G, V = A.structure, A.ambient
+    if top_of[i] == top_of[j]:
+        return veblen_parallel(A, i, j)
+    if G.lines[i] & G.lines[j]:
+        return False
+    (ei, mi) = V.provenance[A.lines[i].parent][0]
+    (ej, mj) = V.provenance[A.lines[j].parent][0]
+    if ei.degree != 1 or ej.degree != 1:
+        return False
+    x, y = next(iter(ei.support())), next(iter(ej.support()))
+    m, n = V.base.lines[mi], V.base.lines[mj]
+    if y not in m or x not in n:
+        return False
+    a_opts = [a for a in sorted(n - {x, y}) if a not in A.rows[y]]
+    b_opts = [b for b in sorted(m - {x, y}) if b not in A.rows[x]]
+    for a1, b1 in itertools.combinations(a_opts, 2):
+        for a2, b2 in itertools.combinations(b_opts, 2):
+            if {a1, b1} & {a2, b2}:
+                continue
+            q = _two_line_quadrangle(A, m, n, a1, b1, a2, b2, top_of)
+            if q is None or i in q or j in q:
+                continue
+            l1, k1, l2, k2 = q
+            if (_crosses_both(A, i, k1, k2) and _crosses_both(A, j, l1, l2)) \
+                    or (_crosses_both(A, j, k1, k2) and _crosses_both(A, i, l1, l2)):
+                return True
+    return False
+
+
+def seeded_symplectic_reduct(seed):
+    """V(2,PG(3,3)) minus the hyperplane of g^T J g for a seeded g."""
+    V = _vpg(3, 3)
+    form = conjugated_symplectic(random.Random(seed), 3)
+    return build_reduct(V, hyperplane_from_symplectic(V, form))
+
+
+def degenerate_reduct(p):
+    """V(2,PG(2,p)) minus the hyperplane of the degenerate alternating form
+    with xi(e0, e1) = 1 = -xi(e1, e0) and radical (0,0,1)."""
+    V = build_veronese(projective_space(2, p), 2)
+    form = BilinearForm(p, ((0, 1, 0), (p - 1, 0, 0), (0, 0, 0)))
+    return build_reduct(V, hyperplane_from_symplectic(V, form))
+
+
+@pytest.mark.parametrize("instance,found,checked", [
+    (_reduct_pg33, False, 157680),
+    (lambda: seeded_symplectic_reduct(1), False, 157680),
+    (lambda: seeded_symplectic_reduct(2), False, 157680),
+    (lambda: degenerate_reduct(3), False, 540),
+    (lambda: degenerate_reduct(5), True, 4),
+], ids=["J", "seed1", "seed2", "degenerate-pg23", "degenerate-pg25"])
+def test_net_violation_witness_matches_per_frame_search(instance, found, checked):
+    A = instance()
+    witness = net_violation_witness(A)
+    assert witness == witness_per_frame(A)
+    assert (witness["found"], witness["configurations_checked"]) == (found, checked)
+
+
+@pytest.mark.parametrize("instance,parallel", [
+    (_reduct_pg33, 0), (lambda: degenerate_reduct(5), 1500)],
+    ids=["J", "degenerate-pg25"])
+def test_reconstruction_matches_both_orientation_completion(instance, parallel):
+    A = instance()
+    top_of, _ = visible_tops(A)
+    G = A.structure
+    cross = [(i, j) for _, members in sorted(A.classes.items())
+             for i, j in itertools.combinations(members, 2)
+             if top_of[i] != top_of[j]]
+    rng = random.Random(20261018)
+    disjoint = []
+    while len(disjoint) < 500:
+        i, j = rng.randrange(len(G.lines)), rng.randrange(len(G.lines))
+        if top_of[i] != top_of[j] and not G.lines[i] & G.lines[j]:
+            disjoint.append((i, j))
+    pairs = cross + disjoint
+    got = [reconstruct_parallel_pair(A, i, j) for i, j in pairs]
+    assert got == [reconstruct_both_orientations(A, i, j) for i, j in pairs]
+    assert sum(got[:len(cross)]) == parallel
 
 
 def tamaschke_per_line(G, class_of, budget_points=200):

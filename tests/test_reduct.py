@@ -276,6 +276,42 @@ def test_net_violation_search_on_degenerate_reduct():
         "configurations_checked": 540}
 
 
+def pg25_degenerate_reduct():
+    """V(2,PG(2,5)) minus the hyperplane of a degenerate alternating form
+    with radical (0,0,1)."""
+    V = build_veronese(projective_space(2, 5), 2)
+    H = hyperplane_from_symplectic(
+        V, BilinearForm(5, ((0, 1, 0), (4, 0, 0), (0, 0, 0))))
+    return build_reduct(V, H)
+
+
+def test_net_violation_found_on_degenerate_pg25_reduct():
+    # over GF(5) the shape's vertex conditions can hold: the search stops
+    # at the fourth candidate with a witness
+    A = pg25_degenerate_reduct()
+    witness = net_violation_witness(A)
+    assert witness == {
+        "found": True, "quadrangle": [7, 258, 64, 284], "l3": 181, "k3": 2,
+        "ambient_meet": 32, "meet_in_hyperplane": True,
+        "configurations_checked": 4}
+    # re-verify on reduct incidence: a cycle of four crossing lines whose
+    # opposite pairs l3 and k3 cross, l3 and k3 disjoint
+    lines = A.structure.lines
+    l1, k1, l2, k2 = witness["quadrangle"]
+    for a, b in ((l1, k1), (k1, l2), (l2, k2), (k2, l1)):
+        assert len(lines[a] & lines[b]) == 1
+    l3, k3 = witness["l3"], witness["k3"]
+    assert all(lines[l3] & lines[k] for k in (k1, k2))
+    assert all(lines[k3] & lines[l] for l in (l1, l2))
+    assert not lines[l3] & lines[k3]
+    # the two lines meet in the ambient space at the deleted point
+    V = A.ambient
+    parents = V.structure.lines
+    assert (parents[A.lines[l3].parent] & parents[A.lines[k3].parent]
+            == {witness["ambient_meet"]})
+    assert witness["ambient_meet"] in A.hyperplane.points
+
+
 def test_parallelism_reconstruction_sample():
     A = pg33_reduct()
     report = check_parallelism_reconstruction(A, sample_per_kind=8)
@@ -299,15 +335,15 @@ def test_gamma_single_leaf_one_class():
 
 
 def test_direct_net_scan_agrees_with_shape_search():
-    # an independent stratified scan over actual proper quadrangles of the
+    # an independent exhaustive scan over every proper quadrangle of the
     # reduct corroborates the exhausted shape search: no violation
     from verogeo.configs import check_net_axiom
     A = pg33_reduct()
     top_of, _ = visible_tops(A)
     report = check_net_axiom(A.structure, top_of)
     assert report.ok
-    assert report.checked > 1000
-    assert report.strata is not None
+    assert report.exhaustive
+    assert report.checked == 379080
 
 
 def test_pg13_reduct_isomorphic_to_ag13_veronese():
