@@ -196,20 +196,28 @@ def is_connected(G: IncidenceStructure) -> bool:
 
 def subspace_closure(G: IncidenceStructure, X: Iterable[int]) -> frozenset[int]:
     """Least superset of X containing every line that meets it twice."""
+    return frozenset(_close(G.lines, G.lines_through(), X)[0])
+
+
+def _close(lines: Sequence[frozenset[int]], through, X: Iterable[int]
+           ) -> tuple[set[int], list[int]]:
+    """Counting closure of X: (the closure, the lines it holds 2+ points of).
+
+    Each point added bumps the hit count of its lines in through (which may
+    list only a subspace holding X); a line closes when its count reaches 2.
+    """
     current = set(X)
-    through = G.lines_through()
-    # worklist of lines that might newly qualify
-    pending = {i for a in current for i in through[a]}
-    while pending:
-        i = pending.pop()
-        line = G.lines[i]
-        inside = len(line & current)
-        if 2 <= inside < len(line):
-            fresh = line - current
-            current |= line
-            for a in fresh:
-                pending.update(through[a])
-    return frozenset(current)
+    stack = list(current)
+    hits: dict[int, int] = {}
+    closed: list[int] = []
+    while stack:
+        for i in through[stack.pop()]:
+            n = hits[i] = hits.get(i, 0) + 1
+            if n == 2:
+                closed.append(i)
+                stack.extend(lines[i] - current)
+                current |= lines[i]
+    return current, closed
 
 
 def is_subspace(G: IncidenceStructure, X: Iterable[int]) -> bool:

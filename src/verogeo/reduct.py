@@ -68,7 +68,7 @@ class AffineReduct:
         self._line_of_parent = {t.parent: li for li, t in enumerate(lines)}
         self._line_at: dict[tuple[int, frozenset[int]], Optional[int]] = {}
         self._tops: Optional[tuple[list[int], list[frozenset[int]]]] = None
-        self._planes: Optional[list[frozenset[int]]] = None
+        self._planes: Optional[tuple[list[frozenset[int]], list[frozenset[int]], int]] = None
         self._veblen_cache: dict[tuple[int, int], bool] = {}
 
     # -- cached geometry ---------------------------------------------------
@@ -180,6 +180,7 @@ def visible_tops(A: AffineReduct) -> tuple[list[int], list[frozenset[int]]]:
     if A._tops is not None:
         return A._tops
     G = A.structure
+    through = G.lines_through()
     top_of: list[Optional[int]] = [None] * len(G.lines)
     subspaces: list[frozenset[int]] = []
     for li, line in enumerate(G.lines):
@@ -190,7 +191,7 @@ def visible_tops(A: AffineReduct) -> tuple[list[int], list[frozenset[int]]]:
             T = Y
         ti = len(subspaces)
         subspaces.append(T)
-        for lj in range(len(G.lines)):
+        for lj in {lj for q in T for lj in through[q]}:
             if top_of[lj] is None and G.lines[lj] <= T:
                 top_of[lj] = ti
     A._tops = ([t for t in top_of], subspaces)
@@ -333,42 +334,50 @@ def plane_from_triangle(A: AffineReduct, l1: int, l2: int, l3: int
 def _two_generated(A: AffineReduct, pts: frozenset[int]) -> bool:
     """pts equals the subspace closure of two of its crossing lines."""
     G = A.structure
-    inside = [li for li, line in enumerate(G.lines) if line <= pts]
-    through: dict[int, list[int]] = {}
-    for li in inside:
-        for q in G.lines[li]:
-            through.setdefault(q, []).append(li)
-    for q, lis in through.items():
-        for a in range(len(lis)):
-            for b in range(a + 1, len(lis)):
-                seed = G.lines[lis[a]] | G.lines[lis[b]]
-                if subspace_closure(G, seed) == pts:
-                    return True
+    for q in pts:
+        lis = [li for li in G.lines_through()[q] if G.lines[li] <= pts]
+        for la, lb in itertools.combinations(lis, 2):
+            if subspace_closure(G, G.lines[la] | G.lines[lb]) == pts:
+                return True
     return False
 
 
 def reduct_plane_family(A: AffineReduct) -> list[frozenset[int]]:
-    """All planes: closures of crossing line pairs inside one leaf reduct."""
-    if A._planes is not None:
-        return A._planes
-    G = A.structure
-    top_of, subs = visible_tops(A)
-    through = G.lines_through()
-    planes: set[frozenset[int]] = set()
-    for ti, T in enumerate(subs):
-        local_planes: list[frozenset[int]] = []
-        for p in sorted(T):
-            here = [li for li in through[p] if top_of[li] == ti]
-            for a in range(len(here)):
-                for b in range(a + 1, len(here)):
-                    seed = G.lines[here[a]] | G.lines[here[b]]
-                    if any(seed <= pl for pl in local_planes):
+    """All planes: closures of crossing line pairs inside one leaf reduct.
+
+    A leaf reduct T is a subspace, so seeds close on T's points-to-lines
+    table.  A seed is skipped when its two lines already share a found
+    plane (the coplanar-line index, filled from the lines each closure
+    records); those lines also give the plane's cached direction trace.
+    """
+    return _plane_family(A)[0]
+
+
+def _plane_family(A: AffineReduct) -> tuple[list, list, int]:
+    """(planes, their direction traces, seeds closed), cached on A."""
+    if A._planes is None:
+        G = A.structure
+        top_of, subs = visible_tops(A)
+        local: list[dict[int, list[int]]] = [{} for _ in subs]
+        for li, ti in enumerate(top_of):
+            for q in G.lines[li]:
+                local[ti].setdefault(q, []).append(li)
+        traces: dict[frozenset[int], frozenset[int]] = {}
+        closures = 0
+        for through in local:
+            coplanar: dict[int, set[int]] = {}
+            for p in sorted(through):
+                for la, lb in itertools.combinations(through[p], 2):
+                    if lb in coplanar.get(la, ()):
                         continue
-                    closed = subspace_closure(G, seed)
-                    if closed <= T:
-                        local_planes.append(closed)
-        planes.update(local_planes)
-    A._planes = sorted(planes, key=lambda s: tuple(sorted(s)))
+                    closed, inside = inc._close(G.lines, through, G.lines[la] | G.lines[lb])
+                    closures += 1
+                    for li in inside:
+                        coplanar.setdefault(li, set()).update(inside)
+                    traces[frozenset(closed)] = frozenset(A.lines[li].infinite
+                                                          for li in inside)
+        planes = sorted(traces, key=lambda s: tuple(sorted(s)))
+        A._planes = (planes, [traces[pl] for pl in planes], closures)
     return A._planes
 
 
@@ -389,14 +398,10 @@ def recover_horizon_leaf_lines(A: AffineReduct) -> set[frozenset[int]]:
 
     Three directions are collinear exactly when some plane carries lines
     of all three; every plane's direction trace is then a full horizon
-    line, so the recovered family is the set of plane traces.
+    line, so the recovered family is the set of plane traces, read from
+    the traces the plane family cached as each plane closed.
     """
-    traces = set()
-    for plane in reduct_plane_family(A):
-        tr = plane_direction_trace(A, plane)
-        if len(tr) >= 3:
-            traces.add(tr)
-    return traces
+    return {tr for tr in _plane_family(A)[1] if len(tr) >= 3}
 
 
 class RecoveryError(RuntimeError):
@@ -541,6 +546,7 @@ class RecoveryReport:
     lines_match: bool
     missing_lines: int
     extra_lines: int
+    plane_closures: int
 
     @property
     def ok(self) -> bool:
@@ -580,6 +586,7 @@ def recover_veronese(A: AffineReduct) -> RecoveryReport:
         lines_match=not missing and not extra,
         missing_lines=len(missing),
         extra_lines=len(extra),
+        plane_closures=_plane_family(A)[2],
     )
 
 

@@ -4,8 +4,10 @@ Each oracle below is the direct construction: join every pair of points,
 extend every line by every outside point, test every pair of planes for a
 common line, truncate every block of a Veronese space by the hyperplane,
 try every subset of points for a maximal strong subspace, a subspace or a
-hyperplane, filter every leaf-trace row against every earlier row, scan
-every reduct line for a plane's directions, evaluate a form on every pair
+hyperplane, close a set by intersecting every line through it, test every
+plane seed against every plane found in its leaf, filter every leaf-trace
+row against every earlier row, scan every reduct line for a plane's
+directions, evaluate a form on every pair
 of points, look every sum x + y up by its multiset, intersect the point
 sets of every line pair an affine condition names and write the
 Net-violation shape loops out per search.  The library does less
@@ -31,14 +33,15 @@ from verogeo.hyperplanes import (FULL, VeroneseHyperplane, assemble_from_h,
                                  hyperplane_from_symplectic, leaf_pencil,
                                  polar_hyperplane, vari1_construction,
                                  verify_characterization)
-from verogeo.incidence import (IncidenceStructure, enumerate_hyperplanes,
+from verogeo.incidence import (IncidenceStructure, _close, enumerate_hyperplanes,
                                gamma_plane_classes, is_hyperplane,
                                is_hyperplane_mask, is_strong, is_subspace,
                                maximal_strong_subspaces, subspace_closure)
 from verogeo.multiset import EMPTY, Multiset, scale_point
-from verogeo.reduct import (_crosses_both, _two_line_quadrangle, build_reduct,
-                            net_violation_shape_on_base, net_violation_witness,
-                            plane_direction_trace, reconstruct_parallel_pair,
+from verogeo.reduct import (_crosses_both, _plane_family, _two_line_quadrangle,
+                            build_reduct, net_violation_shape_on_base,
+                            net_violation_witness, plane_direction_trace,
+                            reconstruct_parallel_pair, recover_horizon_leaf_lines,
                             reduct_plane_family, veblen_parallel,
                             veblen_subclass_map, visible_tops)
 from verogeo.spaces import (affine_space, polar_space_quadratic,
@@ -287,6 +290,38 @@ def test_subspace_closure_is_least_subspace_over_subsets(case):
     G, X = case
     holding = [S for S in all_subsets(G) if X <= S and pairwise_is_subspace(S, G)]
     assert subspace_closure(G, X) == frozenset.intersection(*holding)
+
+
+def worklist_closure(G, X):
+    """subspace_closure as a worklist: pop each line through the set and
+    intersect it with the set, closing it when 2 of its points are in."""
+    current = set(X)
+    through = G.lines_through()
+    pending = {i for a in current for i in through[a]}
+    while pending:
+        i = pending.pop()
+        line = G.lines[i]
+        if 2 <= len(line & current) < len(line):
+            fresh = line - current
+            current |= line
+            for a in fresh:
+                pending.update(through[a])
+    return frozenset(current)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(random_partial_linear_spaces(), pg32_pieces(),
+                 structures_with_planes().map(lambda case: case[0])),
+       st.integers(0, 2**32 - 1))
+def test_subspace_closure_matches_worklist_closure(G, seed):
+    # structures_with_planes draws lines of 2 points, and repeated lines
+    rng = random.Random(seed)
+    subsets = [frozenset()] + [frozenset({q}) for q in G.points]
+    subsets += [frozenset(rng.sample(range(G.point_count),
+                                     rng.randint(2, G.point_count)))
+                for _ in range(20)]
+    for X in subsets:
+        assert subspace_closure(G, X) == worklist_closure(G, X)
 
 
 @settings(max_examples=100, deadline=None)
@@ -785,6 +820,54 @@ def test_reconstruction_matches_both_orientation_completion(instance, parallel):
     got = [reconstruct_parallel_pair(A, i, j) for i, j in pairs]
     assert got == [reconstruct_both_orientations(A, i, j) for i, j in pairs]
     assert sum(got[:len(cross)]) == parallel
+
+
+def scan_plane_family(A):
+    """reduct_plane_family closing each seed over all of the reduct, after
+    testing it against every plane found in its leaf; also returns the
+    seeds it closed."""
+    G = A.structure
+    top_of, subs = visible_tops(A)
+    through = G.lines_through()
+    planes, seeds = set(), []
+    for ti, T in enumerate(subs):
+        local_planes = []
+        for p in sorted(T):
+            here = [li for li in through[p] if top_of[li] == ti]
+            for a, b in itertools.combinations(here, 2):
+                seed = G.lines[a] | G.lines[b]
+                if any(seed <= pl for pl in local_planes):
+                    continue
+                closed = worklist_closure(G, seed)
+                seeds.append((ti, seed))
+                if closed <= T:
+                    local_planes.append(closed)
+        planes.update(local_planes)
+    return _sorted_family(planes), seeds
+
+
+@pytest.mark.parametrize("instance", [
+    _reduct_pg33, lambda: seeded_symplectic_reduct(1),
+    lambda: seeded_symplectic_reduct(2)], ids=["J", "seed1", "seed2"])
+def test_plane_family_matches_scan_over_found_planes(instance):
+    A = instance()
+    planes, traces, closures = _plane_family(A)
+    want, seeds = scan_plane_family(A)
+    assert planes == reduct_plane_family(A) == want
+    assert closures == len(seeds) == len(planes) == 1560
+    assert traces == [plane_direction_trace(A, pl) for pl in planes]
+    leaf_lines = recover_horizon_leaf_lines(A)
+    assert leaf_lines == {tr for tr in traces if len(tr) >= 3}
+    assert len(leaf_lines) == 520
+    # a leaf reduct is a subspace: a seed closes on the leaf's own lines
+    G = A.structure
+    top_of, subs = visible_tops(A)
+    local = [{} for _ in subs]
+    for li, ti in enumerate(top_of):
+        for q in G.lines[li]:
+            local[ti].setdefault(q, []).append(li)
+    for ti, seed in seeds:
+        assert _close(G.lines, local[ti], seed)[0] == subspace_closure(G, seed)
 
 
 def tamaschke_per_line(G, class_of, budget_points=200):

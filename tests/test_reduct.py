@@ -212,6 +212,16 @@ def test_recover_horizon_leaf_lines_pg33():
     assert len(got) == 520
 
 
+def test_recover_veronese_pg33_closes_one_seed_per_plane():
+    report = recover_veronese(pg33_reduct())
+    assert report.ok
+    assert (report.point_count, report.line_count) == (820, 5330)
+    assert (report.missing_lines, report.extra_lines) == (0, 0)
+    # the coplanar-line index skips every seed inside a found plane, so
+    # the family closes exactly one seed per plane
+    assert report.plane_closures == 1560
+
+
 def test_recover_horizon_double_lines_fails_on_projective_line():
     # the reduct of the level-2 Veronese over PG(1,3) is isomorphic to a
     # Veronese product, so the double horizon cannot be recovered
