@@ -188,40 +188,66 @@ def find_quadrangles(G: IncidenceStructure, top_of: Sequence
     each: the four tops top_of[line] are pairwise distinct.
 
     Canonical form: the first line is the least index of the four and the
-    two lines adjacent to it are increasing.
+    two lines adjacent to it are increasing; figures come sorted by lines.
+
+    The figures are enumerated as vertex cycles a-b-c-d with a the least
+    vertex: each point c > a not collinear with a, and each pair b < d of
+    common neighbours of a and c above a with b, d not collinear.  The
+    non-collinear diagonals make the four joins distinct lines.
     """
-    cross = G.crossing()
-    adj = G.adjacency()
-    nlines = len(G.lines)
-    for l1 in range(nlines):
-        k1_candidates = sorted(k for k in cross[l1] if k > l1)
-        for k1 in k1_candidates:
-            if top_of[k1] == top_of[l1]:
-                continue
-            p1 = _meet(G, l1, k1)
-            for l2 in sorted(x for x in cross[k1] if x > l1 and x != k1):
-                if top_of[l2] == top_of[l1] or top_of[l2] == top_of[k1]:
-                    continue
-                p2 = _meet(G, k1, l2)
-                for k2 in sorted(x for x in cross[l2] & cross[l1]
-                                 if x > k1 and x != l2):
-                    if (top_of[k2] == top_of[l1] or top_of[k2] == top_of[k1]
-                            or top_of[k2] == top_of[l2]):
+    n = G.point_count
+    through = G.lines_through()
+    # join[p][q]: the line through p and q; near[p]: p and its neighbours
+    join = [{q: li for li in through[p] for q in G.lines[li]} for p in range(n)]
+    near = [sum(1 << q for q in join[p]) | 1 << p for p in range(n)]
+    found = []
+    for a in range(n):
+        above = ((1 << n) - 1) >> (a + 1) << (a + 1)
+        far = above & ~near[a]
+        while far:
+            c = (far & -far).bit_length() - 1
+            far &= far - 1
+            common = near[a] & near[c] & above
+            sides = []  # (b, join(a, b), join(c, b)) with distinct tops
+            while common:
+                b = (common & -common).bit_length() - 1
+                common &= common - 1
+                ab, cb = join[a][b], join[c][b]
+                if top_of[ab] != top_of[cb]:
+                    sides.append((b, ab, cb))
+            for x, (b, ab, cb) in enumerate(sides):
+                tb = (top_of[ab], top_of[cb])
+                for d, ad, cd in sides[x + 1:]:
+                    if near[b] >> d & 1 or top_of[ad] in tb or top_of[cd] in tb:
                         continue
-                    p3 = _meet(G, l2, k2)
-                    p4 = _meet(G, k2, l1)
-                    if p3 in adj[p1] or p4 in adj[p2]:
-                        continue
-                    yield QuadrangleFigure((l1, k1, l2, k2), (p1, p2, p3, p4))
+                    # lines e[t] and e[t+1] meet at v[t] around a-b-c-d;
+                    # walk it from the least line toward its lesser neighbour
+                    e, v = (ab, cb, cd, ad), (b, c, d, a)
+                    i = e.index(min(e))
+                    if e[(i + 1) % 4] > e[i - 1]:
+                        e, v = (ad, cd, cb, ab), (d, c, b, a)
+                        i = e.index(min(e))
+                    found.append((tuple(e[(i + t) % 4] for t in range(4)),
+                                  tuple(v[(i + t) % 4] for t in range(4))))
+    for lines, vertices in sorted(found):
+        yield QuadrangleFigure(lines, vertices)
 
 
-def fresh_crossings(G: IncidenceStructure, top_of: Sequence, a: int, b: int
-                    ) -> list[int]:
-    """The lines crossing both a and b whose top is neither of theirs,
-    in increasing order."""
+def quadrangle_crossings(G: IncidenceStructure, top_of: Sequence
+                         ) -> Iterator[tuple[QuadrangleFigure, list[int], list[int]]]:
+    """Each proper quadrangle (l1, k1, l2, k2) of find_quadrangles with the
+    fresh crossings of its opposite pairs (l1, l2) and (k1, k2): the lines
+    crossing both lines of the pair whose top is neither of theirs, in
+    increasing order."""
     cross = G.crossing()
-    return sorted(m for m in cross[a] & cross[b]
-                  if top_of[m] not in (top_of[a], top_of[b]))
+
+    def fresh(a: int, b: int) -> list[int]:
+        return sorted(m for m in cross[a] & cross[b]
+                      if top_of[m] != top_of[a] and top_of[m] != top_of[b])
+
+    for q in find_quadrangles(G, top_of):
+        l1, k1, l2, k2 = q.lines
+        yield q, fresh(l1, l2), fresh(k1, k2)
 
 
 def classify_proper_quadrangle(V: VeroneseSpace, q: QuadrangleFigure) -> str:
@@ -371,14 +397,10 @@ def check_net_axiom(G: IncidenceStructure, top_of: Sequence) -> ScanReport:
     plain Veronese spaces whenever opposite sides of a quadrangle meet
     (any two lines through the two meeting points witness it).
 
-    The scan is exhaustive at every size: find_quadrangles lists every
-    proper quadrangle anyway, so restricting the checks saves no time.
+    The scan is exhaustive at every size, over quadrangle_crossings.
     """
     checked = 0
-    for q in find_quadrangles(G, top_of):
-        l1, k1, l2, k2 = q.lines
-        crossing_l = fresh_crossings(G, top_of, l1, l2)
-        crossing_k = fresh_crossings(G, top_of, k1, k2)
+    for q, crossing_l, crossing_k in quadrangle_crossings(G, top_of):
         for m3 in crossing_k:
             for n3 in crossing_l:
                 checked += 1

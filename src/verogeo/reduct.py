@@ -11,9 +11,13 @@ the ambient Veronese space from reduct-visible data.
 
 Definability operations are implemented twice where feasible: an oracle
 route using stored ambient data, and a visible route using only reduct
-incidence plus the induced parallelism; the two are compared.  Ambient
-data may guide the *choice* of witnesses for the visible route, but every
-acceptance decision on that route is made by reduct-visible predicates.
+incidence plus the induced parallelism; the two are compared.  The
+quadrangle index (every proper quadrangle with the fresh crossings of its
+opposite pairs) and the parallelism reconstruction read reduct data
+alone.  Two searches still let ambient data guide the *choice* of
+witnesses: the Net-violation witness and the double horizon line
+recovery; every acceptance decision on them is made by reduct-visible
+predicates.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from . import incidence as inc
 from .algebra import perp_rows
-from .configs import FalsificationError, _join, find_quadrangles, fresh_crossings
+from .configs import FalsificationError, _join, quadrangle_crossings
 from .hyperplanes import FULL, VeroneseHyperplane
 from .incidence import IncidenceStructure, subspace_closure
 from .multiset import Multiset, scale_point
@@ -50,8 +54,11 @@ class AffineReduct:
 
     classes[e] lists, in line order, the truncated lines whose deleted
     point is e.  The lookups below that name ambient data (lines by their
-    parent block, trace rows, double-leaf tops) serve the guided searches,
-    which use them to pick witnesses, never to accept one.
+    parent block, trace rows, double-leaf tops) serve the two guided
+    searches, net_violation_witness and recover_horizon_double_lines,
+    which use them to pick witnesses, never to accept one.  Visible tops,
+    planes, the direction taxonomy and the quadrangle index are cached
+    here on first use.
     """
 
     def __init__(self, ambient: VeroneseSpace, hyperplane: VeroneseHyperplane,
@@ -69,6 +76,8 @@ class AffineReduct:
         self._line_at: dict[tuple[int, frozenset[int]], Optional[int]] = {}
         self._tops: Optional[tuple[list[int], list[frozenset[int]]]] = None
         self._planes: Optional[tuple[list[frozenset[int]], list[frozenset[int]], int]] = None
+        self._directions: Optional[DirectionsReport] = None
+        self._quadrangles: Optional[tuple[list, frozenset[tuple[int, int]]]] = None
         self._veblen_cache: dict[tuple[int, int], bool] = {}
 
     # -- cached geometry ---------------------------------------------------
@@ -242,8 +251,11 @@ def classify_directions(A: AffineReduct) -> DirectionsReport:
     TWO_LEAF (mixed x+y): two members are not Veblen-parallel and every
     member is Veblen-parallel to exactly one of them, splitting the class
     into exactly two subclasses.  Both horns are re-verified with the
-    Veblen formula; degenerate hyperplanes are refused.
+    Veblen formula; degenerate hyperplanes are refused.  The report is
+    cached on A.
     """
+    if A._directions is not None:
+        return A._directions
     if A.hyperplane.degenerate:
         raise ValueError("direction taxonomy needs a nondegenerate hyperplane")
     kinds: dict[int, str] = {}
@@ -276,7 +288,8 @@ def classify_directions(A: AffineReduct) -> DirectionsReport:
             subclasses[e] = (tuple(part1), tuple(part2))
     one = sum(1 for k in kinds.values() if k == ONE_LEAF)
     two = sum(1 for k in kinds.values() if k == TWO_LEAF)
-    return DirectionsReport(kinds, subclasses, one, two, dichotomy_ok)
+    A._directions = DirectionsReport(kinds, subclasses, one, two, dichotomy_ok)
+    return A._directions
 
 
 def veblen_subclass_map(A: AffineReduct) -> dict[int, int]:
@@ -379,14 +392,6 @@ def _plane_family(A: AffineReduct) -> tuple[list, list, int]:
         planes = sorted(traces, key=lambda s: tuple(sorted(s)))
         A._planes = (planes, [traces[pl] for pl in planes], closures)
     return A._planes
-
-
-def plane_direction_trace(A: AffineReduct, plane: frozenset[int]) -> frozenset[int]:
-    """Directions (deleted ambient points) of the lines inside a plane,
-    found among the lines through the plane's points."""
-    through = A.structure.lines_through()
-    return frozenset(A.lines[li].infinite for q in plane for li in through[q]
-                     if A.lines[li].points <= plane)
 
 
 # ---------------------------------------------------------------------------
@@ -501,37 +506,45 @@ def _crosses_both(A: AffineReduct, k: int, a: int, b: int) -> bool:
     return bool(G.lines[k] & G.lines[a]) and bool(G.lines[k] & G.lines[b])
 
 
-def scan_declared_double_triples(A: AffineReduct, max_quadrangles: int = 400
-                                 ) -> dict:
+def _quadrangle_index(A: AffineReduct) -> tuple[list, frozenset[tuple[int, int]]]:
+    """(every proper quadrangle with the fresh crossings of its opposite
+    pairs, the completable pairs), cached on A from reduct incidence and
+    visible tops alone.  A pair i < j is completable when the lines are
+    disjoint and cross the two opposite pairs of one proper quadrangle as
+    fresh crossings."""
+    if A._quadrangles is None:
+        G = A.structure
+        top_of, _ = visible_tops(A)
+        walk = list(quadrangle_crossings(G, top_of))
+        pairs = {(min(i, j), max(i, j)) for _, crossing_l, crossing_k in walk
+                 for i in crossing_l for j in crossing_k
+                 if not G.lines[i] & G.lines[j]}
+        A._quadrangles = (walk, frozenset(pairs))
+    return A._quadrangles
+
+
+def scan_declared_double_triples(A: AffineReduct) -> dict:
     """Negative scan: every declared double triple comes from collinear
     base points.
 
-    Samples proper quadrangles deterministically, computes the crossing
-    lines of each opposite pair with fresh tops, and checks the implied
-    doubles against base collinearity (an oracle comparison)."""
+    Scans every proper quadrangle of the quadrangle index, reads the
+    doubles named by the tops of each opposite pair's fresh crossings, and
+    checks them against base collinearity (an oracle comparison)."""
     V = A.ambient
-    top_of, subs = visible_tops(A)
+    top_of, _ = visible_tops(A)
     sub_to_base = {t: x for x, t in A.double_tops.items()}
-    scanned = 0
+    walk, _ = _quadrangle_index(A)
     declared = 0
-    for q in find_quadrangles(A.structure, top_of):
-        if scanned >= max_quadrangles:
-            break
-        scanned += 1
-        for (a, b) in q.opposite_pairs:
-            xs = []
-            for k in fresh_crossings(A.structure, top_of, a, b):
-                base_pt = sub_to_base.get(top_of[k])
-                if base_pt is not None:
-                    xs.append(base_pt)
-            if len(set(xs)) >= 3:
+    for _, *pairs in walk:
+        for crossing in pairs:
+            xs = sorted({sub_to_base[top_of[k]] for k in crossing
+                         if top_of[k] in sub_to_base})
+            if len(xs) >= 3:
                 declared += 1
-                xs = sorted(set(xs))
-                line = _join(V.base, xs[0], xs[1])
-                if not set(xs) <= line:
+                if not set(xs) <= _join(V.base, xs[0], xs[1]):
                     raise FalsificationError(
                         f"declared doubles {xs} are not collinear in the base")
-    return {"quadrangles_scanned": scanned, "triples_declared": declared}
+    return {"quadrangles_scanned": len(walk), "triples_declared": declared}
 
 
 # ---------------------------------------------------------------------------
@@ -628,21 +641,6 @@ def _net_sides(rows, x: int, y: int, m: frozenset[int], n: frozenset[int]
                 yield a1, b1, a2, b2
 
 
-def _net_completion(A: AffineReduct, m: frozenset[int], n: frozenset[int],
-                    a1: int, b1: int, a2: int, b2: int, l: int, k: int,
-                    top_of: Sequence[int]) -> Optional[list[int]]:
-    """The quadrangle [a1+m, a2+n, b1+m, b2+n] when it is proper, l and k
-    are not among its sides, l crosses both n-sides and k both m-sides;
-    else None.  Every test is on reduct incidence and visible tops."""
-    q_lines = _two_line_quadrangle(A, m, n, a1, b1, a2, b2, top_of)
-    if q_lines is None or l in q_lines or k in q_lines:
-        return None
-    l1, k1, l2, k2 = q_lines
-    if _crosses_both(A, l, k1, k2) and _crosses_both(A, k, l1, l2):
-        return q_lines
-    return None
-
-
 def net_violation_witness(A: AffineReduct) -> dict:
     """Search for two reduct lines meeting only at a deleted mixed point,
     completed to a proper quadrangle they cross (one opposite pair each),
@@ -676,10 +674,14 @@ def net_violation_witness(A: AffineReduct) -> dict:
             if (a2 in rows[a1] or b2 in rows[a1]
                     or a2 in rows[b1] or b2 in rows[b1]):
                 continue
-            # l3 = y + m in leaf y, k3 = x + n in leaf x; ambient meet x+y
+            # l3 = y + m in leaf y, k3 = x + n in leaf x; ambient meet x+y;
+            # l3 crosses the n-sides, k3 the m-sides, and they are disjoint
             l3, k3 = A.line_at(y, m), A.line_at(x, n)
-            q_lines = _net_completion(A, m, n, a1, b1, a2, b2, l3, k3, top_of)
-            if q_lines is None or lines[l3] & lines[k3]:
+            q_lines = _two_line_quadrangle(A, m, n, a1, b1, a2, b2, top_of)
+            if (q_lines is None or l3 in q_lines or k3 in q_lines
+                    or not _crosses_both(A, l3, q_lines[1], q_lines[3])
+                    or not _crosses_both(A, k3, q_lines[0], q_lines[2])
+                    or lines[l3] & lines[k3]):
                 continue
             meet = V.pair[x][y]
             return {"found": True, "quadrangle": q_lines,
@@ -721,83 +723,46 @@ def net_violation_shape_on_base(P, xi) -> Optional[tuple]:
 def reconstruct_parallel_pair(A: AffineReduct, i: int, j: int) -> bool:
     """Decide i parallel j from reduct data only.
 
-    Same leaf: the Veblen formula.  Distinct leaves: the lines must be
-    disjoint and complete to a proper quadrangle they both cross (one per
-    opposite pair); the ambient lines then meet, and since the reduct
-    lines are disjoint the meet lies on the horizon, which is exactly the
-    induced parallelism.  The quadrangle is searched with ambient
-    guidance and validated on reduct incidence alone.
+    Same leaf: the Veblen formula.  Distinct leaves: the pair must be
+    completable in the quadrangle index (disjoint lines crossing the two
+    opposite pairs of one proper quadrangle as fresh crossings); the
+    ambient lines then meet, and since the reduct lines are disjoint the
+    meet lies on the horizon, which is exactly the induced parallelism.
     """
     if i == j:
         return True
-    top_of, subs = visible_tops(A)
-    G = A.structure
+    top_of, _ = visible_tops(A)
     if top_of[i] == top_of[j]:
         return veblen_parallel(A, i, j)
-    if G.lines[i] & G.lines[j]:
-        return False
-    return _net_completion_exists(A, i, j, top_of)
+    return (min(i, j), max(i, j)) in _quadrangle_index(A)[1]
 
 
-def _net_completion_exists(A: AffineReduct, i: int, j: int,
-                           top_of: Sequence[int]) -> bool:
-    """Guided search for a proper quadrangle with i crossing one opposite
-    pair and j the other; validation is reduct-visible."""
-    V = A.ambient
-    # parents (guidance): i = x + m and j = y + n with y on m and x on n,
-    # the lines l3 and k3 of the Net-violation shape for the pair (y, x)
-    (ei, mi) = V.provenance[A.lines[i].parent][0]
-    (ej, mj) = V.provenance[A.lines[j].parent][0]
-    if ei.degree != 1 or ej.degree != 1:
-        return False
-    x = next(iter(ei.support()))
-    y = next(iter(ej.support()))
-    m = V.base.lines[mi]
-    n = V.base.lines[mj]
-    if y not in m or x not in n:
-        return False
-    return any(_net_completion(A, m, n, a1, b1, a2, b2, i, j, top_of) is not None
-               for a1, b1, a2, b2 in _net_sides(A.rows, y, x, m, n))
-
-
-def check_parallelism_reconstruction(A: AffineReduct,
-                                     sample_per_kind: int = 12) -> dict:
+def check_parallelism_reconstruction(A: AffineReduct) -> dict:
     """Compare the incidence-only reconstruction with the stored relation
-    on a deterministic sample, split by pair kind.
+    on every pair it can decide.
 
-    Same-leaf parallel pairs go through the Veblen formula and must agree.
-    Cross-leaf parallel pairs need a net completion; over GF(3) the
-    completion's vertex conditions are unsatisfiable, so those pairs are
-    reported separately rather than folded into a single verdict.
-    Non-parallel pairs must never reconstruct as parallel (a completion
-    found for one would contradict the Net law and is a falsification).
+    Every stored same-leaf parallel pair goes through the Veblen formula
+    and must agree.  Every stored cross-leaf parallel pair is looked up in
+    the quadrangle index; over GF(3) no such pair is completable, so these
+    pairs are reported apart rather than folded into the verdict.  Every
+    pair the index declares completable must be stored-parallel (one that
+    is not would contradict the Net law and is a falsification).
     """
     top_of, _ = visible_tops(A)
-    same_leaf, cross_leaf, non_parallel = [], [], []
-    for e, members in sorted(A.classes.items()):
-        pairs = list(itertools.combinations(members, 2))
-        sl = next(((i, j) for i, j in pairs if top_of[i] == top_of[j]), None)
-        cl = next(((i, j) for i, j in pairs if top_of[i] != top_of[j]), None)
-        if sl and len(same_leaf) < sample_per_kind:
-            same_leaf.append(sl)
-        if cl and len(cross_leaf) < sample_per_kind:
-            cross_leaf.append(cl)
-        if len(same_leaf) >= sample_per_kind and len(cross_leaf) >= sample_per_kind:
-            break
-    es = sorted(A.classes)
-    for a, b in zip(es, es[1:]):
-        non_parallel.append((A.classes[a][0], A.classes[b][0]))
-        if len(non_parallel) >= sample_per_kind:
-            break
+    same_leaf, cross_leaf = [], []
+    for members in A.classes.values():
+        for i, j in itertools.combinations(members, 2):
+            (same_leaf if top_of[i] == top_of[j] else cross_leaf).append((i, j))
+    class_of = A.class_of_line()
+    declared = _quadrangle_index(A)[1]
     same_ok = sum(1 for i, j in same_leaf if reconstruct_parallel_pair(A, i, j))
     cross_ok = sum(1 for i, j in cross_leaf if reconstruct_parallel_pair(A, i, j))
-    neg_ok = sum(1 for i, j in non_parallel
-                 if not reconstruct_parallel_pair(A, i, j))
+    declared_ok = sum(1 for i, j in declared if class_of[i] == class_of[j])
     return {
         "same_leaf_checked": len(same_leaf), "same_leaf_agree": same_ok,
         "cross_leaf_checked": len(cross_leaf), "cross_leaf_completable": cross_ok,
-        "non_parallel_checked": len(non_parallel), "non_parallel_agree": neg_ok,
-        "sound": neg_ok == len(non_parallel) and same_ok == len(same_leaf),
+        "declared_pairs": len(declared), "declared_parallel": declared_ok,
+        "sound": same_ok == len(same_leaf) and declared_ok == len(declared),
     }
 
 

@@ -149,13 +149,6 @@ def _check_embedding(V: VeroneseSpace, target: VeroneseSpace, mapping: list[int]
 # leaves and block tops
 
 
-def top_of_block(V: VeroneseSpace, block_index: int) -> Multiset:
-    """The unique leaf containing the block."""
-    if block_index not in V.block_top:
-        raise KeyError(f"no block {block_index}")
-    return V.block_top[block_index]
-
-
 def leaf_adjacency_test(V: VeroneseSpace, point: int, block_index: int) -> bool:
     """A point adjacent to >= 3 points of a block must lie on its leaf.
 

@@ -1,0 +1,71 @@
+"""The library's public names that nothing calls stay on a closed list.
+
+A top-level public name (a function, class or constant of a module in
+src/verogeo, without a leading underscore) counts as used when any file
+under src/ or perfbench/ reads it outside its own definition.  The unused
+ones must be exactly UNUSED below: a new helper that nothing calls fails
+the test, and so does one that was removed or gained a caller while still
+listed, so the list can only shrink.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "verogeo"
+
+UNUSED = {
+    "PrimeField", "affine_plane_family", "check_classes_disjoint",
+    "check_leaf_covering", "check_leaf_isomorphism",
+    "check_parallelism_reconstruction", "check_veblen_axiom",
+    "classify_crossing_line", "classify_proper_quadrangle", "dump_json",
+    "is_connected", "is_reflexive", "l_transversal_from_h",
+    "leaf_adjacency_test", "leaf_count", "leaf_preparallelism", "load_json",
+    "maximal_strong_subspaces", "mu_embedding", "plane_from_triangle",
+    "quadric_points", "reduct_plane_family", "related_by_definition",
+    "scan_declared_double_triples", "singular_plane_family",
+    "tau_embedding", "veblen_parallel_dual_route",
+    "verify_line_monotonicity", "verify_maximal_strong",
+    "verify_restriction_points",
+}
+
+
+def _top_level_names(tree):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    yield target.id, node
+
+
+def _reads(node):
+    """Names read as identifiers or attributes anywhere under node."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+
+
+def unused_public_names():
+    trees = {path: ast.parse(path.read_text())
+             for folder in (ROOT / "src", ROOT / "perfbench")
+             for path in sorted(folder.rglob("*.py"))}
+    public = {name for path, tree in trees.items() if path.parent == PACKAGE
+              for name, _ in _top_level_names(tree) if not name.startswith("_")}
+    read = set()
+    for path, tree in trees.items():
+        own = dict(_top_level_names(tree)) if path.parent == PACKAGE else {}
+        for node in tree.body:
+            mine = {name for name, n in own.items() if n is node}
+            read.update(name for name in _reads(node) if name not in mine)
+    return public - read
+
+
+def test_unused_public_names_match_the_closed_list():
+    unused = unused_public_names()
+    assert not unused - UNUSED, f"public names nothing calls: {sorted(unused - UNUSED)}"
+    assert not UNUSED - unused, f"drop from UNUSED: {sorted(UNUSED - unused)}"

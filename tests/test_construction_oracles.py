@@ -9,8 +9,9 @@ plane seed against every plane found in its leaf, filter every leaf-trace
 row against every earlier row, scan every reduct line for a plane's
 directions, evaluate a form on every pair
 of points, look every sum x + y up by its multiset, intersect the point
-sets of every line pair an affine condition names and write the
-Net-violation shape loops out per search.  The library does less
+sets of every line pair an affine condition names, write the
+Net-violation shape loops out per search and walk the four lines of every
+quadrangle one at a time.  The library does less
 work and must return exactly the same results, in the same order.
 """
 
@@ -40,7 +41,7 @@ from verogeo.incidence import (IncidenceStructure, _close, enumerate_hyperplanes
 from verogeo.multiset import EMPTY, Multiset, scale_point
 from verogeo.reduct import (_crosses_both, _plane_family, _two_line_quadrangle,
                             build_reduct, net_violation_shape_on_base,
-                            net_violation_witness, plane_direction_trace,
+                            net_violation_witness,
                             reconstruct_parallel_pair, recover_horizon_leaf_lines,
                             reduct_plane_family, veblen_parallel,
                             veblen_subclass_map, visible_tops)
@@ -385,6 +386,51 @@ def quadrangles_per_quadruple(G, top_of):
     return found
 
 
+def quadrangles_by_line_walk(G, top_of):
+    """find_quadrangles as a walk over lines l1, k1, l2, k2 in canonical
+    order, each crossing the last, tops checked as each line is added."""
+    cross = G.crossing()
+    adj = G.adjacency()
+
+    def meet(a, b):
+        return next(iter(G.lines[a] & G.lines[b]))
+
+    for l1 in range(len(G.lines)):
+        for k1 in sorted(k for k in cross[l1] if k > l1):
+            if top_of[k1] == top_of[l1]:
+                continue
+            p1 = meet(l1, k1)
+            for l2 in sorted(x for x in cross[k1] if x > l1 and x != k1):
+                if top_of[l2] in (top_of[l1], top_of[k1]):
+                    continue
+                p2 = meet(k1, l2)
+                for k2 in sorted(x for x in cross[l2] & cross[l1]
+                                 if x > k1 and x != l2):
+                    if top_of[k2] in (top_of[l1], top_of[k1], top_of[l2]):
+                        continue
+                    p3, p4 = meet(l2, k2), meet(k2, l1)
+                    if p3 in adj[p1] or p4 in adj[p2]:
+                        continue
+                    yield QuadrangleFigure((l1, k1, l2, k2), (p1, p2, p3, p4))
+
+
+@pytest.mark.parametrize("base,count", [
+    (projective_space(2, 3), 3003), (affine_space(2, 3).base, 630)],
+    ids=["PG(2,3)", "AG(2,3)"])
+def test_find_quadrangles_matches_line_walk(base, count):
+    V = build_veronese(base, 2)
+    G = V.structure
+    tops = [V.block_top[i] for i in range(len(G.lines))]
+    found = list(find_quadrangles(G, tops))
+    assert len(found) == count
+    assert found == list(quadrangles_by_line_walk(G, tops))
+    for seed in (1, 2, 3):
+        rng = random.Random(seed)
+        top_of = [rng.randrange(12) for _ in G.lines]
+        found = list(find_quadrangles(G, top_of))
+        assert found and found == list(quadrangles_by_line_walk(G, top_of))
+
+
 @st.composite
 def grid_nets(draw):
     """Rows and columns of an n x n grid and the symbol classes of the
@@ -508,6 +554,14 @@ def test_level2_census_matches_leaf_trace_dfs_relabelled(base):
     base_hyps = enumerate_hyperplanes(base)
     assert (enumerate_hyperplanes_level2(V, base_hyperplanes=base_hyps)
             == leaf_trace_dfs(V, base_hyps))
+
+
+def plane_direction_trace(A, plane):
+    """Directions (deleted ambient points) of the lines inside a plane,
+    found among the lines through the plane's points."""
+    through = A.structure.lines_through()
+    return frozenset(A.lines[li].infinite for q in plane for li in through[q]
+                     if A.lines[li].points <= plane)
 
 
 def test_plane_direction_trace_matches_all_lines_scan():

@@ -7,16 +7,18 @@ from verogeo.hyperplanes import hyperplane_from_symplectic
 from verogeo.incidence import is_connected
 from verogeo.multiset import EMPTY, Multiset
 from verogeo.reduct import (ONE_LEAF, TWO_LEAF, DEGENERATE, PLANE,
-                            scan_declared_double_triples,
+                            AffineReduct, scan_declared_double_triples,
                             RecoveryError, build_reduct,
                             check_classes_disjoint,
                             check_parallelism_reconstruction,
                             classify_directions, net_violation_witness,
-                            plane_from_triangle, recover_horizon_double_lines,
+                            plane_from_triangle, reconstruct_parallel_pair,
+                            recover_horizon_double_lines,
                             recover_horizon_leaf_lines, recover_veronese,
                             reduct_plane_family, veblen_parallel,
                             verify_maximal_strong, visible_tops)
 from verogeo.spaces import projective_space
+from verogeo.verify import _reduct_pg33
 from verogeo.veronese import build_veronese
 
 
@@ -27,9 +29,9 @@ def pg13_reduct():
 
 
 def pg33_reduct():
-    V = build_veronese(projective_space(3, 3), 2)
-    H = hyperplane_from_symplectic(V, standard_symplectic(4, 3))
-    return build_reduct(V, H)
+    """V(2,PG(3,3)) minus the standard symplectic hyperplane, shared with
+    the battery: no test mutates it, so its caches are built once."""
+    return _reduct_pg33()
 
 
 def test_pg13_reduct_shape():
@@ -92,6 +94,13 @@ def test_maximal_strong_subspaces_of_reduct():
                                    "all_maximal", "every_line_covered",
                                    "adjacency_pins_leaf"))
     assert report["count"] == 40
+
+
+def test_classify_directions_is_cached_on_the_reduct():
+    A = pg13_reduct()
+    report = classify_directions(A)
+    assert classify_directions(A) is report
+    assert A._directions is report
 
 
 def test_directions_pg13_all_one_leaf():
@@ -322,14 +331,58 @@ def test_net_violation_found_on_degenerate_pg25_reduct():
     assert witness["ambient_meet"] in A.hyperplane.points
 
 
-def test_parallelism_reconstruction_sample():
-    A = pg33_reduct()
-    report = check_parallelism_reconstruction(A, sample_per_kind=8)
-    # sound everywhere; same-leaf pairs reconstruct via the Veblen formula;
-    # cross-leaf completions do not exist over GF(3)
-    assert report["sound"], report
-    assert report["cross_leaf_checked"] > 0
-    assert report["cross_leaf_completable"] == 0
+def test_parallelism_reconstruction_exhaustive():
+    # every same-leaf parallel pair reconstructs via the Veblen formula;
+    # over GF(3) no cross-leaf pair is completable and the quadrangle
+    # index declares no pair
+    report = check_parallelism_reconstruction(pg33_reduct())
+    assert report == {
+        "same_leaf_checked": 18720, "same_leaf_agree": 18720,
+        "cross_leaf_checked": 19440, "cross_leaf_completable": 0,
+        "declared_pairs": 0, "declared_parallel": 0, "sound": True}
+
+
+class _BlindLine:
+    """A truncated line whose ambient parent cannot be read."""
+
+    def __init__(self, line):
+        self.points, self.infinite = line.points, line.infinite
+
+    @property
+    def parent(self):
+        raise AssertionError("read a line's ambient parent")
+
+
+def _ambient_read(self):
+    raise AssertionError("read ambient data")
+
+
+class _BlindReduct(AffineReduct):
+    """An affine reduct whose ambient space, hyperplane and the lookups
+    derived from them raise when read."""
+
+    ambient = hyperplane = rows = double_tops = leaf_reducts = property(_ambient_read)
+
+
+def test_parallelism_reconstruction_reads_reduct_data_only():
+    A = pg25_degenerate_reduct()
+    blind = AffineReduct(A.ambient, A.hyperplane, A.structure, A.amb_of,
+                         A.lines, A.classes)
+    blind.lines = tuple(_BlindLine(t) for t in A.lines)
+    blind.__class__ = _BlindReduct
+    with pytest.raises(AssertionError):
+        blind.ambient
+    assert visible_tops(blind) == visible_tops(A)
+    report = check_parallelism_reconstruction(blind)
+    assert report == check_parallelism_reconstruction(A) == {
+        "same_leaf_checked": 1800, "same_leaf_agree": 1800,
+        "cross_leaf_checked": 1500, "cross_leaf_completable": 1500,
+        "declared_pairs": 1800, "declared_parallel": 1800, "sound": True}
+    G = A.structure
+    pairs = [(i, j) for i in range(0, len(G.lines), 7)
+             for j in range(i + 1, len(G.lines), 11)]
+    assert ([reconstruct_parallel_pair(blind, i, j) for i, j in pairs]
+            == [reconstruct_parallel_pair(A, i, j) for i, j in pairs])
 
 
 def test_gamma_single_leaf_one_class():
@@ -375,10 +428,8 @@ def test_pg13_reduct_isomorphic_to_ag13_veronese():
 
 
 def test_scan_declared_double_triples_sound():
-    A = pg33_reduct()
-    report = scan_declared_double_triples(A, max_quadrangles=150)
-    assert report["quadrangles_scanned"] == 150
-    assert report["triples_declared"] > 0
+    report = scan_declared_double_triples(pg33_reduct())
+    assert report == {"quadrangles_scanned": 59670, "triples_declared": 56160}
 
 
 def test_reduct_not_a_veronese_product_by_counting():

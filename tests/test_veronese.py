@@ -11,7 +11,7 @@ from verogeo.veronese import (build_veronese, check_leaf_covering,
                               check_leaf_isomorphism, leaf_adjacency_test,
                               leaf_count, leaf_plane_family, leaf_substructure,
                               mu_embedding, parameters, tau_embedding,
-                              top_of_block, verify_line_monotonicity,
+                              verify_line_monotonicity,
                               verify_restriction_points)
 
 
@@ -90,11 +90,11 @@ def test_top_of_block():
     V = build_veronese(projective_space(2, 3), 2)
     for bi, gens in V.provenance.items():
         e, li = gens[0]
-        assert top_of_block(V, bi) == e
+        assert V.block_top[bi] == e
         block = V.structure.lines[bi]
         assert block <= V.leaves[e]
     with pytest.raises(KeyError):
-        top_of_block(V, 10 ** 6)
+        V.block_top[10 ** 6]
 
 
 def test_leaf_adjacency_exhaustive_small():
