@@ -2,10 +2,10 @@
 alternating multilinear forms.
 
 Prime fields only: the form pipelines in this package need nothing more,
-and staying prime removes irreducible-polynomial machinery.  Reflexive
-forms are classified by matrix shape (symmetric vs alternating), which is
-valid over odd characteristic; for p = 2 only the space constructors are
-supported, not the quasi-correlation pipeline.
+and staying prime removes irreducible-polynomial machinery.  Symplectic
+forms are recognised by matrix shape (alternating), which is valid over
+odd characteristic; for p = 2 only the space constructors are supported,
+not the quasi-correlation pipeline.
 
 Projective points are normalized coordinate tuples (first nonzero entry 1),
 so equality needs no quotient bookkeeping.
@@ -31,21 +31,6 @@ def is_prime(n: int) -> bool:
             return False
         d += 2
     return True
-
-
-@dataclass(frozen=True)
-class PrimeField:
-    p: int
-
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
-
-    def inv(self, a: int) -> int:
-        a %= self.p
-        if a == 0:
-            raise ZeroDivisionError("no inverse of 0")
-        return pow(a, self.p - 2, self.p)
 
 
 def normalize_vector(v: Sequence[int], p: int) -> Vector:
@@ -148,21 +133,11 @@ class BilinearForm:
         return BilinearForm(data["p"], tuple(tuple(r) for r in data["matrix"]))
 
 
-def is_symmetric(xi: BilinearForm) -> bool:
-    M = xi.matrix
-    return all(M[i][j] == M[j][i] for i in range(xi.dim) for j in range(xi.dim))
-
-
 def is_alternating(xi: BilinearForm) -> bool:
     M, p = xi.matrix, xi.p
     return (all(M[i][i] == 0 for i in range(xi.dim))
             and all(M[i][j] == (-M[j][i]) % p
                     for i in range(xi.dim) for j in range(xi.dim)))
-
-
-def is_reflexive(xi: BilinearForm) -> bool:
-    """Shape test: symmetric or alternating (valid in odd characteristic)."""
-    return is_symmetric(xi) or is_alternating(xi)
 
 
 def is_symplectic(xi: BilinearForm) -> bool:
@@ -268,10 +243,6 @@ class QuadraticForm:
         return QuadraticForm(data["p"], tuple(tuple(r) for r in data["matrix"]))
 
 
-def quadric_points(Q: QuadraticForm) -> list[Vector]:
-    return [v for v in projective_points(Q.dim, Q.p) if Q.evaluate(v) == 0]
-
-
 def _line_points(u: Vector, v: Vector, p: int) -> list[Vector]:
     pts = {normalize_vector(v, p)}
     for t in range(p):
@@ -358,14 +329,3 @@ def _perm_sign(perm: Sequence[int]) -> int:
 def determinant_form(dim: int, p: int) -> AlternatingMultiForm:
     """The arity = dim alternating form with det as its evaluation."""
     return AlternatingMultiForm.from_dict(p, dim, dim, {tuple(range(dim)): 1})
-
-
-def is_nondegenerate_alternating(eta: AlternatingMultiForm,
-                                 points: Sequence[Vector]) -> bool:
-    """No point annihilates all completions: for every q some tuple with
-    first argument q evaluates nonzero."""
-    for q in points:
-        if not any(eta.evaluate((q,) + rest)
-                   for rest in itertools.combinations(points, eta.arity - 1)):
-            return False
-    return True

@@ -2,8 +2,10 @@
 emit machine-readable reports.
 
 Exit codes: 0 when every requested check passes, 1 when a check fails
-(the report names the claim and carries the witness), 2 for usage or
-capacity errors.  Reports are byte-identical across runs on equal inputs.
+(the report names the claim and carries the witness; a falsification or
+a reduct that does not determine its ambient space is named on stderr),
+2 for usage or capacity errors.  Reports are byte-identical across runs
+on equal inputs.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from .hyperplanes import (VeroneseHyperplane, extract_h_function,
                           hyperplane_from_alternating,
                           hyperplane_from_symplectic)
 from .incidence import CapacityError, IncidenceStructure
-from .reduct import build_reduct, net_violation_witness, recover_veronese
+from .reduct import (AffineReduct, RecoveryError, build_reduct,
+                     net_violation_witness, recover_veronese)
 from .configs import FalsificationError, check_net_axiom
 from .parallelism import search_leaf_closed_parallelism
 from .spaces import (affine_space, polar_space_quadratic,
@@ -102,8 +105,9 @@ def _load_base(token: str) -> IncidenceStructure:
     return IncidenceStructure.from_json(_read_json(token))
 
 
-def _load_veronese(path: str) -> VeroneseSpace:
-    data = _read_json(path)
+def _veronese_from_json(data: dict, path: str) -> VeroneseSpace:
+    """Rebuild a stored Veronese space from its base and level, refusing a
+    file whose stored lines differ from the rebuild."""
     if data.get("kind") != "veronese":
         raise UsageError(f"{path} does not hold a Veronese space")
     base = IncidenceStructure.from_json(data["base"])
@@ -113,6 +117,10 @@ def _load_veronese(path: str) -> VeroneseSpace:
         raise UsageError(f"{path} is inconsistent: stored lines differ from "
                          "the deterministic rebuild")
     return V
+
+
+def _load_veronese(path: str) -> VeroneseSpace:
+    return _veronese_from_json(_read_json(path), path)
 
 
 def _load_form(path: str):
@@ -127,7 +135,6 @@ def _load_form(path: str):
 def _load_hyperplane(data: dict, V: VeroneseSpace) -> VeroneseHyperplane:
     points = frozenset(data["points"])
     return VeroneseHyperplane(V, points, extract_h_function(V, points),
-                              degenerate=data.get("degenerate", False),
                               source=data.get("source", "file"))
 
 
@@ -184,20 +191,18 @@ def cmd_reduct(args) -> int:
     return 0
 
 
-def _rebuild_reduct(path: str):
-    data = _read_json(path)
+def _rebuild_reduct(data: dict, path: str) -> AffineReduct:
     if data.get("kind") != "reduct":
         raise UsageError(f"{path} does not hold a reduct")
     missing = [key for key in ("space", "hyperplane") if key not in data]
     if missing:
         raise UsageError(f"{path}: reduct file lacks {', '.join(missing)}")
-    base = IncidenceStructure.from_json(data["space"]["base"])
-    V = build_veronese(base, data["space"]["level"])
-    return build_reduct(V, _load_hyperplane(data["hyperplane"], V)), data
+    V = _veronese_from_json(data["space"], path)
+    return build_reduct(V, _load_hyperplane(data["hyperplane"], V))
 
 
 def cmd_recover(args) -> int:
-    A, _data = _rebuild_reduct(args.reduct)
+    A = _rebuild_reduct(_read_json(args.reduct), args.reduct)
     report = recover_veronese(A)
     result = {"points": report.point_count, "lines": report.line_count,
               "points_match": report.points_match,
@@ -250,15 +255,16 @@ def cmd_verify(args) -> int:
 def _verify_on_space(args) -> int:
     if args.suite != "net-axiom":
         raise UsageError("--space applies to the net-axiom suite only")
-    if _read_json(args.space).get("kind") == "reduct":
-        A, _ = _rebuild_reduct(args.space)
+    data = _read_json(args.space)
+    if data.get("kind") == "reduct":
+        A = _rebuild_reduct(data, args.space)
         witness = net_violation_witness(A)
         verdict = {"claim": "net-axiom-on-reduct", "ok": not witness["found"],
                    "witness": witness if witness["found"] else None,
                    "details": witness}
         print(json.dumps(verdict, sort_keys=True))
         return 1 if witness["found"] else 0
-    V = _load_veronese(args.space)
+    V = _veronese_from_json(data, args.space)
     tops = [V.block_top[i] for i in range(len(V.structure.lines))]
     report = check_net_axiom(V.structure, tops)
     verdict = {"claim": "net-axiom-on-space", "ok": report.ok,
@@ -354,6 +360,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except FalsificationError as exc:
         print(f"falsified: {exc}", file=sys.stderr)
+        return 1
+    except RecoveryError as exc:
+        print(f"recovery failed: {exc}", file=sys.stderr)
         return 1
     except (UsageError, CapacityError, FileNotFoundError, KeyError,
             ValueError) as exc:

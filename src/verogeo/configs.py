@@ -119,15 +119,6 @@ def _meet(G: IncidenceStructure, i: int, j: int) -> Optional[int]:
     return next(iter(common)) if common else None
 
 
-def check_veblen_axiom(G: IncidenceStructure
-                       ) -> tuple[bool, Optional[VeblenFigure]]:
-    """Every incomplete Veblen configuration must close (m1 meets m2)."""
-    for fig in find_incomplete_veblen(G):
-        if not fig.complete:
-            return False, fig
-    return True, None
-
-
 def _sole_generator(V: VeroneseSpace, block: int) -> tuple[Multiset, int]:
     gens = V.provenance[block]
     if len(gens) != 1:
@@ -439,8 +430,7 @@ def _class_rows(G: IncidenceStructure, t: int, class_of: dict[int, int],
     return rows
 
 
-def check_tamaschke(G: IncidenceStructure, class_of: dict[int, int],
-                    budget_points: int = EXHAUSTIVE_POINT_BUDGET) -> ScanReport:
+def check_tamaschke(G: IncidenceStructure, class_of: dict[int, int]) -> ScanReport:
     """Tamaschke condition: a line parallel to one side of a triangle that
     crosses a second side crosses the third.
 
@@ -462,7 +452,7 @@ def check_tamaschke(G: IncidenceStructure, class_of: dict[int, int],
     members, position = _class_members(G, class_of)
     apexes = range(G.point_count)
     strata = None
-    exhaustive = G.point_count <= budget_points
+    exhaustive = G.point_count <= EXHAUSTIVE_POINT_BUDGET
     if not exhaustive:
         step = max(1, G.point_count // 20)
         apexes = range(0, G.point_count, step)
@@ -492,9 +482,7 @@ def check_tamaschke(G: IncidenceStructure, class_of: dict[int, int],
 
 
 def check_parallelogram_completion(G: IncidenceStructure,
-                                   class_of: dict[int, int],
-                                   budget_points: int = EXHAUSTIVE_POINT_BUDGET
-                                   ) -> ScanReport:
+                                   class_of: dict[int, int]) -> ScanReport:
     """If two pairs of parallel lines realize three of the four crossings
     between non-parallel lines, the fourth crossing exists as well.
 
@@ -509,7 +497,7 @@ def check_parallelogram_completion(G: IncidenceStructure,
     class_ids = sorted(members)
     through = G.lines_through()
     strata = None
-    exhaustive = G.point_count <= budget_points
+    exhaustive = G.point_count <= EXHAUSTIVE_POINT_BUDGET
     pick_l = class_ids
     if not exhaustive:
         step = max(1, len(class_ids) // 40)

@@ -28,8 +28,7 @@ from typing import Optional, Sequence
 
 from . import incidence as inc
 from .algebra import (AlternatingMultiForm, BilinearForm,
-                      alternating_forms_up_to_scalar,
-                      is_nondegenerate_alternating, is_prime, is_symplectic,
+                      alternating_forms_up_to_scalar, is_prime, is_symplectic,
                       perp_rows)
 from .configs import FalsificationError, _join
 from .incidence import CapacityError
@@ -44,8 +43,16 @@ class VeroneseHyperplane:
     ambient: VeroneseSpace
     points: frozenset[int]
     h_function: dict[Multiset, object]  # leaf key -> frozenset of base points or FULL
-    degenerate: bool = False
     source: str = ""
+
+    @property
+    def degenerate(self) -> bool:
+        """Some base point x has every point with x in its support inside
+        H; at level 2 that says the trace kappa(x) is the whole base."""
+        V = self.ambient
+        reached = {x for q, f in enumerate(V.points) if q not in self.points
+                   for x in f.support()}
+        return len(reached) < V.base.point_count
 
     def to_json(self) -> dict:
         h_json = {}
@@ -69,33 +76,6 @@ def extract_h_function(V: VeroneseSpace, H: Sequence[int]) -> dict[Multiset, obj
     return out
 
 
-def assemble_from_h(V: VeroneseSpace, h: dict[Multiset, object]) -> frozenset[int]:
-    pts: set[int] = set()
-    n = V.base.point_count
-    for e, val in h.items():
-        r = V.level - e.degree
-        base_pts = range(n) if val == FULL else val
-        pts.update(V.index[e + scale_point(r, x)] for x in base_pts)
-    return frozenset(pts)
-
-
-def l_transversal_from_h(V: VeroneseSpace, h: dict[Multiset, object]) -> frozenset[int]:
-    """Union of the leaf traces; every trace must be FULL or a base
-    hyperplane, and the result is verified l-transversal."""
-    for e, val in h.items():
-        if val == FULL:
-            continue
-        if not inc.is_hyperplane(V.base, val):
-            raise ValueError(f"trace at {e} is neither FULL nor a base hyperplane")
-    missing = set(V.leaf_keys()) - set(h)
-    if missing:
-        raise ValueError(f"h assigns no trace to leaves {sorted(map(str, missing))}")
-    pts = assemble_from_h(V, h)
-    if not inc.is_l_transversal(V.structure, pts):
-        raise FalsificationError("leaf-trace union failed to be l-transversal")
-    return pts
-
-
 # ---------------------------------------------------------------------------
 # symplectic construction (level 2)
 
@@ -111,8 +91,8 @@ def hyperplane_from_symplectic(V: VeroneseSpace, xi: BilinearForm) -> VeroneseHy
 
     Requires level 2, odd p, and a symplectic (alternating) form; the
     result is verified to be a hyperplane containing the full double leaf.
-    Degenerate forms are accepted and tagged: radical points contribute
-    whole leaves to H.
+    Degenerate forms are accepted: radical points contribute whole leaves
+    to H, which makes H.degenerate hold.
     """
     if V.level != 2:
         raise ValueError("symplectic construction needs a level-2 Veronese space")
@@ -125,13 +105,8 @@ def hyperplane_from_symplectic(V: VeroneseSpace, xi: BilinearForm) -> VeroneseHy
     rows = perp_rows(xi, _coordinates(V))
     n = len(rows)
     h: dict[Multiset, object] = {EMPTY: FULL}
-    degenerate = False
     for i, row in enumerate(rows):
-        if len(row) == n:
-            h[scale_point(1, i)] = FULL
-            degenerate = True
-        else:
-            h[scale_point(1, i)] = row
+        h[scale_point(1, i)] = FULL if len(row) == n else row
     # the double leaf is FULL, so the union of the single-point traces
     # must carry every double 2x, i.e. x in kappa(x)
     if not all(i in row for i, row in enumerate(rows)):
@@ -140,8 +115,7 @@ def hyperplane_from_symplectic(V: VeroneseSpace, xi: BilinearForm) -> VeroneseHy
     points = frozenset(pair[i][j] for i, row in enumerate(rows) for j in row)
     if not inc.is_hyperplane(V.structure, points):
         raise FalsificationError("symplectic construction failed the hyperplane check")
-    return VeroneseHyperplane(V, points, h, degenerate=degenerate,
-                              source="symplectic")
+    return VeroneseHyperplane(V, points, h, source="symplectic")
 
 
 def vari1_construction(V: VeroneseSpace, xi: BilinearForm,
@@ -201,9 +175,7 @@ def hyperplane_from_alternating(V: VeroneseSpace,
                 "alternating law")
     if not inc.is_hyperplane(V.structure, pts):
         raise FalsificationError("alternating construction failed the hyperplane check")
-    nondeg = is_nondegenerate_alternating(eta, coords)
-    h = extract_h_function(V, pts)
-    return VeroneseHyperplane(V, pts, h, degenerate=not nondeg,
+    return VeroneseHyperplane(V, pts, extract_h_function(V, pts),
                               source="alternating")
 
 

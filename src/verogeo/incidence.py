@@ -14,7 +14,6 @@ their own plane families.
 
 from __future__ import annotations
 
-import json
 from typing import Iterable, Iterator, Optional, Sequence
 
 
@@ -138,16 +137,6 @@ def _label_from_json(v):
     return v
 
 
-def dump_json(G: IncidenceStructure, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(G.to_json(), fh, sort_keys=True)
-
-
-def load_json(path) -> IncidenceStructure:
-    with open(path) as fh:
-        return IncidenceStructure.from_json(json.load(fh))
-
-
 # ---------------------------------------------------------------------------
 # partial linear space axioms
 
@@ -172,22 +161,6 @@ def is_partial_linear(G: IncidenceStructure) -> tuple[bool, Optional[tuple]]:
                     return False, ("double_joined", pair[0], pair[1], seen[pair], i)
                 seen.setdefault(pair, i)
     return True, None
-
-
-def is_connected(G: IncidenceStructure) -> bool:
-    """Graph connectivity of the adjacency relation; isolated points disconnect."""
-    if G.point_count <= 1:
-        return True
-    adj = G.adjacency()
-    seen = {0}
-    stack = [0]
-    while stack:
-        a = stack.pop()
-        for b in adj[a]:
-            if b not in seen:
-                seen.add(b)
-                stack.append(b)
-    return len(seen) == G.point_count
 
 
 # ---------------------------------------------------------------------------
@@ -255,34 +228,6 @@ def strong_extensions(G: IncidenceStructure, X: frozenset[int]
         Y = subspace_closure(G, X | {p})
         if _is_clique(adj, Y):
             yield Y
-
-
-def maximal_strong_subspaces(G: IncidenceStructure) -> list[frozenset[int]]:
-    """All inclusion-maximal strong subspaces containing at least one line.
-
-    Grown from each line through every strong one-point extension; a state
-    with none is maximal.  Deterministic output order.
-    """
-    results: set[frozenset[int]] = set()
-    seen: set[frozenset[int]] = set()
-
-    def grow(X: frozenset[int]) -> None:
-        if X in seen:
-            return
-        seen.add(X)
-        extended = False
-        for Y in strong_extensions(G, X):
-            extended = True
-            grow(Y)
-        if not extended:
-            results.add(X)
-
-    for line in G.lines:
-        grow(subspace_closure(G, line))
-
-    maximal = [X for X in results
-               if not any(X < Y for Y in results if Y is not X)]
-    return sorted(maximal, key=lambda s: tuple(sorted(s)))
 
 
 def _is_clique(adj: list[set[int]], X: frozenset[int]) -> bool:

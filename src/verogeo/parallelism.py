@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .incidence import veblen_parallel_lines
 from .spaces import ParallelStructure
 from .veronese import VeroneseSpace
 
@@ -46,13 +45,6 @@ def induced_relation(V: VeroneseSpace, base: ParallelStructure
     for bi, ci in enumerate(_block_directions(V, base)):
         out.setdefault(ci, []).append(bi)
     return {ci: tuple(sorted(v)) for ci, v in sorted(out.items())}
-
-
-def related_by_definition(V: VeroneseSpace, base: ParallelStructure,
-                          b1: int, b2: int) -> bool:
-    """Direct reading of the induced relation for one block pair."""
-    direction = _block_directions(V, base)
-    return direction[b1] == direction[b2]
 
 
 @dataclass
@@ -237,25 +229,6 @@ def counting_identity_solutions(n_range: Sequence[int],
 
 # ---------------------------------------------------------------------------
 # Veblen parallelism over affine bases
-
-
-def veblen_parallel_dual_route(V: VeroneseSpace, base: ParallelStructure,
-                               b1: int, b2: int) -> bool:
-    """Veblen parallelism of two blocks, computed twice and compared.
-
-    Formula route: the coplanarity formula on the Veronese structure.
-    Shape route: the blocks share their leaf and their generating base
-    lines are parallel.  A disagreement is raised, not returned.
-    """
-    formula = veblen_parallel_lines(V.structure, b1, b2)
-    direction = _block_directions(V, base)
-    shape = (V.provenance[b1][0][0] == V.provenance[b2][0][0]
-             and direction[b1] == direction[b2])
-    if formula != shape:
-        raise AssertionError(
-            f"Veblen parallelism routes disagree on blocks {b1}, {b2}: "
-            f"formula={formula}, shape={shape}")
-    return formula
 
 
 def leaf_preparallelism(V: VeroneseSpace, base: ParallelStructure

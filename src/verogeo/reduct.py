@@ -38,8 +38,6 @@ from .veronese import VeroneseSpace
 
 ONE_LEAF = "ONE_LEAF"
 TWO_LEAF = "TWO_LEAF"
-DEGENERATE = "DEGENERATE"
-PLANE = "PLANE"
 
 
 @dataclass
@@ -148,16 +146,6 @@ def build_reduct(V: VeroneseSpace, H: VeroneseHyperplane) -> AffineReduct:
         data.structure.lines, data.parents, data.infinite_points))
     classes = {lines[c[0]].infinite: c for c in data.parallel.parallel_classes}
     return AffineReduct(V, H, data.structure, data.kept, lines, classes)
-
-
-def check_classes_disjoint(A: AffineReduct) -> bool:
-    """Lines of one class are pairwise disjoint (they meet only at the
-    deleted infinite point)."""
-    for members in A.classes.values():
-        for i, j in itertools.combinations(members, 2):
-            if A.lines[i].points & A.lines[j].points:
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -309,65 +297,16 @@ def veblen_subclass_map(A: AffineReduct) -> dict[int, int]:
 # planes
 
 
-def plane_from_triangle(A: AffineReduct, l1: int, l2: int, l3: int
-                        ) -> tuple[str, frozenset[int]]:
-    """Union of the parallels of l1 crossing both l2 and l3.
+def reduct_plane_family(A: AffineReduct) -> tuple[list, list, int]:
+    """(planes, their direction traces, seeds closed), cached on A.
 
-    The three lines must form a triangle (pairwise crossing, vertices
-    distinct).  Under the side condition (the vertex opposite l1 is
-    adjacent to a point of l1 beyond the other two vertices) the union is
-    a plane of a leaf reduct; without it the union may collapse or spread
-    over several leaves, and is then tagged DEGENERATE.  A plane here
-    means: contained in one maximal strong subspace and generated as a
-    subspace by two of its crossing lines.
+    The planes are the closures of crossing line pairs inside one leaf
+    reduct.  A leaf reduct T is a subspace, so seeds close on T's
+    points-to-lines table.  A seed is skipped when its two lines already
+    share a found plane (the coplanar-line index, filled from the lines
+    each closure records); those lines also give the plane's direction
+    trace.
     """
-    G = A.structure
-    e1 = G.lines[l2] & G.lines[l3]
-    e2 = G.lines[l1] & G.lines[l3]
-    e3 = G.lines[l1] & G.lines[l2]
-    if not (e1 and e2 and e3):
-        raise ValueError("the three lines do not pairwise cross")
-    e1, e2, e3 = next(iter(e1)), next(iter(e2)), next(iter(e3))
-    if len({e1, e2, e3}) != 3:
-        raise ValueError("degenerate triangle: concurrent lines")
-    class_of = A.class_of_line()
-    members = A.classes[class_of[l1]]
-    pts: set[int] = set()
-    for m in members:
-        lm = G.lines[m]
-        if lm & G.lines[l2] and lm & G.lines[l3]:
-            pts |= lm
-    pts = frozenset(pts)
-    top_of, subs = visible_tops(A)
-    if any(pts <= T for T in subs) and _two_generated(A, pts):
-        return PLANE, pts
-    return DEGENERATE, pts
-
-
-def _two_generated(A: AffineReduct, pts: frozenset[int]) -> bool:
-    """pts equals the subspace closure of two of its crossing lines."""
-    G = A.structure
-    for q in pts:
-        lis = [li for li in G.lines_through()[q] if G.lines[li] <= pts]
-        for la, lb in itertools.combinations(lis, 2):
-            if subspace_closure(G, G.lines[la] | G.lines[lb]) == pts:
-                return True
-    return False
-
-
-def reduct_plane_family(A: AffineReduct) -> list[frozenset[int]]:
-    """All planes: closures of crossing line pairs inside one leaf reduct.
-
-    A leaf reduct T is a subspace, so seeds close on T's points-to-lines
-    table.  A seed is skipped when its two lines already share a found
-    plane (the coplanar-line index, filled from the lines each closure
-    records); those lines also give the plane's cached direction trace.
-    """
-    return _plane_family(A)[0]
-
-
-def _plane_family(A: AffineReduct) -> tuple[list, list, int]:
-    """(planes, their direction traces, seeds closed), cached on A."""
     if A._planes is None:
         G = A.structure
         top_of, subs = visible_tops(A)
@@ -406,7 +345,7 @@ def recover_horizon_leaf_lines(A: AffineReduct) -> set[frozenset[int]]:
     line, so the recovered family is the set of plane traces, read from
     the traces the plane family cached as each plane closed.
     """
-    return {tr for tr in _plane_family(A)[1] if len(tr) >= 3}
+    return {tr for tr in reduct_plane_family(A)[1] if len(tr) >= 3}
 
 
 class RecoveryError(RuntimeError):
@@ -599,7 +538,7 @@ def recover_veronese(A: AffineReduct) -> RecoveryReport:
         lines_match=not missing and not extra,
         missing_lines=len(missing),
         extra_lines=len(extra),
-        plane_closures=_plane_family(A)[2],
+        plane_closures=reduct_plane_family(A)[2],
     )
 
 

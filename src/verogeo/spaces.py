@@ -2,10 +2,11 @@
 polar spaces, restrictions, and affine reducts obtained by deleting a
 hyperplane.
 
-Every constructor labels points (coordinate tuples for PG/AG) and the
-plane-family helpers export the planes that flappy and chain-connectivity
-checks consume.  Point order is deterministic, and the symplectic polar
-space reuses the projective point order so both live on one universe.
+Every constructor labels points (coordinate tuples for PG/AG), and
+projective_plane_family exports the planes that flappy and
+chain-connectivity checks consume.  Point order is deterministic, and the
+symplectic polar space reuses the projective point order so both live on
+one universe.
 """
 
 from __future__ import annotations
@@ -175,31 +176,6 @@ def affine_space(n: int, p: int) -> ParallelStructure:
     return ParallelStructure(structure, tuple(class_tuples), affine=True)
 
 
-def affine_plane_family(A: ParallelStructure, p: int) -> list[frozenset[int]]:
-    """Plane cosets of AG(n,p); the whole space when n = 2."""
-    G = A.base
-    pts = [G.labels[i] for i in range(G.point_count)]
-    n = len(pts[0])
-    if n < 2:
-        return []
-    if n == 2:
-        return [frozenset(range(G.point_count))]
-    index = {v: i for i, v in enumerate(pts)}
-    dirs = projective_points(n, p)
-    planes = set()
-    for a_i in range(len(dirs)):
-        for b_i in range(a_i + 1, len(dirs)):
-            d1, d2 = dirs[a_i], dirs[b_i]
-            span = set()
-            for s, t in itertools.product(range(p), repeat=2):
-                span.add(vec_add(vec_scale(s, d1, p), vec_scale(t, d2, p), p))
-            if len(span) != p * p:
-                continue
-            for base in pts:
-                planes.add(frozenset(index[vec_add(base, v, p)] for v in span))
-    return sorted(planes, key=lambda s: tuple(sorted(s)))
-
-
 # ---------------------------------------------------------------------------
 # polar spaces
 
@@ -251,49 +227,6 @@ def polar_space_quadratic(Q: QuadraticForm) -> tuple[IncidenceStructure, tuple[i
     if not polar.lines:
         raise ValueError("quadric carries no lines: not a polar space")
     return polar, kept
-
-
-def singular_plane_family(Q: QuadraticForm,
-                          G: IncidenceStructure) -> list[frozenset[int]]:
-    """Projective planes fully on the quadric, as point sets of G = PG.
-
-    Q is evaluated once per point of G.  Every point of a singular plane
-    through a singular line is joined to each point of that line by a
-    singular line, so only those common neighbours extend the line; a point
-    already on a singular plane through the line spans that plane again and
-    is skipped.
-    """
-    p = Q.p
-    pts = [G.labels[i] for i in range(G.point_count)]
-    index = {v: i for i, v in enumerate(pts)}
-    on_set = {i for i in range(G.point_count) if Q.evaluate(pts[i]) == 0}
-    planes = set()
-    sing_lines = [l for l in G.lines if l <= on_set]
-    collinear = IncidenceStructure(G.point_count, sing_lines,
-                                   sort_lines=False).adjacency()
-    for line in sing_lines:
-        rep = sorted(line)
-        u, v = pts[rep[0]], pts[rep[1]]
-        covered = set(line)
-        for w_idx in set.intersection(*(collinear[q] for q in line)):
-            if w_idx in covered:
-                continue
-            w = pts[w_idx]
-            plane = set()
-            ok = True
-            for a, b, c in itertools.product(range(p), repeat=3):
-                vec = tuple((a * x + b * y + c * z) % p for x, y, z in zip(u, v, w))
-                if not any(vec):
-                    continue
-                q = index[normalize_vector(vec, p)]
-                if q not in on_set:
-                    ok = False
-                    break
-                plane.add(q)
-            if ok and len(plane) > len(line):
-                planes.add(frozenset(plane))
-                covered |= plane
-    return sorted(planes, key=lambda s: tuple(sorted(s)))
 
 
 # ---------------------------------------------------------------------------

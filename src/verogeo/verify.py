@@ -1,5 +1,6 @@
 """Verification suites: each suite checks one battery of claims on fixed
-desk-scale instances and returns machine-readable verdicts.
+desk-scale instances and returns machine-readable verdicts.  The suites
+are where the library runs the paper's claims (33 verdicts in all).
 
 Every verdict carries a stable claim id, a self-contained description of
 the mathematical statement tested, the instance, the outcome, the runtime,
@@ -14,7 +15,9 @@ the GF(3) reduct).
 
 from __future__ import annotations
 
+import itertools
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Optional
@@ -22,26 +25,35 @@ from typing import Callable, Optional
 from . import incidence as inc
 from .algebra import (BilinearForm, QuadraticForm, alternating_forms_up_to_scalar,
                       determinant_form, perp_rows, standard_symplectic)
-from .configs import (BASE_EMBEDDED, FOUR_POINT_TRANSLATE, THREE_POINT_WITH_2M,
-                      UNCLASSIFIABLE, check_net_axiom,
+from .configs import (BASE_EMBEDDED, CROSS_DOUBLE_OR_MEET_TRANSLATE,
+                      CROSS_POINT_JOIN, CROSS_TRANSLATE_OF_JOIN,
+                      FOUR_POINT_TRANSLATE, THREE_LINE_TYPE, THREE_POINT_WITH_2M,
+                      TWO_LINE_TYPE, UNCLASSIFIABLE, check_net_axiom,
                       check_parallelogram_completion, check_tamaschke,
-                      classify_all_veblen)
+                      classify_all_veblen, classify_crossing_line,
+                      classify_proper_quadrangle, quadrangle_crossings)
 from .hyperplanes import (VeroneseHyperplane, enumerate_hyperplanes_level2,
                           extract_h_function, hyperplane_from_alternating,
                           hyperplane_from_symplectic, leaf_pencil,
                           polar_hyperplane, vari1_construction,
                           verify_characterization)
-from .multiset import EMPTY, Multiset
+from .multiset import EMPTY, Multiset, scale_point
 from .parallelism import (check_euclid_failure, counting_identity_solutions,
-                          induced_relation, search_leaf_closed_parallelism)
-from .reduct import (build_reduct, classify_directions, gamma_matches_leaves,
+                          induced_relation, leaf_preparallelism,
+                          search_leaf_closed_parallelism)
+from .reduct import (build_reduct, check_parallelism_reconstruction,
+                     classify_directions, gamma_matches_leaves,
                      net_violation_shape_on_base, net_violation_witness,
-                     recover_veronese, truncated_plane_family,
-                     veblen_subclass_map)
+                     recover_veronese, scan_declared_double_triples,
+                     truncated_plane_family, veblen_subclass_map,
+                     verify_maximal_strong)
 from .spaces import (affine_space, polar_space_quadratic, polar_space_symplectic,
                      projective_hyperplanes, projective_plane_family,
                      projective_space)
-from .veronese import build_veronese, leaf_plane_family, parameters
+from .veronese import (build_veronese, check_leaf_covering,
+                       check_leaf_isomorphism, leaf_plane_family, mu_embedding,
+                       parameters, tau_embedding, verify_line_monotonicity,
+                       verify_restriction_points)
 
 
 @dataclass
@@ -164,6 +176,38 @@ def suite_construction_counts() -> list[Verdict]:
         "construction-counts-pg23",
         "level-2 Veronese space over PG(2,3) has (91, 182, 8, 4)",
         "V(2, PG(2,3))", check_pg23))
+
+    def check_leaves():
+        details, witness = {}, {}
+        for name, V in (("V(2, PG(2,2))", _vpg(2, 2)), ("V(3, PG(1,3))", _vpg(1, 3, 3))):
+            covered, bad = check_leaf_covering(V)
+            copies = sum(check_leaf_isomorphism(V, e) for e in V.leaves)
+            details[name] = {"leaves": len(V.leaves), "copies_of_base": copies}
+            if not covered or copies != len(V.leaves):
+                witness[name] = bad
+        return not witness, witness or None, details
+
+    out.append(_verdict(
+        "construction-leaves",
+        "exactly k leaves pass through every point, two leaves share at most "
+        "one point, and the blocks inside each leaf pull back to the base lines",
+        "V(2, PG(2,2)) and V(3, PG(1,3))", check_leaves))
+
+    def check_embeddings():
+        # both embeddings raise unless injective and carrying blocks to blocks
+        mu_target, mu = mu_embedding(build_veronese(_pg(2, 2), 1), 2)
+        x = scale_point(1, 0)
+        tau_target, tau = tau_embedding(build_veronese(_pg(1, 3), 1), x)
+        mu_ok = frozenset(mu) == mu_target.leaves[EMPTY]
+        tau_ok = frozenset(tau) == tau_target.leaves[x]
+        return mu_ok and tau_ok, None, {"mu_onto_double_leaf": mu_ok,
+                                        "tau_onto_leaf_of_x": tau_ok}
+
+    out.append(_verdict(
+        "construction-embeddings",
+        "f -> 2f embeds V(1, M) onto the double leaf of V(2, M), and f -> x + f "
+        "onto the leaf of x, injectively and carrying blocks to blocks",
+        "mu over PG(2,2), tau over PG(1,3)", check_embeddings))
     return out
 
 
@@ -322,6 +366,32 @@ def suite_veblen_classification() -> list[Verdict]:
         "veblen-types-v2-pg23",
         "all three figure types occur and every figure classifies",
         "V(2, PG(2,3))", check_pg23))
+
+    def check_shapes():
+        V = _vpg(2, 3)
+        tops = [V.block_top[i] for i in range(len(V.structure.lines))]
+        quadrangles, crossings = Counter(), Counter()
+        for q, *fresh in quadrangle_crossings(V.structure, tops):
+            quadrangles[classify_proper_quadrangle(V, q)] += 1
+            crossings.update(classify_crossing_line(V, a, b, k)
+                             for (a, b), lines in zip(q.opposite_pairs, fresh)
+                             for k in lines)
+        ok = (set(quadrangles) == {TWO_LINE_TYPE, THREE_LINE_TYPE}
+              and set(crossings) == {CROSS_TRANSLATE_OF_JOIN, CROSS_POINT_JOIN,
+                                     CROSS_DOUBLE_OR_MEET_TRANSLATE}
+              and sum(quadrangles.values()) == 3003
+              and sum(crossings.values()) == 20826)
+        return ok, None if ok else (dict(quadrangles), dict(crossings)), {
+            "quadrangles": sum(quadrangles.values()),
+            "crossing_lines": sum(crossings.values()),
+            "quadrangle_shapes": dict(quadrangles), "crossing_shapes": dict(crossings)}
+
+    out.append(_verdict(
+        "quadrangle-and-crossing-shapes-pg23",
+        "each of the 3003 proper quadrangles is of the two-line or three-line "
+        "type, each of the 20826 lines crossing an opposite pair with a fresh "
+        "top has one of the three crossing shapes, and every shape occurs",
+        "V(2, PG(2,3))", check_shapes))
     return out
 
 
@@ -360,6 +430,8 @@ def suite_net_axiom() -> list[Verdict]:
 
 
 def suite_recovery() -> list[Verdict]:
+    out = []
+
     def check():
         report = recover_veronese(_reduct_pg33())
         ok = (report.ok and report.point_count == 820
@@ -369,12 +441,39 @@ def suite_recovery() -> list[Verdict]:
             "missing_lines": report.missing_lines,
             "extra_lines": report.extra_lines}
 
-    return [_verdict(
+    out.append(_verdict(
         "reduct-recovers-ambient",
         "proper points plus directions, completed truncated lines, plane "
         "traces and quadrangle-witnessed double lines reproduce all 820 "
         "points and 5330 lines exactly",
-        "V(2, PG(3,3)) minus the symplectic hyperplane", check)]
+        "V(2, PG(3,3)) minus the symplectic hyperplane", check))
+
+    def check_parallelism():
+        report = check_parallelism_reconstruction(_reduct_pg33())
+        counts = (report["same_leaf_checked"], report["cross_leaf_checked"],
+                  report["cross_leaf_completable"], report["declared_pairs"])
+        return report["sound"] and counts == (18720, 19440, 0, 0), None, report
+
+    out.append(_verdict(
+        "parallelism-reconstruction-pg33",
+        "from reduct data alone, all 18720 stored same-leaf parallel pairs are "
+        "Veblen-parallel; none of the 19440 stored cross-leaf parallel pairs "
+        "is completable, and the quadrangle index declares no pair",
+        "V(2, PG(3,3)) minus the symplectic hyperplane", check_parallelism))
+
+    def check_double_triples():
+        # the scan raises a falsification on a non-collinear triple
+        report = scan_declared_double_triples(_reduct_pg33())
+        ok = report == {"quadrangles_scanned": 59670, "triples_declared": 56160}
+        return ok, None, report
+
+    out.append(_verdict(
+        "declared-double-triples-pg33",
+        "over all 59670 proper quadrangles, each of the 56160 triples of "
+        "doubles named by the tops of the fresh crossings of an opposite "
+        "pair lies on one base line",
+        "V(2, PG(3,3)) minus the symplectic hyperplane", check_double_triples))
+    return out
 
 
 def suite_direction_taxonomy() -> list[Verdict]:
@@ -389,12 +488,22 @@ def suite_direction_taxonomy() -> list[Verdict]:
             "dichotomy": report.dichotomy_ok,
             "two_leaf_splits_in_two": splits_ok}
 
+    def check_maximal_strong():
+        report = verify_maximal_strong(_reduct_pg33())
+        ok = report["count"] == 40 and all(v for k, v in report.items() if k != "count")
+        return ok, None, report
+
     return [_verdict(
         "direction-taxonomy-pg33",
         "exactly 40 double-point directions (all class members pairwise "
         "Veblen-parallel) and 240 mixed directions, each splitting into "
         "exactly two Veblen subclasses",
-        "V(2, PG(3,3)) minus the symplectic hyperplane", check)]
+        "V(2, PG(3,3)) minus the symplectic hyperplane", check), _verdict(
+        "maximal-strong-are-leaf-reducts-pg33",
+        "the maximal strong subspaces are exactly the 40 leaf reducts: each "
+        "is strong and unextendable by a point, every line lies in one, and "
+        "a point adjacent to all of a line lies in that line's subspace",
+        "V(2, PG(3,3)) minus the symplectic hyperplane", check_maximal_strong)]
 
 
 def suite_alternating_level_k() -> list[Verdict]:
@@ -466,6 +575,26 @@ def suite_polar_pipeline() -> list[Verdict]:
         "shared lines) are exactly the leaves, before and after deleting "
         "the hyperplane",
         "V(2, W(3,3))", check_gamma))
+
+    def check_restriction():
+        P = _pg(2, 3)
+        on_line = verify_restriction_points(P, sorted(P.lines[0]), 2)
+        on_all = verify_restriction_points(P, P.points, 2)
+        return on_line and on_all, None, {"line": on_line, "whole_plane": on_all}
+
+    out.append(_verdict(
+        "veronese-restriction",
+        "the Veronese space over the restriction of the base to S is the "
+        "Veronese space restricted to the multisets over S, for S a line and "
+        "for S the whole plane",
+        "V(2, PG(2,3))", check_restriction))
+
+    out.append(_verdict(
+        "veronese-line-monotonicity",
+        "on one point set, a sub-family of base lines gives a sub-family of "
+        "Veronese blocks",
+        "V(2, W(3,3)) inside V(2, PG(3,3))",
+        lambda: (verify_line_monotonicity(_w33(), _pg(3, 3), 2), None, {})))
     return out
 
 
@@ -549,6 +678,25 @@ def suite_parallelism_appendix() -> list[Verdict]:
         "the direction count identity C(n+k-1,k) = n C(n+k-1,k-1) has no "
         "solution with k > 1",
         "arithmetic", check_identity))
+
+    def check_veblen_parallelism():
+        V = _vag(2, 3)
+        class_of = {b: key for key, members in leaf_preparallelism(V, _ag(2, 3)).items()
+                    for b in members}
+        pairs = list(itertools.combinations(range(len(V.structure.lines)), 2))
+        disagree = [(b1, b2) for b1, b2 in pairs
+                    if inc.veblen_parallel_lines(V.structure, b1, b2)
+                    != (class_of[b1] == class_of[b2])]
+        return not disagree, disagree[0] if disagree else None, {
+            "block_pairs": len(pairs), "classes": len(set(class_of.values())),
+            "parallel_pairs": sum(class_of[b1] == class_of[b2] for b1, b2 in pairs)}
+
+    out.append(_verdict(
+        "veblen-parallelism-is-leaf-preparallelism",
+        "two blocks are Veblen-parallel exactly when they lie in one leaf over "
+        "parallel base lines: the Veblen parallelism is the union of the "
+        "leaf parallelisms",
+        "V(2, AG(2,3))", check_veblen_parallelism))
     return out
 
 

@@ -52,8 +52,7 @@ class VeroneseSpace:
                 "base": self.base.to_json(), "structure": self.structure.to_json()}
 
 
-def build_veronese(base: IncidenceStructure, level: int,
-                   require_pls: bool = True) -> VeroneseSpace:
+def build_veronese(base: IncidenceStructure, level: int) -> VeroneseSpace:
     """Construct V(level, base); the base must be a PLS (floor >= 3).
 
     Blocks generated from different triples are merged by point-set
@@ -61,10 +60,9 @@ def build_veronese(base: IncidenceStructure, level: int,
     """
     if level < 1:
         raise ValueError("level must be at least 1")
-    if require_pls:
-        ok, witness = is_partial_linear(base)
-        if not ok:
-            raise ValueError(f"base is not a partial linear space: {witness}")
+    ok, witness = is_partial_linear(base)
+    if not ok:
+        raise ValueError(f"base is not a partial linear space: {witness}")
     n = base.point_count
     points = tuple(enumerate_multisets(n, level))
     index = {f: i for i, f in enumerate(points)}
@@ -89,10 +87,9 @@ def build_veronese(base: IncidenceStructure, level: int,
     structure = IncidenceStructure(len(points), blocks, labels=labels, sort_lines=False)
     V = VeroneseSpace(base, level, structure, points, index, provenance,
                       leaves, block_top)
-    if require_pls:
-        ok, witness = is_partial_linear(structure)
-        if not ok:
-            raise AssertionError(f"Veronese space failed the PLS check: {witness}")
+    ok, witness = is_partial_linear(structure)
+    if not ok:
+        raise AssertionError(f"Veronese space failed the PLS check: {witness}")
     return V
 
 
@@ -103,10 +100,6 @@ def parameters(v0: int, b0: int, r0: int, kappa0: int, k: int) -> tuple[int, int
     v = math.comb(v0 + k - 1, k)
     b = math.comb(v0 + k - 1, k - 1) * b0
     return (v, b, k * r0, kappa0)
-
-
-def leaf_count(v0: int, k: int) -> int:
-    return math.comb(v0 + k - 1, k - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -147,21 +140,6 @@ def _check_embedding(V: VeroneseSpace, target: VeroneseSpace, mapping: list[int]
 
 # ---------------------------------------------------------------------------
 # leaves and block tops
-
-
-def leaf_adjacency_test(V: VeroneseSpace, point: int, block_index: int) -> bool:
-    """A point adjacent to >= 3 points of a block must lie on its leaf.
-
-    Returns the truth of that implication for the given pair.
-    """
-    adj = V.structure.adjacency()
-    block = V.structure.lines[block_index]
-    close = sum(1 for q in block if q != point and q in adj[point])
-    if point in block:
-        close += 1
-    if close < 3:
-        return True
-    return point in V.leaves[V.block_top[block_index]]
 
 
 def check_leaf_covering(V: VeroneseSpace) -> tuple[bool, Optional[tuple]]:
@@ -233,8 +211,8 @@ def verify_restriction_points(base: IncidenceStructure, keep: Sequence[int],
     over keep, compared through the reindexing."""
     from .spaces import restriction
     sub, kept = restriction(base, keep)
-    V_sub = build_veronese(sub, k, require_pls=False)
-    V_full = build_veronese(base, k, require_pls=False)
+    V_sub = build_veronese(sub, k)
+    V_full = build_veronese(base, k)
 
     def lift(f: Multiset) -> Multiset:
         return Multiset(tuple(sorted((kept[q], m) for q, m in f.entries)))
@@ -258,7 +236,7 @@ def verify_line_monotonicity(smaller: IncidenceStructure,
         raise ValueError("structures must share their point set")
     if not set(smaller.lines) <= set(larger.lines):
         raise ValueError("line family is not contained in the larger one")
-    V_small = build_veronese(smaller, k, require_pls=False)
-    V_large = build_veronese(larger, k, require_pls=False)
+    V_small = build_veronese(smaller, k)
+    V_large = build_veronese(larger, k)
     large = set(V_large.structure.lines)
     return all(b in large for b in V_small.structure.lines)

@@ -1,0 +1,250 @@
+"""Reference implementations that only tests compare against: direct
+forms of notions the library decides another way, or no longer needs.
+is_nondegenerate_alternating is the oracle of VeroneseHyperplane.degenerate.
+"""
+
+from __future__ import annotations
+
+import itertools
+from typing import Sequence
+
+from verogeo import incidence as inc
+from verogeo.algebra import (AlternatingMultiForm, BilinearForm, QuadraticForm,
+                             Vector, is_alternating, normalize_vector,
+                             projective_points, vec_add, vec_scale)
+from verogeo.configs import FalsificationError
+from verogeo.hyperplanes import FULL
+from verogeo.incidence import (IncidenceStructure, strong_extensions,
+                               subspace_closure)
+from verogeo.multiset import Multiset, scale_point
+from verogeo.reduct import AffineReduct, visible_tops
+from verogeo.spaces import ParallelStructure
+from verogeo.veronese import VeroneseSpace
+
+DEGENERATE = "DEGENERATE"
+PLANE = "PLANE"
+
+
+def is_connected(G: IncidenceStructure) -> bool:
+    """Graph connectivity of the adjacency relation; isolated points disconnect."""
+    if G.point_count <= 1:
+        return True
+    adj = G.adjacency()
+    seen = {0}
+    stack = [0]
+    while stack:
+        a = stack.pop()
+        for b in adj[a]:
+            if b not in seen:
+                seen.add(b)
+                stack.append(b)
+    return len(seen) == G.point_count
+
+
+def maximal_strong_subspaces(G: IncidenceStructure) -> list[frozenset[int]]:
+    """All inclusion-maximal strong subspaces containing at least one line.
+
+    Grown from each line through every strong one-point extension; a state
+    with none is maximal.  Deterministic output order.
+    """
+    results: set[frozenset[int]] = set()
+    seen: set[frozenset[int]] = set()
+
+    def grow(X: frozenset[int]) -> None:
+        if X in seen:
+            return
+        seen.add(X)
+        extended = False
+        for Y in strong_extensions(G, X):
+            extended = True
+            grow(Y)
+        if not extended:
+            results.add(X)
+
+    for line in G.lines:
+        grow(subspace_closure(G, line))
+
+    maximal = [X for X in results
+               if not any(X < Y for Y in results if Y is not X)]
+    return sorted(maximal, key=lambda s: tuple(sorted(s)))
+
+
+def is_symmetric(xi: BilinearForm) -> bool:
+    M = xi.matrix
+    return all(M[i][j] == M[j][i] for i in range(xi.dim) for j in range(xi.dim))
+
+
+def is_reflexive(xi: BilinearForm) -> bool:
+    """Shape test: symmetric or alternating (valid in odd characteristic)."""
+    return is_symmetric(xi) or is_alternating(xi)
+
+
+def quadric_points(Q: QuadraticForm) -> list[Vector]:
+    return [v for v in projective_points(Q.dim, Q.p) if Q.evaluate(v) == 0]
+
+
+def is_nondegenerate_alternating(eta: AlternatingMultiForm,
+                                 points: Sequence[Vector]) -> bool:
+    """No point annihilates all completions: for every q some tuple with
+    first argument q evaluates nonzero."""
+    for q in points:
+        if not any(eta.evaluate((q,) + rest)
+                   for rest in itertools.combinations(points, eta.arity - 1)):
+            return False
+    return True
+
+
+def affine_plane_family(A: ParallelStructure, p: int) -> list[frozenset[int]]:
+    """Plane cosets of AG(n,p); the whole space when n = 2."""
+    G = A.base
+    pts = [G.labels[i] for i in range(G.point_count)]
+    n = len(pts[0])
+    if n < 2:
+        return []
+    if n == 2:
+        return [frozenset(range(G.point_count))]
+    index = {v: i for i, v in enumerate(pts)}
+    dirs = projective_points(n, p)
+    planes = set()
+    for a_i in range(len(dirs)):
+        for b_i in range(a_i + 1, len(dirs)):
+            d1, d2 = dirs[a_i], dirs[b_i]
+            span = set()
+            for s, t in itertools.product(range(p), repeat=2):
+                span.add(vec_add(vec_scale(s, d1, p), vec_scale(t, d2, p), p))
+            if len(span) != p * p:
+                continue
+            for base in pts:
+                planes.add(frozenset(index[vec_add(base, v, p)] for v in span))
+    return sorted(planes, key=lambda s: tuple(sorted(s)))
+
+
+def singular_plane_family(Q: QuadraticForm,
+                          G: IncidenceStructure) -> list[frozenset[int]]:
+    """Projective planes fully on the quadric, as point sets of G = PG.
+
+    Q is evaluated once per point of G.  Every point of a singular plane
+    through a singular line is joined to each point of that line by a
+    singular line, so only those common neighbours extend the line; a point
+    already on a singular plane through the line spans that plane again and
+    is skipped.
+    """
+    p = Q.p
+    pts = [G.labels[i] for i in range(G.point_count)]
+    index = {v: i for i, v in enumerate(pts)}
+    on_set = {i for i in range(G.point_count) if Q.evaluate(pts[i]) == 0}
+    planes = set()
+    sing_lines = [l for l in G.lines if l <= on_set]
+    collinear = IncidenceStructure(G.point_count, sing_lines,
+                                   sort_lines=False).adjacency()
+    for line in sing_lines:
+        rep = sorted(line)
+        u, v = pts[rep[0]], pts[rep[1]]
+        covered = set(line)
+        for w_idx in set.intersection(*(collinear[q] for q in line)):
+            if w_idx in covered:
+                continue
+            w = pts[w_idx]
+            plane = set()
+            ok = True
+            for a, b, c in itertools.product(range(p), repeat=3):
+                vec = tuple((a * x + b * y + c * z) % p for x, y, z in zip(u, v, w))
+                if not any(vec):
+                    continue
+                q = index[normalize_vector(vec, p)]
+                if q not in on_set:
+                    ok = False
+                    break
+                plane.add(q)
+            if ok and len(plane) > len(line):
+                planes.add(frozenset(plane))
+                covered |= plane
+    return sorted(planes, key=lambda s: tuple(sorted(s)))
+
+
+def leaf_adjacency_test(V: VeroneseSpace, point: int, block_index: int) -> bool:
+    """A point adjacent to >= 3 points of a block must lie on its leaf.
+
+    Returns the truth of that implication for the given pair.
+    """
+    adj = V.structure.adjacency()
+    block = V.structure.lines[block_index]
+    close = sum(1 for q in block if q != point and q in adj[point])
+    if point in block:
+        close += 1
+    if close < 3:
+        return True
+    return point in V.leaves[V.block_top[block_index]]
+
+
+def assemble_from_h(V: VeroneseSpace, h: dict[Multiset, object]) -> frozenset[int]:
+    pts: set[int] = set()
+    n = V.base.point_count
+    for e, val in h.items():
+        r = V.level - e.degree
+        base_pts = range(n) if val == FULL else val
+        pts.update(V.index[e + scale_point(r, x)] for x in base_pts)
+    return frozenset(pts)
+
+
+def l_transversal_from_h(V: VeroneseSpace, h: dict[Multiset, object]) -> frozenset[int]:
+    """Union of the leaf traces; every trace must be FULL or a base
+    hyperplane, and the result is verified l-transversal."""
+    for e, val in h.items():
+        if val == FULL:
+            continue
+        if not inc.is_hyperplane(V.base, val):
+            raise ValueError(f"trace at {e} is neither FULL nor a base hyperplane")
+    missing = set(V.leaf_keys()) - set(h)
+    if missing:
+        raise ValueError(f"h assigns no trace to leaves {sorted(map(str, missing))}")
+    pts = assemble_from_h(V, h)
+    if not inc.is_l_transversal(V.structure, pts):
+        raise FalsificationError("leaf-trace union failed to be l-transversal")
+    return pts
+
+
+def plane_from_triangle(A: AffineReduct, l1: int, l2: int, l3: int
+                        ) -> tuple[str, frozenset[int]]:
+    """Union of the parallels of l1 crossing both l2 and l3.
+
+    The three lines must form a triangle (pairwise crossing, vertices
+    distinct).  Under the side condition (the vertex opposite l1 is
+    adjacent to a point of l1 beyond the other two vertices) the union is
+    a plane of a leaf reduct; without it the union may collapse or spread
+    over several leaves, and is then tagged DEGENERATE.  A plane here
+    means: contained in one maximal strong subspace and generated as a
+    subspace by two of its crossing lines.
+    """
+    G = A.structure
+    e1 = G.lines[l2] & G.lines[l3]
+    e2 = G.lines[l1] & G.lines[l3]
+    e3 = G.lines[l1] & G.lines[l2]
+    if not (e1 and e2 and e3):
+        raise ValueError("the three lines do not pairwise cross")
+    e1, e2, e3 = next(iter(e1)), next(iter(e2)), next(iter(e3))
+    if len({e1, e2, e3}) != 3:
+        raise ValueError("degenerate triangle: concurrent lines")
+    class_of = A.class_of_line()
+    members = A.classes[class_of[l1]]
+    pts: set[int] = set()
+    for m in members:
+        lm = G.lines[m]
+        if lm & G.lines[l2] and lm & G.lines[l3]:
+            pts |= lm
+    pts = frozenset(pts)
+    top_of, subs = visible_tops(A)
+    if any(pts <= T for T in subs) and _two_generated(A, pts):
+        return PLANE, pts
+    return DEGENERATE, pts
+
+
+def _two_generated(A: AffineReduct, pts: frozenset[int]) -> bool:
+    """pts equals the subspace closure of two of its crossing lines."""
+    G = A.structure
+    for q in pts:
+        lis = [li for li in G.lines_through()[q] if G.lines[li] <= pts]
+        for la, lb in itertools.combinations(lis, 2):
+            if subspace_closure(G, G.lines[la] | G.lines[lb]) == pts:
+                return True
+    return False

@@ -35,7 +35,7 @@ def test_quadric_without_lines_rejected(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_full_pipeline(tmp_path):
+def test_full_pipeline(tmp_path, capsys):
     v = tmp_path / "v.json"
     h = tmp_path / "h.json"
     r = tmp_path / "r.json"
@@ -54,6 +54,9 @@ def test_full_pipeline(tmp_path):
     red = json.loads(r.read_text())
     assert len(red["proper_points"]) == 6
     assert len(red["lines"]) == 4
+    # this reduct does not determine its double horizon: a failed check
+    assert run(["recover", "--reduct", str(r)]) == 1
+    assert "recovery failed: no quadrangle witnesses" in capsys.readouterr().err
 
 
 def test_recover_on_pg33(tmp_path):
@@ -97,7 +100,8 @@ def test_verify_single_suite(tmp_path, capsys):
     rows = [json.loads(line) for line in captured.out.splitlines() if line]
     assert all(r["ok"] for r in rows)
     assert {r["claim"] for r in rows} == {
-        "construction-counts-fano", "construction-counts-pg23"}
+        "construction-counts-fano", "construction-counts-pg23",
+        "construction-leaves", "construction-embeddings"}
 
 
 def test_verify_net_axiom_on_reduct_space(tmp_path, capsys):
@@ -215,11 +219,26 @@ def degenerate_pg23_reduct(tmp_path):
 
 
 def test_recover_refuses_degenerate_hyperplane(tmp_path, capsys):
-    # the recovery must refuse a degenerate hyperplane with a diagnostic
+    # the recovery must refuse a degenerate hyperplane with a diagnostic,
+    # read from the hyperplane's points whatever flag the file stores
     r = degenerate_pg23_reduct(tmp_path)
-    rc = run(["recover", "--reduct", str(r)])
-    assert rc == 2
-    assert "nondegenerate" in capsys.readouterr().err
+    data = json.loads(r.read_text())
+    for flag in (True, False):
+        data["hyperplane"]["degenerate"] = flag
+        r.write_text(json.dumps(data))
+        assert run(["recover", "--reduct", str(r)]) == 2
+        assert "nondegenerate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["recover", "--reduct"], ["verify", "--suite", "net-axiom", "--space"]])
+def test_reduct_file_with_inconsistent_space_exits_2(tmp_path, capsys, command):
+    r = degenerate_pg23_reduct(tmp_path)
+    data = json.loads(r.read_text())
+    data["space"]["structure"]["lines"] = data["space"]["structure"]["lines"][:5]
+    r.write_text(json.dumps(data))
+    assert run(command + [str(r)]) == 2
+    assert "inconsistent" in capsys.readouterr().err
 
 
 def test_verify_net_axiom_on_degenerate_reduct(tmp_path, capsys):

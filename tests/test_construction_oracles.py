@@ -18,18 +18,20 @@ work and must return exactly the same results, in the same order.
 import itertools
 import random
 from math import comb
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from verogeo.algebra import (BilinearForm, QuadraticForm, _line_points,
-                             alternating_forms_up_to_scalar, is_reflexive,
-                             normalize_vector, nullspace, perp_rows,
-                             projective_points, standard_symplectic)
+                             alternating_forms_up_to_scalar, normalize_vector,
+                             nullspace, perp_rows, projective_points,
+                             standard_symplectic)
+from verogeo import configs
 from verogeo.configs import (QuadrangleFigure, ScanReport, _join,
                              check_parallelogram_completion, check_tamaschke,
                              find_quadrangles)
-from verogeo.hyperplanes import (FULL, VeroneseHyperplane, assemble_from_h,
+from verogeo.hyperplanes import (FULL, VeroneseHyperplane,
                                  enumerate_hyperplanes_level2, extract_h_function,
                                  hyperplane_from_symplectic, leaf_pencil,
                                  polar_hyperplane, vari1_construction,
@@ -37,9 +39,9 @@ from verogeo.hyperplanes import (FULL, VeroneseHyperplane, assemble_from_h,
 from verogeo.incidence import (IncidenceStructure, _close, enumerate_hyperplanes,
                                gamma_plane_classes, is_hyperplane,
                                is_hyperplane_mask, is_strong, is_subspace,
-                               maximal_strong_subspaces, subspace_closure)
+                               subspace_closure)
 from verogeo.multiset import EMPTY, Multiset, scale_point
-from verogeo.reduct import (_crosses_both, _plane_family, _two_line_quadrangle,
+from verogeo.reduct import (_crosses_both, _two_line_quadrangle,
                             build_reduct, net_violation_shape_on_base,
                             net_violation_witness,
                             reconstruct_parallel_pair, recover_horizon_leaf_lines,
@@ -47,9 +49,12 @@ from verogeo.reduct import (_crosses_both, _plane_family, _two_line_quadrangle,
                             veblen_subclass_map, visible_tops)
 from verogeo.spaces import (affine_space, polar_space_quadratic,
                             polar_space_symplectic, projective_plane_family,
-                            projective_space, singular_plane_family)
+                            projective_space)
 from verogeo.verify import _reduct_pg33, _symplectic_hyperplane_pg33, _vpg
 from verogeo.veronese import build_veronese
+
+from oracles import (assemble_from_h, is_reflexive, maximal_strong_subspaces,
+                     singular_plane_family)
 
 
 def _sorted_family(sets):
@@ -566,7 +571,7 @@ def plane_direction_trace(A, plane):
 
 def test_plane_direction_trace_matches_all_lines_scan():
     A = build_reduct(*pg33_symplectic())
-    planes = reduct_plane_family(A)
+    planes = reduct_plane_family(A)[0]
     assert len(planes) == 1560
     # in a plane or a leaf reduct every direction has a line through every
     # point; a plane short of a point, or two planes, are not like that
@@ -905,9 +910,9 @@ def scan_plane_family(A):
     lambda: seeded_symplectic_reduct(2)], ids=["J", "seed1", "seed2"])
 def test_plane_family_matches_scan_over_found_planes(instance):
     A = instance()
-    planes, traces, closures = _plane_family(A)
+    planes, traces, closures = reduct_plane_family(A)
     want, seeds = scan_plane_family(A)
-    assert planes == reduct_plane_family(A) == want
+    assert planes == want
     assert closures == len(seeds) == len(planes) == 1560
     assert traces == [plane_direction_trace(A, pl) for pl in planes]
     leaf_lines = recover_horizon_leaf_lines(A)
@@ -1051,10 +1056,11 @@ SCAN_CASES = st.one_of(
 def test_affine_scans_match_per_line_loops(case):
     G, class_of = case
     for budget in (200, G.point_count - 1):
-        assert (check_tamaschke(G, class_of, budget)
-                == tamaschke_per_line(G, class_of, budget))
-        assert (check_parallelogram_completion(G, class_of, budget)
-                == parallelogram_per_quadruple(G, class_of, budget))
+        with mock.patch.object(configs, "EXHAUSTIVE_POINT_BUDGET", budget):
+            assert (check_tamaschke(G, class_of)
+                    == tamaschke_per_line(G, class_of, budget))
+            assert (check_parallelogram_completion(G, class_of)
+                    == parallelogram_per_quadruple(G, class_of, budget))
 
 
 def test_affine_scans_on_pg33_reduct_match_per_line_loops():

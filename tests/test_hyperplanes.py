@@ -3,11 +3,12 @@ import pytest
 from verogeo.algebra import (BilinearForm, determinant_form,
                              standard_symplectic)
 from verogeo.configs import FalsificationError
-from verogeo.hyperplanes import (FULL, _base_prime, enumerate_hyperplanes_level2,
-                                 extract_h_function, hyperplane_from_alternating,
-                                 hyperplane_from_symplectic, l_transversal_from_h,
-                                 leaf_pencil, polar_hyperplane,
-                                 vari1_construction, verify_characterization)
+from verogeo.hyperplanes import (FULL, VeroneseHyperplane, _base_prime,
+                                 enumerate_hyperplanes_level2, extract_h_function,
+                                 hyperplane_from_alternating,
+                                 hyperplane_from_symplectic, leaf_pencil,
+                                 polar_hyperplane, vari1_construction,
+                                 verify_characterization)
 from verogeo.incidence import (enumerate_hyperplanes, is_hyperplane,
                                is_l_transversal, is_subspace)
 from verogeo.multiset import EMPTY, Multiset, scale_point
@@ -15,6 +16,8 @@ from verogeo.spaces import (affine_space, polar_space_quadratic,
                             polar_space_symplectic, projective_hyperplanes,
                             projective_space)
 from verogeo.veronese import build_veronese
+
+from oracles import is_nondegenerate_alternating, l_transversal_from_h
 
 
 def v2(n, p):
@@ -116,6 +119,8 @@ def test_l_transversal_from_h_constant_row():
     assert is_l_transversal(V.structure, pts)
     assert pts == leaf_pencil(V, h0)
     assert is_subspace(V.structure, pts)
+    # every point with a point of h0 in its support lies in the pencil
+    assert VeroneseHyperplane(V, pts, extract_h_function(V, pts)).degenerate
 
 
 def test_l_transversal_from_h_mixed_rows_not_subspace():
@@ -151,6 +156,7 @@ def test_alternating_level3_pg23():
     assert len(complement) == 234
     assert all(len(V.points[q].support()) == 3 for q in complement)
     assert not H.degenerate
+    assert is_nondegenerate_alternating(eta, [V.base.labels[x] for x in V.base.points])
 
 
 def test_alternating_level2_matches_symplectic():
@@ -195,7 +201,7 @@ def test_polar_hyperplane_rejects_empty_line_set():
     from verogeo.incidence import IncidenceStructure
     V = v2(1, 3)
     H = hyperplane_from_symplectic(V, BilinearForm(3, ((0, 1), (2, 0))))
-    bare = build_veronese(projective_space(1, 3), 2, require_pls=False)
+    bare = build_veronese(projective_space(1, 3), 2)
     bare.structure = IncidenceStructure(10, [])
     with pytest.raises(ValueError):
         polar_hyperplane(bare, H)

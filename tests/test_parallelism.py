@@ -5,9 +5,7 @@ import pytest
 from verogeo.incidence import IncidenceStructure
 from verogeo.parallelism import (check_euclid_failure, counting_identity_solutions,
                                  induced_relation, leaf_preparallelism,
-                                 related_by_definition,
-                                 search_leaf_closed_parallelism,
-                                 veblen_parallel_dual_route)
+                                 search_leaf_closed_parallelism)
 from verogeo.multiset import EMPTY
 from verogeo.spaces import affine_space
 from verogeo.veronese import build_veronese
@@ -20,7 +18,7 @@ def v2_ag23():
 
 def v2_ag13():
     A = affine_space(1, 3)
-    return build_veronese(A.base, 2, require_pls=True), A
+    return build_veronese(A.base, 2), A
 
 
 def test_induced_relation_classes():
@@ -33,18 +31,18 @@ def test_induced_relation_classes():
 
 
 def test_induced_relation_is_equivalence():
-    V, A = v2_ag13()
+    # the classes partition the blocks, and two blocks share a class
+    # exactly when some generating base lines of theirs are parallel
+    V, A = v2_ag23()
     classes = induced_relation(V, A)
-    # reflexive / symmetric / transitive via the pairwise definition
-    blocks = range(len(V.structure.lines))
-    for b in blocks:
-        assert related_by_definition(V, A, b, b)
-    for b1, b2 in itertools.combinations(blocks, 2):
-        assert (related_by_definition(V, A, b1, b2)
-                == related_by_definition(V, A, b2, b1))
-    for b1, b2, b3 in itertools.permutations(blocks, 3):
-        if related_by_definition(V, A, b1, b2) and related_by_definition(V, A, b2, b3):
-            assert related_by_definition(V, A, b1, b3)
+    class_of = {b: ci for ci, members in classes.items() for b in members}
+    assert sorted(class_of) == list(range(len(V.structure.lines)))
+    parallel = A.class_of()
+    lines = A.base.line_index()
+    directions = [{parallel[lines[V.base.lines[li]]] for _, li in V.provenance[b]}
+                  for b in range(len(V.structure.lines))]
+    for b1, b2 in itertools.combinations(range(len(V.structure.lines)), 2):
+        assert (class_of[b1] == class_of[b2]) == bool(directions[b1] & directions[b2])
 
 
 def test_translate_and_double_of_one_line_related():
@@ -110,31 +108,6 @@ def test_counting_identity_no_solutions_for_k_at_least_2():
     # k = 1 always solves it
     assert counting_identity_solutions(range(2, 10), [1]) == [
         (n, 1) for n in range(2, 10)]
-
-
-def test_veblen_parallel_dual_route():
-    V, A = v2_ag23()
-    classes = induced_relation(V, A)
-    # same leaf, parallel base lines -> parallel by both routes
-    pre = leaf_preparallelism(V, A)
-    some_class = next(m for m in pre.values() if len(m) >= 2)
-    assert veblen_parallel_dual_route(V, A, some_class[0], some_class[1])
-    # blocks in different leaves -> false by both routes
-    e_keys = {V.block_top[b]: b for b in range(len(V.structure.lines))}
-    two = list(e_keys.values())[:2]
-    b1, b2 = two
-    if not (V.structure.lines[b1] & V.structure.lines[b2]):
-        assert not veblen_parallel_dual_route(V, A, b1, b2)
-    # reflexivity
-    assert veblen_parallel_dual_route(V, A, 0, 0)
-
-
-def test_veblen_dual_route_exhaustive_sample():
-    V, A = v2_ag23()
-    blocks = len(V.structure.lines)
-    for b1 in range(0, blocks, 7):
-        for b2 in range(b1, blocks, 11):
-            veblen_parallel_dual_route(V, A, b1, b2)  # raises on mismatch
 
 
 def test_leaf_preparallelism_is_preparallelism():

@@ -4,22 +4,19 @@ import pytest
 
 from verogeo.algebra import BilinearForm, standard_symplectic
 from verogeo.hyperplanes import hyperplane_from_symplectic
-from verogeo.incidence import is_connected
 from verogeo.multiset import EMPTY, Multiset
-from verogeo.reduct import (ONE_LEAF, TWO_LEAF, DEGENERATE, PLANE,
-                            AffineReduct, scan_declared_double_triples,
-                            RecoveryError, build_reduct,
-                            check_classes_disjoint,
+from verogeo.reduct import (AffineReduct, RecoveryError, build_reduct,
                             check_parallelism_reconstruction,
                             classify_directions, net_violation_witness,
-                            plane_from_triangle, reconstruct_parallel_pair,
+                            reconstruct_parallel_pair,
                             recover_horizon_double_lines,
                             recover_horizon_leaf_lines, recover_veronese,
-                            reduct_plane_family, veblen_parallel,
-                            verify_maximal_strong, visible_tops)
-from verogeo.spaces import projective_space
+                            reduct_plane_family, veblen_parallel, visible_tops)
+from verogeo.spaces import ParallelStructure, projective_space
 from verogeo.verify import _reduct_pg33
 from verogeo.veronese import build_veronese
+
+from oracles import DEGENERATE, PLANE, is_connected, plane_from_triangle
 
 
 def pg13_reduct():
@@ -42,7 +39,8 @@ def test_pg13_reduct_shape():
     # four singleton classes: the leaf lines meet the double leaf in 2x
     assert len(A.classes) == 4
     assert all(len(m) == 1 for m in A.classes.values())
-    assert check_classes_disjoint(A)
+    classes = ParallelStructure(A.structure, tuple(A.classes.values()))
+    assert classes.check_preparallelism()[0]
     assert is_connected(A.structure)
 
 
@@ -85,15 +83,6 @@ def test_visible_tops_match_ambient_leaves():
         amb_leaf = V.leaves[V.block_top[t.parent]]
         kept = frozenset(A.red_of[q] for q in amb_leaf - H.points)
         assert subs[top_of[li]] == kept
-
-
-def test_maximal_strong_subspaces_of_reduct():
-    A = pg33_reduct()
-    report = verify_maximal_strong(A)
-    assert all(report[k] for k in ("sets_match_leaf_reducts", "all_strong",
-                                   "all_maximal", "every_line_covered",
-                                   "adjacency_pins_leaf"))
-    assert report["count"] == 40
 
 
 def test_classify_directions_is_cached_on_the_reduct():
@@ -206,7 +195,7 @@ def test_non_triangle_rejected():
 
 def test_reduct_plane_family_pg33():
     A = pg33_reduct()
-    planes = reduct_plane_family(A)
+    planes = reduct_plane_family(A)[0]
     assert len(planes) == 40 * 39
     assert all(len(pl) == 9 for pl in planes)
 
@@ -331,17 +320,6 @@ def test_net_violation_found_on_degenerate_pg25_reduct():
     assert witness["ambient_meet"] in A.hyperplane.points
 
 
-def test_parallelism_reconstruction_exhaustive():
-    # every same-leaf parallel pair reconstructs via the Veblen formula;
-    # over GF(3) no cross-leaf pair is completable and the quadrangle
-    # index declares no pair
-    report = check_parallelism_reconstruction(pg33_reduct())
-    assert report == {
-        "same_leaf_checked": 18720, "same_leaf_agree": 18720,
-        "cross_leaf_checked": 19440, "cross_leaf_completable": 0,
-        "declared_pairs": 0, "declared_parallel": 0, "sound": True}
-
-
 class _BlindLine:
     """A truncated line whose ambient parent cannot be read."""
 
@@ -425,11 +403,6 @@ def test_pg13_reduct_isomorphic_to_ag13_veronese():
         for i in range(4):
             for j in range(i + 1, 4):
                 assert len(G.lines[i] & G.lines[j]) == 1
-
-
-def test_scan_declared_double_triples_sound():
-    report = scan_declared_double_triples(pg33_reduct())
-    assert report == {"quadrangles_scanned": 59670, "triples_declared": 56160}
 
 
 def test_reduct_not_a_veronese_product_by_counting():

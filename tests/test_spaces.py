@@ -3,13 +3,14 @@ import itertools
 import pytest
 
 from verogeo.algebra import QuadraticForm, standard_symplectic
-from verogeo.incidence import (is_connected, is_hyperplane, is_partial_linear,
-                               is_strong, maximal_strong_subspaces)
-from verogeo.spaces import (affine_plane_family, affine_reduct_of,
-                            affine_space, polar_space_quadratic,
+from verogeo.incidence import is_hyperplane, is_partial_linear
+from verogeo.spaces import (affine_reduct_of, affine_space, polar_space_quadratic,
                             polar_space_symplectic, projective_hyperplanes,
                             projective_plane_family, projective_space,
-                            restriction, singular_plane_family)
+                            restriction)
+
+from oracles import (affine_plane_family, is_connected, maximal_strong_subspaces,
+                     singular_plane_family)
 
 HYPERBOLIC = QuadraticForm(3, ((0, 1, 0, 0), (0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 0, 0)))
 
