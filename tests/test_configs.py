@@ -1,7 +1,8 @@
 import pytest
 
-from verogeo.configs import (BASE_EMBEDDED, FOUR_POINT_TRANSLATE,
-                             THREE_LINE_TYPE, THREE_POINT_WITH_2M, TWO_LINE_TYPE,
+from verogeo.configs import (BASE_EMBEDDED, CROSS_DOUBLE_OR_MEET_TRANSLATE,
+                             CROSS_POINT_JOIN, CROSS_TRANSLATE_OF_JOIN,
+                             FOUR_POINT_TRANSLATE, THREE_LINE_TYPE, THREE_POINT_WITH_2M, TWO_LINE_TYPE,
                              UNCLASSIFIABLE, FalsificationError, check_net_axiom,
                              check_parallelogram_completion, check_tamaschke,
                              classify_all_veblen, classify_crossing_line,
@@ -90,6 +91,19 @@ def test_quadrangle_classification_exhaustive_v2_pg13():
     assert found[THREE_LINE_TYPE] > 0
 
 
+def test_quadrangle_vertices_match_shapes():
+    V = build_veronese(projective_space(2, 3), 2)
+    tops = tops_list(V)
+    seen = set()
+    for q in find_quadrangles(V.structure, tops):
+        tag = classify_proper_quadrangle(V, q)
+        assert tag in (TWO_LINE_TYPE, THREE_LINE_TYPE)
+        seen.add(tag)
+        if len(seen) == 2:
+            break
+    assert seen == {TWO_LINE_TYPE, THREE_LINE_TYPE}
+
+
 def test_crossing_line_classification_exhaustive_small():
     V = build_veronese(projective_space(1, 3), 2)
     tops = tops_list(V)
@@ -104,6 +118,31 @@ def test_crossing_line_classification_exhaustive_small():
                 assert tag != UNCLASSIFIABLE
                 checked += 1
     assert checked > 0
+
+
+def test_crossing_line_classification_exhaustive_pg23():
+    # every crossing line of every opposite pair of every proper
+    # quadrangle classifies; all three shapes occur
+    V = build_veronese(projective_space(2, 3), 2)
+    tops = tops_list(V)
+    cross = V.structure.crossing()
+    seen = set()
+    quadrangles = 0
+    crossings = 0
+    for q in find_quadrangles(V.structure, tops):
+        quadrangles += 1
+        for (a, b) in q.opposite_pairs:
+            for k in sorted(cross[a] & cross[b]):
+                if V.block_top[k] in (V.block_top[a], V.block_top[b]):
+                    continue
+                tag = classify_crossing_line(V, a, b, k)
+                assert tag != UNCLASSIFIABLE, (q, a, b, k)
+                crossings += 1
+                seen.add(tag)
+    assert quadrangles == 3003
+    assert crossings == 20826
+    assert seen == {CROSS_TRANSLATE_OF_JOIN, CROSS_POINT_JOIN,
+                    CROSS_DOUBLE_OR_MEET_TRANSLATE}
 
 
 def test_net_axiom_tiny_instance():

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from verogeo.incidence import IncidenceStructure
+from verogeo.incidence import IncidenceStructure, veblen_parallel_lines
 from verogeo.parallelism import (check_euclid_failure, counting_identity_solutions,
                                  induced_relation, leaf_preparallelism,
                                  search_leaf_closed_parallelism)
@@ -108,6 +108,38 @@ def test_counting_identity_no_solutions_for_k_at_least_2():
     # k = 1 always solves it
     assert counting_identity_solutions(range(2, 10), [1]) == [
         (n, 1) for n in range(2, 10)]
+
+
+def veblen_parallel_dual_route(V, A, b1, b2):
+    """Veblen parallelism of two blocks by the coplanarity formula,
+    asserted equal to sharing a class of the leaf preparallelism."""
+    formula = veblen_parallel_lines(V.structure, b1, b2)
+    shape = any(b1 in m and b2 in m for m in leaf_preparallelism(V, A).values())
+    assert formula == shape, (b1, b2, formula, shape)
+    return formula
+
+
+def test_veblen_parallel_dual_route():
+    V, A = v2_ag23()
+    # same leaf, parallel base lines -> parallel by both routes
+    pre = leaf_preparallelism(V, A)
+    some_class = next(m for m in pre.values() if len(m) >= 2)
+    assert veblen_parallel_dual_route(V, A, some_class[0], some_class[1])
+    # blocks in different leaves -> false by both routes
+    e_keys = {V.block_top[b]: b for b in range(len(V.structure.lines))}
+    b1, b2 = list(e_keys.values())[:2]
+    if not (V.structure.lines[b1] & V.structure.lines[b2]):
+        assert not veblen_parallel_dual_route(V, A, b1, b2)
+    # reflexivity
+    assert veblen_parallel_dual_route(V, A, 0, 0)
+
+
+def test_veblen_dual_route_exhaustive_sample():
+    V, A = v2_ag23()
+    blocks = len(V.structure.lines)
+    for b1 in range(0, blocks, 7):
+        for b2 in range(b1, blocks, 11):
+            veblen_parallel_dual_route(V, A, b1, b2)  # asserts agreement
 
 
 def test_leaf_preparallelism_is_preparallelism():

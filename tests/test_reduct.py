@@ -11,7 +11,9 @@ from verogeo.reduct import (AffineReduct, RecoveryError, build_reduct,
                             reconstruct_parallel_pair,
                             recover_horizon_double_lines,
                             recover_horizon_leaf_lines, recover_veronese,
-                            reduct_plane_family, veblen_parallel, visible_tops)
+                            reduct_plane_family, scan_declared_double_triples,
+                            veblen_parallel, verify_maximal_strong,
+                            visible_tops)
 from verogeo.spaces import ParallelStructure, projective_space
 from verogeo.verify import _reduct_pg33
 from verogeo.veronese import build_veronese
@@ -83,6 +85,15 @@ def test_visible_tops_match_ambient_leaves():
         amb_leaf = V.leaves[V.block_top[t.parent]]
         kept = frozenset(A.red_of[q] for q in amb_leaf - H.points)
         assert subs[top_of[li]] == kept
+
+
+def test_maximal_strong_subspaces_of_reduct():
+    A = pg33_reduct()
+    report = verify_maximal_strong(A)
+    assert all(report[k] for k in ("sets_match_leaf_reducts", "all_strong",
+                                   "all_maximal", "every_line_covered",
+                                   "adjacency_pins_leaf"))
+    assert report["count"] == 40
 
 
 def test_classify_directions_is_cached_on_the_reduct():
@@ -320,6 +331,17 @@ def test_net_violation_found_on_degenerate_pg25_reduct():
     assert witness["ambient_meet"] in A.hyperplane.points
 
 
+def test_parallelism_reconstruction_exhaustive():
+    # every same-leaf parallel pair reconstructs via the Veblen formula;
+    # over GF(3) no cross-leaf pair is completable and the quadrangle
+    # index declares no pair
+    report = check_parallelism_reconstruction(pg33_reduct())
+    assert report == {
+        "same_leaf_checked": 18720, "same_leaf_agree": 18720,
+        "cross_leaf_checked": 19440, "cross_leaf_completable": 0,
+        "declared_pairs": 0, "declared_parallel": 0, "sound": True}
+
+
 class _BlindLine:
     """A truncated line whose ambient parent cannot be read."""
 
@@ -403,6 +425,11 @@ def test_pg13_reduct_isomorphic_to_ag13_veronese():
         for i in range(4):
             for j in range(i + 1, 4):
                 assert len(G.lines[i] & G.lines[j]) == 1
+
+
+def test_scan_declared_double_triples_sound():
+    report = scan_declared_double_triples(pg33_reduct())
+    assert report == {"quadrangles_scanned": 59670, "triples_declared": 56160}
 
 
 def test_reduct_not_a_veronese_product_by_counting():

@@ -3,10 +3,14 @@ import math
 import pytest
 
 from verogeo.incidence import is_partial_linear
-from verogeo.multiset import EMPTY
-from verogeo.spaces import projective_space
-from verogeo.veronese import (build_veronese, leaf_plane_family, leaf_substructure,
-                              parameters, tau_embedding)
+from verogeo.multiset import EMPTY, scale_point
+from verogeo.spaces import polar_space_symplectic, projective_space
+from verogeo.algebra import standard_symplectic
+from verogeo.veronese import (build_veronese, check_leaf_covering,
+                              check_leaf_isomorphism, leaf_plane_family,
+                              leaf_substructure, mu_embedding, parameters,
+                              tau_embedding, verify_line_monotonicity,
+                              verify_restriction_points)
 
 from oracles import leaf_adjacency_test
 
@@ -61,6 +65,16 @@ def test_non_pls_base_rejected():
         build_veronese(IncidenceStructure(3, [[0, 1]]), 2)
 
 
+def test_mu_embedding_level1_to_2():
+    V1 = build_veronese(fano(), 1)
+    target, mapping = mu_embedding(V1, 2)
+    doubles = target.leaves[EMPTY]
+    assert frozenset(mapping) == doubles
+    for line in fano().lines:
+        image = frozenset(mapping[V1.index[scale_point(1, x)]] for x in line)
+        assert image in set(target.structure.lines)
+
+
 def test_tau_embedding():
     # the empty translate is the identity (the battery checks one onto a leaf)
     V = build_veronese(projective_space(1, 3), 1)
@@ -87,6 +101,15 @@ def test_leaf_adjacency_exhaustive_small():
             assert leaf_adjacency_test(V, q, bi)
 
 
+def test_leaf_covering_and_isomorphism():
+    for V in (build_veronese(fano(), 2),
+              build_veronese(projective_space(1, 3), 3)):
+        ok, witness = check_leaf_covering(V)
+        assert ok, witness
+        for e in V.leaf_keys():
+            assert check_leaf_isomorphism(V, e)
+
+
 def test_pls_preserved():
     for V in (build_veronese(fano(), 2),
               build_veronese(projective_space(1, 3), 3),
@@ -99,6 +122,19 @@ def test_leaf_count_formula():
     # one leaf per multiset of degree below k: C(v0 + k - 1, k - 1)
     V = build_veronese(fano(), 2)
     assert len(V.leaves) == math.comb(7 + 2 - 1, 2 - 1) == 8
+
+
+def test_restriction_compatibility_line_of_pg23():
+    P = projective_space(2, 3)
+    keep = sorted(P.lines[0])
+    assert verify_restriction_points(P, keep, 2)
+    assert verify_restriction_points(P, range(P.point_count), 2)
+
+
+def test_line_monotonicity_polar_in_projective():
+    P = projective_space(3, 3)
+    W = polar_space_symplectic(standard_symplectic(4, 3))
+    assert verify_line_monotonicity(W, P, 2)
 
 
 def test_leaf_plane_family_v2_pg33():
