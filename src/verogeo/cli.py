@@ -4,8 +4,8 @@ emit machine-readable reports.
 Exit codes: 0 when every requested check passes, 1 when a check fails
 (the report names the claim and carries the witness; a falsification or
 a reduct that does not determine its ambient space is named on stderr),
-2 for usage or capacity errors.  Reports are byte-identical across runs
-on equal inputs.
+2 for usage or capacity errors.  Reports on equal inputs are identical
+across runs once each verdict's runtime_s is dropped.
 """
 
 from __future__ import annotations

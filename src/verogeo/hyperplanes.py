@@ -24,6 +24,7 @@ checked honestly against the hyperplane definition.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 from . import incidence as inc
@@ -45,7 +46,7 @@ class VeroneseHyperplane:
     h_function: dict[Multiset, object]  # leaf key -> frozenset of base points or FULL
     source: str = ""
 
-    @property
+    @cached_property
     def degenerate(self) -> bool:
         """Some base point x has every point with x in its support inside
         H; at level 2 that says the trace kappa(x) is the whole base."""
@@ -66,13 +67,11 @@ class VeroneseHyperplane:
 def extract_h_function(V: VeroneseSpace, H: Sequence[int]) -> dict[Multiset, object]:
     """Leaf traces h(e) = {x : e + (k-|e|)x in H}, FULL when the whole base."""
     H = frozenset(H)
-    n = V.base.point_count
     out: dict[Multiset, object] = {}
     for e in V.leaf_keys():
-        r = V.level - e.degree
-        trace = frozenset(x for x in range(n)
-                          if V.index[e + scale_point(r, x)] in H)
-        out[e] = FULL if len(trace) == n else trace
+        row = V.leaf_points[e]
+        trace = frozenset(x for x, q in enumerate(row) if q in H)
+        out[e] = FULL if len(trace) == len(row) else trace
     return out
 
 
@@ -300,10 +299,10 @@ def leaf_pencil(V: VeroneseSpace, base_hyperplane: frozenset[int]) -> frozenset[
     return frozenset(pts)
 
 
-def verify_characterization(V: VeroneseSpace, mode: str = "auto"
-                            ) -> CharacterizationReport:
+def verify_characterization(V: VeroneseSpace, mode: str) -> CharacterizationReport:
     """Compare exhaustively enumerated hyperplanes with the symplectic family.
 
+    mode is "scan" (incidence.enumerate_hyperplanes on V) or "leaf-trace".
     The symplectic side ranges over all nonzero alternating forms up to
     scalar (degenerate ones included).  Each is verified to be a
     hyperplane, so the containment direction is checked rather than
@@ -320,8 +319,6 @@ def verify_characterization(V: VeroneseSpace, mode: str = "auto"
     constructed = sorted(set(constructed), key=lambda s: tuple(sorted(s)))
 
     base_hyps = inc.enumerate_hyperplanes(V.base)
-    if mode == "auto":
-        mode = "scan" if V.structure.point_count <= inc.MAX_SCAN_POINTS else "leaf-trace"
     if mode == "scan":
         enumerated = inc.enumerate_hyperplanes(V.structure)
     elif mode == "leaf-trace":

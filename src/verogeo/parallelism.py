@@ -127,7 +127,6 @@ def search_leaf_closed_parallelism(V: VeroneseSpace,
     per_class = n_points // kappa
 
     leaf_of_block = {bi: V.block_top[bi] for bi in range(n_blocks)}
-    leaf_points = V.leaves
 
     trace = hashlib.sha256()
     nodes = 0
@@ -140,10 +139,10 @@ def search_leaf_closed_parallelism(V: VeroneseSpace,
         # sharing a point would need the block through that point inside
         # both leaves at once; so tops must be equal or point-disjoint
         new_top = leaf_of_block[bi]
-        new_leaf = leaf_points[new_top]
+        new_leaf = V.leaves[new_top]
         for bj in members:
             top = leaf_of_block[bj]
-            if top != new_top and leaf_points[top] & new_leaf:
+            if top != new_top and V.leaves[top] & new_leaf:
                 return False
         return True
 
@@ -156,7 +155,7 @@ def search_leaf_closed_parallelism(V: VeroneseSpace,
             covered = set()
             for bi in group:
                 covered |= blocks[bi]
-            if covered != set(leaf_points[e]):
+            if covered != set(V.leaves[e]):
                 return False
         return True
 

@@ -119,13 +119,18 @@ def _ag(n, p):
 
 
 @lru_cache(maxsize=None)
-def _vag(n, p, level=2):
-    return build_veronese(_ag(n, p).base, level)
+def _vag(n, p):
+    return build_veronese(_ag(n, p).base, 2)
 
 
 @lru_cache(maxsize=None)
 def _w33():
     return polar_space_symplectic(standard_symplectic(4, 3))
+
+
+@lru_cache(maxsize=None)
+def _vw33():
+    return build_veronese(_w33(), 2)
 
 
 @lru_cache(maxsize=None)
@@ -508,7 +513,7 @@ def suite_direction_taxonomy() -> list[Verdict]:
 
 def suite_alternating_level_k() -> list[Verdict]:
     def check():
-        V = build_veronese(_pg(2, 3), 3)
+        V = _vpg(2, 3, 3)
         H = hyperplane_from_alternating(V, determinant_form(3, 3))
         complement = set(range(len(V.points))) - H.points
         supports_ok = all(len(V.points[q].support()) == 3 for q in complement)
@@ -541,7 +546,7 @@ def suite_polar_pipeline() -> list[Verdict]:
         "W(3,3)", check_w33))
 
     def check_intersection():
-        VW = build_veronese(_w33(), 2)
+        VW = _vw33()
         H = _symplectic_hyperplane_pg33()
         pts = polar_hyperplane(VW, H)
         return (inc.is_hyperplane(VW.structure, pts), None,
@@ -554,7 +559,7 @@ def suite_polar_pipeline() -> list[Verdict]:
         "V(2, W(3,3))", check_intersection))
 
     def check_gamma():
-        VW = build_veronese(_w33(), 2)
+        VW = _vw33()
         planes = leaf_plane_family(VW, projective_plane_family(_pg(3, 3), 3))
         leaves = set(VW.leaves.values())
         ok_full = gamma_matches_leaves(VW.structure, planes, leaves)
@@ -577,9 +582,9 @@ def suite_polar_pipeline() -> list[Verdict]:
         "V(2, W(3,3))", check_gamma))
 
     def check_restriction():
-        P = _pg(2, 3)
-        on_line = verify_restriction_points(P, sorted(P.lines[0]), 2)
-        on_all = verify_restriction_points(P, P.points, 2)
+        V = _vpg(2, 3)
+        on_line = verify_restriction_points(V, sorted(V.base.lines[0]))
+        on_all = verify_restriction_points(V, V.base.points)
         return on_line and on_all, None, {"line": on_line, "whole_plane": on_all}
 
     out.append(_verdict(
@@ -594,7 +599,7 @@ def suite_polar_pipeline() -> list[Verdict]:
         "on one point set, a sub-family of base lines gives a sub-family of "
         "Veronese blocks",
         "V(2, W(3,3)) inside V(2, PG(3,3))",
-        lambda: (verify_line_monotonicity(_w33(), _pg(3, 3), 2), None, {})))
+        lambda: (verify_line_monotonicity(_vw33(), _vpg(3, 3)), None, {})))
     return out
 
 

@@ -6,8 +6,10 @@ there is a block {e + r*x : x in B}.  The leaf of e is e + (k-|e|)*S, a
 copy of the base; exactly k leaves pass through each point, and two
 distinct leaves share at most one point.
 
-Blocks are materialized as point-index sets; a provenance table records
-every generating triple (e, r, base line), which powers the configuration
+The leaf table leaf_points[e][x] is the index of e + (k-|e|)*x, the one
+place where multisets are added; blocks, leaves, the pair table, leaf
+planes and leaf traces read its rows.  A provenance table records every
+generating triple (e, r, base line), which powers the configuration
 classification without re-deriving decompositions.
 """
 
@@ -34,18 +36,18 @@ class VeroneseSpace:
     provenance: dict[int, tuple[tuple[Multiset, int], ...]]
     leaves: dict[Multiset, frozenset[int]]
     block_top: dict[int, Multiset]
+    # leaf key e -> row whose x-th entry is the index of e + (k-|e|)*x
+    leaf_points: dict[Multiset, list[int]]
 
     def leaf_keys(self) -> list[Multiset]:
         return sorted(self.leaves, key=lambda e: e.sort_key())
 
     @cached_property
     def pair(self) -> list[list[int]]:
-        """pair[x][y]: index of the level-2 point x + y, built on first use."""
+        """pair[x][y]: index of the level-2 point x + y, the row of the leaf of x."""
         if self.level != 2:
             raise ValueError("the pair table is defined at level 2 only")
-        n = self.base.point_count
-        return [[self.index[Multiset.from_expansion([x, y])] for y in range(n)]
-                for x in range(n)]
+        return [self.leaf_points[scale_point(1, x)] for x in range(self.base.point_count)]
 
     def to_json(self) -> dict:
         return {"kind": "veronese", "level": self.level,
@@ -67,26 +69,23 @@ def build_veronese(base: IncidenceStructure, level: int) -> VeroneseSpace:
     points = tuple(enumerate_multisets(n, level))
     index = {f: i for i, f in enumerate(points)}
 
+    leaf_points = {e: [index[e + scale_point(level - e.degree, x)] for x in range(n)]
+                   for e in enumerate_lower_multisets(n, level)}
+
+    # generators in order of r = 1..level; sorted() is stable within a degree
     raw: dict[frozenset[int], list[tuple[Multiset, int]]] = {}
-    for r in range(1, level + 1):
-        for e in enumerate_multisets(n, level - r):
-            for li, line in enumerate(base.lines):
-                block = frozenset(index[e + scale_point(r, x)] for x in sorted(line))
-                raw.setdefault(block, []).append((e, li))
+    for e, row in sorted(leaf_points.items(), key=lambda item: -item[0].degree):
+        for li, line in enumerate(base.lines):
+            raw.setdefault(frozenset(row[x] for x in sorted(line)), []).append((e, li))
     blocks = sorted(raw, key=lambda b: tuple(sorted(b)))
     provenance = {bi: tuple(raw[b]) for bi, b in enumerate(blocks)}
-
-    leaves: dict[Multiset, frozenset[int]] = {}
-    for e in enumerate_lower_multisets(n, level):
-        r = level - e.degree
-        leaves[e] = frozenset(index[e + scale_point(r, x)] for x in range(n))
-
     block_top = {bi: provenance[bi][0][0] for bi in provenance}
+    leaves = {e: frozenset(row) for e, row in leaf_points.items()}
 
     labels = {i: f for i, f in enumerate(points)}
     structure = IncidenceStructure(len(points), blocks, labels=labels, sort_lines=False)
     V = VeroneseSpace(base, level, structure, points, index, provenance,
-                      leaves, block_top)
+                      leaves, block_top, leaf_points)
     ok, witness = is_partial_linear(structure)
     if not ok:
         raise AssertionError(f"Veronese space failed the PLS check: {witness}")
@@ -165,22 +164,14 @@ def leaf_substructure(V: VeroneseSpace, e: Multiset) -> IncidenceStructure:
     Isomorphic to the base under x -> e + (k-|e|)*x; the blocks inside the
     leaf are exactly those with top e.
     """
-    r = V.level - e.degree
+    back = {q: x for x, q in enumerate(V.leaf_points[e])}
     lines = []
     for bi, top in V.block_top.items():
         if top == e:
             block = V.structure.lines[bi]
-            back = []
-            for q in block:
-                f = V.points[q]
-                # recover x from f = e + r*x
-                diff = {pt: f.multiplicity(pt) - e.multiplicity(pt)
-                        for pt in f.support() | e.support()}
-                nonzero = {pt: m for pt, m in diff.items() if m}
-                if len(nonzero) != 1 or list(nonzero.values())[0] != r:
-                    raise AssertionError("block point is not a leaf translate")
-                back.append(next(iter(nonzero)))
-            lines.append(frozenset(back))
+            if not block <= back.keys():
+                raise AssertionError("block point is not a leaf translate")
+            lines.append(frozenset(back[q] for q in block))
     return IncidenceStructure(V.base.point_count, lines)
 
 
@@ -193,11 +184,8 @@ def check_leaf_isomorphism(V: VeroneseSpace, e: Multiset) -> bool:
 def leaf_plane_family(V: VeroneseSpace,
                       base_planes: Sequence[frozenset[int]]) -> list[frozenset[int]]:
     """Planes of V inside leaves: e + (k-|e|)*P for base planes P."""
-    planes = set()
-    for e in V.leaves:
-        r = V.level - e.degree
-        for P in base_planes:
-            planes.add(frozenset(V.index[e + scale_point(r, x)] for x in P))
+    planes = {frozenset(row[x] for x in P)
+              for row in V.leaf_points.values() for P in base_planes}
     return sorted(planes, key=lambda s: tuple(sorted(s)))
 
 
@@ -205,14 +193,12 @@ def leaf_plane_family(V: VeroneseSpace,
 # restriction compatibility
 
 
-def verify_restriction_points(base: IncidenceStructure, keep: Sequence[int],
-                              k: int) -> bool:
-    """V(k, base[keep]) equals the restriction of V(k, base) to multisets
-    over keep, compared through the reindexing."""
+def verify_restriction_points(V_full: VeroneseSpace, keep: Sequence[int]) -> bool:
+    """V(k, base[keep]) equals the restriction of V_full = V(k, base) to
+    multisets over keep, compared through the reindexing."""
     from .spaces import restriction
-    sub, kept = restriction(base, keep)
-    V_sub = build_veronese(sub, k)
-    V_full = build_veronese(base, k)
+    sub, kept = restriction(V_full.base, keep)
+    V_sub = build_veronese(sub, V_full.level)
 
     def lift(f: Multiset) -> Multiset:
         return Multiset(tuple(sorted((kept[q], m) for q, m in f.entries)))
@@ -229,14 +215,13 @@ def verify_restriction_points(base: IncidenceStructure, keep: Sequence[int],
     return sub_points == full_points and sub_lines == restricted_lines
 
 
-def verify_line_monotonicity(smaller: IncidenceStructure,
-                             larger: IncidenceStructure, k: int) -> bool:
+def verify_line_monotonicity(V_small: VeroneseSpace, V_large: VeroneseSpace) -> bool:
     """Fewer base lines on the same points give a sub-family of blocks."""
-    if smaller.point_count != larger.point_count:
+    if V_small.level != V_large.level:
+        raise ValueError("levels differ")
+    if V_small.base.point_count != V_large.base.point_count:
         raise ValueError("structures must share their point set")
-    if not set(smaller.lines) <= set(larger.lines):
+    if not set(V_small.base.lines) <= set(V_large.base.lines):
         raise ValueError("line family is not contained in the larger one")
-    V_small = build_veronese(smaller, k)
-    V_large = build_veronese(larger, k)
     large = set(V_large.structure.lines)
     return all(b in large for b in V_small.structure.lines)

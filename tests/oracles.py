@@ -1,6 +1,8 @@
 """Reference implementations that only tests compare against: direct
 forms of notions the library decides another way, or no longer needs.
-is_nondegenerate_alternating is the oracle of VeroneseHyperplane.degenerate.
+is_nondegenerate_alternating is the oracle of VeroneseHyperplane.degenerate;
+veronese_by_sums, h_function_by_sums and leaf_planes_by_sums form every
+point e + (k-|e|)*x by adding multisets, as the leaf table does once.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from verogeo.configs import FalsificationError
 from verogeo.hyperplanes import FULL
 from verogeo.incidence import (IncidenceStructure, strong_extensions,
                                subspace_closure)
-from verogeo.multiset import Multiset, scale_point
+from verogeo.multiset import (Multiset, enumerate_lower_multisets,
+                              enumerate_multisets, scale_point)
 from verogeo.reduct import AffineReduct, visible_tops
 from verogeo.spaces import ParallelStructure
 from verogeo.veronese import VeroneseSpace
@@ -175,6 +178,45 @@ def leaf_adjacency_test(V: VeroneseSpace, point: int, block_index: int) -> bool:
     if close < 3:
         return True
     return point in V.leaves[V.block_top[block_index]]
+
+
+def veronese_by_sums(base: IncidenceStructure, level: int) -> dict:
+    """Blocks (in index order), provenance, block tops and leaves of
+    V(level, base), each point e + r*x added up and looked up by index."""
+    n = base.point_count
+    index = {f: i for i, f in enumerate(enumerate_multisets(n, level))}
+    raw: dict[frozenset[int], list[tuple[Multiset, int]]] = {}
+    for r in range(1, level + 1):
+        for e in enumerate_multisets(n, level - r):
+            for li, line in enumerate(base.lines):
+                block = frozenset(index[e + scale_point(r, x)] for x in sorted(line))
+                raw.setdefault(block, []).append((e, li))
+    blocks = sorted(raw, key=lambda b: tuple(sorted(b)))
+    provenance = {bi: tuple(raw[b]) for bi, b in enumerate(blocks)}
+    leaves = {e: frozenset(index[e + scale_point(level - e.degree, x)] for x in range(n))
+              for e in enumerate_lower_multisets(n, level)}
+    return {"lines": tuple(blocks), "provenance": provenance,
+            "block_top": {bi: gens[0][0] for bi, gens in provenance.items()},
+            "leaves": leaves}
+
+
+def h_function_by_sums(V: VeroneseSpace, H: frozenset[int]) -> dict[Multiset, object]:
+    """Leaf traces {x : e + (k-|e|)*x in H}, FULL when the whole base."""
+    n = V.base.point_count
+    out: dict[Multiset, object] = {}
+    for e in V.leaf_keys():
+        r = V.level - e.degree
+        trace = frozenset(x for x in range(n) if V.index[e + scale_point(r, x)] in H)
+        out[e] = FULL if len(trace) == n else trace
+    return out
+
+
+def leaf_planes_by_sums(V: VeroneseSpace,
+                        base_planes: Sequence[frozenset[int]]) -> list[frozenset[int]]:
+    """The planes e + (k-|e|)*P of every leaf e and base plane P, sorted."""
+    planes = {frozenset(V.index[e + scale_point(V.level - e.degree, x)] for x in P)
+              for e in V.leaves for P in base_planes}
+    return sorted(planes, key=lambda s: tuple(sorted(s)))
 
 
 def assemble_from_h(V: VeroneseSpace, h: dict[Multiset, object]) -> frozenset[int]:

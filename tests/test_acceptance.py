@@ -10,8 +10,6 @@ same information machine-readably).
 
 import time
 
-import pytest
-
 from verogeo import verify as V
 
 

@@ -1,11 +1,13 @@
-"""Every public name of the library has a caller in the library.
+"""Every public name of the library has a caller in the library, and
+every name a test module imports is read there.
 
 A top-level public name (a function, class or constant of a module in
 src/verogeo, without a leading underscore) counts as used when any file
 under src/ or perfbench/ reads it outside its own definition.  The unused
 ones must be exactly UNUSED below, which is empty: a new helper that
 nothing calls fails the test.  Reference implementations that only tests
-compare against live in tests/oracles.py.
+compare against live in tests/oracles.py.  Imports from __future__ are
+exempt from the second check.
 """
 
 import ast
@@ -56,3 +58,24 @@ def test_unused_public_names_match_the_closed_list():
     unused = unused_public_names()
     assert not unused - UNUSED, f"public names nothing calls: {sorted(unused - UNUSED)}"
     assert not UNUSED - unused, f"drop from UNUSED: {sorted(UNUSED - unused)}"
+
+
+def unread_test_imports():
+    """(file, name) for each name a module under tests/ imports and never reads."""
+    out = []
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(a.asname or a.name for a in node.names)
+        read = {sub.id for sub in ast.walk(tree)
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+        out.extend((path.name, name) for name in sorted(imported - read))
+    return out
+
+
+def test_every_test_import_is_read():
+    assert not unread_test_imports(), f"imported, never read: {unread_test_imports()}"

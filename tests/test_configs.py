@@ -10,7 +10,6 @@ from verogeo.configs import (BASE_EMBEDDED, CROSS_DOUBLE_OR_MEET_TRANSLATE,
                              classify_veblen_in_veronese, find_incomplete_veblen,
                              find_quadrangles)
 from verogeo.incidence import IncidenceStructure
-from verogeo.multiset import EMPTY, Multiset, scale_point
 from verogeo.spaces import affine_space, projective_space
 from verogeo.veronese import build_veronese
 

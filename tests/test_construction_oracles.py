@@ -51,10 +51,11 @@ from verogeo.spaces import (affine_space, polar_space_quadratic,
                             polar_space_symplectic, projective_plane_family,
                             projective_space)
 from verogeo.verify import _reduct_pg33, _symplectic_hyperplane_pg33, _vpg
-from verogeo.veronese import build_veronese
+from verogeo.veronese import build_veronese, leaf_plane_family, leaf_substructure
 
-from oracles import (assemble_from_h, is_reflexive, maximal_strong_subspaces,
-                     singular_plane_family)
+from oracles import (assemble_from_h, h_function_by_sums, is_reflexive,
+                     leaf_planes_by_sums, maximal_strong_subspaces,
+                     singular_plane_family, veronese_by_sums)
 
 
 def _sorted_family(sets):
@@ -607,6 +608,58 @@ def test_pair_table_matches_multiset_lookup():
                           for x in range(n)]
     with pytest.raises(ValueError):
         build_veronese(projective_space(1, 3), 3).pair
+
+
+def relabelled(G, seed):
+    """Copy of G with its points shuffled by a seeded permutation; labels
+    travel with their points."""
+    perm = list(range(G.point_count))
+    random.Random(seed).shuffle(perm)
+    labels = None if G.labels is None else {perm[q]: lab for q, lab in G.labels.items()}
+    return IncidenceStructure(G.point_count, [[perm[q] for q in line] for line in G.lines],
+                              labels=labels)
+
+
+LEAF_TABLE_CASES = {
+    "V(2,PG(2,2))": (lambda: projective_space(2, 2), 2),
+    "V(2,PG(2,3))": (lambda: projective_space(2, 3), 2),
+    "V(3,PG(1,3))": (lambda: projective_space(1, 3), 3),
+    "V(2,AG(2,3))": (lambda: affine_space(2, 3).base, 2),
+    "V(2,W(3,3))": (lambda: polar_space_symplectic(standard_symplectic(4, 3)), 2),
+}
+
+
+@pytest.mark.parametrize("name", LEAF_TABLE_CASES)
+def test_leaf_table_matches_multiset_sums(name):
+    make, k = LEAF_TABLE_CASES[name]
+    base = relabelled(make(), 20261019)
+    V = build_veronese(base, k)
+    n = base.point_count
+    assert list(V.leaf_points) == list(V.leaves)
+    for e, row in V.leaf_points.items():
+        assert row == [V.index[e + scale_point(k - e.degree, x)] for x in range(n)]
+    want = veronese_by_sums(base, k)
+    assert V.structure.lines == want["lines"]
+    assert list(V.provenance.items()) == list(want["provenance"].items())
+    assert list(V.block_top.items()) == list(want["block_top"].items())
+    assert list(V.leaves.items()) == list(want["leaves"].items())
+    H = frozenset(random.Random(name).sample(range(len(V.points)), len(V.points) // 2))
+    assert extract_h_function(V, H) == h_function_by_sums(V, H)
+    for e in V.leaf_points:
+        assert set(leaf_substructure(V, e).lines) == set(base.lines)
+
+
+def test_leaf_traces_and_planes_match_multiset_sums():
+    # one seed relabels PG(3,3) and W(3,3) alike, so they keep one universe
+    xi = standard_symplectic(4, 3)
+    P = relabelled(projective_space(3, 3), 20261019)
+    VP = build_veronese(P, 2)
+    VW = build_veronese(relabelled(polar_space_symplectic(xi), 20261019), 2)
+    HP = hyperplane_from_symplectic(VP, xi)
+    planes = projective_plane_family(P, 3)
+    for V, H in ((VP, HP.points), (VW, polar_hyperplane(VW, HP))):
+        assert extract_h_function(V, H) == h_function_by_sums(V, H)
+        assert leaf_plane_family(V, planes) == leaf_planes_by_sums(V, planes)
 
 
 def symplectic_per_pair(V, xi):

@@ -2,7 +2,6 @@ import pytest
 
 from verogeo.algebra import (BilinearForm, determinant_form,
                              standard_symplectic)
-from verogeo.configs import FalsificationError
 from verogeo.hyperplanes import (FULL, VeroneseHyperplane, _base_prime,
                                  enumerate_hyperplanes_level2, extract_h_function,
                                  hyperplane_from_alternating,
@@ -11,7 +10,7 @@ from verogeo.hyperplanes import (FULL, VeroneseHyperplane, _base_prime,
                                  verify_characterization)
 from verogeo.incidence import (enumerate_hyperplanes, is_hyperplane,
                                is_l_transversal, is_subspace)
-from verogeo.multiset import EMPTY, Multiset, scale_point
+from verogeo.multiset import EMPTY, scale_point
 from verogeo.spaces import (affine_space, polar_space_quadratic,
                             polar_space_symplectic, projective_hyperplanes,
                             projective_space)
@@ -63,6 +62,9 @@ def test_degenerate_symplectic_tagged():
     # the radical point contributes its entire leaf
     fulls = [e for e, val in H.h_function.items() if val == FULL and e != EMPTY]
     assert len(fulls) == 1
+    # a second read returns the stored value and walks no point of V
+    H.ambient = None
+    assert H.degenerate
 
 
 def test_vari1_negative_control():

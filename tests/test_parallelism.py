@@ -1,12 +1,9 @@
 import itertools
 
-import pytest
-
-from verogeo.incidence import IncidenceStructure, veblen_parallel_lines
+from verogeo.incidence import veblen_parallel_lines
 from verogeo.parallelism import (check_euclid_failure, counting_identity_solutions,
                                  induced_relation, leaf_preparallelism,
                                  search_leaf_closed_parallelism)
-from verogeo.multiset import EMPTY
 from verogeo.spaces import affine_space
 from verogeo.veronese import build_veronese
 

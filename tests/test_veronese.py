@@ -126,15 +126,16 @@ def test_leaf_count_formula():
 
 def test_restriction_compatibility_line_of_pg23():
     P = projective_space(2, 3)
+    V = build_veronese(P, 2)
     keep = sorted(P.lines[0])
-    assert verify_restriction_points(P, keep, 2)
-    assert verify_restriction_points(P, range(P.point_count), 2)
+    assert verify_restriction_points(V, keep)
+    assert verify_restriction_points(V, range(P.point_count))
 
 
 def test_line_monotonicity_polar_in_projective():
     P = projective_space(3, 3)
     W = polar_space_symplectic(standard_symplectic(4, 3))
-    assert verify_line_monotonicity(W, P, 2)
+    assert verify_line_monotonicity(build_veronese(W, 2), build_veronese(P, 2))
 
 
 def test_leaf_plane_family_v2_pg33():
@@ -151,3 +152,11 @@ def test_leaf_substructure_matches_base():
     V = build_veronese(projective_space(1, 3), 2)
     sub = leaf_substructure(V, EMPTY)
     assert set(sub.lines) == set(V.base.lines)
+
+
+def test_leaf_substructure_rejects_a_block_off_its_leaf():
+    V = build_veronese(fano(), 2)
+    bi = next(bi for bi, top in V.block_top.items() if top != EMPTY)
+    V.block_top[bi] = EMPTY
+    with pytest.raises(AssertionError, match="not a leaf translate"):
+        leaf_substructure(V, EMPTY)
