@@ -133,16 +133,12 @@ class BilinearForm:
         return BilinearForm(data["p"], tuple(tuple(r) for r in data["matrix"]))
 
 
-def is_alternating(xi: BilinearForm) -> bool:
+def is_symplectic(xi: BilinearForm) -> bool:
+    """Every vector self-orthogonal, i.e. the matrix is alternating."""
     M, p = xi.matrix, xi.p
     return (all(M[i][i] == 0 for i in range(xi.dim))
             and all(M[i][j] == (-M[j][i]) % p
                     for i in range(xi.dim) for j in range(xi.dim)))
-
-
-def is_symplectic(xi: BilinearForm) -> bool:
-    """Every vector self-orthogonal, i.e. the matrix is alternating."""
-    return is_alternating(xi)
 
 
 def radical(xi: BilinearForm) -> list[Vector]:
@@ -289,10 +285,6 @@ class AlternatingMultiForm:
         for idx, c in self.coeffs:
             total += c * _det([[v[i] for i in idx] for v in vectors], self.p)
         return total % self.p
-
-    def perp(self, points: Sequence[Vector]) -> bool:
-        """Zero-set relation on projective points; scalar choice is immaterial."""
-        return self.evaluate(points) == 0
 
     def to_json(self) -> dict:
         return {"p": self.p, "arity": self.arity, "dim": self.dim,

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from typing import Optional
 
 from . import verify as verify_mod
@@ -93,6 +94,15 @@ def _read_json(path: str) -> dict:
         return json.load(fh)
 
 
+@contextmanager
+def _fields_of(path: str):
+    """A key missing from a loaded file is a usage error naming the key."""
+    try:
+        yield
+    except KeyError as exc:
+        raise UsageError(f"{path} lacks the key {exc}") from None
+
+
 def _load_base(token: str) -> IncidenceStructure:
     if ":" in token:
         parts = token.split(":")
@@ -102,7 +112,8 @@ def _load_base(token: str) -> IncidenceStructure:
         if kind == "quadric" and len(parts) == 4:
             return _build_named(kind, int(parts[1]), int(parts[2]), parts[3])
         raise UsageError(f"bad named space {token!r}")
-    return IncidenceStructure.from_json(_read_json(token))
+    with _fields_of(token):
+        return IncidenceStructure.from_json(_read_json(token))
 
 
 def _veronese_from_json(data: dict, path: str) -> VeroneseSpace:
@@ -110,9 +121,11 @@ def _veronese_from_json(data: dict, path: str) -> VeroneseSpace:
     file whose stored lines differ from the rebuild."""
     if data.get("kind") != "veronese":
         raise UsageError(f"{path} does not hold a Veronese space")
-    base = IncidenceStructure.from_json(data["base"])
-    V = build_veronese(base, data["level"])
-    stored = IncidenceStructure.from_json(data["structure"])
+    with _fields_of(path):
+        base = IncidenceStructure.from_json(data["base"])
+        level = data["level"]
+        stored = IncidenceStructure.from_json(data["structure"])
+    V = build_veronese(base, level)
     if set(stored.lines) != set(V.structure.lines):
         raise UsageError(f"{path} is inconsistent: stored lines differ from "
                          "the deterministic rebuild")
@@ -125,15 +138,17 @@ def _load_veronese(path: str) -> VeroneseSpace:
 
 def _load_form(path: str):
     data = _read_json(path)
-    if "arity" in data:
-        return AlternatingMultiForm.from_json(data)
-    if data.get("kind") == "quadratic":
-        return QuadraticForm.from_json(data)
-    return BilinearForm.from_json(data)
+    with _fields_of(path):
+        if "arity" in data:
+            return AlternatingMultiForm.from_json(data)
+        if data.get("kind") == "quadratic":
+            return QuadraticForm.from_json(data)
+        return BilinearForm.from_json(data)
 
 
-def _load_hyperplane(data: dict, V: VeroneseSpace) -> VeroneseHyperplane:
-    points = frozenset(data["points"])
+def _load_hyperplane(data: dict, V: VeroneseSpace, path: str) -> VeroneseHyperplane:
+    with _fields_of(path):
+        points = frozenset(data["points"])
     return VeroneseHyperplane(V, points, extract_h_function(V, points),
                               source=data.get("source", "file"))
 
@@ -176,7 +191,7 @@ def cmd_hyperplane(args) -> int:
 
 def cmd_reduct(args) -> int:
     V = _load_veronese(args.space)
-    H = _load_hyperplane(_read_json(args.hyperplane), V)
+    H = _load_hyperplane(_read_json(args.hyperplane), V, args.hyperplane)
     A = build_reduct(V, H)
     data = {
         "kind": "reduct",
@@ -194,11 +209,10 @@ def cmd_reduct(args) -> int:
 def _rebuild_reduct(data: dict, path: str) -> AffineReduct:
     if data.get("kind") != "reduct":
         raise UsageError(f"{path} does not hold a reduct")
-    missing = [key for key in ("space", "hyperplane") if key not in data]
-    if missing:
-        raise UsageError(f"{path}: reduct file lacks {', '.join(missing)}")
-    V = _veronese_from_json(data["space"], path)
-    return build_reduct(V, _load_hyperplane(data["hyperplane"], V))
+    with _fields_of(path):
+        space, hyperplane = data["space"], data["hyperplane"]
+    V = _veronese_from_json(space, path)
+    return build_reduct(V, _load_hyperplane(hyperplane, V, path))
 
 
 def cmd_recover(args) -> int:
@@ -220,8 +234,6 @@ def cmd_recover(args) -> int:
 
 def cmd_parallelism_search(args) -> int:
     V = _load_veronese(args.space)
-    if args.mode != "leaf-closed":
-        raise UsageError(f"unknown search mode {args.mode!r}")
     result = search_leaf_closed_parallelism(V, budget_nodes=args.budget)
     _write_json({"found": result.parallelism is not None,
                  "exhaustive": result.exhaustive,
@@ -277,14 +289,13 @@ def _verify_on_space(args) -> int:
 def cmd_report(args) -> int:
     with open(args.infile) as fh:
         rows = [json.loads(line) for line in fh if line.strip()]
-    width = max(len(r["claim"]) for r in rows) if rows else 8
-    failed = 0
-    for r in rows:
-        status = "pass" if r["ok"] else "FAIL"
-        if not r["ok"]:
-            failed += 1
-        print(f"{status}  {r['claim']:<{width}}  {r.get('runtime_s', '')}"
+    with _fields_of(args.infile):
+        verdicts = [(r["claim"], r["ok"]) for r in rows]
+    width = max((len(claim) for claim, _ in verdicts), default=8)
+    for r, (claim, ok) in zip(rows, verdicts):
+        print(f"{'pass' if ok else 'FAIL'}  {claim:<{width}}  {r.get('runtime_s', '')}"
               f"  {r.get('instance', '')}")
+    failed = sum(not ok for _, ok in verdicts)
     print(f"{len(rows) - failed}/{len(rows)} passed")
     return 1 if failed else 0
 
@@ -333,7 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("parallelism-search",
                        help="search for a leaf-closed parallelism")
     p.add_argument("--space", required=True)
-    p.add_argument("--mode", default="leaf-closed")
     p.add_argument("--budget", type=int, default=2_000_000)
     p.add_argument("--out")
     p.set_defaults(func=cmd_parallelism_search)
@@ -364,8 +374,7 @@ def main(argv=None) -> int:
     except RecoveryError as exc:
         print(f"recovery failed: {exc}", file=sys.stderr)
         return 1
-    except (UsageError, CapacityError, FileNotFoundError, KeyError,
-            ValueError) as exc:
+    except (UsageError, CapacityError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

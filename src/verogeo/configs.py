@@ -9,11 +9,11 @@ is not assumed.  A quadrangle is four lines in a cycle whose four vertices
 have no diagonals; it is proper when the four containing leaves (tops) are
 pairwise distinct.
 
-Classification relies on block provenance: every block of a level-2
-Veronese space over a linear space is either a translate x + m of a base
-line m or a double 2m, and the possible quadrangle and crossing-line shapes
-are pinned down exactly.  An unclassifiable figure is a falsification
-event, never silently skipped.
+Classification relies on block shape: every block of a level-2 Veronese
+space over a linear space is either a translate x + m of a base line m or
+a double 2m, which _level2_shape alone reads off the provenance table, and
+the possible quadrangle and crossing-line shapes are pinned down exactly.
+An unclassifiable figure is a falsification event, never silently skipped.
 
 Enumeration budgets: the Net-axiom scan is exhaustive at every size.
 Only the Tamaschke and parallelogram-completion scans still take a
@@ -35,7 +35,6 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from .incidence import IncidenceStructure
-from .multiset import EMPTY, Multiset
 from .veronese import VeroneseSpace
 
 EXHAUSTIVE_POINT_BUDGET = 200
@@ -119,11 +118,14 @@ def _meet(G: IncidenceStructure, i: int, j: int) -> Optional[int]:
     return next(iter(common)) if common else None
 
 
-def _sole_generator(V: VeroneseSpace, block: int) -> tuple[Multiset, int]:
-    gens = V.provenance[block]
+def _level2_shape(V: VeroneseSpace, b: int) -> tuple[Optional[int], frozenset[int]]:
+    """(x, L) for the level-2 block x + L and (None, L) for the double 2L,
+    L being the base line as a point set."""
+    gens = V.provenance[b]
     if len(gens) != 1:
-        raise FalsificationError(f"block {block} has several presentations: {gens}")
-    return gens[0]
+        raise FalsificationError(f"block {b} has several presentations: {gens}")
+    e, li = gens[0]
+    return next(iter(e.support()), None), V.base.lines[li]
 
 
 def classify_veblen_in_veronese(V: VeroneseSpace, fig: VeblenFigure) -> str:
@@ -139,21 +141,15 @@ def classify_veblen_in_veronese(V: VeroneseSpace, fig: VeblenFigure) -> str:
         return BASE_EMBEDDED
     if V.level != 2:
         return UNCLASSIFIABLE
-    gens = [_sole_generator(V, b) for b in blocks]
-    doubles = [b for b, (e, _) in zip(blocks, gens) if e == EMPTY]
-    translates = [(e, li) for (e, li) in gens if e != EMPTY]
-    base_lines = {li for _, li in gens}
-    if len(base_lines) != 1:
+    shapes = [_level2_shape(V, b) for b in blocks]
+    m = shapes[0][1]
+    points = [x for x, _ in shapes if x is not None]
+    if (any(L != m for _, L in shapes) or len(set(points)) != len(points)
+            or not set(points) <= m):
         return UNCLASSIFIABLE
-    m = V.base.lines[next(iter(base_lines))]
-    points = [next(iter(e.support())) for e, _ in translates]
-    if len(set(points)) != len(points) or not set(points) <= m:
-        return UNCLASSIFIABLE
-    if not doubles and len(points) == 4:
-        return FOUR_POINT_TRANSLATE
-    if len(doubles) == 1 and len(points) == 3:
-        return THREE_POINT_WITH_2M
-    return UNCLASSIFIABLE
+    # the blocks without a point are doubles 2m
+    return {4: FOUR_POINT_TRANSLATE, 3: THREE_POINT_WITH_2M}.get(len(points),
+                                                                 UNCLASSIFIABLE)
 
 
 def classify_all_veblen(V: VeroneseSpace) -> dict[str, int]:
@@ -252,44 +248,26 @@ def classify_proper_quadrangle(V: VeroneseSpace, q: QuadrangleFigure) -> str:
     """
     if V.level != 2:
         return UNCLASSIFIABLE
-    l1, k1, l2, k2 = q.lines
-    gens = {b: _sole_generator(V, b) for b in q.lines}
-    doubles = [b for b in q.lines if gens[b][0] == EMPTY]
-
-    def translate_of(b: int) -> tuple[int, frozenset[int]]:
-        e, li = gens[b]
-        return next(iter(e.support())), V.base.lines[li]
+    shapes = [_level2_shape(V, b) for b in q.lines]
+    doubles = [i for i, (x, _) in enumerate(shapes) if x is None]
 
     if not doubles:
-        (a1, m1), (b1, m2) = translate_of(l1), translate_of(l2)
-        (a2, n1), (b2, n2) = translate_of(k1), translate_of(k2)
-        if m1 != m2 or n1 != n2:
-            return UNCLASSIFIABLE
-        if not ({a1, b1} <= n1 and {a2, b2} <= m1):
+        (a1, m1), (a2, n1), (b1, m2), (b2, n2) = shapes
+        if m1 != m2 or n1 != n2 or not ({a1, b1} <= n1 and {a2, b2} <= m1):
             return UNCLASSIFIABLE
         expected = {V.pair[a1][a2], V.pair[a1][b2],
                     V.pair[b1][a2], V.pair[b1][b2]}
-        if set(q.vertices) != expected:
-            return UNCLASSIFIABLE
-        return TWO_LINE_TYPE
+        return TWO_LINE_TYPE if set(q.vertices) == expected else UNCLASSIFIABLE
 
     if len(doubles) == 1:
-        kd = doubles[0]
-        pos = q.lines.index(kd)
-        opposite = q.lines[(pos + 2) % 4]
-        flank1, flank2 = q.lines[(pos + 1) % 4], q.lines[(pos + 3) % 4]
-        n = V.base.lines[gens[kd][1]]
-        c, n_opp = translate_of(opposite)
-        if n_opp != n:
-            return UNCLASSIFIABLE
-        a, m = translate_of(flank1)
-        b, l = translate_of(flank2)
-        if not ({a, b} <= n and a in m and c in m and b in l and c in l):
+        i = doubles[0]
+        _, n = shapes[i]
+        c, n_opp = shapes[(i + 2) % 4]
+        (a, m), (b, l) = shapes[(i + 1) % 4], shapes[(i + 3) % 4]
+        if n_opp != n or not ({a, b} <= n and {a, c} <= m and {b, c} <= l):
             return UNCLASSIFIABLE
         expected = {V.pair[a][a], V.pair[a][c], V.pair[b][b], V.pair[b][c]}
-        if set(q.vertices) != expected:
-            return UNCLASSIFIABLE
-        return THREE_LINE_TYPE
+        return THREE_LINE_TYPE if set(q.vertices) == expected else UNCLASSIFIABLE
 
     return UNCLASSIFIABLE
 
@@ -308,52 +286,30 @@ def classify_crossing_line(V: VeroneseSpace, l1: int, l2: int, k: int) -> str:
     tops = {V.block_top[b] for b in (l1, l2, k)}
     if len(tops) != 3:
         raise ValueError("tops of k, l1, l2 must be pairwise distinct")
-    gens = {b: _sole_generator(V, b) for b in (l1, l2, k)}
-    ek, lik = gens[k]
-    k_line = V.base.lines[lik]
-
-    def translate_of(b):
-        e, li = gens[b]
-        return next(iter(e.support())), V.base.lines[li]
-
-    doubles = [b for b in (l1, l2) if gens[b][0] == EMPTY]
-    if not doubles:
-        (a, m1), (b, m2) = translate_of(l1), translate_of(l2)
-        if m1 == m2:
-            join = _join(V.base, a, b)
-            if ek == EMPTY:
-                if k_line == m1 and a in m1 and b in m1:
-                    return CROSS_TRANSLATE_OF_JOIN
-                return UNCLASSIFIABLE
-            x = next(iter(ek.support()))
-            if x in m1 and k_line == join:
-                return CROSS_TRANSLATE_OF_JOIN
-            return UNCLASSIFIABLE
-        common = m1 & m2
-        if len(common) != 1:
-            return UNCLASSIFIABLE
-        c = next(iter(common))
-        join = _join(V.base, a, b)
-        if k_line != join:
-            return UNCLASSIFIABLE
-        if ek == EMPTY:
-            return CROSS_DOUBLE_OR_MEET_TRANSLATE
-        if next(iter(ek.support())) == c:
-            return CROSS_DOUBLE_OR_MEET_TRANSLATE
+    (a, m1), (b, m2), (x, k_line) = [_level2_shape(V, t) for t in (l1, l2, k)]
+    if a is None and b is None:
         return UNCLASSIFIABLE
-
-    if len(doubles) == 1:
-        double, translate = (l1, l2) if gens[l1][0] == EMPTY else (l2, l1)
-        n = V.base.lines[gens[double][1]]
-        c, n2 = translate_of(translate)
-        if n2 != n or ek == EMPTY:
-            return UNCLASSIFIABLE
-        x = next(iter(ek.support()))
-        if x in n and x != c and k_line == _join(V.base, x, c):
+    if a is None or b is None:
+        # a double 2n against a translate c + n
+        c = b if a is None else a
+        if (m1 == m2 and x is not None and x in m1 and x != c
+                and k_line == _join(V.base, x, c)):
             return CROSS_POINT_JOIN
         return UNCLASSIFIABLE
-
-    return UNCLASSIFIABLE
+    if m1 != m2:
+        # translates of lines meeting at c, k is 2 join(a,b) or c + join(a,b)
+        common = m1 & m2
+        if len(common) != 1 or k_line != _join(V.base, a, b):
+            return UNCLASSIFIABLE
+        if x is None or x in common:
+            return CROSS_DOUBLE_OR_MEET_TRANSLATE
+        return UNCLASSIFIABLE
+    join = _join(V.base, a, b)  # raises on non-collinear a, b, also for 2m
+    if x is None:
+        fits = k_line == m1 and a in m1 and b in m1
+    else:
+        fits = x in m1 and k_line == join
+    return CROSS_TRANSLATE_OF_JOIN if fits else UNCLASSIFIABLE
 
 
 def _join(base: IncidenceStructure, a: int, b: int) -> frozenset[int]:

@@ -61,9 +61,6 @@ class IncidenceStructure:
             self._adjacency = adj
         return self._adjacency
 
-    def adjacent(self, a: int, b: int) -> bool:
-        return b in self.adjacency()[a]
-
     def lines_through(self) -> list[list[int]]:
         if self._lines_through is None:
             through: list[list[int]] = [[] for _ in range(self.point_count)]

@@ -41,12 +41,6 @@ class Multiset:
     def degree(self) -> int:
         return sum(m for _, m in self.entries)
 
-    def multiplicity(self, point: int) -> int:
-        for q, m in self.entries:
-            if q == point:
-                return m
-        return 0
-
     def support(self) -> frozenset[int]:
         return frozenset(q for q, _ in self.entries)
 

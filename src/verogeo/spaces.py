@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import algebra
 from .algebra import (BilinearForm, QuadraticForm, normalize_vector,
@@ -26,35 +26,11 @@ class ParallelStructure:
     """An incidence structure with a (pre)parallelism on its lines.
 
     parallel_classes partitions a subset of the line family (indices into
-    base.lines); the affine flag records that every class covers the full
-    point set (the Euclid axiom).
+    base.lines).
     """
 
     base: IncidenceStructure
     parallel_classes: tuple[tuple[int, ...], ...]
-    affine: bool = False
-    sub_pls_floor: bool = False
-
-    def check_preparallelism(self) -> tuple[bool, Optional[tuple]]:
-        """Classes nonempty with pairwise disjoint distinct lines."""
-        for ci, cls in enumerate(self.parallel_classes):
-            if not cls:
-                return False, ("empty_class", ci)
-            for x in range(len(cls)):
-                for y in range(x + 1, len(cls)):
-                    a, b = self.base.lines[cls[x]], self.base.lines[cls[y]]
-                    if a != b and a & b:
-                        return False, ("overlapping_parallels", ci, cls[x], cls[y])
-        return True, None
-
-    def check_euclid(self) -> tuple[bool, Optional[int]]:
-        for ci, cls in enumerate(self.parallel_classes):
-            covered = set()
-            for li in cls:
-                covered |= self.base.lines[li]
-            if len(covered) != self.base.point_count:
-                return False, ci
-        return True, None
 
     def class_of(self) -> dict[int, int]:
         out = {}
@@ -149,31 +125,14 @@ def affine_space(n: int, p: int) -> ParallelStructure:
         raise ValueError("GF(2) affine lines have 2 points, below the PLS floor")
     pts = sorted(itertools.product(range(p), repeat=n))
     index = {v: i for i, v in enumerate(pts)}
-    directions = projective_points(n, p)
-    lines = []
-    classes = []
-    for d in directions:
-        seen: set[frozenset[int]] = set()
-        cls = []
-        for base in pts:
-            line = frozenset(index[vec_add(base, vec_scale(t, d, p), p)]
-                             for t in range(p))
-            if line not in seen:
-                seen.add(line)
-                cls.append(line)
-        classes.append(cls)
-    flattened = [l for cls in classes for l in cls]
-    order = sorted(range(len(flattened)), key=lambda i: tuple(sorted(flattened[i])))
-    rank_of = {old: new for new, old in enumerate(order)}
-    structure = IncidenceStructure(len(pts), [flattened[i] for i in order],
-                                   labels={i: v for i, v in enumerate(pts)},
-                                   sort_lines=False)
-    class_tuples = []
-    pos = 0
-    for cls in classes:
-        class_tuples.append(tuple(sorted(rank_of[pos + k] for k in range(len(cls)))))
-        pos += len(cls)
-    return ParallelStructure(structure, tuple(class_tuples), affine=True)
+    classes = [{frozenset(index[vec_add(base, vec_scale(t, d, p), p)] for t in range(p))
+                for base in pts}
+               for d in projective_points(n, p)]
+    structure = IncidenceStructure(len(pts), [l for cls in classes for l in cls],
+                                   labels=dict(enumerate(pts)))
+    line_index = structure.line_index()
+    return ParallelStructure(structure, tuple(tuple(sorted(line_index[l] for l in cls))
+                                              for cls in classes))
 
 
 # ---------------------------------------------------------------------------
@@ -253,8 +212,7 @@ def affine_reduct_of(G: IncidenceStructure, trace: Sequence[int]) -> AffineReduc
     """Delete a verified hyperplane; induced parallelism by shared trace point.
 
     Every line not inside the trace must meet it in exactly one point (the
-    1-or-all law for hyperplanes); truncated 2-point lines are allowed but
-    flag the result as sub-PLS-floor.
+    1-or-all law for hyperplanes); truncated 2-point lines are allowed.
     """
     trace_set = frozenset(trace)
     if not is_hyperplane(G, trace_set):
@@ -264,7 +222,6 @@ def affine_reduct_of(G: IncidenceStructure, trace: Sequence[int]) -> AffineReduc
     lines = []
     parents = []
     infinites = []
-    floor_broken = False
     for li, line in enumerate(G.lines):
         if line <= trace_set:
             continue
@@ -274,8 +231,6 @@ def affine_reduct_of(G: IncidenceStructure, trace: Sequence[int]) -> AffineReduc
         trunc = frozenset(new_of[q] for q in line - trace_set)
         if len(trunc) < 2:
             raise ValueError(f"line {li} keeps fewer than 2 points")
-        if len(trunc) == 2:
-            floor_broken = True
         lines.append(trunc)
         parents.append(li)
         infinites.append(next(iter(deleted)))
@@ -289,6 +244,5 @@ def affine_reduct_of(G: IncidenceStructure, trace: Sequence[int]) -> AffineReduc
     for i, inf in enumerate(infinites):
         by_infinite.setdefault(inf, []).append(i)
     classes = tuple(tuple(v) for _, v in sorted(by_infinite.items()))
-    parallel = ParallelStructure(structure, classes, affine=False,
-                                 sub_pls_floor=floor_broken)
+    parallel = ParallelStructure(structure, classes)
     return AffineReductData(structure, parallel, kept, parents, infinites)

@@ -3,22 +3,32 @@ forms of notions the library decides another way, or no longer needs.
 is_nondegenerate_alternating is the oracle of VeroneseHyperplane.degenerate;
 veronese_by_sums, h_function_by_sums and leaf_planes_by_sums form every
 point e + (k-|e|)*x by adding multisets, as the leaf table does once.
+veblen_by_provenance, quadrangle_by_provenance and
+crossing_line_by_provenance read each block's generator in every
+classifier, where configs reads it once per block through _level2_shape;
+affine_space_by_ranks sorts the lines of AG(n,p) through a rank
+permutation.  check_preparallelism and check_euclid decide the
+parallelism axioms on a ParallelStructure directly.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Sequence
+from typing import Optional, Sequence
 
-from verogeo import incidence as inc
+from verogeo import configs, incidence as inc
 from verogeo.algebra import (AlternatingMultiForm, BilinearForm, QuadraticForm,
-                             Vector, is_alternating, normalize_vector,
+                             Vector, is_symplectic, normalize_vector,
                              projective_points, vec_add, vec_scale)
-from verogeo.configs import FalsificationError
+from verogeo.configs import (BASE_EMBEDDED, CROSS_DOUBLE_OR_MEET_TRANSLATE,
+                             CROSS_POINT_JOIN, CROSS_TRANSLATE_OF_JOIN,
+                             FOUR_POINT_TRANSLATE, THREE_LINE_TYPE,
+                             THREE_POINT_WITH_2M, TWO_LINE_TYPE, UNCLASSIFIABLE,
+                             FalsificationError, QuadrangleFigure, VeblenFigure)
 from verogeo.hyperplanes import FULL
 from verogeo.incidence import (IncidenceStructure, strong_extensions,
                                subspace_closure)
-from verogeo.multiset import (Multiset, enumerate_lower_multisets,
+from verogeo.multiset import (EMPTY, Multiset, enumerate_lower_multisets,
                               enumerate_multisets, scale_point)
 from verogeo.reduct import AffineReduct, visible_tops
 from verogeo.spaces import ParallelStructure
@@ -79,7 +89,7 @@ def is_symmetric(xi: BilinearForm) -> bool:
 
 def is_reflexive(xi: BilinearForm) -> bool:
     """Shape test: symmetric or alternating (valid in odd characteristic)."""
-    return is_symmetric(xi) or is_alternating(xi)
+    return is_symmetric(xi) or is_symplectic(xi)
 
 
 def quadric_points(Q: QuadraticForm) -> list[Vector]:
@@ -290,3 +300,211 @@ def _two_generated(A: AffineReduct, pts: frozenset[int]) -> bool:
             if subspace_closure(G, G.lines[la] | G.lines[lb]) == pts:
                 return True
     return False
+
+
+def _sole_generator(V: VeroneseSpace, block: int) -> tuple[Multiset, int]:
+    gens = V.provenance[block]
+    if len(gens) != 1:
+        raise FalsificationError(f"block {block} has several presentations: {gens}")
+    return gens[0]
+
+
+def veblen_by_provenance(V: VeroneseSpace, fig: VeblenFigure) -> str:
+    """Type of a complete Veblen figure in a level-2 Veronese space.
+
+    BASE_EMBEDDED: all four blocks in one leaf (image of a base figure).
+    FOUR_POINT_TRANSLATE: {a + m : a in A} for a 4-subset A of a base line m.
+    THREE_POINT_WITH_2M: {a + m : a in A} plus 2m for a 3-subset A of m.
+    """
+    blocks = [fig.l1, fig.l2, fig.m1, fig.m2]
+    tops = [V.block_top[b] for b in blocks]
+    if len(set(tops)) == 1:
+        return BASE_EMBEDDED
+    if V.level != 2:
+        return UNCLASSIFIABLE
+    gens = [_sole_generator(V, b) for b in blocks]
+    doubles = [b for b, (e, _) in zip(blocks, gens) if e == EMPTY]
+    translates = [(e, li) for (e, li) in gens if e != EMPTY]
+    base_lines = {li for _, li in gens}
+    if len(base_lines) != 1:
+        return UNCLASSIFIABLE
+    m = V.base.lines[next(iter(base_lines))]
+    points = [next(iter(e.support())) for e, _ in translates]
+    if len(set(points)) != len(points) or not set(points) <= m:
+        return UNCLASSIFIABLE
+    if not doubles and len(points) == 4:
+        return FOUR_POINT_TRANSLATE
+    if len(doubles) == 1 and len(points) == 3:
+        return THREE_POINT_WITH_2M
+    return UNCLASSIFIABLE
+
+
+def quadrangle_by_provenance(V: VeroneseSpace, q: QuadrangleFigure) -> str:
+    """TWO_LINE_TYPE / THREE_LINE_TYPE per the level-2 shape analysis.
+
+    TWO_LINE_TYPE: opposite pairs are translates of one base line each
+    (a1+m, b1+m and a2+n, b2+n with a1,b1 on n and a2,b2 on m); vertices
+    are the four mixed sums.  THREE_LINE_TYPE: one double 2n opposite a
+    translate c+n, the other pair a+m, b+l with a,b on n, a,c on m and
+    b,c on l; vertices 2a, a+c, 2b, b+c.  Vertex lists are re-verified.
+    """
+    if V.level != 2:
+        return UNCLASSIFIABLE
+    l1, k1, l2, k2 = q.lines
+    gens = {b: _sole_generator(V, b) for b in q.lines}
+    doubles = [b for b in q.lines if gens[b][0] == EMPTY]
+
+    def translate_of(b: int) -> tuple[int, frozenset[int]]:
+        e, li = gens[b]
+        return next(iter(e.support())), V.base.lines[li]
+
+    if not doubles:
+        (a1, m1), (b1, m2) = translate_of(l1), translate_of(l2)
+        (a2, n1), (b2, n2) = translate_of(k1), translate_of(k2)
+        if m1 != m2 or n1 != n2:
+            return UNCLASSIFIABLE
+        if not ({a1, b1} <= n1 and {a2, b2} <= m1):
+            return UNCLASSIFIABLE
+        expected = {V.pair[a1][a2], V.pair[a1][b2],
+                    V.pair[b1][a2], V.pair[b1][b2]}
+        if set(q.vertices) != expected:
+            return UNCLASSIFIABLE
+        return TWO_LINE_TYPE
+
+    if len(doubles) == 1:
+        kd = doubles[0]
+        pos = q.lines.index(kd)
+        opposite = q.lines[(pos + 2) % 4]
+        flank1, flank2 = q.lines[(pos + 1) % 4], q.lines[(pos + 3) % 4]
+        n = V.base.lines[gens[kd][1]]
+        c, n_opp = translate_of(opposite)
+        if n_opp != n:
+            return UNCLASSIFIABLE
+        a, m = translate_of(flank1)
+        b, l = translate_of(flank2)
+        if not ({a, b} <= n and a in m and c in m and b in l and c in l):
+            return UNCLASSIFIABLE
+        expected = {V.pair[a][a], V.pair[a][c], V.pair[b][b], V.pair[b][c]}
+        if set(q.vertices) != expected:
+            return UNCLASSIFIABLE
+        return THREE_LINE_TYPE
+
+    return UNCLASSIFIABLE
+
+
+def crossing_line_by_provenance(V: VeroneseSpace, l1: int, l2: int, k: int) -> str:
+    """Shape of a line k crossing opposite sides l1, l2 of a proper
+    quadrangle, with the three tops pairwise distinct.
+
+    Translates of one line m: k is x + join(a,b) for x on m, or 2m when
+    both translate points lie on m.  Double 2n against c+n: k is
+    x + join(x,c) for x on n.  Translates of distinct lines meeting at c:
+    k is 2 join(a,b) or c + join(a,b).
+    """
+    if V.level != 2:
+        return UNCLASSIFIABLE
+    tops = {V.block_top[b] for b in (l1, l2, k)}
+    if len(tops) != 3:
+        raise ValueError("tops of k, l1, l2 must be pairwise distinct")
+    gens = {b: _sole_generator(V, b) for b in (l1, l2, k)}
+    ek, lik = gens[k]
+    k_line = V.base.lines[lik]
+
+    def translate_of(b):
+        e, li = gens[b]
+        return next(iter(e.support())), V.base.lines[li]
+
+    doubles = [b for b in (l1, l2) if gens[b][0] == EMPTY]
+    if not doubles:
+        (a, m1), (b, m2) = translate_of(l1), translate_of(l2)
+        if m1 == m2:
+            join = configs._join(V.base, a, b)
+            if ek == EMPTY:
+                if k_line == m1 and a in m1 and b in m1:
+                    return CROSS_TRANSLATE_OF_JOIN
+                return UNCLASSIFIABLE
+            x = next(iter(ek.support()))
+            if x in m1 and k_line == join:
+                return CROSS_TRANSLATE_OF_JOIN
+            return UNCLASSIFIABLE
+        common = m1 & m2
+        if len(common) != 1:
+            return UNCLASSIFIABLE
+        c = next(iter(common))
+        join = configs._join(V.base, a, b)
+        if k_line != join:
+            return UNCLASSIFIABLE
+        if ek == EMPTY:
+            return CROSS_DOUBLE_OR_MEET_TRANSLATE
+        if next(iter(ek.support())) == c:
+            return CROSS_DOUBLE_OR_MEET_TRANSLATE
+        return UNCLASSIFIABLE
+
+    if len(doubles) == 1:
+        double, translate = (l1, l2) if gens[l1][0] == EMPTY else (l2, l1)
+        n = V.base.lines[gens[double][1]]
+        c, n2 = translate_of(translate)
+        if n2 != n or ek == EMPTY:
+            return UNCLASSIFIABLE
+        x = next(iter(ek.support()))
+        if x in n and x != c and k_line == configs._join(V.base, x, c):
+            return CROSS_POINT_JOIN
+        return UNCLASSIFIABLE
+
+    return UNCLASSIFIABLE
+
+
+def affine_space_by_ranks(n: int, p: int) -> ParallelStructure:
+    """AG(n,p) with its lines flattened class by class, sorted through a
+    rank permutation, and each class rebuilt from its run of ranks."""
+    pts = sorted(itertools.product(range(p), repeat=n))
+    index = {v: i for i, v in enumerate(pts)}
+    directions = projective_points(n, p)
+    classes = []
+    for d in directions:
+        seen: set[frozenset[int]] = set()
+        cls = []
+        for base in pts:
+            line = frozenset(index[vec_add(base, vec_scale(t, d, p), p)]
+                             for t in range(p))
+            if line not in seen:
+                seen.add(line)
+                cls.append(line)
+        classes.append(cls)
+    flattened = [l for cls in classes for l in cls]
+    order = sorted(range(len(flattened)), key=lambda i: tuple(sorted(flattened[i])))
+    rank_of = {old: new for new, old in enumerate(order)}
+    structure = IncidenceStructure(len(pts), [flattened[i] for i in order],
+                                   labels={i: v for i, v in enumerate(pts)},
+                                   sort_lines=False)
+    class_tuples = []
+    pos = 0
+    for cls in classes:
+        class_tuples.append(tuple(sorted(rank_of[pos + k] for k in range(len(cls)))))
+        pos += len(cls)
+    return ParallelStructure(structure, tuple(class_tuples))
+
+
+def check_preparallelism(P: ParallelStructure) -> tuple[bool, Optional[tuple]]:
+    """Classes nonempty with pairwise disjoint distinct lines."""
+    for ci, cls in enumerate(P.parallel_classes):
+        if not cls:
+            return False, ("empty_class", ci)
+        for x in range(len(cls)):
+            for y in range(x + 1, len(cls)):
+                a, b = P.base.lines[cls[x]], P.base.lines[cls[y]]
+                if a != b and a & b:
+                    return False, ("overlapping_parallels", ci, cls[x], cls[y])
+    return True, None
+
+
+def check_euclid(P: ParallelStructure) -> tuple[bool, Optional[int]]:
+    """Every class covers the full point set; else the first class that does not."""
+    for ci, cls in enumerate(P.parallel_classes):
+        covered = set()
+        for li in cls:
+            covered |= P.base.lines[li]
+        if len(covered) != P.base.point_count:
+            return False, ci
+    return True, None
+

@@ -86,8 +86,7 @@ def test_parallelism_search_cli(tmp_path):
     out = tmp_path / "s.json"
     assert run(["veronese", "--base", "ag:1:3", "--level", "2",
                 "--out", str(v)]) == 0
-    assert run(["parallelism-search", "--space", str(v),
-                "--mode", "leaf-closed", "--out", str(out)]) == 0
+    assert run(["parallelism-search", "--space", str(v), "--out", str(out)]) == 0
     data = json.loads(out.read_text())
     assert data["found"] is False
     assert data["exhaustive"] is True
@@ -141,6 +140,22 @@ def test_reduct_file_without_hyperplane_exits_2(tmp_path, capsys):
     rc = run(["verify", "--suite", "net-axiom", "--space", str(r)])
     assert rc == 2
     assert "hyperplane" in capsys.readouterr().err
+
+
+def test_base_file_without_lines_exits_2(tmp_path, capsys):
+    base = tmp_path / "base.json"
+    base.write_text(json.dumps({"point_count": 3}))
+    rc = run(["veronese", "--base", str(base), "--level", "2"])
+    assert rc == 2
+    assert "'lines'" in capsys.readouterr().err
+
+
+def test_internal_key_error_is_not_a_usage_error(monkeypatch):
+    def lookup_fails(names):
+        raise KeyError("internal")
+    monkeypatch.setattr(cli.verify_mod, "run_suites", lookup_fails)
+    with pytest.raises(KeyError):
+        run(["verify", "--suite", "construction-counts"])
 
 
 def test_unknown_flag_exit_2(capsys):

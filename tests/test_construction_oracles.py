@@ -10,8 +10,10 @@ row against every earlier row, scan every reduct line for a plane's
 directions, evaluate a form on every pair
 of points, look every sum x + y up by its multiset, intersect the point
 sets of every line pair an affine condition names, write the
-Net-violation shape loops out per search and walk the four lines of every
-quadrangle one at a time.  The library does less
+Net-violation shape loops out per search, walk the four lines of every
+quadrangle one at a time, read every block's generator in each level-2
+classifier and sort the lines of AG(n,p) through a rank permutation.
+The library does less
 work and must return exactly the same results, in the same order.
 """
 
@@ -53,9 +55,11 @@ from verogeo.spaces import (affine_space, polar_space_quadratic,
 from verogeo.verify import _reduct_pg33, _symplectic_hyperplane_pg33, _vpg
 from verogeo.veronese import build_veronese, leaf_plane_family, leaf_substructure
 
-from oracles import (assemble_from_h, h_function_by_sums, is_reflexive,
-                     leaf_planes_by_sums, maximal_strong_subspaces,
-                     singular_plane_family, veronese_by_sums)
+from oracles import (affine_space_by_ranks, assemble_from_h,
+                     crossing_line_by_provenance, h_function_by_sums,
+                     is_reflexive, leaf_planes_by_sums, maximal_strong_subspaces,
+                     quadrangle_by_provenance, singular_plane_family,
+                     veblen_by_provenance, veronese_by_sums)
 
 
 def _sorted_family(sets):
@@ -660,6 +664,53 @@ def test_leaf_traces_and_planes_match_multiset_sums():
     for V, H in ((VP, HP.points), (VW, polar_hyperplane(VW, HP))):
         assert extract_h_function(V, H) == h_function_by_sums(V, H)
         assert leaf_plane_family(V, planes) == leaf_planes_by_sums(V, planes)
+
+
+def outcome(classify, *args):
+    """The tag classify returns, or the type of the exception it raises."""
+    try:
+        return classify(*args)
+    except Exception as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("n,p", [(2, 2), (2, 3)])
+def test_block_shape_classifiers_match_provenance_reads(n, p):
+    V = _vpg(n, p)
+    tops = [V.block_top[i] for i in range(len(V.structure.lines))]
+    for fig in configs.find_incomplete_veblen(V.structure):
+        assert (outcome(configs.classify_veblen_in_veronese, V, fig)
+                == outcome(veblen_by_provenance, V, fig)), fig
+    quads = list(configs.quadrangle_crossings(V.structure, tops))
+    for i, (q, crossing_l, crossing_k) in enumerate(quads):
+        # the next quadrangle's vertices reach the vertex refusals
+        shifted = QuadrangleFigure(q.lines, quads[(i + 1) % len(quads)][0].vertices)
+        for figure in (q, shifted):
+            assert (outcome(configs.classify_proper_quadrangle, V, figure)
+                    == outcome(quadrangle_by_provenance, V, figure)), figure
+        for (a, b), fresh in zip(q.opposite_pairs, (crossing_l, crossing_k)):
+            for k in fresh:
+                assert (outcome(configs.classify_crossing_line, V, a, b, k)
+                        == outcome(crossing_line_by_provenance, V, a, b, k)), (a, b, k)
+
+
+def test_crossing_line_classifier_matches_provenance_reads_on_every_triple():
+    V = _vpg(2, 2)
+    top = V.block_top
+    blocks = range(len(V.structure.lines))
+    for l1, l2 in itertools.combinations(blocks, 2):
+        for k in blocks:
+            if len({top[l1], top[l2], top[k]}) == 3:
+                assert (outcome(configs.classify_crossing_line, V, l1, l2, k)
+                        == outcome(crossing_line_by_provenance, V, l1, l2, k)), (l1, l2, k)
+
+
+@pytest.mark.parametrize("n,p", [(1, 3), (2, 3), (3, 3), (2, 5), (3, 5), (4, 3)])
+def test_affine_space_matches_flattened_class_construction(n, p):
+    A, want = affine_space(n, p), affine_space_by_ranks(n, p)
+    assert A.base.lines == want.base.lines
+    assert A.base.labels == want.base.labels
+    assert A.parallel_classes == want.parallel_classes
 
 
 def symplectic_per_pair(V, xi):

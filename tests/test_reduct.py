@@ -18,7 +18,8 @@ from verogeo.spaces import ParallelStructure, projective_space
 from verogeo.verify import _reduct_pg33
 from verogeo.veronese import build_veronese
 
-from oracles import DEGENERATE, PLANE, is_connected, plane_from_triangle
+from oracles import (DEGENERATE, PLANE, check_preparallelism, is_connected,
+                     plane_from_triangle)
 
 
 def pg13_reduct():
@@ -42,7 +43,7 @@ def test_pg13_reduct_shape():
     assert len(A.classes) == 4
     assert all(len(m) == 1 for m in A.classes.values())
     classes = ParallelStructure(A.structure, tuple(A.classes.values()))
-    assert classes.check_preparallelism()[0]
+    assert check_preparallelism(classes)[0]
     assert is_connected(A.structure)
 
 
