@@ -234,7 +234,7 @@ def cmd_recover(args) -> int:
 
 def cmd_parallelism_search(args) -> int:
     V = _load_veronese(args.space)
-    result = search_leaf_closed_parallelism(V, budget_nodes=args.budget)
+    result = search_leaf_closed_parallelism(V)
     _write_json({"found": result.parallelism is not None,
                  "exhaustive": result.exhaustive,
                  "nodes": result.nodes,
@@ -344,7 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("parallelism-search",
                        help="search for a leaf-closed parallelism")
     p.add_argument("--space", required=True)
-    p.add_argument("--budget", type=int, default=2_000_000)
     p.add_argument("--out")
     p.set_defaults(func=cmd_parallelism_search)
 

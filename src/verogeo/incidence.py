@@ -314,55 +314,31 @@ class CapacityError(RuntimeError):
 def enumerate_hyperplanes(G: IncidenceStructure) -> list[frozenset[int]]:
     """Complete list of hyperplanes, via an exhaustive in/out decision scan.
 
-    A hyperplane is exactly a proper point set meeting every line in one
-    point or containing it, so the scan over the subset lattice is run as
-    a DFS over per-point membership decisions with that constraint pruned
-    per line.  Capped at MAX_SCAN_POINTS points; level-2 Veronese spaces
-    beyond the cap have a dedicated search (hyperplanes module).
+    A DFS decides the points in order on line bitsets, pruning a line with
+    two points in and one out, or with every point out, and accepts a full
+    assignment by is_hyperplane_mask.  Capped at MAX_SCAN_POINTS points;
+    level-2 Veronese spaces beyond the cap have a dedicated search
+    (hyperplanes module).
     """
     n = G.point_count
     if n > MAX_SCAN_POINTS:
         raise CapacityError(f"{n} points exceeds the {MAX_SCAN_POINTS}-point scan cap")
-    lines = [sorted(l) for l in G.lines]
-    per_point: list[list[int]] = [[] for _ in range(n)]
-    for i, l in enumerate(lines):
-        for q in l:
-            per_point[q].append(i)
-    size = [len(l) for l in lines]
-    count_in = [0] * len(lines)
-    count_out = [0] * len(lines)
-    chosen: list[bool] = [False] * n
+    masks = G.line_masks()
+    through = [[masks[i] for i in lines] for lines in G.lines_through()]
     found: list[frozenset[int]] = []
 
-    def feasible(i: int) -> bool:
-        # dead when a line has 2 in + 1 out, or is fully out
-        if count_in[i] >= 2 and count_out[i] >= 1:
-            return False
-        if count_out[i] == size[i]:
-            return False
-        return True
-
-    def dfs(q: int) -> None:
+    def dfs(q: int, inside: int) -> None:
         if q == n:
-            for i in range(len(lines)):
-                if count_in[i] != size[i] and count_in[i] != 1:
-                    return
-            X = frozenset(p for p in range(n) if chosen[p])
-            if len(X) < n:
-                found.append(X)
+            if is_hyperplane_mask(G, inside):
+                found.append(frozenset(p for p in range(n) if inside >> p & 1))
             return
-        for take in (False, True):
-            chosen[q] = take
-            bucket = count_in if take else count_out
-            for i in per_point[q]:
-                bucket[i] += 1
-            if all(feasible(i) for i in per_point[q]):
-                dfs(q + 1)
-            for i in per_point[q]:
-                bucket[i] -= 1
-        chosen[q] = False
+        for X in (inside, inside | 1 << q):
+            out = ~X & (2 << q) - 1  # the points decided so far and left out
+            if all(L & out != L and not (L & out and (L & X).bit_count() > 1)
+                   for L in through[q]):
+                dfs(q + 1, X)
 
-    dfs(0)
+    dfs(0, 0)
     found.sort(key=lambda s: tuple(sorted(s)))
     return found
 

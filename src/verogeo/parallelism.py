@@ -8,10 +8,11 @@ a parallelism needs as soon as k > 1.
 
 The stronger question, whether V(k, A0) carries any parallelism with
 constant direction size whose directions respect the leaves, is answered
-by an exhaustive backtracking search over partitions of the block set,
-with a counting identity shortcut: a covering direction needs v/kappa
-blocks, leaf closure forces it to restrict to a direction on every leaf
-it touches, and the resulting identity pins k = 1.
+by an exhaustive backtracking search over partitions of the block set
+under a fixed node budget.  counting_identity_solutions checks on its own
+why none is expected: a covering direction needs v/kappa blocks, leaf
+closure forces it to restrict to a direction on every leaf it touches,
+and the resulting identity pins k = 1.
 """
 
 from __future__ import annotations
@@ -62,29 +63,23 @@ def check_euclid_failure(V: VeroneseSpace, classes: dict[int, tuple[int, ...]]
     point and the relation is not a parallelism.
 
     The witness records a point with two distinct co-punctual related
-    blocks, e.g. the double of a base point on both a + L and 2L."""
+    blocks, e.g. the double of a base point on both a + L and 2L.  The
+    classes form a parallelism when they cover and no witness exists."""
     n_points = len(V.points)
-    per_point_ok = True
+    cover_ok = per_point_ok = True
     witness = None
-    cover_ok = True
-    for ci, members in classes.items():
+    for members in classes.values():
         counts = [0] * n_points
         for bi in members:
             for q in V.structure.lines[bi]:
                 counts[q] += 1
-        if any(c == 0 for c in counts):
-            cover_ok = False
-        if any(c != V.level for c in counts):
-            per_point_ok = False
-        if witness is None and V.level > 1:
-            for q in range(n_points):
-                if counts[q] >= 2:
-                    through = [bi for bi in members
-                               if q in V.structure.lines[bi]]
-                    witness = (q, through[0], through[1])
-                    break
-    parallel = V.level == 1
-    return EuclidFailureReport(cover_ok, per_point_ok, witness, parallel)
+        cover_ok &= 0 not in counts
+        per_point_ok &= counts == [V.level] * n_points
+        q = next((q for q, c in enumerate(counts) if c >= 2), None)
+        if witness is None and q is not None:
+            witness = (q, *[bi for bi in members if q in V.structure.lines[bi]][:2])
+    return EuclidFailureReport(cover_ok, per_point_ok, witness,
+                               cover_ok and witness is None)
 
 
 # ---------------------------------------------------------------------------
@@ -103,115 +98,83 @@ class SearchResult:
         return self.parallelism is None
 
 
-def search_leaf_closed_parallelism(V: VeroneseSpace,
-                                   budget_nodes: int = 2_000_000) -> SearchResult:
+SEARCH_NODE_BUDGET = 2_000_000
+
+
+def search_leaf_closed_parallelism(V: VeroneseSpace) -> SearchResult:
     """Exhaustive backtracking for a parallelism with constant direction
     size whose directions are closed on every leaf.
 
-    Directions must partition the blocks into point-covering classes of
-    pairwise disjoint blocks of size points/kappa; leaf closure is pruned
-    incrementally: a class holding a block of a leaf may not skip other
-    points of that leaf.  NONE results come with an exhausted-search
-    certificate (node count plus a hash of the decision tree); exceeding
-    the budget yields a partial-search report, never claimed as proof.
+    Directions partition the blocks into classes of v/kappa pairwise
+    disjoint blocks, which therefore cover the points.  One recursion
+    grows the open class by a later unassigned block; a full class that
+    is leaf-closed (its blocks inside each leaf partition that leaf) opens
+    the next class at the least unassigned block.  Each call is one node.
+    NONE results carry an exhausted-search certificate (node count plus
+    a hash of the decision tree); the first node past SEARCH_NODE_BUDGET
+    ends the search with a partial report, never claimed as proof.
     """
     blocks = V.structure.lines
-    n_blocks = len(blocks)
-    n_points = len(V.points)
     sizes = {len(b) for b in blocks}
     if len(sizes) != 1:
         raise ValueError("search needs constant line size")
-    kappa = sizes.pop()
-    if n_points % kappa:
+    per_class, rest = divmod(len(V.points), sizes.pop())
+    if rest:
         return SearchResult(None, True, 0, "capacity: kappa does not divide v")
-    per_class = n_points // kappa
-
-    leaf_of_block = {bi: V.block_top[bi] for bi in range(n_blocks)}
-
+    leaf_of = [V.leaves[V.block_top[bi]] for bi in range(len(blocks))]
     trace = hashlib.sha256()
+    classes: list[list[int]] = []
+    unassigned = set(range(len(blocks)))
     nodes = 0
-    exhausted = True
-    assignment: list[Optional[int]] = [None] * n_blocks
     found: Optional[tuple[tuple[int, ...], ...]] = None
 
-    def leaves_compatible(members: list[int], bi: int) -> bool:
-        # a covering leaf-closed class that holds blocks of two leaves
-        # sharing a point would need the block through that point inside
-        # both leaves at once; so tops must be equal or point-disjoint
-        new_top = leaf_of_block[bi]
-        new_leaf = V.leaves[new_top]
-        for bj in members:
-            top = leaf_of_block[bj]
-            if top != new_top and V.leaves[top] & new_leaf:
-                return False
-        return True
+    def leaf_compatible(members: list[int], bi: int) -> bool:
+        # a covering leaf-closed class with blocks of two leaves sharing a
+        # point needs its block there in both; so leaves are equal or disjoint
+        return all(leaf_of[bj] == leaf_of[bi] or not leaf_of[bj] & leaf_of[bi]
+                   for bj in members)
 
     def leaf_closed(members: list[int]) -> bool:
-        # blocks of the class inside one leaf must partition that leaf
-        by_leaf: dict = {}
+        in_leaf: dict = {}
         for bi in members:
-            by_leaf.setdefault(leaf_of_block[bi], []).append(bi)
-        for e, group in by_leaf.items():
-            covered = set()
-            for bi in group:
-                covered |= blocks[bi]
-            if covered != set(V.leaves[e]):
-                return False
-        return True
+            in_leaf[leaf_of[bi]] = in_leaf.get(leaf_of[bi], frozenset()) | blocks[bi]
+        return all(leaf == pts for leaf, pts in in_leaf.items())
 
-    def backtrack(completed: list[list[int]]) -> bool:
-        nonlocal nodes, exhausted, found
+    def search(covered: frozenset[int]) -> bool:
+        nonlocal nodes, found
+        full = bool(classes) and len(classes[-1]) == per_class
+        if full and not leaf_closed(classes[-1]):
+            return False
         nodes += 1
-        if nodes > budget_nodes:
-            exhausted = False
-            return False
-        first = next((bi for bi in range(n_blocks) if assignment[bi] is None),
-                     None)
-        if first is None:
-            found = tuple(tuple(sorted(c)) for c in completed)
+        if nodes > SEARCH_NODE_BUDGET:
             return True
-        cid = len(completed)
-        current = [first]
-        assignment[first] = cid
-        trace.update(b"%d:%d" % (first, cid))
+        opening = full or not classes
+        if opening:
+            if not unassigned:
+                found = tuple(map(tuple, classes))
+                return True
+            candidates, covered = [min(unassigned)], frozenset()
+            trace.update(b"%d:%d" % (candidates[0], len(classes)))
+            classes.append([])
+        else:
+            members = classes[-1]
+            candidates = (bi for bi in range(members[-1] + 1, len(blocks))
+                          if bi in unassigned and not covered & blocks[bi]
+                          and leaf_compatible(members, bi))
+        for bi in candidates:
+            unassigned.remove(bi)
+            classes[-1].append(bi)
+            if search(covered | blocks[bi]):
+                return True
+            classes[-1].pop()
+            unassigned.add(bi)
+        if opening:
+            classes.pop()
+        return False
 
-        def extend(members: list[int], covered: set[int]) -> bool:
-            nonlocal nodes, exhausted
-            if len(members) == per_class:
-                if len(covered) == n_points and leaf_closed(members):
-                    completed.append(members)
-                    if backtrack(completed):
-                        return True
-                    completed.pop()
-                return False
-            nodes += 1
-            if nodes > budget_nodes:
-                exhausted = False
-                return False
-            start = members[-1] + 1
-            for bi in range(start, n_blocks):
-                if assignment[bi] is not None:
-                    continue
-                if covered & blocks[bi]:
-                    continue
-                if not leaves_compatible(members, bi):
-                    continue
-                assignment[bi] = cid
-                members.append(bi)
-                if extend(members, covered | blocks[bi]):
-                    return True
-                members.pop()
-                assignment[bi] = None
-            return False
-
-        ok = extend(current, set(blocks[first]))
-        if not ok:
-            assignment[first] = None
-        return ok
-
-    backtrack([])
+    search(frozenset())
     cert = f"nodes={nodes};sha256={trace.hexdigest()[:16]}"
-    return SearchResult(found, exhausted, nodes, cert)
+    return SearchResult(found, nodes <= SEARCH_NODE_BUDGET, nodes, cert)
 
 
 def counting_identity_solutions(n_range: Sequence[int],

@@ -9,10 +9,14 @@ classifier, where configs reads it once per block through _level2_shape;
 affine_space_by_ranks sorts the lines of AG(n,p) through a rank
 permutation.  check_preparallelism and check_euclid decide the
 parallelism axioms on a ParallelStructure directly.
+leaf_closed_search_two_recursions is the leaf-closed parallelism search
+as two nested recursions (one per class, one per block), each counting
+its own nodes, which parallelism runs as one.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 from typing import Optional, Sequence
 
@@ -30,6 +34,7 @@ from verogeo.incidence import (IncidenceStructure, strong_extensions,
                                subspace_closure)
 from verogeo.multiset import (EMPTY, Multiset, enumerate_lower_multisets,
                               enumerate_multisets, scale_point)
+from verogeo.parallelism import SearchResult
 from verogeo.reduct import AffineReduct, visible_tops
 from verogeo.spaces import ParallelStructure
 from verogeo.veronese import VeroneseSpace
@@ -508,3 +513,113 @@ def check_euclid(P: ParallelStructure) -> tuple[bool, Optional[int]]:
             return False, ci
     return True, None
 
+
+def leaf_closed_search_two_recursions(V: VeroneseSpace,
+                                     budget_nodes: int = 2_000_000) -> SearchResult:
+    """Exhaustive backtracking for a parallelism with constant direction
+    size whose directions are closed on every leaf.
+
+    Directions must partition the blocks into point-covering classes of
+    pairwise disjoint blocks of size points/kappa; leaf closure is pruned
+    incrementally: a class holding a block of a leaf may not skip other
+    points of that leaf.  NONE results come with an exhausted-search
+    certificate (node count plus a hash of the decision tree); exceeding
+    the budget yields a partial-search report, never claimed as proof.
+    """
+    blocks = V.structure.lines
+    n_blocks = len(blocks)
+    n_points = len(V.points)
+    sizes = {len(b) for b in blocks}
+    if len(sizes) != 1:
+        raise ValueError("search needs constant line size")
+    kappa = sizes.pop()
+    if n_points % kappa:
+        return SearchResult(None, True, 0, "capacity: kappa does not divide v")
+    per_class = n_points // kappa
+
+    leaf_of_block = {bi: V.block_top[bi] for bi in range(n_blocks)}
+
+    trace = hashlib.sha256()
+    nodes = 0
+    exhausted = True
+    assignment: list[Optional[int]] = [None] * n_blocks
+    found: Optional[tuple[tuple[int, ...], ...]] = None
+
+    def leaves_compatible(members: list[int], bi: int) -> bool:
+        # a covering leaf-closed class that holds blocks of two leaves
+        # sharing a point would need the block through that point inside
+        # both leaves at once; so tops must be equal or point-disjoint
+        new_top = leaf_of_block[bi]
+        new_leaf = V.leaves[new_top]
+        for bj in members:
+            top = leaf_of_block[bj]
+            if top != new_top and V.leaves[top] & new_leaf:
+                return False
+        return True
+
+    def leaf_closed(members: list[int]) -> bool:
+        # blocks of the class inside one leaf must partition that leaf
+        by_leaf: dict = {}
+        for bi in members:
+            by_leaf.setdefault(leaf_of_block[bi], []).append(bi)
+        for e, group in by_leaf.items():
+            covered = set()
+            for bi in group:
+                covered |= blocks[bi]
+            if covered != set(V.leaves[e]):
+                return False
+        return True
+
+    def backtrack(completed: list[list[int]]) -> bool:
+        nonlocal nodes, exhausted, found
+        nodes += 1
+        if nodes > budget_nodes:
+            exhausted = False
+            return False
+        first = next((bi for bi in range(n_blocks) if assignment[bi] is None),
+                     None)
+        if first is None:
+            found = tuple(tuple(sorted(c)) for c in completed)
+            return True
+        cid = len(completed)
+        current = [first]
+        assignment[first] = cid
+        trace.update(b"%d:%d" % (first, cid))
+
+        def extend(members: list[int], covered: set[int]) -> bool:
+            nonlocal nodes, exhausted
+            if len(members) == per_class:
+                if len(covered) == n_points and leaf_closed(members):
+                    completed.append(members)
+                    if backtrack(completed):
+                        return True
+                    completed.pop()
+                return False
+            nodes += 1
+            if nodes > budget_nodes:
+                exhausted = False
+                return False
+            start = members[-1] + 1
+            for bi in range(start, n_blocks):
+                if assignment[bi] is not None:
+                    continue
+                if covered & blocks[bi]:
+                    continue
+                if not leaves_compatible(members, bi):
+                    continue
+                assignment[bi] = cid
+                members.append(bi)
+                if extend(members, covered | blocks[bi]):
+                    return True
+                members.pop()
+                assignment[bi] = None
+            return False
+
+        ok = extend(current, set(blocks[first]))
+        if not ok:
+            assignment[first] = None
+        return ok
+
+    backtrack([])
+    cert = f"nodes={nodes};sha256={trace.hexdigest()[:16]}"
+    return SearchResult(found, exhausted, nodes, cert)

@@ -92,6 +92,13 @@ def test_parallelism_search_cli(tmp_path):
     assert data["exhaustive"] is True
 
 
+def test_parallelism_search_has_no_budget_option(tmp_path):
+    v = tmp_path / "v.json"
+    assert run(["veronese", "--base", "ag:1:3", "--level", "2",
+                "--out", str(v)]) == 0
+    assert run(["parallelism-search", "--budget", "5", "--space", str(v)]) == 2
+
+
 def test_verify_single_suite(tmp_path, capsys):
     rc = run(["verify", "--suite", "construction-counts"])
     captured = capsys.readouterr()

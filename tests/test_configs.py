@@ -3,7 +3,8 @@ import pytest
 from verogeo.configs import (BASE_EMBEDDED, CROSS_DOUBLE_OR_MEET_TRANSLATE,
                              CROSS_POINT_JOIN, CROSS_TRANSLATE_OF_JOIN,
                              FOUR_POINT_TRANSLATE, THREE_LINE_TYPE, THREE_POINT_WITH_2M, TWO_LINE_TYPE,
-                             UNCLASSIFIABLE, FalsificationError, check_net_axiom,
+                             UNCLASSIFIABLE, FalsificationError, QuadrangleFigure,
+                             _level2_shape, check_net_axiom,
                              check_parallelogram_completion, check_tamaschke,
                              classify_all_veblen, classify_crossing_line,
                              classify_proper_quadrangle,
@@ -246,3 +247,20 @@ def test_veblen_adjacent_crossing_pair_forces_one_leaf():
             assert len(tops) == 1
             assert fig.complete
     assert confined > 0
+
+
+def test_three_line_shape_needs_the_translate_point_on_m():
+    # lines (2n, a+m, c+n, b+l) with vertices {2a, a+c, 2b, b+c}, where
+    # a, b lie on n and l joins b, c, but m passes through a and misses c
+    base = projective_space(2, 3)
+    V = build_veronese(base, 2)
+    block = {_level2_shape(V, bi): bi for bi in range(len(V.structure.lines))}
+    n = base.lines[0]
+    a, b = sorted(n)[:2]
+    c = next(q for q in base.points if q not in n)
+    l = next(L for L in base.lines if {b, c} <= L)
+    m = next(L for L in base.lines if a in L and c not in L and L != n)
+    q = QuadrangleFigure(
+        (block[None, n], block[a, m], block[c, n], block[b, l]),
+        (V.pair[a][a], V.pair[a][c], V.pair[b][c], V.pair[b][b]))
+    assert classify_proper_quadrangle(V, q) == UNCLASSIFIABLE

@@ -3,13 +3,15 @@ import random
 
 import pytest
 
+from verogeo.algebra import QuadraticForm
 from verogeo.incidence import (IncidenceStructure, enumerate_hyperplanes,
                                gamma_plane_classes, is_flappy, is_hyperplane,
                                is_l_transversal, is_partial_linear, is_spiky,
                                is_strong, is_subspace, subspace_closure,
                                veblen_parallel_lines)
 from verogeo.multiset import Multiset
-from verogeo.spaces import projective_hyperplanes, projective_plane_family, projective_space
+from verogeo.spaces import (polar_space_quadratic, projective_hyperplanes,
+                            projective_plane_family, projective_space)
 from verogeo.veronese import build_veronese
 
 from oracles import is_connected, maximal_strong_subspaces
@@ -174,19 +176,31 @@ def test_enumerate_hyperplanes_single_line():
     assert got == [frozenset({0}), frozenset({1}), frozenset({2})]
 
 
-def test_enumerate_hyperplanes_matches_brute_force_scan():
-    # independent oracle: literal scan of all 2^10 subsets
-    V = v2_pg13()
-    G = V.structure
+def brute_force_hyperplanes(G):
+    # independent oracle: literal scan of all 2^v subsets
     brute = []
     for mask in range(1 << G.point_count):
         X = frozenset(q for q in range(G.point_count) if mask >> q & 1)
         if is_hyperplane(G, X):
             brute.append(X)
-    brute.sort(key=lambda s: tuple(sorted(s)))
-    assert enumerate_hyperplanes(G) == brute
+    return sorted(brute, key=lambda s: tuple(sorted(s)))
+
+
+def test_enumerate_hyperplanes_matches_brute_force_scan():
+    V = v2_pg13()
+    brute = brute_force_hyperplanes(V.structure)
+    assert enumerate_hyperplanes(V.structure) == brute
     double_leaf = frozenset(V.leaves[Multiset(())])
     assert double_leaf in brute
+    Q = QuadraticForm(3, ((0, 1, 0, 0), (0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 0, 0)))
+    q33 = polar_space_quadratic(Q)[0]
+    assert enumerate_hyperplanes(q33) == brute_force_hyperplanes(q33)
+
+
+def test_enumerate_hyperplanes_with_an_empty_line():
+    # no point set meets the empty line, so nothing is a hyperplane
+    G = IncidenceStructure(3, [[0, 1, 2], []])
+    assert enumerate_hyperplanes(G) == brute_force_hyperplanes(G) == []
 
 
 def test_enumerate_hyperplanes_capacity():

@@ -1,11 +1,17 @@
 import itertools
+from unittest import mock
 
+import pytest
+
+from verogeo import parallelism
 from verogeo.incidence import veblen_parallel_lines
 from verogeo.parallelism import (check_euclid_failure, counting_identity_solutions,
                                  induced_relation, leaf_preparallelism,
                                  search_leaf_closed_parallelism)
-from verogeo.spaces import affine_space
+from verogeo.spaces import affine_space, projective_space
 from verogeo.veronese import build_veronese
+
+from oracles import leaf_closed_search_two_recursions
 
 
 def v2_ag23():
@@ -77,6 +83,52 @@ def test_level_one_no_failure():
     report = check_euclid_failure(V1, classes)
     assert report.is_parallelism
     assert report.classes_cover
+
+
+def test_one_class_of_all_lines_is_not_a_parallelism():
+    # every point of AG(2,3) lies on 4 of its 12 lines
+    V = build_veronese(affine_space(2, 3).base, 1)
+    report = check_euclid_failure(V, {0: tuple(range(len(V.structure.lines)))})
+    assert report.classes_cover
+    assert not report.per_point_count_is_level
+    q, b1, b2 = report.witness
+    assert b1 != b2 and q in V.structure.lines[b1] & V.structure.lines[b2]
+    assert not report.is_parallelism
+
+
+CAPACITY = "capacity: kappa does not divide v"
+
+
+@pytest.mark.parametrize("base, level, certificate", [
+    (affine_space(1, 3).base, 1, "nodes=2;sha256=ac72368a586a18c1"),
+    (affine_space(1, 3).base, 2, "nodes=2;sha256=ac72368a586a18c1"),
+    (affine_space(2, 3).base, 1, "nodes=13;sha256=498cb5822d5c2c5b"),
+    (affine_space(2, 3).base, 2, "nodes=5;sha256=ac72368a586a18c1"),
+    (affine_space(3, 3).base, 1, "nodes=118;sha256=ab04d7e5d4ad4eb3"),
+    (affine_space(2, 5).base, 1, "nodes=31;sha256=5a240a70b3205c17"),
+    (affine_space(1, 5).base, 2, "nodes=2;sha256=ac72368a586a18c1"),
+    (affine_space(1, 3).base, 3, CAPACITY),
+    (projective_space(2, 2), 2, CAPACITY),
+])
+def test_leaf_closed_search_matches_two_recursions(base, level, certificate):
+    V = build_veronese(base, level)
+    result = search_leaf_closed_parallelism(V)
+    assert result == leaf_closed_search_two_recursions(V)
+    assert result.certificate == certificate
+    assert result.exhaustive
+    assert result.none_found == (level > 1)
+
+
+@pytest.mark.parametrize("budget, nodes, found", [
+    (117, 118, False), (10, 11, False), (118, 118, True)])
+def test_leaf_closed_search_stops_at_its_budget(budget, nodes, found):
+    # V(1,AG(3,3)) finds its parallelism at node 118
+    V = build_veronese(affine_space(3, 3).base, 1)
+    with mock.patch.object(parallelism, "SEARCH_NODE_BUDGET", budget):
+        result = search_leaf_closed_parallelism(V)
+    assert result.nodes == nodes
+    assert result.exhaustive == found
+    assert (result.parallelism is not None) == found
 
 
 def test_leaf_closed_search_v2_ag13_none():
