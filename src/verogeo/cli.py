@@ -62,10 +62,12 @@ def _standard_quadric(n: int, p: int, kind: str) -> QuadraticForm:
     elif kind == "elliptic":
         if dim % 2:
             raise UsageError("elliptic quadrics need even vector dimension")
-        non_square = next(a for a in range(2, p)
-                          if all(b * b % p != a for b in range(p)))
         M[0][0] = 1
-        M[1][1] = (-non_square) % p
+        if p == 2:  # x0^2 + x0 x1 + x1^2 is anisotropic over GF(2)
+            M[0][1] = M[1][1] = 1
+        else:
+            M[1][1] = -next(a for a in range(2, p)
+                            if all(b * b % p != a for b in range(p))) % p
         for i in range(2, dim, 2):
             M[i][i + 1] = 1
     else:

@@ -32,7 +32,6 @@ from .algebra import (AlternatingMultiForm, BilinearForm,
                       alternating_forms_up_to_scalar, is_prime, is_symplectic,
                       perp_rows)
 from .configs import FalsificationError, _join
-from .incidence import CapacityError
 from .multiset import EMPTY, Multiset, scale_point
 from .veronese import VeroneseSpace
 
@@ -215,9 +214,6 @@ def polar_hyperplane(V_polar: VeroneseSpace, H_proj: VeroneseHyperplane,
 # exhaustive enumeration for level-2 Veronese spaces
 
 
-LEVEL2_BASE_CAP = 16
-
-
 def enumerate_hyperplanes_level2(V: VeroneseSpace,
                                  base_hyperplanes: Optional[list[frozenset[int]]] = None
                                  ) -> list[frozenset[int]]:
@@ -232,13 +228,12 @@ def enumerate_hyperplanes_level2(V: VeroneseSpace,
     so the rows allowed at x are one lookup in a table of candidates keyed
     by those bits; the chosen rows' bits above their own point are kept in
     one integer, n bits per point, from which each prefix is read.  The
-    point set and the diagonal are ORed together row by row.
+    point set and the diagonal are ORed together row by row.  Each call is
+    one node; the first past inc.SEARCH_NODE_BUDGET raises CapacityError.
     """
     if V.level != 2:
         raise ValueError("leaf-trace search applies to level 2 only")
     n = V.base.point_count
-    if n > LEVEL2_BASE_CAP:
-        raise CapacityError(f"base has {n} points, above the {LEVEL2_BASE_CAP} cap")
     if base_hyperplanes is None:
         base_hyperplanes = inc.enumerate_hyperplanes(V.base)
     candidates = sorted(base_hyperplanes, key=lambda s: tuple(sorted(s)))
@@ -262,8 +257,13 @@ def enumerate_hyperplanes_level2(V: VeroneseSpace,
     prefix_mask = [(1 << x) - 1 for x in range(n)]
     G = V.structure
     found: set[int] = set()
+    nodes = 0
 
     def dfs(x: int, columns: int, X: int, diag: int) -> None:
+        nonlocal nodes
+        nodes += 1
+        if nodes > inc.SEARCH_NODE_BUDGET:
+            raise inc.CapacityError(f"level-2 search passed the node budget at {nodes} nodes")
         if x == n:
             if diag in admissible_diag and inc.is_hyperplane_mask(G, X):
                 found.add(X)

@@ -304,7 +304,7 @@ def is_flappy(G: IncidenceStructure, X: Iterable[int],
 # ---------------------------------------------------------------------------
 # hyperplane enumeration
 
-MAX_SCAN_POINTS = 24
+SEARCH_NODE_BUDGET = 2_000_000
 
 
 class CapacityError(RuntimeError):
@@ -314,31 +314,31 @@ class CapacityError(RuntimeError):
 def enumerate_hyperplanes(G: IncidenceStructure) -> list[frozenset[int]]:
     """Complete list of hyperplanes, via an exhaustive in/out decision scan.
 
-    A DFS decides the points in order on line bitsets, pruning a line with
-    two points in and one out, or with every point out, and accepts a full
-    assignment by is_hyperplane_mask.  Capped at MAX_SCAN_POINTS points;
-    level-2 Veronese spaces beyond the cap have a dedicated search
-    (hyperplanes module).
+    A depth-first scan on an explicit stack decides the points in order on
+    line bitsets, pruning a line with two points in and one out, or with
+    every point out, and accepts a full assignment by is_hyperplane_mask.
+    Each decision step is one node; the first node past SEARCH_NODE_BUDGET
+    raises CapacityError, since a partial list proves nothing.
     """
     n = G.point_count
-    if n > MAX_SCAN_POINTS:
-        raise CapacityError(f"{n} points exceeds the {MAX_SCAN_POINTS}-point scan cap")
     masks = G.line_masks()
     through = [[masks[i] for i in lines] for lines in G.lines_through()]
     found: list[frozenset[int]] = []
-
-    def dfs(q: int, inside: int) -> None:
+    stack, nodes = [(0, 0)], 0
+    while stack:
+        q, inside = stack.pop()
+        nodes += 1
+        if nodes > SEARCH_NODE_BUDGET:
+            raise CapacityError(f"hyperplane scan passed the node budget at {nodes} nodes")
         if q == n:
             if is_hyperplane_mask(G, inside):
                 found.append(frozenset(p for p in range(n) if inside >> p & 1))
-            return
+            continue
         for X in (inside, inside | 1 << q):
             out = ~X & (2 << q) - 1  # the points decided so far and left out
             if all(L & out != L and not (L & out and (L & X).bit_count() > 1)
                    for L in through[q]):
-                dfs(q + 1, X)
-
-    dfs(0, 0)
+                stack.append((q + 1, X))
     found.sort(key=lambda s: tuple(sorted(s)))
     return found
 

@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from . import incidence as inc
 from .spaces import ParallelStructure
 from .veronese import VeroneseSpace
 
@@ -98,9 +99,6 @@ class SearchResult:
         return self.parallelism is None
 
 
-SEARCH_NODE_BUDGET = 2_000_000
-
-
 def search_leaf_closed_parallelism(V: VeroneseSpace) -> SearchResult:
     """Exhaustive backtracking for a parallelism with constant direction
     size whose directions are closed on every leaf.
@@ -111,7 +109,7 @@ def search_leaf_closed_parallelism(V: VeroneseSpace) -> SearchResult:
     is leaf-closed (its blocks inside each leaf partition that leaf) opens
     the next class at the least unassigned block.  Each call is one node.
     NONE results carry an exhausted-search certificate (node count plus
-    a hash of the decision tree); the first node past SEARCH_NODE_BUDGET
+    a hash of the decision tree); the first node past inc.SEARCH_NODE_BUDGET
     ends the search with a partial report, never claimed as proof.
     """
     blocks = V.structure.lines
@@ -146,7 +144,7 @@ def search_leaf_closed_parallelism(V: VeroneseSpace) -> SearchResult:
         if full and not leaf_closed(classes[-1]):
             return False
         nodes += 1
-        if nodes > SEARCH_NODE_BUDGET:
+        if nodes > inc.SEARCH_NODE_BUDGET:
             return True
         opening = full or not classes
         if opening:
@@ -174,7 +172,7 @@ def search_leaf_closed_parallelism(V: VeroneseSpace) -> SearchResult:
 
     search(frozenset())
     cert = f"nodes={nodes};sha256={trace.hexdigest()[:16]}"
-    return SearchResult(found, nodes <= SEARCH_NODE_BUDGET, nodes, cert)
+    return SearchResult(found, nodes <= inc.SEARCH_NODE_BUDGET, nodes, cert)
 
 
 def counting_identity_solutions(n_range: Sequence[int],

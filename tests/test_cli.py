@@ -35,6 +35,22 @@ def test_quadric_without_lines_rejected(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_build_elliptic_quadric_over_gf2(tmp_path):
+    out = tmp_path / "q.json"
+    assert run(["build", "quadric", "5", "2", "--quadric-type", "elliptic",
+                "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert data["point_count"] == 27
+    assert len(data["lines"]) == 45
+
+
+def test_elliptic_quadric_over_gf2_without_lines_rejected(tmp_path, capsys):
+    rc = run(["build", "quadric", "3", "2", "--quadric-type", "elliptic",
+              "--out", str(tmp_path / "q.json")])
+    assert rc == 2
+    assert "quadric carries no lines" in capsys.readouterr().err
+
+
 def test_full_pipeline(tmp_path, capsys):
     v = tmp_path / "v.json"
     h = tmp_path / "h.json"

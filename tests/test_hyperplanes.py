@@ -1,6 +1,9 @@
+from unittest import mock
+
 import pytest
 
-from verogeo.algebra import (BilinearForm, determinant_form,
+from verogeo import incidence
+from verogeo.algebra import (BilinearForm, QuadraticForm, determinant_form,
                              standard_symplectic)
 from verogeo.hyperplanes import (FULL, VeroneseHyperplane, _base_prime,
                                  enumerate_hyperplanes_level2, extract_h_function,
@@ -187,7 +190,6 @@ def test_polar_hyperplane_w33():
 
 
 def test_polar_hyperplane_hyperbolic_quadric():
-    from verogeo.algebra import QuadraticForm
     Q = QuadraticForm(3, ((0, 1, 0, 0), (0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 0, 0)))
     polar, kept = polar_space_quadratic(Q)
     Vq = build_veronese(polar, 2)
@@ -236,9 +238,39 @@ def test_base_prime_rejects_a_base_that_is_no_projective_space():
         _base_prime(build_veronese(affine_space(2, 3).base, 2))
 
 
-def test_leaf_trace_enumeration_matches_scan():
-    V = v2(1, 3)
-    assert enumerate_hyperplanes_level2(V) == enumerate_hyperplanes(V.structure)
+Q_PLUS_32 = QuadraticForm(2, ((0, 1, 0, 0), (0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 0, 0)))
+
+
+@pytest.mark.parametrize("base, count", [
+    (lambda: projective_space(1, 3), 5),
+    (lambda: projective_space(2, 2), 63),
+    (lambda: polar_space_quadratic(Q_PLUS_32)[0], 1023),
+    (lambda: projective_space(2, 3), 26),
+], ids=["PG(1,3)", "PG(2,2)", "Q+(3,2)", "PG(2,3)"])
+def test_leaf_trace_enumeration_matches_scan(base, count):
+    V = build_veronese(base(), 2)
+    got = enumerate_hyperplanes(V.structure)
+    assert len(got) == count
+    assert enumerate_hyperplanes_level2(V) == got
+
+
+def test_scan_counts_the_level3_hyperplanes_over_pg22():
+    # 2^7 - 1: V(3,PG(2,2)) has a 7-dimensional GF(2) hyperplane kernel
+    V = build_veronese(projective_space(2, 2), 3)
+    got = enumerate_hyperplanes(V.structure)
+    assert len(got) == 127
+    assert hyperplane_from_alternating(V, determinant_form(3, 2)).points in got
+
+
+def test_level2_search_stops_at_its_budget():
+    # V(2,PG(2,3)) takes the level-2 search 7,073 nodes
+    V = v2(2, 3)
+    with mock.patch.object(incidence, "SEARCH_NODE_BUDGET", 7072):
+        with pytest.raises(incidence.CapacityError, match=r"\b7073 nodes"):
+            enumerate_hyperplanes_level2(V)
+    with mock.patch.object(incidence, "SEARCH_NODE_BUDGET", 7073):
+        got = enumerate_hyperplanes_level2(V)
+    assert len(got) == 26
 
 
 def test_characterization_v2_pg23_leaf_trace():

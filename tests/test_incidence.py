@@ -1,8 +1,10 @@
 import json
 import random
+from unittest import mock
 
 import pytest
 
+from verogeo import incidence
 from verogeo.algebra import QuadraticForm
 from verogeo.incidence import (IncidenceStructure, enumerate_hyperplanes,
                                gamma_plane_classes, is_flappy, is_hyperplane,
@@ -204,10 +206,24 @@ def test_enumerate_hyperplanes_with_an_empty_line():
 
 
 def test_enumerate_hyperplanes_capacity():
-    from verogeo.incidence import CapacityError
+    # PG(3,3) takes the scan 1,217 nodes: one fewer in the budget refuses it
     G = projective_space(3, 3)
-    with pytest.raises(CapacityError):
-        enumerate_hyperplanes(G)
+    with mock.patch.object(incidence, "SEARCH_NODE_BUDGET", 1216):
+        with pytest.raises(incidence.CapacityError, match=r"\b1217 nodes"):
+            enumerate_hyperplanes(G)
+    with mock.patch.object(incidence, "SEARCH_NODE_BUDGET", 1217):
+        got = enumerate_hyperplanes(G)
+    assert len(got) == 40
+    assert got == projective_hyperplanes(G, 3)
+
+
+def test_enumerate_hyperplanes_runs_deeper_than_the_recursion_limit():
+    # V(2,PG(2,7)) has 1,653 points, more than Python's default recursion limit
+    G = build_veronese(projective_space(2, 7), 2).structure
+    assert G.point_count == 1653
+    with mock.patch.object(incidence, "SEARCH_NODE_BUDGET", 20_000):
+        with pytest.raises(incidence.CapacityError, match=r"\b20001 nodes"):
+            enumerate_hyperplanes(G)
 
 
 def test_hyperplane_implies_parts():

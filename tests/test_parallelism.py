@@ -3,7 +3,7 @@ from unittest import mock
 
 import pytest
 
-from verogeo import parallelism
+from verogeo import incidence
 from verogeo.incidence import veblen_parallel_lines
 from verogeo.parallelism import (check_euclid_failure, counting_identity_solutions,
                                  induced_relation, leaf_preparallelism,
@@ -124,7 +124,7 @@ def test_leaf_closed_search_matches_two_recursions(base, level, certificate):
 def test_leaf_closed_search_stops_at_its_budget(budget, nodes, found):
     # V(1,AG(3,3)) finds its parallelism at node 118
     V = build_veronese(affine_space(3, 3).base, 1)
-    with mock.patch.object(parallelism, "SEARCH_NODE_BUDGET", budget):
+    with mock.patch.object(incidence, "SEARCH_NODE_BUDGET", budget):
         result = search_leaf_closed_parallelism(V)
     assert result.nodes == nodes
     assert result.exhaustive == found
