@@ -93,11 +93,6 @@ class IncidenceStructure:
             self._line_index = {l: i for i, l in enumerate(self.lines)}
         return self._line_index
 
-    def label(self, point: int):
-        if self.labels is None:
-            return point
-        return self.labels.get(point, point)
-
     def to_json(self) -> dict:
         data = {
             "point_count": self.point_count,

@@ -1,13 +1,16 @@
 """Affine reducts of Veronese spaces: delete a hyperplane, keep the
 truncated lines, and induce the parallelism "same deleted point".
 
-The reduct stores, for every truncated line, its ambient parent and its
-unique infinite point; the parallel classes are exactly the fibers of the
-infinite-point map, so directions correspond to deleted points.  On top of
-that the module implements the definability program: maximal strong
-subspaces (the leaf reducts), planes, the Veblen parallelism, the two
-direction types, recovery of the horizon lines, and full reconstruction of
-the ambient Veronese space from reduct-visible data.
+build_reduct is the library's one hyperplane deletion.  A plain partial
+linear space M goes through it as V(1, M), which has M's point indices
+and line set.  The reduct stores, for every truncated line, its ambient
+parent and its unique infinite point; the parallel classes are exactly
+the fibers of the infinite-point map, so directions correspond to
+deleted points.  On top of that the module implements the definability
+program: maximal strong subspaces (the leaf reducts), planes, the Veblen
+parallelism, the two direction types, recovery of the horizon lines, and
+full reconstruction of the ambient Veronese space from reduct-visible
+data.
 
 Definability operations are implemented twice where feasible: an oracle
 route using stored ambient data, and a visible route using only reduct
@@ -33,7 +36,6 @@ from .configs import FalsificationError, _join, quadrangle_crossings
 from .hyperplanes import FULL, VeroneseHyperplane
 from .incidence import IncidenceStructure, subspace_closure
 from .multiset import Multiset, scale_point
-from .spaces import affine_reduct_of
 from .veronese import VeroneseSpace
 
 ONE_LEAF = "ONE_LEAF"
@@ -135,17 +137,33 @@ class AffineReduct:
 
 
 def build_reduct(V: VeroneseSpace, H: VeroneseHyperplane) -> AffineReduct:
-    """Delete the hyperplane from the Veronese space.
+    """Delete the hyperplane from the Veronese space: the one hyperplane
+    deletion of the library.
 
-    spaces.affine_reduct_of verifies the hyperplane, the 1-or-all law per
-    block and the line floor; its parallel classes, keyed here by deleted
-    point, partition the truncated lines.
+    A hyperplane meets every block in one point or all of it, and every
+    block has at least 3 points, so each block outside H is cut at its one
+    deleted point into a line of at least 2 points.  The truncated lines
+    are sorted by point tuple; the classes, keyed by deleted point, list
+    them in that order.  A plain partial linear space M reaches its reduct
+    through V(1, M), which has M's point indices and line set.
     """
-    data = affine_reduct_of(V.structure, H.points)
-    lines = tuple(TruncatedLine(pts, parent, inf) for pts, parent, inf in zip(
-        data.structure.lines, data.parents, data.infinite_points))
-    classes = {lines[c[0]].infinite: c for c in data.parallel.parallel_classes}
-    return AffineReduct(V, H, data.structure, data.kept, lines, classes)
+    pts = H.points
+    if not inc.is_hyperplane(V.structure, pts):
+        raise ValueError("trace is not a hyperplane of the structure")
+    amb_of = tuple(q for q in range(len(V.points)) if q not in pts)
+    red_of = {a: r for r, a in enumerate(amb_of)}
+    cut = sorted((tuple(sorted(red_of[q] for q in block - pts)), bi,
+                  next(iter(block & pts)))
+                 for bi, block in enumerate(V.structure.lines) if not block <= pts)
+    lines = tuple(TruncatedLine(frozenset(trunc), bi, e) for trunc, bi, e in cut)
+    structure = IncidenceStructure(len(amb_of), [t.points for t in lines],
+                                   labels={r: V.points[a] for r, a in enumerate(amb_of)},
+                                   sort_lines=False)
+    classes: dict[int, list[int]] = {}
+    for i, t in enumerate(lines):
+        classes.setdefault(t.infinite, []).append(i)
+    return AffineReduct(V, H, structure, amb_of, lines,
+                        {e: tuple(classes[e]) for e in sorted(classes)})
 
 
 # ---------------------------------------------------------------------------
@@ -719,11 +737,3 @@ def truncated_plane_family(V: VeroneseSpace, H_points: frozenset[int],
         if len(kept) >= 3:
             out.add(kept)
     return sorted(out, key=lambda s: tuple(sorted(s)))
-
-
-def gamma_matches_leaves(G: IncidenceStructure,
-                         planes: Sequence[frozenset[int]],
-                         leaves: Iterable[frozenset[int]]) -> bool:
-    """Chain classes of the plane family coincide with the leaf family."""
-    classes = set(inc.gamma_plane_classes(G, planes))
-    return classes == set(leaves)

@@ -1,6 +1,9 @@
 """Concrete finite geometries: PG(n,p), AG(n,p), symplectic and quadratic
-polar spaces, restrictions, and affine reducts obtained by deleting a
-hyperplane.
+polar spaces, and restrictions.
+
+No hyperplane is deleted here: reduct.build_reduct is the one hyperplane
+deletion, and a plain structure M reaches its affine reduct through the
+Veronese space V(1, M), which has M's point indices and line set.
 
 Every constructor labels points (coordinate tuples for PG/AG), and
 projective_plane_family exports the planes that flappy and
@@ -18,7 +21,7 @@ from typing import Sequence
 from . import algebra
 from .algebra import (BilinearForm, QuadraticForm, normalize_vector,
                       projective_points, vec_add, vec_scale)
-from .incidence import IncidenceStructure, is_hyperplane
+from .incidence import IncidenceStructure
 
 
 @dataclass
@@ -186,63 +189,3 @@ def polar_space_quadratic(Q: QuadraticForm) -> tuple[IncidenceStructure, tuple[i
     if not polar.lines:
         raise ValueError("quadric carries no lines: not a polar space")
     return polar, kept
-
-
-# ---------------------------------------------------------------------------
-# affine reducts of plain structures (affine polar spaces among them)
-
-
-@dataclass
-class AffineReductData:
-    """Reduct of an incidence structure by a hyperplane trace.
-
-    Lines are truncated; each keeps its parent line index and the unique
-    deleted (infinite) point.  Parallel classes group truncated lines by
-    infinite point.
-    """
-
-    structure: IncidenceStructure
-    parallel: ParallelStructure
-    kept: tuple[int, ...]
-    parents: tuple[int, ...]
-    infinite_points: tuple[int, ...]
-
-
-def affine_reduct_of(G: IncidenceStructure, trace: Sequence[int]) -> AffineReductData:
-    """Delete a verified hyperplane; induced parallelism by shared trace point.
-
-    Every line not inside the trace must meet it in exactly one point (the
-    1-or-all law for hyperplanes); truncated 2-point lines are allowed.
-    """
-    trace_set = frozenset(trace)
-    if not is_hyperplane(G, trace_set):
-        raise ValueError("trace is not a hyperplane of the structure")
-    kept = tuple(i for i in range(G.point_count) if i not in trace_set)
-    new_of = {old: new for new, old in enumerate(kept)}
-    lines = []
-    parents = []
-    infinites = []
-    for li, line in enumerate(G.lines):
-        if line <= trace_set:
-            continue
-        deleted = line & trace_set
-        if len(deleted) != 1:
-            raise ValueError(f"line {li} meets the hyperplane in {len(deleted)} points")
-        trunc = frozenset(new_of[q] for q in line - trace_set)
-        if len(trunc) < 2:
-            raise ValueError(f"line {li} keeps fewer than 2 points")
-        lines.append(trunc)
-        parents.append(li)
-        infinites.append(next(iter(deleted)))
-    order = sorted(range(len(lines)), key=lambda i: tuple(sorted(lines[i])))
-    lines = [lines[i] for i in order]
-    parents = tuple(parents[i] for i in order)
-    infinites = tuple(infinites[i] for i in order)
-    labels = {new: G.label(old) for new, old in enumerate(kept)}
-    structure = IncidenceStructure(len(kept), lines, labels=labels, sort_lines=False)
-    by_infinite: dict[int, list[int]] = {}
-    for i, inf in enumerate(infinites):
-        by_infinite.setdefault(inf, []).append(i)
-    classes = tuple(tuple(v) for _, v in sorted(by_infinite.items()))
-    parallel = ParallelStructure(structure, classes)
-    return AffineReductData(structure, parallel, kept, parents, infinites)

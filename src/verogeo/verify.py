@@ -41,11 +41,10 @@ from .parallelism import (check_euclid_failure, counting_identity_solutions,
                           induced_relation, leaf_preparallelism,
                           search_leaf_closed_parallelism)
 from .reduct import (build_reduct, check_parallelism_reconstruction,
-                     classify_directions, gamma_matches_leaves,
-                     net_violation_shape_on_base, net_violation_witness,
-                     recover_veronese, scan_declared_double_triples,
-                     truncated_plane_family, veblen_subclass_map,
-                     verify_maximal_strong)
+                     classify_directions, net_violation_shape_on_base,
+                     net_violation_witness, recover_veronese,
+                     scan_declared_double_triples, truncated_plane_family,
+                     veblen_subclass_map, verify_maximal_strong)
 from .spaces import (affine_space, polar_space_quadratic, polar_space_symplectic,
                      projective_hyperplanes, projective_plane_family,
                      projective_space)
@@ -561,7 +560,7 @@ def suite_polar_pipeline() -> list[Verdict]:
         VW = _vw33()
         planes = leaf_plane_family(VW, projective_plane_family(_pg(3, 3), 3))
         leaves = set(VW.leaves.values())
-        ok_full = gamma_matches_leaves(VW.structure, planes, leaves)
+        ok_full = set(inc.gamma_plane_classes(VW.structure, planes)) == leaves
         # and on the reduct: truncated planes against truncated leaves
         H = _symplectic_hyperplane_pg33()
         pts = polar_hyperplane(VW, H)
@@ -569,7 +568,8 @@ def suite_polar_pipeline() -> list[Verdict]:
                                 source="polar-intersection")
         A = build_reduct(VW, HW)
         trunc_planes = truncated_plane_family(VW, pts, planes, A.red_of)
-        ok_reduct = gamma_matches_leaves(A.structure, trunc_planes, A.leaf_reducts)
+        ok_reduct = (set(inc.gamma_plane_classes(A.structure, trunc_planes))
+                     == A.leaf_reducts)
         return (ok_full and ok_reduct, None,
                 {"full_space": ok_full, "reduct": ok_reduct})
 

@@ -1,5 +1,6 @@
 """Every public name of the library has a caller in the library, and
-every name a test module imports is read there.
+every name a test module or a module of src/verogeo imports is read
+there.
 
 A top-level public name (a function, class or constant of a module in
 src/verogeo, without a leading underscore) counts as used when any file
@@ -102,9 +103,10 @@ def test_unread_public_members_match_the_closed_list():
 
 
 def unread_test_imports():
-    """(file, name) for each name a module under tests/ imports and never reads."""
+    """(file, name) for each name a module under tests/ or src/verogeo
+    imports and never reads."""
     out = []
-    for path in sorted((ROOT / "tests").glob("*.py")):
+    for path in sorted([*(ROOT / "tests").glob("*.py"), *PACKAGE.glob("*.py")]):
         tree = ast.parse(path.read_text())
         imported = set()
         for node in ast.walk(tree):
@@ -114,7 +116,7 @@ def unread_test_imports():
                 imported.update(a.asname or a.name for a in node.names)
         read = {sub.id for sub in ast.walk(tree)
                 if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
-        out.extend((path.name, name) for name in sorted(imported - read))
+        out.extend((str(path.relative_to(ROOT)), name) for name in sorted(imported - read))
     return out
 
 

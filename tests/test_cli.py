@@ -165,6 +165,19 @@ def test_reduct_file_without_hyperplane_exits_2(tmp_path, capsys):
     assert "hyperplane" in capsys.readouterr().err
 
 
+def test_reduct_refuses_a_point_set_that_is_not_a_hyperplane(tmp_path, capsys):
+    # one point of V(2, PG(1,3)) misses most blocks: no hyperplane to delete
+    v = tmp_path / "v.json"
+    h = tmp_path / "h.json"
+    run(["veronese", "--base", "pg:1:3", "--level", "2", "--out", str(v)])
+    h.write_text(json.dumps({"points": [0]}))
+    capsys.readouterr()
+    rc = run(["reduct", "--space", str(v), "--hyperplane", str(h),
+              "--out", str(tmp_path / "r.json")])
+    assert rc == 2
+    assert "not a hyperplane" in capsys.readouterr().err
+
+
 def test_base_file_without_lines_exits_2(tmp_path, capsys):
     base = tmp_path / "base.json"
     base.write_text(json.dumps({"point_count": 3}))

@@ -3,17 +3,27 @@ import itertools
 import pytest
 
 from verogeo.algebra import QuadraticForm, standard_symplectic
+from verogeo.hyperplanes import VeroneseHyperplane, extract_h_function
 from verogeo.incidence import is_hyperplane, is_partial_linear
-from verogeo.spaces import (affine_reduct_of, affine_space, polar_space_quadratic,
-                            polar_space_symplectic, projective_hyperplanes,
-                            projective_plane_family, projective_space,
-                            restriction)
+from verogeo.reduct import build_reduct
+from verogeo.spaces import (ParallelStructure, affine_space,
+                            polar_space_quadratic, polar_space_symplectic,
+                            projective_hyperplanes, projective_plane_family,
+                            projective_space, restriction)
+from verogeo.veronese import build_veronese
 
 from oracles import (affine_plane_family, check_euclid, check_preparallelism,
                      is_connected, maximal_strong_subspaces,
                      singular_plane_family)
 
 HYPERBOLIC = QuadraticForm(3, ((0, 1, 0, 0), (0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 0, 0)))
+
+
+def plain_reduct(M, trace):
+    """The affine reduct of M by a hyperplane trace, through V(1, M)."""
+    V = build_veronese(M, 1)
+    pts = frozenset(trace)
+    return build_reduct(V, VeroneseHyperplane(V, pts, extract_h_function(V, pts)))
 
 
 def test_fano():
@@ -130,10 +140,11 @@ def test_affine_polar_space_from_w33():
     P = projective_space(3, 3)
     trace = projective_hyperplanes(P, 3)[0]
     assert is_hyperplane(W, trace)
-    red = affine_reduct_of(W, sorted(trace))
+    red = plain_reduct(W, trace)
     assert red.structure.point_count == 40 - len(trace)
     assert is_connected(red.structure)
-    ok, _ = check_preparallelism(red.parallel)
+    ok, _ = check_preparallelism(
+        ParallelStructure(red.structure, tuple(red.classes.values())))
     assert ok
     assert all(len(line) >= 3 for line in red.structure.lines)
 
@@ -144,16 +155,16 @@ def test_affine_polar_maximal_strong_are_affine():
     W = polar_space_symplectic(standard_symplectic(4, 3))
     P = projective_space(3, 3)
     trace = projective_hyperplanes(P, 3)[0]
-    red = affine_reduct_of(W, sorted(trace))
+    red = plain_reduct(W, trace)
     strongs = maximal_strong_subspaces(red.structure)
     assert strongs
     # chart: delete the same trace from PG(3,3); affine lines = truncated PG lines
-    chart = affine_reduct_of(P, sorted(trace))
+    chart = plain_reduct(P, trace)
     affine_lines = set(chart.structure.lines)
     # reindex red points into chart points via shared ambient indexing
     red_to_chart = {}
-    chart_pos = {old: new for new, old in enumerate(chart.kept)}
-    for new, old in enumerate(red.kept):
+    chart_pos = {old: new for new, old in enumerate(chart.amb_of)}
+    for new, old in enumerate(red.amb_of):
         red_to_chart[new] = chart_pos[old]
     for s in strongs:
         image = frozenset(red_to_chart[q] for q in s)
@@ -217,8 +228,8 @@ def test_polar_and_affine_polar_strongly_connected():
     kept_pos = {old: new for new, old in enumerate(kept)}
     trace_old = projective_hyperplanes(P, 3)[0]
     trace = sorted(kept_pos[q] for q in trace_old if q in kept_pos)
-    red = affine_reduct_of(polar, trace)
-    red_pos = {old: new for new, old in enumerate(red.kept)}
+    red = plain_reduct(polar, trace)
+    red_pos = {old: new for new, old in enumerate(red.amb_of)}
     trace_set = set(trace)
     trunc = []
     for pl in planes:

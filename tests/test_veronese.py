@@ -27,6 +27,12 @@ def test_level_one_isomorphic_to_base():
     mapped = {frozenset(next(iter(V.points[q].support())) for q in block)
               for block in V.structure.lines}
     assert mapped == base_lines
+    # what the plain-structure reduct route through V(1, M) relies on:
+    # M's point indices and M's line set, unchanged
+    for M in (G, polar_space_symplectic(standard_symplectic(4, 3))):
+        V = build_veronese(M, 1)
+        assert all(V.points[q] == scale_point(1, q) for q in M.points)
+        assert set(V.structure.lines) == set(M.lines)
 
 
 def test_v2_projective_line():
