@@ -2,9 +2,9 @@
 emit machine-readable reports.
 
 Exit codes: 0 when every requested check passes, 1 when a check fails
-(the report names the claim and carries the witness; a falsification or
-a reduct that does not determine its ambient space is named on stderr),
-2 for usage or capacity errors.  Reports on equal inputs are identical
+(the report names the claim and carries the witness, or counts the
+missing and extra lines of a recovery; a falsification is named on
+stderr), 2 for usage or capacity errors.  Reports on equal inputs are identical
 across runs once each verdict's runtime_s is dropped.
 """
 
@@ -23,8 +23,8 @@ from .hyperplanes import (VeroneseHyperplane, extract_h_function,
                           hyperplane_from_alternating,
                           hyperplane_from_symplectic)
 from .incidence import CapacityError, IncidenceStructure
-from .reduct import (AffineReduct, RecoveryError, build_reduct,
-                     net_violation_witness, recover_veronese)
+from .reduct import (AffineReduct, build_reduct, net_violation_witness,
+                     recover_veronese)
 from .configs import FalsificationError, check_net_axiom
 from .parallelism import search_leaf_closed_parallelism
 from .spaces import (affine_space, polar_space_quadratic,
@@ -371,9 +371,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except FalsificationError as exc:
         print(f"falsified: {exc}", file=sys.stderr)
-        return 1
-    except RecoveryError as exc:
-        print(f"recovery failed: {exc}", file=sys.stderr)
         return 1
     except (UsageError, CapacityError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

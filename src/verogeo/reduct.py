@@ -15,12 +15,9 @@ data.
 Definability operations are implemented twice where feasible: an oracle
 route using stored ambient data, and a visible route using only reduct
 incidence plus the induced parallelism; the two are compared.  The
-quadrangle index (every proper quadrangle with the fresh crossings of its
-opposite pairs) and the parallelism reconstruction read reduct data
-alone.  Two searches still let ambient data guide the *choice* of
-witnesses: the Net-violation witness and the double horizon line
-recovery; every acceptance decision on them is made by reduct-visible
-predicates.
+quadrangle index, the parallelism reconstruction and the double horizon
+lines use reduct data alone.  Only the Net-violation witness still lets
+ambient data choose its candidates; it accepts them on reduct incidence.
 """
 
 from __future__ import annotations
@@ -28,7 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Collection, Iterable, Iterator, Optional, Sequence
 
 from . import incidence as inc
 from .algebra import perp_rows
@@ -53,12 +50,10 @@ class AffineReduct:
     """V(k, M0) minus a hyperplane, with the induced parallelism.
 
     classes[e] lists, in line order, the truncated lines whose deleted
-    point is e.  The lookups below that name ambient data (lines by their
-    parent block, trace rows, double-leaf tops) serve the two guided
-    searches, net_violation_witness and recover_horizon_double_lines,
-    which use them to pick witnesses, never to accept one.  Visible tops,
-    planes, the direction taxonomy and the quadrangle index are cached
-    here on first use.
+    point is e.  The lookups that name ambient data (lines by their parent
+    block, trace rows) let net_violation_witness pick witnesses, never
+    accept one.  Visible tops, direction tops, planes, the direction
+    taxonomy and the quadrangle index are cached here on first use.
     """
 
     def __init__(self, ambient: VeroneseSpace, hyperplane: VeroneseHyperplane,
@@ -83,11 +78,7 @@ class AffineReduct:
     # -- cached geometry ---------------------------------------------------
 
     def class_of_line(self) -> dict[int, int]:
-        out = {}
-        for e, members in self.classes.items():
-            for i in members:
-                out[i] = e
-        return out
+        return {i: e for e, members in self.classes.items() for i in members}
 
     def infinite_label(self, e: int) -> Multiset:
         return self.ambient.points[e]
@@ -115,17 +106,12 @@ class AffineReduct:
         return rows
 
     @cached_property
-    def double_tops(self) -> dict[int, int]:
-        """Base point x -> the visible top of the first line in direction 2x,
-        for every x whose double is deleted."""
-        V = self.ambient
+    def direction_tops(self) -> dict[int, frozenset[int]]:
+        """direction_tops[e]: the visible tops of the lines of class e; at
+        level 2 one for a double 2x, two for a mixed point x+y."""
         top_of, _ = visible_tops(self)
-        out = {}
-        for x in range(V.base.point_count):
-            members = self.classes.get(V.pair[x][x])
-            if members:
-                out[x] = top_of[members[0]]
-        return out
+        return {e: frozenset(top_of[li] for li in members)
+                for e, members in self.classes.items()}
 
     @cached_property
     def leaf_reducts(self) -> set[frozenset[int]]:
@@ -253,12 +239,12 @@ class DirectionsReport:
 def classify_directions(A: AffineReduct) -> DirectionsReport:
     """Each direction (deleted point) is ONE_LEAF or TWO_LEAF.
 
-    ONE_LEAF (doubles 2x): all class members pairwise Veblen-parallel.
-    TWO_LEAF (mixed x+y): two members are not Veblen-parallel and every
-    member is Veblen-parallel to exactly one of them, splitting the class
-    into exactly two subclasses.  Both horns are re-verified with the
-    Veblen formula; degenerate hyperplanes are refused.  The report is
-    cached on A.
+    ONE_LEAF (doubles 2x): one visible top, all members pairwise
+    Veblen-parallel.  TWO_LEAF (mixed x+y): two or more tops, two members
+    not Veblen-parallel and every member Veblen-parallel to exactly one of
+    them, splitting the class into exactly two subclasses.  Both horns are
+    re-verified with the Veblen formula; degenerate hyperplanes are
+    refused.  The report is cached on A.
     """
     if A._directions is not None:
         return A._directions
@@ -268,8 +254,7 @@ def classify_directions(A: AffineReduct) -> DirectionsReport:
     subclasses: dict[int, tuple[tuple[int, ...], ...]] = {}
     dichotomy_ok = True
     for e, members in A.classes.items():
-        label = A.infinite_label(e)
-        if len(label.support()) == 1:
+        if len(A.direction_tops[e]) == 1:
             kinds[e] = ONE_LEAF
             for i, j in itertools.combinations(members, 2):
                 if not veblen_parallel(A, i, j):
@@ -301,14 +286,8 @@ def classify_directions(A: AffineReduct) -> DirectionsReport:
 def veblen_subclass_map(A: AffineReduct) -> dict[int, int]:
     """line index -> Veblen-parallel class id (one or two per direction)."""
     report = classify_directions(A)
-    out: dict[int, int] = {}
-    next_id = 0
-    for e in sorted(report.subclasses):
-        for part in report.subclasses[e]:
-            for li in part:
-                out[li] = next_id
-            next_id += 1
-    return out
+    parts = [part for e in sorted(report.subclasses) for part in report.subclasses[e]]
+    return {li: c for c, part in enumerate(parts) for li in part}
 
 
 # ---------------------------------------------------------------------------
@@ -366,65 +345,48 @@ def recover_horizon_leaf_lines(A: AffineReduct) -> set[frozenset[int]]:
     return {tr for tr in reduct_plane_family(A)[1] if len(tr) >= 3}
 
 
-class RecoveryError(RuntimeError):
-    """The reduct does not determine the ambient space."""
+def _double_of_top(A: AffineReduct) -> dict[int, int]:
+    """Visible top -> its one-top direction: the double of that leaf."""
+    out: dict[int, int] = {}
+    for e, tops in A.direction_tops.items():
+        if len(tops) == 1:
+            (t,) = tops
+            if out.setdefault(t, e) != e:
+                raise FalsificationError(f"top {t} has one-top directions {out[t]} and {e}")
+    return out
 
 
 def recover_horizon_double_lines(A: AffineReduct) -> set[frozenset[int]]:
-    """Horizon lines inside the double leaf, via proper quadrangles.
+    """Horizon lines inside the double leaf, read off the visible tops.
 
-    Doubles 2x, 2x1, 2x2 are collinear when some proper quadrangle admits
-    three distinct lines, each crossing both of one opposite pair, whose
-    tops are the three leaf reducts.  The witness quadrangle for a triple
-    on a base line L0 takes the opposite pair a+L0, b+L0 and anchors the
-    other pair on x1+n, x2+n with n joining a and b, so those two sides
-    themselves witness 2x1 and 2x2 while x+n witnesses 2x.  Candidates
-    for a, b are chosen with ambient guidance (off the conjugates of the
-    points involved); every acceptance decision is reduct-visible.
+    With the double leaf inside H, a proper point x+y lies in the tops of
+    x and y, and a one-top direction is the double of its top's leaf.  So
+    a line of x + L with top T names the leaves of L by the other top of
+    each point and of its direction (T for a one-top direction): their
+    doubles make up 2L, and a nondegenerate H cuts every L in some leaf.
+    Without one other top, or a double for it, a line names nothing.
     """
-    V = A.ambient
-    if A.hyperplane.degenerate:
-        raise ValueError("horizon recovery needs a nondegenerate hyperplane")
-    base = V.base
-    n = base.point_count
-    top_of, subs = visible_tops(A)
+    top_of, _ = visible_tops(A)
+    double_of = _double_of_top(A)
+    through = A.structure.lines_through()
 
-    def declared(x: int, x1: int, x2: int, L0: frozenset[int]) -> bool:
-        """Witness that 2x, 2x1, 2x2 are collinear; validation visible."""
-        bad = A.rows[x] | A.rows[x1] | A.rows[x2] | {x, x1, x2}
-        candidates = [a for a in range(n) if a not in bad]
-        for a, b in itertools.combinations(candidates, 2):
-            nline = _join(base, a, b)
-            q_lines = _two_line_quadrangle(A, L0, nline, a, b, x1, x2, top_of)
-            if q_lines is None:
-                continue
-            opp1, side1, opp2, side2 = q_lines
-            kx = A.line_at(x, nline)
-            if kx is None or kx in (opp1, opp2):
-                continue
-            if not _crosses_both(A, kx, opp1, opp2):
-                continue
-            # the anchor sides witness x1 and x2; tops pin the leaves
-            if top_of[kx] != A.double_tops.get(x):
-                continue
-            if top_of[side1] != A.double_tops.get(x1):
-                continue
-            if top_of[side2] != A.double_tops.get(x2):
-                continue
-            return True
-        return False
+    def across(tops: Collection[int]) -> dict[int, Optional[int]]:
+        """Each of two tops -> the double of the other."""
+        if len(tops) != 2:
+            return {}
+        a, b = tops
+        return {a: double_of.get(b), b: double_of.get(a)}
 
+    point_across = [across({top_of[li] for li in lines}) for lines in through]
     recovered = set()
-    for bl in base.lines:
-        xs = sorted(bl)
-        for x in xs:
-            others = [y for y in xs if y != x][:2]
-            if not declared(x, others[0], others[1], bl):
-                raise RecoveryError(
-                    f"no quadrangle witnesses the double horizon line over "
-                    f"{sorted(bl)} at point {x}")
-        line = frozenset(V.pair[x][x] for x in xs)
-        recovered.add(line)
+    for e, members in A.classes.items():
+        tops = A.direction_tops[e]
+        dir_across = across(tops) if len(tops) > 1 else dict.fromkeys(tops, e)
+        for li in members:
+            doubles = {point_across[q].get(top_of[li]) for q in A.lines[li].points}
+            doubles.add(dir_across.get(top_of[li]))
+            if None not in doubles:
+                recovered.add(frozenset(doubles))
     return recovered
 
 
@@ -485,22 +447,23 @@ def scan_declared_double_triples(A: AffineReduct) -> dict:
     base points.
 
     Scans every proper quadrangle of the quadrangle index, reads the
-    doubles named by the tops of each opposite pair's fresh crossings, and
-    checks them against base collinearity (an oracle comparison)."""
+    doubles named by the tops of each opposite pair's fresh crossings (a
+    top names its one-top direction), and checks them against ambient
+    collinearity (an oracle comparison)."""
     V = A.ambient
     top_of, _ = visible_tops(A)
-    sub_to_base = {t: x for x, t in A.double_tops.items()}
+    double_of = _double_of_top(A)
     walk, _ = _quadrangle_index(A)
     declared = 0
     for _, *pairs in walk:
         for crossing in pairs:
-            xs = sorted({sub_to_base[top_of[k]] for k in crossing
-                         if top_of[k] in sub_to_base})
-            if len(xs) >= 3:
+            ds = sorted({double_of[top_of[k]] for k in crossing
+                         if top_of[k] in double_of})
+            if len(ds) >= 3:
                 declared += 1
-                if not set(xs) <= _join(V.base, xs[0], xs[1]):
+                if not set(ds) <= _join(V.structure, ds[0], ds[1]):
                     raise FalsificationError(
-                        f"declared doubles {xs} are not collinear in the base")
+                        f"declared doubles {ds} are not collinear in the ambient space")
     return {"quadrangles_scanned": len(walk), "triples_declared": declared}
 
 
@@ -529,8 +492,8 @@ def recover_veronese(A: AffineReduct) -> RecoveryReport:
     Points: proper points plus one per direction (its deleted point).
     Lines: every truncated line completed by its direction, the horizon
     lines recovered inside single-point leaves (plane traces) and inside
-    the double leaf (quadrangle witnesses).  The assembled structure is
-    compared line-for-line with the ambient space; any mismatch is a
+    the double leaf (read off the visible tops).  The assembled structure
+    is compared line-for-line with the ambient space; any mismatch is a
     falsification, not a warning.
     """
     V = A.ambient

@@ -447,7 +447,7 @@ def suite_recovery() -> list[Verdict]:
     out.append(_verdict(
         "reduct-recovers-ambient",
         "proper points plus directions, completed truncated lines, plane "
-        "traces and quadrangle-witnessed double lines reproduce all 820 "
+        "traces and double lines read off the visible tops reproduce all 820 "
         "points and 5330 lines exactly",
         "V(2, PG(3,3)) minus the symplectic hyperplane", check))
 

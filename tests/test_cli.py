@@ -51,7 +51,7 @@ def test_elliptic_quadric_over_gf2_without_lines_rejected(tmp_path, capsys):
     assert "quadric carries no lines" in capsys.readouterr().err
 
 
-def test_full_pipeline(tmp_path, capsys):
+def test_full_pipeline(tmp_path):
     v = tmp_path / "v.json"
     h = tmp_path / "h.json"
     r = tmp_path / "r.json"
@@ -70,9 +70,13 @@ def test_full_pipeline(tmp_path, capsys):
     red = json.loads(r.read_text())
     assert len(red["proper_points"]) == 6
     assert len(red["lines"]) == 4
-    # this reduct does not determine its double horizon: a failed check
-    assert run(["recover", "--reduct", str(r)]) == 1
-    assert "recovery failed: no quadrangle witnesses" in capsys.readouterr().err
+    # the double horizon line is read off the four visible tops
+    out = tmp_path / "rec.json"
+    assert run(["recover", "--reduct", str(r), "--check-against", str(v),
+                "--out", str(out)]) == 0
+    rec = json.loads(out.read_text())
+    assert rec["points"] == 10 and rec["lines"] == 5
+    assert rec["lines_match"] and rec["ambient_agrees"]
 
 
 def test_recover_on_pg33(tmp_path):

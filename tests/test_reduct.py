@@ -5,7 +5,8 @@ import pytest
 from verogeo.algebra import BilinearForm, standard_symplectic
 from verogeo.hyperplanes import hyperplane_from_symplectic
 from verogeo.multiset import EMPTY, Multiset
-from verogeo.reduct import (AffineReduct, RecoveryError, build_reduct,
+from verogeo.configs import FalsificationError
+from verogeo.reduct import (AffineReduct, build_reduct,
                             check_parallelism_reconstruction,
                             classify_directions, net_violation_witness,
                             reconstruct_parallel_pair,
@@ -232,12 +233,26 @@ def test_recover_veronese_pg33_closes_one_seed_per_plane():
     assert report.plane_closures == 1560
 
 
-def test_recover_horizon_double_lines_fails_on_projective_line():
-    # the reduct of the level-2 Veronese over PG(1,3) is isomorphic to a
-    # Veronese product, so the double horizon cannot be recovered
-    A = pg13_reduct()
-    with pytest.raises(RecoveryError):
-        recover_horizon_double_lines(A)
+def test_recover_veronese_pg13_reads_the_double_line():
+    # the reduct over PG(1,3) has no proper quadrangle, but its four tops
+    # and their one-top directions still name the one double line
+    report = recover_veronese(pg13_reduct())
+    assert report.ok
+    assert (report.point_count, report.line_count) == (10, 5)
+    assert (report.missing_lines, report.extra_lines) == (0, 0)
+
+
+def test_double_line_read_refuses_two_one_top_directions_on_one_top():
+    # split one double's class in two: its top now carries two one-top
+    # directions, which no level-2 reduct has
+    A = pg33_reduct()
+    e = next(e for e, tops in A.direction_tops.items() if len(tops) == 1)
+    classes = dict(A.classes)
+    classes[e], classes[len(A.ambient.points)] = A.classes[e][:1], A.classes[e][1:]
+    split = AffineReduct(A.ambient, A.hyperplane, A.structure, A.amb_of,
+                         A.lines, classes)
+    with pytest.raises(FalsificationError):
+        recover_horizon_double_lines(split)
 
 
 def test_net_violation_impossible_over_gf3():
@@ -362,17 +377,22 @@ class _BlindReduct(AffineReduct):
     """An affine reduct whose ambient space, hyperplane and the lookups
     derived from them raise when read."""
 
-    ambient = hyperplane = rows = double_tops = leaf_reducts = property(_ambient_read)
+    ambient = hyperplane = rows = infinite_label = leaf_reducts = property(_ambient_read)
 
 
-def test_parallelism_reconstruction_reads_reduct_data_only():
-    A = pg25_degenerate_reduct()
+def _blind_copy(A):
     blind = AffineReduct(A.ambient, A.hyperplane, A.structure, A.amb_of,
                          A.lines, A.classes)
     blind.lines = tuple(_BlindLine(t) for t in A.lines)
     blind.__class__ = _BlindReduct
     with pytest.raises(AssertionError):
         blind.ambient
+    return blind
+
+
+def test_parallelism_reconstruction_reads_reduct_data_only():
+    A = pg25_degenerate_reduct()
+    blind = _blind_copy(A)
     assert visible_tops(blind) == visible_tops(A)
     report = check_parallelism_reconstruction(blind)
     assert report == check_parallelism_reconstruction(A) == {
@@ -384,6 +404,22 @@ def test_parallelism_reconstruction_reads_reduct_data_only():
              for j in range(i + 1, len(G.lines), 11)]
     assert ([reconstruct_parallel_pair(blind, i, j) for i, j in pairs]
             == [reconstruct_parallel_pair(A, i, j) for i, j in pairs])
+
+
+def test_double_horizon_lines_read_reduct_data_only():
+    A = pg33_reduct()
+    blind = _blind_copy(A)
+    got = recover_horizon_double_lines(blind)
+    assert got == recover_horizon_double_lines(A)
+    V = A.ambient
+    assert got == {frozenset(V.pair[x][x] for x in bl) for bl in V.base.lines}
+    assert len(got) == 130
+    # one top exactly for the doubles 2x, two for each mixed direction
+    tops = blind.direction_tops
+    assert tops == A.direction_tops
+    doubles = {e for e in A.classes if len(A.infinite_label(e).support()) == 1}
+    assert {e for e in tops if len(tops[e]) == 1} == doubles and len(doubles) == 40
+    assert sorted(len(tops[e]) for e in tops if e not in doubles) == [2] * 240
 
 
 def test_gamma_single_leaf_one_class():
