@@ -33,23 +33,16 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def normalize_vector(v: Sequence[int], p: int) -> Vector:
-    """Scale so the first nonzero coordinate is 1; canonical per 1-space."""
-    v = [x % p for x in v]
-    for x in v:
-        if x:
-            inv = pow(x, p - 2, p)
-            return tuple((y * inv) % p for y in v)
-    raise ValueError("zero vector has no projective normalization")
-
-
 def projective_points(dim: int, p: int) -> list[Vector]:
-    """Normalized representatives of the 1-spaces of GF(p)^dim, sorted."""
-    pts = set()
-    for v in itertools.product(range(p), repeat=dim):
-        if any(v):
-            pts.add(normalize_vector(v, p))
-    return sorted(pts)
+    """Normalized representatives of the 1-spaces of GF(p)^dim, sorted.
+
+    Each is written down as its own reduced echelon basis: the points
+    leading at position a, (0,)*a + (1,) + tail, form one block in the
+    order of their tails, and the blocks run from the last lead to the
+    first.
+    """
+    return [(0,) * a + (1,) + tail for a in range(dim - 1, -1, -1)
+            for tail in itertools.product(range(p), repeat=dim - 1 - a)]
 
 
 def vec_add(u: Vector, v: Vector, p: int) -> Vector:
@@ -237,13 +230,6 @@ class QuadraticForm:
     @staticmethod
     def from_json(data: dict) -> "QuadraticForm":
         return QuadraticForm(data["p"], tuple(tuple(r) for r in data["matrix"]))
-
-
-def _line_points(u: Vector, v: Vector, p: int) -> list[Vector]:
-    pts = {normalize_vector(v, p)}
-    for t in range(p):
-        pts.add(normalize_vector(vec_add(u, vec_scale(t, v, p), p), p))
-    return sorted(pts)
 
 
 # ---------------------------------------------------------------------------

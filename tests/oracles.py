@@ -12,6 +12,9 @@ parallelism axioms on a ParallelStructure directly.
 leaf_closed_search_two_recursions is the leaf-closed parallelism search
 as two nested recursions (one per class, one per block), each counting
 its own nodes, which parallelism runs as one.
+normalize_vector, projective_points_by_normalizing and line_points build
+the points and lines of PG(n,p) by normalizing every vector, where spaces
+writes each one down from its reduced echelon basis.
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ from typing import Optional, Sequence
 
 from verogeo import configs, incidence as inc
 from verogeo.algebra import (AlternatingMultiForm, BilinearForm, QuadraticForm,
-                             Vector, is_symplectic, normalize_vector,
-                             projective_points, vec_add, vec_scale)
+                             Vector, is_symplectic, projective_points,
+                             vec_add, vec_scale)
 from verogeo.configs import (BASE_EMBEDDED, CROSS_DOUBLE_OR_MEET_TRANSLATE,
                              CROSS_POINT_JOIN, CROSS_TRANSLATE_OF_JOIN,
                              FOUR_POINT_TRANSLATE, THREE_LINE_TYPE,
@@ -41,6 +44,33 @@ from verogeo.veronese import VeroneseSpace
 
 DEGENERATE = "DEGENERATE"
 PLANE = "PLANE"
+
+
+def normalize_vector(v: Sequence[int], p: int) -> Vector:
+    """Scale so the first nonzero coordinate is 1; canonical per 1-space."""
+    v = [x % p for x in v]
+    for x in v:
+        if x:
+            inv = pow(x, p - 2, p)
+            return tuple((y * inv) % p for y in v)
+    raise ValueError("zero vector has no projective normalization")
+
+
+def projective_points_by_normalizing(dim: int, p: int) -> list[Vector]:
+    """Every nonzero vector of GF(p)^dim normalized; the distinct ones, sorted."""
+    pts = set()
+    for v in itertools.product(range(p), repeat=dim):
+        if any(v):
+            pts.add(normalize_vector(v, p))
+    return sorted(pts)
+
+
+def line_points(u: Vector, v: Vector, p: int) -> list[Vector]:
+    """The normalized points of the line joining u and v, sorted."""
+    pts = {normalize_vector(v, p)}
+    for t in range(p):
+        pts.add(normalize_vector(vec_add(u, vec_scale(t, v, p), p), p))
+    return sorted(pts)
 
 
 def is_connected(G: IncidenceStructure) -> bool:

@@ -6,11 +6,12 @@ import pytest
 from verogeo.algebra import (AlternatingMultiForm, BilinearForm, QuadraticForm,
                              alternating_forms_up_to_scalar, determinant_form,
                              is_nondegenerate, is_prime, is_symplectic,
-                             normalize_vector, nullspace, perp_rows,
-                             projective_points, radical, standard_symplectic)
+                             nullspace, perp_rows, projective_points, radical,
+                             standard_symplectic)
 from verogeo.spaces import polar_space_quadratic
 
-from oracles import is_nondegenerate_alternating, is_reflexive, quadric_points
+from oracles import (is_nondegenerate_alternating, is_reflexive, normalize_vector,
+                     projective_points_by_normalizing, quadric_points)
 
 
 def test_prime_field():
@@ -31,6 +32,12 @@ def test_projective_point_counts():
     assert len(projective_points(2, 3)) == 4
     assert len(projective_points(3, 3)) == 13
     assert len(projective_points(4, 3)) == 40
+
+
+@pytest.mark.parametrize("dim,p", [(dim, p) for dim in range(1, 7) for p in (2, 3, 5, 7)
+                                   if p ** dim < 200_000])
+def test_projective_points_match_the_normalizing_oracle(dim, p):
+    assert projective_points(dim, p) == projective_points_by_normalizing(dim, p)
 
 
 def test_standard_symplectic_classification():

@@ -19,6 +19,14 @@ def test_build_pg(tmp_path):
     assert len(data["lines"]) == 130
 
 
+@pytest.mark.parametrize("n,p", [("0", "3"), ("2", "4")])
+def test_build_pg_refuses_bad_arguments(tmp_path, capsys, n, p):
+    out = tmp_path / "pg.json"
+    assert run(["build", "pg", n, p, "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_build_quadric(tmp_path):
     out = tmp_path / "q.json"
     assert run(["build", "quadric", "3", "3", "--quadric-type", "hyperbolic",

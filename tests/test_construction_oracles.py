@@ -25,10 +25,9 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from verogeo.algebra import (BilinearForm, QuadraticForm, _line_points,
-                             alternating_forms_up_to_scalar, normalize_vector,
-                             nullspace, perp_rows, projective_points,
-                             standard_symplectic)
+from verogeo.algebra import (BilinearForm, QuadraticForm,
+                             alternating_forms_up_to_scalar, nullspace, perp_rows,
+                             projective_points, standard_symplectic)
 from verogeo import configs
 from verogeo.configs import (QuadrangleFigure, ScanReport, _join,
                              check_parallelogram_completion, check_tamaschke,
@@ -57,9 +56,10 @@ from verogeo.veronese import build_veronese, leaf_plane_family, leaf_substructur
 
 from oracles import (affine_space_by_ranks, assemble_from_h,
                      crossing_line_by_provenance, h_function_by_sums,
-                     is_reflexive, leaf_planes_by_sums, maximal_strong_subspaces,
-                     quadrangle_by_provenance, singular_plane_family,
-                     veblen_by_provenance, veronese_by_sums)
+                     is_reflexive, leaf_planes_by_sums, line_points,
+                     maximal_strong_subspaces, normalize_vector,
+                     projective_points_by_normalizing, quadrangle_by_provenance,
+                     singular_plane_family, veblen_by_provenance, veronese_by_sums)
 
 
 def _sorted_family(sets):
@@ -67,9 +67,9 @@ def _sorted_family(sets):
 
 
 def all_pairs_lines(n, p):
-    pts = projective_points(n + 1, p)
+    pts = projective_points_by_normalizing(n + 1, p)
     index = {v: i for i, v in enumerate(pts)}
-    return _sorted_family({frozenset(index[w] for w in _line_points(u, v, p))
+    return _sorted_family({frozenset(index[w] for w in line_points(u, v, p))
                            for u, v in itertools.combinations(pts, 2)})
 
 
@@ -141,9 +141,12 @@ def test_gamma_classes_reject_degenerate_lines(line):
         gamma_plane_classes(G, [frozenset({0, 1, 2}), frozenset({0, 1, 3})])
 
 
-@pytest.mark.parametrize("n,p", [(n, p) for n in (1, 2, 3) for p in (2, 3, 5)])
+@pytest.mark.parametrize("n,p", [(n, p) for n in (1, 2, 3) for p in (2, 3, 5)]
+                         + [(4, 3), (5, 2), (2, 7)])
 def test_projective_space_matches_all_pairs_join(n, p):
-    assert list(projective_space(n, p).lines) == all_pairs_lines(n, p)
+    G = projective_space(n, p)
+    assert list(G.lines) == all_pairs_lines(n, p)
+    assert G.labels == dict(enumerate(projective_points_by_normalizing(n + 1, p)))
 
 
 def test_pg53_joins_every_pair_exactly_once():
@@ -159,6 +162,33 @@ def test_pg53_joins_every_pair_exactly_once():
 def test_projective_plane_family_matches_all_outside_points(p):
     G = projective_space(3, p)
     assert projective_plane_family(G, p) == all_outside_points_planes(G, p)
+
+
+def test_pg42_plane_family_matches_all_outside_points():
+    G = projective_space(4, 2)
+    assert projective_plane_family(G, 2) == all_outside_points_planes(G, 2)
+
+
+def gaussian_binomial(m, k, p):
+    """[m choose k]_p, the number of k-dimensional subspaces of GF(p)^m."""
+    out = 1
+    for i in range(k):
+        out = out * (p ** (m - i) - 1) // (p ** (i + 1) - 1)
+    return out
+
+
+@pytest.mark.parametrize("n,p", [(3, 5), (4, 3), (5, 2)])
+def test_projective_plane_family_counts_past_the_outside_point_oracle(n, p):
+    """Where extending every line by every outside point is too slow: the
+    Gaussian count of distinct subspace planes, each line on the planes of
+    the quotient PG(n-2,p)."""
+    G = projective_space(n, p)
+    planes = projective_plane_family(G, p)
+    assert len(planes) == gaussian_binomial(n + 1, 3, p)
+    assert len(set(planes)) == len(planes)
+    assert all(len(plane) == p * p + p + 1 and is_subspace(G, plane) for plane in planes)
+    on_planes = [sum(line <= plane for plane in planes) for line in G.lines]
+    assert set(on_planes) == {(p ** (n - 1) - 1) // (p - 1)}
 
 
 @pytest.mark.parametrize("n,p,pairs", [

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from verogeo import spaces
 from verogeo.algebra import QuadraticForm, standard_symplectic
 from verogeo.hyperplanes import VeroneseHyperplane, extract_h_function
 from verogeo.incidence import is_hyperplane, is_partial_linear
@@ -24,6 +25,16 @@ def plain_reduct(M, trace):
     V = build_veronese(M, 1)
     pts = frozenset(trace)
     return build_reduct(V, VeroneseHyperplane(V, pts, extract_h_function(V, pts)))
+
+
+@pytest.mark.parametrize("n,p,message", [(0, 3, "at least 1"), (2, 4, "is not prime"),
+                                         (2, 1, "is not prime")])
+def test_projective_space_refuses_before_generating_points(monkeypatch, n, p, message):
+    def no_points(dim, p):
+        raise AssertionError("points generated before the argument checks")
+    monkeypatch.setattr(spaces, "projective_points", no_points)
+    with pytest.raises(ValueError, match=message):
+        projective_space(n, p)
 
 
 def test_fano():
