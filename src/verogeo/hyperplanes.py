@@ -14,11 +14,18 @@ H = {q1 + ... + qk : eta vanishes}; the complement consists of k-subsets.
 Polar spaces: intersecting a projective-Veronese hyperplane with the
 polar point universe yields a hyperplane of the polar Veronese.
 
-Exhaustive enumeration for level-2 Veronese spaces runs over leaf-trace
-assignments: every hyperplane is determined by a symmetric choice of a
-base hyperplane or the full set per leaf, with the double-leaf trace
-forced to the selfconjugacy diagonal; each surviving assignment is then
-checked honestly against the hyperplane definition.
+Exhaustive enumeration for level-2 Veronese spaces has two routes.  Over
+3-point lines (p = 2) it is linear algebra: the complements of the
+hyperplanes are the nonzero vectors of the GF(2) kernel of the line-point
+incidence matrix (Ronan, "Embeddings and hyperplanes of discrete
+geometries", European J. Combin. 8 (1987)), so a kernel of dimension d
+gives exactly 2^d - 1, and incidence.enumerate_hyperplanes lists them
+unless 2^d - 1 passes the node budget, which it refuses before listing
+any.  For odd p the census runs over leaf-trace assignments: every
+hyperplane is determined by a symmetric choice of a base hyperplane or
+the full set per leaf, with the double-leaf trace forced to the
+selfconjugacy diagonal; each surviving assignment is then checked
+honestly against the hyperplane definition.
 """
 
 from __future__ import annotations
@@ -217,12 +224,19 @@ def polar_hyperplane(V_polar: VeroneseSpace, H_proj: VeroneseHyperplane,
 def enumerate_hyperplanes_level2(V: VeroneseSpace,
                                  base_hyperplanes: Optional[list[frozenset[int]]] = None
                                  ) -> list[frozenset[int]]:
-    """All hyperplanes of a level-2 Veronese space by leaf-trace search.
+    """All hyperplanes of a level-2 Veronese space.
 
-    Rows h(x) range over base hyperplanes and FULL subject to the
-    symmetry x in h(y) iff y in h(x); the double-leaf trace is the
-    selfconjugacy diagonal {x : x in h(x)} and must itself be FULL or a
-    base hyperplane.  Survivors face the honest hyperplane check.
+    When the lines have 3 points (p = 2) this is the binary route,
+    incidence.enumerate_hyperplanes on V itself: the GF(2) kernel of the
+    line-point incidence (Ronan 1987) lists all 2^d - 1 hyperplanes, and
+    CapacityError refuses before listing when 2^d - 1 passes
+    inc.SEARCH_NODE_BUDGET.  That route does not read base_hyperplanes.
+
+    Otherwise a leaf-trace search runs.  Rows h(x) range over base
+    hyperplanes and FULL subject to the symmetry x in h(y) iff y in h(x);
+    the double-leaf trace is the selfconjugacy diagonal {x : x in h(x)}
+    and must itself be FULL or a base hyperplane.  Survivors face the
+    honest hyperplane check.
 
     The search runs on bitsets.  Symmetry fixes the bits of h(x) below x,
     so the rows allowed at x are one lookup in a table of candidates keyed
@@ -232,7 +246,10 @@ def enumerate_hyperplanes_level2(V: VeroneseSpace,
     one node; the first past inc.SEARCH_NODE_BUDGET raises CapacityError.
     """
     if V.level != 2:
-        raise ValueError("leaf-trace search applies to level 2 only")
+        raise ValueError("the level-2 census applies to level 2 only")
+    G = V.structure
+    if all(len(l) == 3 for l in G.lines):
+        return inc.enumerate_hyperplanes(G)
     n = V.base.point_count
     if base_hyperplanes is None:
         base_hyperplanes = inc.enumerate_hyperplanes(V.base)
@@ -255,7 +272,6 @@ def enumerate_hyperplanes_level2(V: VeroneseSpace,
                 (column, pts, cm & (1 << x)))
         rows_at.append(table)
     prefix_mask = [(1 << x) - 1 for x in range(n)]
-    G = V.structure
     found: set[int] = set()
     nodes = 0
 

@@ -307,6 +307,68 @@ class CapacityError(RuntimeError):
 
 
 def enumerate_hyperplanes(G: IncidenceStructure) -> list[frozenset[int]]:
+    """Complete list of hyperplanes, sorted by their sorted point tuples.
+
+    When every line has exactly 3 points, X is a hyperplane exactly when
+    every line meets the complement of X in 0 or 2 points: the indicator
+    of the complement is a nonzero vector of the GF(2) kernel of the
+    line-point incidence matrix (Ronan, "Embeddings and hyperplanes of
+    discrete geometries", European J. Combin. 8 (1987)).  A kernel of
+    dimension d gives 2^d - 1 hyperplanes, listed from a basis in Gray-code
+    order, one symmetric difference each.  Each hyperplane counts as one
+    node: when 2^d - 1 passes SEARCH_NODE_BUDGET, CapacityError names d
+    and the count before any is listed.  Any other line size goes to the
+    decision scan, _scan_hyperplanes.
+    """
+    if not all(len(l) == 3 for l in G.lines):
+        return _scan_hyperplanes(G)
+    basis = _gf2_kernel(G)
+    d, count = len(basis), (1 << len(basis)) - 1
+    if count > SEARCH_NODE_BUDGET:
+        raise CapacityError(f"hyperplane kernel of dimension {d} gives {count} "
+                            f"hyperplanes, past the node budget")
+    blocks = [{q for q in range(G.point_count) if v >> q & 1} for v in basis]
+    current = set(range(G.point_count))
+    found: list[frozenset[int]] = []
+    for g in range(1, count + 1):
+        # Gray code: step g flips basis vector number (trailing zeros of g)
+        current ^= blocks[(g & -g).bit_length() - 1]
+        # each frozenset is copied from a set, which sizes its table to
+        # its points
+        found.append(frozenset(current))
+    found.sort(key=lambda s: tuple(sorted(s)))
+    return found
+
+
+def _gf2_kernel(G: IncidenceStructure) -> list[int]:
+    """A basis, as bitsets, of {v : every line has even overlap with v}.
+
+    The line bitsets are reduced to echelon form keyed by lowest bit; each
+    point that is no pivot spans one basis vector, whose pivot bits are
+    solved from the highest pivot down.
+    """
+    pivots: dict[int, int] = {}
+    for row in G.line_masks():
+        while row:
+            low = row & -row
+            if low not in pivots:
+                pivots[low] = row
+                break
+            row ^= pivots[low]
+    solve = sorted(pivots.items(), reverse=True)
+    basis = []
+    for q in range(G.point_count):
+        v = 1 << q
+        if v in pivots:
+            continue
+        for low, row in solve:
+            if (row & v).bit_count() & 1:
+                v |= low
+        basis.append(v)
+    return basis
+
+
+def _scan_hyperplanes(G: IncidenceStructure) -> list[frozenset[int]]:
     """Complete list of hyperplanes, via an exhaustive in/out decision scan.
 
     A depth-first scan on an explicit stack decides the points in order on

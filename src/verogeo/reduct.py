@@ -346,12 +346,19 @@ def recover_horizon_leaf_lines(A: AffineReduct) -> set[frozenset[int]]:
 
 
 def _double_of_top(A: AffineReduct) -> dict[int, int]:
-    """Visible top -> its one-top direction: the double of that leaf."""
+    """Visible top -> its one-top direction: the double of that leaf.
+
+    A top with two one-top directions is refused with ValueError when H is
+    degenerate (a radical point r gives each leaf x both 2x and x+r), and
+    is a falsification otherwise.  Only that refusal reads the hyperplane.
+    """
     out: dict[int, int] = {}
     for e, tops in A.direction_tops.items():
         if len(tops) == 1:
             (t,) = tops
             if out.setdefault(t, e) != e:
+                if A.hyperplane.degenerate:
+                    raise ValueError("the double-line read needs a nondegenerate hyperplane")
                 raise FalsificationError(f"top {t} has one-top directions {out[t]} and {e}")
     return out
 

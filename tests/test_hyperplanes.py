@@ -254,6 +254,45 @@ def test_leaf_trace_enumeration_matches_scan(base, count):
     assert enumerate_hyperplanes_level2(V) == got
 
 
+@pytest.mark.parametrize("base, level, count", [
+    (lambda: projective_space(2, 2), 2, 63),
+    (lambda: projective_space(2, 2), 3, 127),
+    (lambda: polar_space_quadratic(Q_PLUS_32)[0], 2, 1023),
+    (lambda: projective_space(3, 2), 2, 1023),
+], ids=["V(2,PG(2,2))", "V(3,PG(2,2))", "V(2,Q+(3,2))", "V(2,PG(3,2))"])
+def test_kernel_route_matches_scan(base, level, count):
+    # on 3-point lines enumerate_hyperplanes lists the GF(2) kernel; the
+    # decision scan it replaces there must give the same list, in order
+    G = build_veronese(base(), level).structure
+    got = enumerate_hyperplanes(G)
+    assert len(got) == count
+    assert got == incidence._scan_hyperplanes(G)
+
+
+W_32 = standard_symplectic(4, 2)
+
+
+@pytest.mark.parametrize("base, level, d", [
+    (lambda: projective_space(1, 2), 1, 2),
+    (lambda: projective_space(1, 2), 2, 3),
+    (lambda: projective_space(1, 2), 3, 3),
+    (lambda: projective_space(1, 2), 4, 3),
+    (lambda: projective_space(2, 2), 1, 3),
+    (lambda: projective_space(2, 2), 2, 6),
+    (lambda: projective_space(2, 2), 3, 7),
+    (lambda: projective_space(2, 2), 4, 7),
+    (lambda: projective_space(3, 2), 2, 10),
+    (lambda: polar_space_quadratic(Q_PLUS_32)[0], 3, 15),
+    (lambda: polar_space_symplectic(W_32), 2, 15),
+], ids=["PG(1,2)-1", "PG(1,2)-2", "PG(1,2)-3", "PG(1,2)-4", "PG(2,2)-1",
+        "PG(2,2)-2", "PG(2,2)-3", "PG(2,2)-4", "PG(3,2)-2", "Q+(3,2)-3", "W(3,2)-2"])
+def test_binary_hyperplane_counts(base, level, d):
+    # 2^d - 1 hyperplanes of V(level, M) for a kernel of dimension d; on
+    # PG(e-1,2) d is the sum of C(e, j) for j <= level, and Q+(3,2) at
+    # level 3 exceeds that sum (14) by one
+    assert len(enumerate_hyperplanes(build_veronese(base(), level).structure)) == 2 ** d - 1
+
+
 def test_scan_counts_the_level3_hyperplanes_over_pg22():
     # 2^7 - 1: V(3,PG(2,2)) has a 7-dimensional GF(2) hyperplane kernel
     V = build_veronese(projective_space(2, 2), 3)

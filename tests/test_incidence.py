@@ -1,19 +1,21 @@
 import json
 import random
+import time
 from unittest import mock
 
 import pytest
 
 from verogeo import incidence
-from verogeo.algebra import QuadraticForm
+from verogeo.algebra import QuadraticForm, standard_symplectic
 from verogeo.incidence import (IncidenceStructure, enumerate_hyperplanes,
                                gamma_plane_classes, is_flappy, is_hyperplane,
                                is_l_transversal, is_partial_linear, is_spiky,
                                is_strong, is_subspace, subspace_closure,
                                veblen_parallel_lines)
 from verogeo.multiset import Multiset
-from verogeo.spaces import (polar_space_quadratic, projective_hyperplanes,
-                            projective_plane_family, projective_space)
+from verogeo.spaces import (polar_space_quadratic, polar_space_symplectic,
+                            projective_hyperplanes, projective_plane_family,
+                            projective_space)
 from verogeo.veronese import build_veronese
 
 from oracles import is_connected, maximal_strong_subspaces
@@ -197,6 +199,11 @@ def test_enumerate_hyperplanes_matches_brute_force_scan():
     Q = QuadraticForm(3, ((0, 1, 0, 0), (0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 0, 0)))
     q33 = polar_space_quadratic(Q)[0]
     assert enumerate_hyperplanes(q33) == brute_force_hyperplanes(q33)
+    # on 3-point lines, through the GF(2) kernel
+    for G, count in ((fano(), 7), (projective_space(3, 2), 15)):
+        got = enumerate_hyperplanes(G)
+        assert len(got) == count
+        assert got == brute_force_hyperplanes(G)
 
 
 def test_enumerate_hyperplanes_with_an_empty_line():
@@ -215,6 +222,29 @@ def test_enumerate_hyperplanes_capacity():
         got = enumerate_hyperplanes(G)
     assert len(got) == 40
     assert got == projective_hyperplanes(G, 3)
+
+
+def test_kernel_route_refuses_past_the_budget():
+    # V(2,Q+(3,2)) has a 10-dimensional kernel: 1,023 hyperplanes
+    Q = QuadraticForm(2, ((0, 1, 0, 0), (0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 0, 0)))
+    G = build_veronese(polar_space_quadratic(Q)[0], 2).structure
+    with mock.patch.object(incidence, "SEARCH_NODE_BUDGET", 1022):
+        with pytest.raises(incidence.CapacityError,
+                           match=r"dimension 10 gives 1023 hyperplanes"):
+            enumerate_hyperplanes(G)
+    with mock.patch.object(incidence, "SEARCH_NODE_BUDGET", 1023):
+        assert len(enumerate_hyperplanes(G)) == 1023
+
+
+def test_kernel_route_refuses_before_listing():
+    # V(3,W(3,2)) has a 26-dimensional kernel, 2^26 - 1 hyperplanes: the
+    # refusal is read off the kernel, with none of them listed
+    G = build_veronese(polar_space_symplectic(standard_symplectic(4, 2)), 3).structure
+    start = time.perf_counter()
+    with pytest.raises(incidence.CapacityError,
+                       match=r"dimension 26 gives 67108863 hyperplanes"):
+        enumerate_hyperplanes(G)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_enumerate_hyperplanes_runs_deeper_than_the_recursion_limit():

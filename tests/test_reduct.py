@@ -320,6 +320,15 @@ def pg25_degenerate_reduct():
     return build_reduct(V, H)
 
 
+def test_double_line_read_refuses_a_degenerate_hyperplane():
+    # the radical r gives the top of each leaf x two one-top directions,
+    # 2x and x+r: a refused input, as recover_veronese refuses it
+    A = pg25_degenerate_reduct()
+    for read in (recover_horizon_double_lines, scan_declared_double_triples):
+        with pytest.raises(ValueError, match="nondegenerate hyperplane"):
+            read(A)
+
+
 def test_net_violation_found_on_degenerate_pg25_reduct():
     # over GF(5) the shape's vertex conditions can hold: the search stops
     # at the fourth candidate with a witness
