@@ -148,7 +148,10 @@ def perp_rows(xi: BilinearForm, coords: Sequence[Vector]) -> list[frozenset[int]
     Row i reads the functional w_i = coords[i]^T M, computed once per
     point, against every point; for a symplectic form row i is the
     quasi-correlation kappa(x_i) = x_i^perp as a set of point indices.
+    Coordinates whose length is not xi.dim are refused.
     """
+    if any(len(u) != xi.dim for u in coords):
+        raise ValueError(f"a form of dimension {xi.dim} needs coordinates of that length")
     p = xi.p
     columns = list(zip(*xi.matrix))
     rows = []

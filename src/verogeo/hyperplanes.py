@@ -101,6 +101,7 @@ def hyperplane_from_symplectic(V: VeroneseSpace, xi: BilinearForm) -> VeroneseHy
     """
     if V.level != 2:
         raise ValueError("symplectic construction needs a level-2 Veronese space")
+    _refuse_other_field(V, xi.p)
     if xi.p == 2:
         raise ValueError("odd characteristic required")
     if not is_symplectic(xi):
@@ -134,6 +135,7 @@ def vari1_construction(V: VeroneseSpace, xi: BilinearForm,
     """
     if V.level != 2:
         raise ValueError("construction needs level 2")
+    _refuse_other_field(V, xi.p)
     kappa = perp_rows(xi, _coordinates(V))
     pair = V.pair
     points = frozenset([pair[i][j] for i, row in enumerate(kappa) for j in row]
@@ -170,6 +172,7 @@ def hyperplane_from_alternating(V: VeroneseSpace,
     """
     if eta.arity != V.level:
         raise ValueError(f"arity {eta.arity} does not match level {V.level}")
+    _refuse_other_field(V, eta.p)
     coords = _coordinates(V)
     pts = frozenset(i for i, f in enumerate(V.points)
                     if eta.evaluate([coords[x] for x in f.expansion()]) == 0)
@@ -380,3 +383,14 @@ def _base_prime(V: VeroneseSpace) -> int:
     if not (is_prime(p) and (p ** len(coords[0]) - 1) // (p - 1) == len(coords)):
         raise ValueError("could not infer the base field size")
     return p
+
+
+def _refuse_other_field(V: VeroneseSpace, p: int) -> None:
+    # only a whole PG(n, p) shows its field by its point count; a quadric
+    # or affine base is checked for the coordinate length alone
+    try:
+        base_p = _base_prime(V)
+    except ValueError:
+        return
+    if p != base_p:
+        raise ValueError(f"form over GF({p}) does not match the base over GF({base_p})")

@@ -15,9 +15,9 @@ data.
 Definability operations are implemented twice where feasible: an oracle
 route using stored ambient data, and a visible route using only reduct
 incidence plus the induced parallelism; the two are compared.  The
-quadrangle index, the parallelism reconstruction and the double horizon
-lines use reduct data alone.  Only the Net-violation witness still lets
-ambient data choose its candidates; it accepts them on reduct incidence.
+quadrangle index, the parallelism reconstruction, the double horizon
+lines and the Net-violation witness use reduct data alone: no route lets
+ambient data choose or accept its candidates.
 """
 
 from __future__ import annotations
@@ -25,14 +25,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Collection, Iterable, Iterator, Optional, Sequence
+from typing import Collection, Optional, Sequence
 
 from . import incidence as inc
 from .algebra import perp_rows
 from .configs import FalsificationError, _join, quadrangle_crossings
-from .hyperplanes import FULL, VeroneseHyperplane
+from .hyperplanes import VeroneseHyperplane
 from .incidence import IncidenceStructure, subspace_closure
-from .multiset import Multiset, scale_point
+from .multiset import Multiset
 from .veronese import VeroneseSpace
 
 ONE_LEAF = "ONE_LEAF"
@@ -50,10 +50,11 @@ class AffineReduct:
     """V(k, M0) minus a hyperplane, with the induced parallelism.
 
     classes[e] lists, in line order, the truncated lines whose deleted
-    point is e.  The lookups that name ambient data (lines by their parent
-    block, trace rows) let net_violation_witness pick witnesses, never
-    accept one.  Visible tops, direction tops, planes, the direction
-    taxonomy and the quadrangle index are cached here on first use.
+    point is e.  The ambient space and the hyperplane serve the oracle
+    comparisons and the refusal of degenerate input; no route reads them
+    to pick or accept a witness.  Visible tops, direction tops, planes,
+    the direction taxonomy and the quadrangle index are cached here on
+    first use.
     """
 
     def __init__(self, ambient: VeroneseSpace, hyperplane: VeroneseHyperplane,
@@ -67,8 +68,6 @@ class AffineReduct:
         self.red_of = {a: r for r, a in enumerate(amb_of)}
         self.lines = lines
         self.classes = classes
-        self._line_of_parent = {t.parent: li for li, t in enumerate(lines)}
-        self._line_at: dict[tuple[int, frozenset[int]], Optional[int]] = {}
         self._tops: Optional[tuple[list[int], list[frozenset[int]]]] = None
         self._planes: Optional[tuple[list[frozenset[int]], list[frozenset[int]], int]] = None
         self._directions: Optional[DirectionsReport] = None
@@ -82,28 +81,6 @@ class AffineReduct:
 
     def infinite_label(self, e: int) -> Multiset:
         return self.ambient.points[e]
-
-    def line_at(self, x: int, base_line: frozenset[int]) -> Optional[int]:
-        """The reduct line cut from the level-2 block x + base_line, or None
-        when that block lies inside the hyperplane."""
-        key = (x, base_line)
-        if key not in self._line_at:
-            V = self.ambient
-            block = frozenset(V.pair[x][z] for z in base_line)
-            self._line_at[key] = self._line_of_parent.get(
-                V.structure.line_index().get(block))
-        return self._line_at[key]
-
-    @cached_property
-    def rows(self) -> dict[int, frozenset[int]]:
-        """rows[x]: the trace of the hyperplane on the leaf of base point x,
-        the whole base point set when that leaf lies in the hyperplane."""
-        everything = frozenset(self.ambient.base.points)
-        rows = {}
-        for x in self.ambient.base.points:
-            trace = self.hyperplane.h_function[scale_point(1, x)]
-            rows[x] = everything if trace == FULL else trace
-        return rows
 
     @cached_property
     def direction_tops(self) -> dict[int, frozenset[int]]:
@@ -397,41 +374,6 @@ def recover_horizon_double_lines(A: AffineReduct) -> set[frozenset[int]]:
     return recovered
 
 
-def _two_line_quadrangle(A: AffineReduct, m: frozenset[int], n: frozenset[int],
-                         a1: int, b1: int, a2: int, b2: int,
-                         top_of: Sequence[int]) -> Optional[list[int]]:
-    """The reduct lines [a1+m, a2+n, b1+m, b2+n] when all four survive and
-    form a proper quadrangle without diagonals, else None.
-
-    The base points and lines only name the candidate lines; the
-    acceptance (distinct lines and tops, four crossings, no diagonal) is
-    decided on reduct incidence and visible tops.
-    """
-    q_lines = [A.line_at(a1, m), A.line_at(a2, n), A.line_at(b1, m), A.line_at(b2, n)]
-    if None in q_lines:
-        return None
-    G = A.structure
-    l1, k1, l2, k2 = q_lines
-    if len(set(q_lines)) != 4 or len({top_of[t] for t in q_lines}) != 4:
-        return None
-    p1 = G.lines[l1] & G.lines[k1]
-    p2 = G.lines[k1] & G.lines[l2]
-    p3 = G.lines[l2] & G.lines[k2]
-    p4 = G.lines[k2] & G.lines[l1]
-    if not (p1 and p2 and p3 and p4):
-        return None
-    p1, p2, p3, p4 = (next(iter(s)) for s in (p1, p2, p3, p4))
-    adj = G.adjacency()
-    if p3 in adj[p1] or p4 in adj[p2]:
-        return None
-    return q_lines
-
-
-def _crosses_both(A: AffineReduct, k: int, a: int, b: int) -> bool:
-    G = A.structure
-    return bool(G.lines[k] & G.lines[a]) and bool(G.lines[k] & G.lines[b])
-
-
 def _quadrangle_index(A: AffineReduct) -> tuple[list, frozenset[tuple[int, int]]]:
     """(every proper quadrangle with the fresh crossings of its opposite
     pairs, the completable pairs), cached on A from reduct incidence and
@@ -534,38 +476,29 @@ def recover_veronese(A: AffineReduct) -> RecoveryReport:
 # Net axiom violation
 
 
-def _net_frames(base: IncidenceStructure, rows, pairs: Iterable[tuple[int, int]]
-                ) -> Iterator[tuple[int, int, int, int]]:
-    """The outer part of the Net-violation shape, as (x, y, mi, ni).
+def _net_accepts(G: IncidenceStructure, top_of: Sequence[int], quad: Sequence[int],
+                 l3: int, k3: int) -> bool:
+    """The reduct-incidence acceptance of a Net-violation candidate.
 
-    For each (x, y) of pairs in order: base lines m = lines[mi] through x
-    and n = lines[ni] through y with y not on m, x not on n, m != n, m not
-    inside rows[y] and n not inside rows[x] (so y+m and x+n survive).
+    The sides quad = [l1, k1, l2, k2] are four distinct lines in four
+    distinct tops that cross in a cycle at four points, with no diagonal
+    (p1, p3 and p2, p4 not collinear); l3 and k3 are no sides, l3 crosses
+    k1 and k2, k3 crosses l1 and l2, and l3 and k3 are disjoint.
     """
-    through = base.lines_through()
-    for x, y in pairs:
-        for mi in through[x]:
-            m = base.lines[mi]
-            if y in m or m <= rows[y]:
-                continue
-            for ni in through[y]:
-                n = base.lines[ni]
-                if x in n or n <= rows[x] or ni == mi:
-                    continue
-                yield x, y, mi, ni
-
-
-def _net_sides(rows, x: int, y: int, m: frozenset[int], n: frozenset[int]
-               ) -> Iterator[tuple[int, int, int, int]]:
-    """The inner part of the shape for fixed x, y, m, n, as (a1, b1, a2, b2):
-    disjoint pairs a1 < b1 on n - {x, y} off rows[x] and a2 < b2 on
-    m - {x, y} off rows[y], naming the sides a1+m, b1+m, a2+n, b2+n."""
-    a_pool = [a for a in sorted(n - {x, y}) if a not in rows[x]]
-    b_pool = [b for b in sorted(m - {x, y}) if b not in rows[y]]
-    for a1, b1 in itertools.combinations(a_pool, 2):
-        for a2, b2 in itertools.combinations(b_pool, 2):
-            if a1 != a2 and a1 != b2 and b1 != a2 and b1 != b2:
-                yield a1, b1, a2, b2
+    lines = G.lines
+    l1, k1, l2, k2 = quad
+    if len(set(quad)) != 4 or len({top_of[t] for t in quad}) != 4:
+        return False
+    crossings = [lines[l1] & lines[k1], lines[k1] & lines[l2],
+                 lines[l2] & lines[k2], lines[k2] & lines[l1]]
+    if not all(crossings):
+        return False
+    p1, p2, p3, p4 = (next(iter(c)) for c in crossings)
+    adj = G.adjacency()
+    return not (p3 in adj[p1] or p4 in adj[p2] or l3 in quad or k3 in quad
+                or not (lines[l3] & lines[k1] and lines[l3] & lines[k2])
+                or not (lines[k3] & lines[l1] and lines[k3] & lines[l2])
+                or lines[l3] & lines[k3])
 
 
 def net_violation_witness(A: AffineReduct) -> dict:
@@ -573,49 +506,81 @@ def net_violation_witness(A: AffineReduct) -> dict:
     completed to a proper quadrangle they cross (one opposite pair each),
     which would witness a Net-axiom failure in the reduct.
 
-    By the crossing-line classification every such configuration has the
-    shape: base lines m (through x) and n (through y) for a deleted mixed
-    point x+y, quadrangle sides a1+m, a2+n, b1+m, b2+n with a1,b1 on n
-    and a2,b2 on m, and the disjoint pair y+m, x+n.  The search is a
-    complete enumeration over that shape (_net_frames, _net_sides), and
+    The search reads visible tops, direction classes and reduct incidence
+    alone.  It reads each visible top as a leaf reduct, so it refuses a
+    reduct with a point in more than two tops: then the leaves are not
+    strong, as over a quadric base.  A mixed direction e is a deleted
+    point whose lines lie in two visible tops; k3 runs over the lines of
+    class e in the lower-index top and l3 over those in the other.  Each
+    point of k3 or l3 with a second top is named by it; the candidates
+    are the pairs {P1, P2} on k3 and {Q1, Q2} on l3, in point order, whose
+    other tops a1, b1 and a2, b2 are pairwise distinct.  A vertex is the
+    one point shared by a top of the k3 side and one of the l3 side (a1,
+    a2; b1, a2; b1, b2; a1, b2), and a candidate with a missing vertex is
+    rejected; the sides join P1 and Q1 to the first vertex and P2 and Q2
+    to the third, as [l1, k1, l2, k2], and _net_accepts decides the rest.
+    The meet e is a deleted point, so meet_in_hyperplane is always true.
     configurations_checked is the position of the candidate reached; an
     exhausted search is a certificate that no violation of this kind
-    exists (over GF(3) the vertex conditions are in fact unsatisfiable,
-    so the certificate is the expected outcome there).
+    exists (over GF(3) the vertex conditions are in fact unsatisfiable, so
+    the certificate is the expected outcome there).  On a hyperplane that
+    holds every double 2x these are the candidates of the shape on base
+    lines (l3 = y + m and k3 = x + n for a deleted x + y); on a leaf
+    pencil no deleted point has lines in two tops, so the answer there is
+    "no mixed deleted point".
     """
-    V, H = A.ambient, A.hyperplane
-    base = V.base
-    rows = A.rows
     top_of, subs = visible_tops(A)
-    mixed = [(x, y) for x in range(base.point_count) for y in sorted(rows[x])
-             if x < y]
+    G = A.structure
+    lines, through = G.lines, G.lines_through()
+    tops_at = [{top_of[li] for li in on} for on in through]
+    most = max(map(len, tops_at), default=0)
+    if most > 2:
+        raise ValueError(f"a point lies in {most} visible tops: the tops are not "
+                         "leaves, so the Net-violation witness does not apply")
+    mixed = [(e, min(tops)) for e, tops in A.direction_tops.items() if len(tops) == 2]
     if not mixed:
         return {"found": False, "reason": "no mixed deleted point",
                 "configurations_checked": 0}
-    lines = A.structure.lines
+    vertex: dict[tuple[int, int], int] = {}
+    meets = [0] * len(subs)  # meets[s]: bitset of the tops sharing a point with s
+    for q, tops in enumerate(tops_at):
+        if len(tops) == 2:
+            s, t = tops
+            vertex[s, t] = vertex[t, s] = q
+            meets[s] |= 1 << t
+            meets[t] |= 1 << s
+
+    def point_pairs(li: int) -> list:
+        """The pairs ((P, a), (R, b), bitset of a and b) of points on line
+        li with other tops a and b."""
+        named = [(q, next(t for t in tops_at[q] if t != top_of[li]))
+                 for q in sorted(lines[li]) if len(tops_at[q]) == 2]
+        return [(P, R, 1 << P[1] | 1 << R[1]) for P, R in itertools.combinations(named, 2)]
+
+    def side(p: int, v: int) -> int:
+        return next(li for li in through[p] if v in lines[li])
+
     checked = 0
-    for x, y, mi, ni in _net_frames(base, rows, mixed):
-        m, n = base.lines[mi], base.lines[ni]
-        for a1, b1, a2, b2 in _net_sides(rows, x, y, m, n):
-            checked += 1
-            if (a2 in rows[a1] or b2 in rows[a1]
-                    or a2 in rows[b1] or b2 in rows[b1]):
-                continue
-            # l3 = y + m in leaf y, k3 = x + n in leaf x; ambient meet x+y;
-            # l3 crosses the n-sides, k3 the m-sides, and they are disjoint
-            l3, k3 = A.line_at(y, m), A.line_at(x, n)
-            q_lines = _two_line_quadrangle(A, m, n, a1, b1, a2, b2, top_of)
-            if (q_lines is None or l3 in q_lines or k3 in q_lines
-                    or not _crosses_both(A, l3, q_lines[1], q_lines[3])
-                    or not _crosses_both(A, k3, q_lines[0], q_lines[2])
-                    or lines[l3] & lines[k3]):
-                continue
-            meet = V.pair[x][y]
-            return {"found": True, "quadrangle": q_lines,
-                    "l3": l3, "k3": k3,
-                    "ambient_meet": meet,
-                    "meet_in_hyperplane": meet in H.points,
-                    "configurations_checked": checked}
+    for e, k_top in mixed:
+        k_side, l_side = [], []
+        for li in A.classes[e]:
+            (k_side if top_of[li] == k_top else l_side).append((li, point_pairs(li)))
+        for (l3, q_pairs), (k3, p_pairs) in itertools.product(l_side, k_side):
+            for (P1, a1), (P2, b1), pm in p_pairs:
+                live = meets[a1] & meets[b1]  # the tops meeting both a1 and b1
+                for (Q1, a2), (Q2, b2), qm in q_pairs:
+                    if pm & qm:
+                        continue
+                    checked += 1
+                    if qm & live != qm:  # a vertex is missing
+                        continue
+                    v1, v3 = vertex[a1, a2], vertex[b1, b2]
+                    quad = [side(P1, v1), side(Q1, v1), side(P2, v3), side(Q2, v3)]
+                    if _net_accepts(G, top_of, quad, l3, k3):
+                        return {"found": True, "quadrangle": quad,
+                                "l3": l3, "k3": k3, "ambient_meet": e,
+                                "meet_in_hyperplane": True,
+                                "configurations_checked": checked}
     return {"found": False, "reason": "complete shape enumeration exhausted",
             "configurations_checked": checked}
 
@@ -625,21 +590,31 @@ def net_violation_shape_on_base(P, xi) -> Optional[tuple]:
 
     All reduct-level conditions of the Net-violation shape (survival of
     the six lines, proper crossings and vertices, the deleted meet) are
-    conjugacy conditions on the base, so the search runs the shape
-    enumeration on the orthogonality table, over every ordered pair of
-    distinct conjugate points, without building the Veronese space.
-    Returns the first hit (v, w, mi, ni, a1, b1, a2, b2) or None after
-    complete enumeration; over GF(3) the answer is None, over GF(5) a
-    witness exists.
+    conjugacy conditions on the base, so the search runs the shape on the
+    orthogonality table kappa, over every ordered pair (v, w) of distinct
+    conjugate points, without building the Veronese space: base lines m
+    through v and n through w with w off m, v off n, m not inside
+    kappa[w] and n not inside kappa[v]; then disjoint pairs a1 < b1 on
+    n - {v, w} off kappa[v] and a2 < b2 on m - {v, w} off kappa[w], every
+    a conjugate to no b.  Returns the first hit (v, w, mi, ni, a1, b1, a2,
+    b2) or None after complete enumeration; over GF(3) the answer is None,
+    over GF(5) a witness exists.
     """
     kappa = perp_rows(xi, [P.labels[i] for i in range(P.point_count)])
-    pairs = ((v, w) for v in range(P.point_count) for w in sorted(kappa[v])
-             if w != v)
-    for v, w, mi, ni in _net_frames(P, kappa, pairs):
-        for a1, b1, a2, b2 in _net_sides(kappa, v, w, P.lines[mi], P.lines[ni]):
-            if not (a2 in kappa[a1] or b2 in kappa[a1]
-                    or a2 in kappa[b1] or b2 in kappa[b1]):
-                return (v, w, mi, ni, a1, b1, a2, b2)
+    through = P.lines_through()
+    for v, w in ((v, w) for v in P.points for w in sorted(kappa[v]) if w != v):
+        ms = [mi for mi in through[v] if w not in P.lines[mi] and not P.lines[mi] <= kappa[w]]
+        ns = [ni for ni in through[w] if v not in P.lines[ni] and not P.lines[ni] <= kappa[v]]
+        for mi, ni in itertools.product(ms, ns):
+            m, n = P.lines[mi], P.lines[ni]
+            a_pool = [a for a in sorted(n - {v, w}) if a not in kappa[v]]
+            b_pool = [b for b in sorted(m - {v, w}) if b not in kappa[w]]
+            for (a1, b1), (a2, b2) in itertools.product(itertools.combinations(a_pool, 2),
+                                                        itertools.combinations(b_pool, 2)):
+                if (a1 != a2 and a1 != b2 and b1 != a2 and b1 != b2
+                        and not (a2 in kappa[a1] or b2 in kappa[a1]
+                                 or a2 in kappa[b1] or b2 in kappa[b1])):
+                    return (v, w, mi, ni, a1, b1, a2, b2)
     return None
 
 

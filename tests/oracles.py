@@ -15,6 +15,10 @@ its own nodes, which parallelism runs as one.
 normalize_vector, projective_points_by_normalizing and line_points build
 the points and lines of PG(n,p) by normalizing every vector, where spaces
 writes each one down from its reduced echelon basis.
+GuidedLookups, two_line_quadrangle and crosses_both are the ambient
+lookups and the quadrangle test the guided Net-violation route named its
+candidates with (trace rows, lines by their level-2 block), where reduct
+reads visible tops, direction classes and reduct incidence alone.
 """
 
 from __future__ import annotations
@@ -653,3 +657,70 @@ def leaf_closed_search_two_recursions(V: VeroneseSpace,
     backtrack([])
     cert = f"nodes={nodes};sha256={trace.hexdigest()[:16]}"
     return SearchResult(found, exhausted, nodes, cert)
+
+
+class GuidedLookups:
+    """The ambient lookups of the guided Net-violation route.
+
+    rows[x] is the trace of the hyperplane on the leaf of base point x,
+    the whole base point set when that leaf lies in the hyperplane;
+    line_at(x, base_line) is the reduct line cut from the level-2 block
+    x + base_line, or None when that block lies inside the hyperplane.
+    """
+
+    def __init__(self, A: AffineReduct):
+        V = A.ambient
+        self.ambient = V
+        everything = frozenset(V.base.points)
+        self.rows: dict[int, frozenset[int]] = {}
+        for x in V.base.points:
+            trace = A.hyperplane.h_function[scale_point(1, x)]
+            self.rows[x] = everything if trace == FULL else trace
+        self._line_of_parent = {t.parent: li for li, t in enumerate(A.lines)}
+        self._line_at: dict[tuple[int, frozenset[int]], Optional[int]] = {}
+
+    def line_at(self, x: int, base_line: frozenset[int]) -> Optional[int]:
+        key = (x, base_line)
+        if key not in self._line_at:
+            V = self.ambient
+            block = frozenset(V.pair[x][z] for z in base_line)
+            self._line_at[key] = self._line_of_parent.get(
+                V.structure.line_index().get(block))
+        return self._line_at[key]
+
+
+def two_line_quadrangle(A: AffineReduct, look: GuidedLookups,
+                        m: frozenset[int], n: frozenset[int],
+                        a1: int, b1: int, a2: int, b2: int,
+                        top_of: Sequence[int]) -> Optional[list[int]]:
+    """The reduct lines [a1+m, a2+n, b1+m, b2+n] when all four survive and
+    form a proper quadrangle without diagonals, else None.
+
+    The base points and lines only name the candidate lines; the
+    acceptance (distinct lines and tops, four crossings, no diagonal) is
+    decided on reduct incidence and visible tops.
+    """
+    q_lines = [look.line_at(a1, m), look.line_at(a2, n),
+               look.line_at(b1, m), look.line_at(b2, n)]
+    if None in q_lines:
+        return None
+    G = A.structure
+    l1, k1, l2, k2 = q_lines
+    if len(set(q_lines)) != 4 or len({top_of[t] for t in q_lines}) != 4:
+        return None
+    p1 = G.lines[l1] & G.lines[k1]
+    p2 = G.lines[k1] & G.lines[l2]
+    p3 = G.lines[l2] & G.lines[k2]
+    p4 = G.lines[k2] & G.lines[l1]
+    if not (p1 and p2 and p3 and p4):
+        return None
+    p1, p2, p3, p4 = (next(iter(s)) for s in (p1, p2, p3, p4))
+    adj = G.adjacency()
+    if p3 in adj[p1] or p4 in adj[p2]:
+        return None
+    return q_lines
+
+
+def crosses_both(A: AffineReduct, k: int, a: int, b: int) -> bool:
+    G = A.structure
+    return bool(G.lines[k] & G.lines[a]) and bool(G.lines[k] & G.lines[b])

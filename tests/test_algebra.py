@@ -100,6 +100,11 @@ def test_quasi_correlation_projective_line():
         assert kappa_q == {q}
 
 
+def test_perp_rows_refuses_coordinates_of_another_length():
+    with pytest.raises(ValueError, match="dimension 4"):
+        perp_rows(standard_symplectic(4, 3), projective_points(3, 3))
+
+
 def test_alternating_matches_determinant():
     rng = random.Random(20260810)
     for p in (3, 5):

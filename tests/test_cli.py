@@ -326,6 +326,42 @@ def test_hyperplane_rejects_quadratic_form(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("form,message", [
+    ({"p": 3, "matrix": [[0, 1, 0, 0], [2, 0, 0, 0], [0, 0, 0, 1], [0, 0, 2, 0]]},
+     "dimension 4"),
+    ({"p": 5, "matrix": [[0, 1, 0], [4, 0, 0], [0, 0, 0]]}, "GF(5) does not match"),
+    ({"p": 5, "arity": 3, "dim": 3, "coeffs": {"0,1,2": 1}}, "GF(5) does not match"),
+], ids=["dim4", "gf5", "gf5-arity3"])
+def test_hyperplane_refuses_a_form_that_does_not_match_the_base(tmp_path, capsys, form,
+                                                                message):
+    v = tmp_path / "v.json"
+    f = tmp_path / "form.json"
+    f.write_text(json.dumps(form))
+    level = str(form.get("arity", 2))
+    assert run(["veronese", "--base", "pg:2:3", "--level", level, "--out", str(v)]) == 0
+    rc = run(["hyperplane", "--space", str(v), "--form", str(f),
+              "--out", str(tmp_path / "h.json")])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "h.json").exists()
+
+
+def test_hyperplane_on_a_quadric_base(tmp_path, capsys):
+    # the form applies to the quadric's coordinates; the Net witness then
+    # refuses the reduct, whose visible tops are lines and not leaves
+    v, h, r = tmp_path / "v.json", tmp_path / "h.json", tmp_path / "r.json"
+    f = tmp_path / "form.json"
+    f.write_text(json.dumps({"p": 3, "matrix": [[0, 1, 0, 0], [2, 0, 0, 0],
+                                                [0, 0, 0, 1], [0, 0, 2, 0]]}))
+    assert run(["veronese", "--base", "quadric:3:3:hyperbolic", "--level", "2",
+                "--out", str(v)]) == 0
+    assert run(["hyperplane", "--space", str(v), "--form", str(f), "--out", str(h)]) == 0
+    assert run(["reduct", "--space", str(v), "--hyperplane", str(h), "--out", str(r)]) == 0
+    capsys.readouterr()
+    assert run(["verify", "--suite", "net-axiom", "--space", str(r)]) == 2
+    assert "4 visible tops" in capsys.readouterr().err
+
+
 def test_falsification_exits_1_with_its_message(monkeypatch, capsys):
     def falsified(n, p):
         raise FalsificationError(f"PG({n},{p}) lost a line")

@@ -42,8 +42,7 @@ from verogeo.incidence import (IncidenceStructure, _close, enumerate_hyperplanes
                                is_hyperplane_mask, is_strong, is_subspace,
                                subspace_closure)
 from verogeo.multiset import EMPTY, Multiset, scale_point
-from verogeo.reduct import (_crosses_both, _two_line_quadrangle,
-                            build_reduct, net_violation_shape_on_base,
+from verogeo.reduct import (build_reduct, net_violation_shape_on_base,
                             net_violation_witness,
                             reconstruct_parallel_pair, recover_horizon_leaf_lines,
                             reduct_plane_family, veblen_parallel,
@@ -54,12 +53,13 @@ from verogeo.spaces import (affine_space, polar_space_quadratic,
 from verogeo.verify import _reduct_pg33, _symplectic_hyperplane_pg33, _vpg
 from verogeo.veronese import build_veronese, leaf_plane_family, leaf_substructure
 
-from oracles import (affine_space_by_ranks, assemble_from_h,
-                     crossing_line_by_provenance, h_function_by_sums,
+from oracles import (GuidedLookups, affine_space_by_ranks, assemble_from_h,
+                     crosses_both, crossing_line_by_provenance, h_function_by_sums,
                      is_reflexive, leaf_planes_by_sums, line_points,
                      maximal_strong_subspaces, normalize_vector,
                      projective_points_by_normalizing, quadrangle_by_provenance,
-                     singular_plane_family, veblen_by_provenance, veronese_by_sums)
+                     singular_plane_family, two_line_quadrangle,
+                     veblen_by_provenance, veronese_by_sums)
 
 
 def _sorted_family(sets):
@@ -884,7 +884,9 @@ def witness_per_frame(A):
     V, H = A.ambient, A.hyperplane
     base = V.base
     top_of, _ = visible_tops(A)
-    mixed = [(x, y) for x in range(base.point_count) for y in sorted(A.rows[x])
+    look = GuidedLookups(A)
+    rows = look.rows
+    mixed = [(x, y) for x in range(base.point_count) for y in sorted(rows[x])
              if x < y]
     if not mixed:
         return {"found": False, "reason": "no mixed deleted point",
@@ -894,29 +896,29 @@ def witness_per_frame(A):
     for x, y in mixed:
         for mi in through[x]:
             m = base.lines[mi]
-            if y in m or m <= A.rows[y]:
+            if y in m or m <= rows[y]:
                 continue
             for ni in through[y]:
                 n = base.lines[ni]
-                if x in n or n <= A.rows[x] or n == m:
+                if x in n or n <= rows[x] or n == m:
                     continue
-                a_opts = [a for a in sorted(n - {y}) if a not in A.rows[x]]
-                b_opts = [b for b in sorted(m - {x}) if b not in A.rows[y]]
+                a_opts = [a for a in sorted(n - {y}) if a not in rows[x]]
+                b_opts = [b for b in sorted(m - {x}) if b not in rows[y]]
                 for a1, b1 in itertools.combinations(a_opts, 2):
                     for a2, b2 in itertools.combinations(b_opts, 2):
                         if {a1, b1} & {a2, b2}:
                             continue
                         checked += 1
-                        if any(t in A.rows[u] for u in (a1, b1) for t in (a2, b2)):
+                        if any(t in rows[u] for u in (a1, b1) for t in (a2, b2)):
                             continue
-                        q = _two_line_quadrangle(A, m, n, a1, b1, a2, b2, top_of)
+                        q = two_line_quadrangle(A, look, m, n, a1, b1, a2, b2, top_of)
                         if q is None:
                             continue
-                        l3, k3 = A.line_at(y, m), A.line_at(x, n)
+                        l3, k3 = look.line_at(y, m), look.line_at(x, n)
                         if l3 is None or k3 is None or l3 in q or k3 in q:
                             continue
-                        if not (_crosses_both(A, l3, q[1], q[3])
-                                and _crosses_both(A, k3, q[0], q[2])):
+                        if not (crosses_both(A, l3, q[1], q[3])
+                                and crosses_both(A, k3, q[0], q[2])):
                             continue
                         if A.structure.lines[l3] & A.structure.lines[k3]:
                             continue
@@ -929,13 +931,15 @@ def witness_per_frame(A):
             "configurations_checked": checked}
 
 
-def reconstruct_both_orientations(A, i, j):
+def reconstruct_both_orientations(A, look, i, j):
     """reconstruct_parallel_pair with its own completion loop, which also
-    tries i against the m-sides and j against the n-sides."""
+    tries i against the m-sides and j against the n-sides; look is
+    GuidedLookups(A)."""
     if i == j:
         return True
     top_of, _ = visible_tops(A)
     G, V = A.structure, A.ambient
+    rows = look.rows
     if top_of[i] == top_of[j]:
         return veblen_parallel(A, i, j)
     if G.lines[i] & G.lines[j]:
@@ -948,18 +952,18 @@ def reconstruct_both_orientations(A, i, j):
     m, n = V.base.lines[mi], V.base.lines[mj]
     if y not in m or x not in n:
         return False
-    a_opts = [a for a in sorted(n - {x, y}) if a not in A.rows[y]]
-    b_opts = [b for b in sorted(m - {x, y}) if b not in A.rows[x]]
+    a_opts = [a for a in sorted(n - {x, y}) if a not in rows[y]]
+    b_opts = [b for b in sorted(m - {x, y}) if b not in rows[x]]
     for a1, b1 in itertools.combinations(a_opts, 2):
         for a2, b2 in itertools.combinations(b_opts, 2):
             if {a1, b1} & {a2, b2}:
                 continue
-            q = _two_line_quadrangle(A, m, n, a1, b1, a2, b2, top_of)
+            q = two_line_quadrangle(A, look, m, n, a1, b1, a2, b2, top_of)
             if q is None or i in q or j in q:
                 continue
             l1, k1, l2, k2 = q
-            if (_crosses_both(A, i, k1, k2) and _crosses_both(A, j, l1, l2)) \
-                    or (_crosses_both(A, j, k1, k2) and _crosses_both(A, i, l1, l2)):
+            if (crosses_both(A, i, k1, k2) and crosses_both(A, j, l1, l2)) \
+                    or (crosses_both(A, j, k1, k2) and crosses_both(A, i, l1, l2)):
                 return True
     return False
 
@@ -993,6 +997,59 @@ def test_net_violation_witness_matches_per_frame_search(instance, found, checked
     assert (witness["found"], witness["configurations_checked"]) == (found, checked)
 
 
+def test_net_violation_witness_on_the_census_of_v2_pg23():
+    # the 13 hyperplanes that hold every double give the per-frame dict;
+    # on the 13 leaf pencils no deleted point has lines in two visible
+    # tops, where the per-frame search walked its mixed points to no frame
+    V = _vpg(2, 3)
+    doubles = V.leaves[EMPTY]
+    kinds = {True: 0, False: 0}
+    for pts in enumerate_hyperplanes_level2(V):
+        A = build_reduct(V, VeroneseHyperplane(V, pts, extract_h_function(V, pts)))
+        witness, old = net_violation_witness(A), witness_per_frame(A)
+        kinds[doubles <= pts] += 1
+        if doubles <= pts:
+            assert witness == old
+        else:
+            assert old == {"found": False, "configurations_checked": 0,
+                           "reason": "complete shape enumeration exhausted"}
+            assert witness == {"found": False, "configurations_checked": 0,
+                               "reason": "no mixed deleted point"}
+    assert kinds == {True: 13, False: 13}
+
+
+def test_net_violation_whole_walk_matches_per_frame_search(monkeypatch):
+    # with every acceptance refused both searches walk to exhaustion on
+    # the PG(2,5) reduct: the same 126,000 candidates, of which the same
+    # 45,000 have all four vertices (past the conjugacy prefilter)
+    A = degenerate_reduct(5)
+    reached = {"vertices": 0, "prefilter": 0}
+
+    def refuse(key, answer):
+        def call(*args):
+            reached[key] += 1
+            return answer
+        return call
+
+    monkeypatch.setattr("verogeo.reduct._net_accepts", refuse("vertices", False))
+    monkeypatch.setitem(globals(), "two_line_quadrangle", refuse("prefilter", None))
+    exhausted = {"found": False, "reason": "complete shape enumeration exhausted",
+                 "configurations_checked": 126000}
+    assert net_violation_witness(A) == witness_per_frame(A) == exhausted
+    assert reached == {"vertices": 45000, "prefilter": 45000}
+
+
+def test_net_violation_witness_refuses_a_quadric_reduct():
+    # over Q+(3,3) a leaf is no strong subspace: its visible tops are
+    # lines, four through each point, and the leaves cannot be read off them
+    Q = QuadraticForm(3, ((0, 1, 0, 0), (0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 0, 0)))
+    polar, _ = polar_space_quadratic(Q)
+    V = build_veronese(polar, 2)
+    H = hyperplane_from_symplectic(V, standard_symplectic(4, 3))
+    with pytest.raises(ValueError, match="4 visible tops"):
+        net_violation_witness(build_reduct(V, H))
+
+
 @pytest.mark.parametrize("instance,parallel", [
     (_reduct_pg33, 0), (lambda: degenerate_reduct(5), 1500)],
     ids=["J", "degenerate-pg25"])
@@ -1011,7 +1068,8 @@ def test_reconstruction_matches_both_orientation_completion(instance, parallel):
             disjoint.append((i, j))
     pairs = cross + disjoint
     got = [reconstruct_parallel_pair(A, i, j) for i, j in pairs]
-    assert got == [reconstruct_both_orientations(A, i, j) for i, j in pairs]
+    look = GuidedLookups(A)
+    assert got == [reconstruct_both_orientations(A, look, i, j) for i, j in pairs]
     assert sum(got[:len(cross)]) == parallel
 
 

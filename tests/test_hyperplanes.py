@@ -179,6 +179,27 @@ def test_alternating_arity_mismatch():
         hyperplane_from_alternating(V, determinant_form(3, 3))
 
 
+@pytest.mark.parametrize("xi,message", [
+    (standard_symplectic(4, 3), "dimension 4"),
+    (standard_symplectic(2, 3), "dimension 2"),
+    (BilinearForm(5, ((0, 1, 0), (4, 0, 0), (0, 0, 0))), r"GF\(5\)"),
+], ids=["dim4", "dim2", "gf5"])
+def test_symplectic_refuses_a_form_that_does_not_match_the_base(xi, message):
+    # PG(2,3) has 3-entry coordinates over GF(3): none of these forms fits
+    # it, and none may yield a hyperplane by truncating the coordinates
+    V = v2(2, 3)
+    with pytest.raises(ValueError, match=message):
+        hyperplane_from_symplectic(V, xi)
+    with pytest.raises(ValueError, match=message):
+        vari1_construction(V, xi, V.base.lines[0])
+
+
+def test_alternating_refuses_a_form_over_another_field():
+    V = build_veronese(projective_space(2, 3), 3)
+    with pytest.raises(ValueError, match=r"GF\(5\) does not match the base over GF\(3\)"):
+        hyperplane_from_alternating(V, determinant_form(3, 5))
+
+
 def test_polar_hyperplane_w33():
     W = polar_space_symplectic(standard_symplectic(4, 3))
     VW = build_veronese(W, 2)
@@ -199,6 +220,18 @@ def test_polar_hyperplane_hyperbolic_quadric():
     assert is_l_transversal(Vq.structure, pts)
     assert is_subspace(Vq.structure, pts)
     assert is_hyperplane(Vq.structure, pts)
+
+
+def test_symplectic_hyperplane_on_a_quadric_base_is_the_polar_intersection():
+    # Q+(3,3) has 16 points, not the 40 of PG(3,3), so its field cannot be
+    # read off the point count; the form still applies to its coordinates
+    Q = QuadraticForm(3, ((0, 1, 0, 0), (0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 0, 0)))
+    polar, kept = polar_space_quadratic(Q)
+    Vq = build_veronese(polar, 2)
+    xi = standard_symplectic(4, 3)
+    H = hyperplane_from_symplectic(Vq, xi)
+    assert H.points == polar_hyperplane(Vq, hyperplane_from_symplectic(v2(3, 3), xi),
+                                        base_point_map=kept)
 
 
 def test_polar_hyperplane_rejects_empty_line_set():

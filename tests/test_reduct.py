@@ -3,8 +3,8 @@ import itertools
 import pytest
 
 from verogeo.algebra import BilinearForm, standard_symplectic
-from verogeo.hyperplanes import hyperplane_from_symplectic
-from verogeo.multiset import EMPTY, Multiset
+from verogeo.hyperplanes import FULL, hyperplane_from_symplectic
+from verogeo.multiset import EMPTY, Multiset, scale_point
 from verogeo.configs import FalsificationError
 from verogeo.reduct import (AffineReduct, build_reduct,
                             check_parallelism_reconstruction,
@@ -305,7 +305,7 @@ def test_net_violation_search_on_degenerate_reduct():
     A = build_reduct(V, H)
     radical = next(x for x in P.points if P.labels[x] == (0, 0, 1))
     assert H.degenerate
-    assert A.rows[radical] == frozenset(P.points)
+    assert H.h_function[scale_point(1, radical)] == FULL
     assert net_violation_witness(A) == {
         "found": False, "reason": "complete shape enumeration exhausted",
         "configurations_checked": 540}
@@ -386,7 +386,7 @@ class _BlindReduct(AffineReduct):
     """An affine reduct whose ambient space, hyperplane and the lookups
     derived from them raise when read."""
 
-    ambient = hyperplane = rows = infinite_label = leaf_reducts = property(_ambient_read)
+    ambient = hyperplane = infinite_label = leaf_reducts = property(_ambient_read)
 
 
 def _blind_copy(A):
@@ -429,6 +429,16 @@ def test_double_horizon_lines_read_reduct_data_only():
     doubles = {e for e in A.classes if len(A.infinite_label(e).support()) == 1}
     assert {e for e in tops if len(tops[e]) == 1} == doubles and len(doubles) == 40
     assert sorted(len(tops[e]) for e in tops if e not in doubles) == [2] * 240
+
+
+def test_net_violation_witness_reads_reduct_data_only():
+    exhausted = {"found": False, "reason": "complete shape enumeration exhausted",
+                 "configurations_checked": 157680}
+    found = {"found": True, "quadrangle": [7, 258, 64, 284], "l3": 181, "k3": 2,
+             "ambient_meet": 32, "meet_in_hyperplane": True,
+             "configurations_checked": 4}
+    for A, expected in ((pg33_reduct(), exhausted), (pg25_degenerate_reduct(), found)):
+        assert net_violation_witness(_blind_copy(A)) == net_violation_witness(A) == expected
 
 
 def test_gamma_single_leaf_one_class():
