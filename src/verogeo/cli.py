@@ -175,7 +175,7 @@ def cmd_veronese(args) -> int:
 def cmd_hyperplane(args) -> int:
     V = _load_veronese(args.space)
     form = _load_form(args.form)
-    if isinstance(form, AlternatingMultiForm) and form.arity > 2:
+    if isinstance(form, AlternatingMultiForm) and form.arity != 2:
         H = hyperplane_from_alternating(V, form)
     elif isinstance(form, AlternatingMultiForm):
         M = [[0] * form.dim for _ in range(form.dim)]

@@ -14,18 +14,20 @@ H = {q1 + ... + qk : eta vanishes}; the complement consists of k-subsets.
 Polar spaces: intersecting a projective-Veronese hyperplane with the
 polar point universe yields a hyperplane of the polar Veronese.
 
-Exhaustive enumeration for level-2 Veronese spaces has two routes.  Over
-3-point lines (p = 2) it is linear algebra: the complements of the
-hyperplanes are the nonzero vectors of the GF(2) kernel of the line-point
-incidence matrix (Ronan, "Embeddings and hyperplanes of discrete
-geometries", European J. Combin. 8 (1987)), so a kernel of dimension d
-gives exactly 2^d - 1, and incidence.enumerate_hyperplanes lists them
-unless 2^d - 1 passes the node budget, which it refuses before listing
-any.  For odd p the census runs over leaf-trace assignments: every
-hyperplane is determined by a symmetric choice of a base hyperplane or
-the full set per leaf, with the double-leaf trace forced to the
-selfconjugacy diagonal; each surviving assignment is then checked
-honestly against the hyperplane definition.
+Exhaustive enumeration.  Over 3-point lines (p = 2) it is linear algebra:
+the complements of the hyperplanes are the nonzero vectors of the GF(2)
+kernel of the line-point incidence matrix (Ronan, "Embeddings and
+hyperplanes of discrete geometries", European J. Combin. 8 (1987)), so a
+kernel of dimension d gives exactly 2^d - 1, and
+incidence.enumerate_hyperplanes lists them unless 2^d - 1 passes the node
+budget, which it refuses before listing any.  The slice census lists the
+hyperplanes of V(k, M) for any k >= 2 from those of V(k-1, M): each slice
+x + V(k-1, M) is a subspace, so a hyperplane meets it in a hyperplane of
+V(k-1, M) or in the whole slice; the census chooses one such trace per
+slice, each agreeing with the slices before it, and checks every full
+choice honestly against the hyperplane definition.  At level 2 the
+slices are the leaves x + M, and for odd p enumerate_hyperplanes_level2
+is that census over the base hyperplanes.
 """
 
 from __future__ import annotations
@@ -37,9 +39,9 @@ from typing import Optional, Sequence
 from . import incidence as inc
 from .algebra import (AlternatingMultiForm, BilinearForm,
                       alternating_forms_up_to_scalar, is_prime, is_symplectic,
-                      perp_rows)
+                      perp_rows, vec_add, vec_scale)
 from .configs import FalsificationError, _join
-from .multiset import EMPTY, Multiset, scale_point
+from .multiset import EMPTY, Multiset, enumerate_multisets, scale_point
 from .veronese import VeroneseSpace
 
 FULL = "full"
@@ -221,7 +223,55 @@ def polar_hyperplane(V_polar: VeroneseSpace, H_proj: VeroneseHyperplane,
 
 
 # ---------------------------------------------------------------------------
-# exhaustive enumeration for level-2 Veronese spaces
+# exhaustive enumeration: the slice census
+
+
+def slice_census(V: VeroneseSpace, lower: Sequence[frozenset[int]]) -> list[frozenset[int]]:
+    """All hyperplanes of V = V(k, M), k >= 2, from the hyperplanes lower
+    of V(k-1, M), indexed as enumerate_multisets(n, k-1).
+
+    A hyperplane meets each slice x + V(k-1, M) in a hyperplane of
+    V(k-1, M) or in the whole slice.  The search picks one trace per slice
+    on one bitset X over V's points; a trace is allowed when it agrees
+    with X on the points of its slice that lie in an earlier slice, and
+    each full choice faces the hyperplane check.  Each call is one node;
+    the first past inc.SEARCH_NODE_BUDGET raises CapacityError.
+    """
+    if V.level < 2:
+        raise ValueError("the slice census needs level 2 or more")
+    n = V.base.point_count
+    below = enumerate_multisets(n, V.level - 1)
+    traces = [*lower, frozenset(range(len(below)))]
+    # shared[x]: the points of slice x in an earlier slice; table[x] keys
+    # each trace on slice x, as a bitset over V, by its bits on shared[x]
+    shared: list[int] = []
+    table: list[dict[int, list[int]]] = []
+    for x in range(n):
+        bits = [1 << V.index[scale_point(1, x) + f] for f in below]
+        shared.append(sum(b for b, f in zip(bits, below) if f.entries[0][0] < x))
+        table.append({})
+        for m in (sum(bits[j] for j in t) for t in traces):
+            table[x].setdefault(m & shared[x], []).append(m)
+    found: list[int] = []
+    nodes = 0
+
+    def dfs(x: int, X: int) -> None:
+        nonlocal nodes
+        nodes += 1
+        if nodes > inc.SEARCH_NODE_BUDGET:
+            raise inc.CapacityError(f"slice census passed the node budget at {nodes} nodes")
+        if x == n:
+            if inc.is_hyperplane_mask(V.structure, X):
+                found.append(X)
+            return
+        for m in table[x].get(X & shared[x], ()):
+            dfs(x + 1, X | m)
+
+    dfs(0, 0)
+    # each frozenset is copied from a set, which sizes its table to its
+    # points; built from the generator it would keep up to twice the room
+    return sorted((frozenset({q for q in range(len(V.points)) if X >> q & 1})
+                   for X in found), key=lambda s: tuple(sorted(s)))
 
 
 def enumerate_hyperplanes_level2(V: VeroneseSpace,
@@ -229,72 +279,19 @@ def enumerate_hyperplanes_level2(V: VeroneseSpace,
                                  ) -> list[frozenset[int]]:
     """All hyperplanes of a level-2 Veronese space.
 
-    When the lines have 3 points (p = 2) this is the binary route,
-    incidence.enumerate_hyperplanes on V itself: the GF(2) kernel of the
-    line-point incidence (Ronan 1987) lists all 2^d - 1 hyperplanes, and
-    CapacityError refuses before listing when 2^d - 1 passes
-    inc.SEARCH_NODE_BUDGET.  That route does not read base_hyperplanes.
-
-    Otherwise a leaf-trace search runs.  Rows h(x) range over base
-    hyperplanes and FULL subject to the symmetry x in h(y) iff y in h(x);
-    the double-leaf trace is the selfconjugacy diagonal {x : x in h(x)}
-    and must itself be FULL or a base hyperplane.  Survivors face the
-    honest hyperplane check.
-
-    The search runs on bitsets.  Symmetry fixes the bits of h(x) below x,
-    so the rows allowed at x are one lookup in a table of candidates keyed
-    by those bits; the chosen rows' bits above their own point are kept in
-    one integer, n bits per point, from which each prefix is read.  The
-    point set and the diagonal are ORed together row by row.  Each call is
-    one node; the first past inc.SEARCH_NODE_BUDGET raises CapacityError.
+    Over 3-point lines (p = 2) this is incidence.enumerate_hyperplanes on V
+    itself, the GF(2) kernel route (Ronan 1987), which refuses before
+    listing when 2^d - 1 passes the node budget and does not read
+    base_hyperplanes.  Otherwise it is the slice census over the leaves
+    x + M, with the base hyperplanes (enumerated by default) as traces.
     """
     if V.level != 2:
         raise ValueError("the level-2 census applies to level 2 only")
-    G = V.structure
-    if all(len(l) == 3 for l in G.lines):
-        return inc.enumerate_hyperplanes(G)
-    n = V.base.point_count
+    if all(len(l) == 3 for l in V.structure.lines):
+        return inc.enumerate_hyperplanes(V.structure)
     if base_hyperplanes is None:
         base_hyperplanes = inc.enumerate_hyperplanes(V.base)
-    candidates = sorted(base_hyperplanes, key=lambda s: tuple(sorted(s)))
-    candidates.append(frozenset(range(n)))
-    masks = [sum(1 << y for y in c) for c in candidates]
-    admissible_diag = set(masks)
-    pair = V.pair
-
-    # rows_at[x][prefix]: (column bits, points, diagonal bit) of each
-    # candidate h(x) whose bits below x are prefix, in candidate order;
-    # bit z*n + x of the column bits says z in h(x), for z > x
-    rows_at: list[dict[int, list[tuple[int, int, int]]]] = []
-    for x in range(n):
-        table: dict[int, list[tuple[int, int, int]]] = {}
-        for c, cm in zip(candidates, masks):
-            column = sum(1 << (z * n + x) for z in c if z > x)
-            pts = sum(1 << pair[x][z] for z in c)
-            table.setdefault(cm & ((1 << x) - 1), []).append(
-                (column, pts, cm & (1 << x)))
-        rows_at.append(table)
-    prefix_mask = [(1 << x) - 1 for x in range(n)]
-    found: set[int] = set()
-    nodes = 0
-
-    def dfs(x: int, columns: int, X: int, diag: int) -> None:
-        nonlocal nodes
-        nodes += 1
-        if nodes > inc.SEARCH_NODE_BUDGET:
-            raise inc.CapacityError(f"level-2 search passed the node budget at {nodes} nodes")
-        if x == n:
-            if diag in admissible_diag and inc.is_hyperplane_mask(G, X):
-                found.add(X)
-            return
-        for column, pts, d in rows_at[x].get(columns >> (x * n) & prefix_mask[x], ()):
-            dfs(x + 1, columns | column, X | pts, diag | d)
-
-    dfs(0, 0, 0, 0)
-    # each frozenset is copied from a set, which sizes its table to its
-    # points; built from the generator it would keep up to twice the room
-    return sorted((frozenset({q for q in range(len(V.points)) if X >> q & 1})
-                   for X in found), key=lambda s: tuple(sorted(s)))
+    return slice_census(V, base_hyperplanes)
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +329,8 @@ def verify_characterization(V: VeroneseSpace, mode: str) -> CharacterizationRepo
     coords = _coordinates(V)
     dim = len(coords[0])
     p = _base_prime(V)
+    if p is None:
+        raise ValueError("could not infer the base field size")
     constructed = []
     for xi in alternating_forms_up_to_scalar(dim, p):
         constructed.append(hyperplane_from_symplectic(V, xi).points)
@@ -375,22 +374,24 @@ def verify_characterization(V: VeroneseSpace, mode: str) -> CharacterizationRepo
     )
 
 
-def _base_prime(V: VeroneseSpace) -> int:
-    # a line of PG(dim-1, p) has p + 1 points, and the base has
-    # (p^dim - 1)/(p - 1) of them
-    coords = _coordinates(V)
-    p = len(V.base.lines[0]) - 1 if V.base.lines else 0
-    if not (is_prime(p) and (p ** len(coords[0]) - 1) // (p - 1) == len(coords)):
-        raise ValueError("could not infer the base field size")
-    return p
+def _base_prime(V: VeroneseSpace) -> Optional[int]:
+    """The p of a base whose first line is a line of PG(n, p) in its
+    coordinates, else None: with two of its p + 1 points, u and v, the
+    nonzero a*u + b*v are the nonzero multiples of its points."""
+    G = V.base
+    line = [G.labels[q] for q in sorted(G.lines[0])] if G.labels and G.lines else []
+    p = len(line) - 1
+    if not is_prime(p):
+        return None
+    u, v = line[:2]
+    span = {vec_add(vec_scale(a, u, p), vec_scale(b, v, p), p)
+            for a in range(p) for b in range(p)} - {(0,) * len(u)}
+    return p if span == {vec_scale(c, w, p) for w in line for c in range(1, p)} else None
 
 
 def _refuse_other_field(V: VeroneseSpace, p: int) -> None:
-    # only a whole PG(n, p) shows its field by its point count; a quadric
-    # or affine base is checked for the coordinate length alone
-    try:
-        base_p = _base_prime(V)
-    except ValueError:
-        return
-    if p != base_p:
+    # a base that shows no field (an affine one, say) is checked for the
+    # coordinate length alone
+    base_p = _base_prime(V)
+    if base_p is not None and p != base_p:
         raise ValueError(f"form over GF({p}) does not match the base over GF({base_p})")

@@ -176,6 +176,21 @@ def visible_tops(A: AffineReduct) -> tuple[list[int], list[frozenset[int]]]:
     return A._tops
 
 
+def _tops_at(A: AffineReduct, reader: str) -> list[set[int]]:
+    """The visible tops through each reduct point, for a reader that takes
+    each top for a leaf reduct of a level-2 space.  A point lies in k
+    leaves at level k, so a point in more than two tops (level 3 and up,
+    or a quadric base, whose leaves are not strong) refuses the reader
+    with ValueError."""
+    top_of, _ = visible_tops(A)
+    tops_at = [{top_of[li] for li in on} for on in A.structure.lines_through()]
+    most = max(map(len, tops_at), default=0)
+    if most > 2:
+        raise ValueError(f"a point lies in {most} visible tops: the tops are not "
+                         f"leaves of a level-2 space, so {reader} does not apply")
+    return tops_at
+
+
 def verify_maximal_strong(A: AffineReduct) -> dict:
     """The maximal strong subspaces are exactly the leaf reducts.
 
@@ -220,11 +235,13 @@ def classify_directions(A: AffineReduct) -> DirectionsReport:
     Veblen-parallel.  TWO_LEAF (mixed x+y): two or more tops, two members
     not Veblen-parallel and every member Veblen-parallel to exactly one of
     them, splitting the class into exactly two subclasses.  Both horns are
-    re-verified with the Veblen formula; degenerate hyperplanes are
-    refused.  The report is cached on A.
+    re-verified with the Veblen formula; tops that are not the leaves of a
+    level-2 space and degenerate hyperplanes are refused.  The report is
+    cached on A.
     """
     if A._directions is not None:
         return A._directions
+    _tops_at(A, "the direction taxonomy")
     if A.hyperplane.degenerate:
         raise ValueError("direction taxonomy needs a nondegenerate hyperplane")
     kinds: dict[int, str] = {}
@@ -328,7 +345,9 @@ def _double_of_top(A: AffineReduct) -> dict[int, int]:
     A top with two one-top directions is refused with ValueError when H is
     degenerate (a radical point r gives each leaf x both 2x and x+r), and
     is a falsification otherwise.  Only that refusal reads the hyperplane.
+    Tops that are not the leaves of a level-2 space are refused first.
     """
+    _tops_at(A, "the double-line read")
     out: dict[int, int] = {}
     for e, tops in A.direction_tops.items():
         if len(tops) == 1:
@@ -508,8 +527,8 @@ def net_violation_witness(A: AffineReduct) -> dict:
 
     The search reads visible tops, direction classes and reduct incidence
     alone.  It reads each visible top as a leaf reduct, so it refuses a
-    reduct with a point in more than two tops: then the leaves are not
-    strong, as over a quadric base.  A mixed direction e is a deleted
+    reduct with a point in more than two tops (_tops_at): at level 3 and
+    up, and over a quadric base.  A mixed direction e is a deleted
     point whose lines lie in two visible tops; k3 runs over the lines of
     class e in the lower-index top and l3 over those in the other.  Each
     point of k3 or l3 with a second top is named by it; the candidates
@@ -532,11 +551,7 @@ def net_violation_witness(A: AffineReduct) -> dict:
     top_of, subs = visible_tops(A)
     G = A.structure
     lines, through = G.lines, G.lines_through()
-    tops_at = [{top_of[li] for li in on} for on in through]
-    most = max(map(len, tops_at), default=0)
-    if most > 2:
-        raise ValueError(f"a point lies in {most} visible tops: the tops are not "
-                         "leaves, so the Net-violation witness does not apply")
+    tops_at = _tops_at(A, "the Net-violation witness")
     mixed = [(e, min(tops)) for e, tops in A.direction_tops.items() if len(tops) == 2]
     if not mixed:
         return {"found": False, "reason": "no mixed deleted point",
@@ -648,8 +663,10 @@ def check_parallelism_reconstruction(A: AffineReduct) -> dict:
     the quadrangle index; over GF(3) no such pair is completable, so these
     pairs are reported apart rather than folded into the verdict.  Every
     pair the index declares completable must be stored-parallel (one that
-    is not would contradict the Net law and is a falsification).
+    is not would contradict the Net law and is a falsification).  Tops
+    that are not the leaves of a level-2 space are refused.
     """
+    _tops_at(A, "the parallelism reconstruction")
     top_of, _ = visible_tops(A)
     same_leaf, cross_leaf = [], []
     for members in A.classes.values():

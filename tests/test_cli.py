@@ -362,6 +362,54 @@ def test_hyperplane_on_a_quadric_base(tmp_path, capsys):
     assert "4 visible tops" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("p", [5, 7])
+def test_hyperplane_refuses_a_form_over_another_field_on_a_quadric_base(tmp_path, capsys, p):
+    # Q+(3,3) shows GF(3) on its lines; a symplectic form of the right
+    # dimension over GF(5) or GF(7) is an input error, not a failed check
+    v, h, f = tmp_path / "v.json", tmp_path / "h.json", tmp_path / "form.json"
+    f.write_text(json.dumps({"p": p, "matrix": [[0, 1, 0, 0], [p - 1, 0, 0, 0],
+                                                [0, 0, 0, 1], [0, 0, p - 1, 0]]}))
+    assert run(["veronese", "--base", "quadric:3:3:hyperbolic", "--level", "2",
+                "--out", str(v)]) == 0
+    assert run(["hyperplane", "--space", str(v), "--form", str(f), "--out", str(h)]) == 2
+    assert f"GF({p}) does not match the base over GF(3)" in capsys.readouterr().err
+    assert not h.exists()
+
+
+def test_hyperplane_from_arity1_alternating_form(tmp_path, capsys):
+    # a linear form is the alternating route at level 1 and is refused,
+    # with its arity named, at level 2
+    v1, v2, f = tmp_path / "v1.json", tmp_path / "v2.json", tmp_path / "form.json"
+    h = tmp_path / "h.json"
+    f.write_text(json.dumps({"p": 3, "arity": 1, "dim": 2, "coeffs": {"0": 1}}))
+    assert run(["veronese", "--base", "pg:1:3", "--level", "1", "--out", str(v1)]) == 0
+    assert run(["hyperplane", "--space", str(v1), "--form", str(f), "--out", str(h)]) == 0
+    assert json.loads(h.read_text())["points"] == [0]
+    h.unlink()
+    assert run(["veronese", "--base", "pg:1:3", "--level", "2", "--out", str(v2)]) == 0
+    capsys.readouterr()
+    assert run(["hyperplane", "--space", str(v2), "--form", str(f), "--out", str(h)]) == 2
+    assert "arity 1 does not match level 2" in capsys.readouterr().err
+    assert not h.exists()
+
+
+def test_recover_refuses_a_level3_reduct(tmp_path, capsys):
+    # V(3,PG(2,3)) minus the determinant hyperplane: the double-line read
+    # is level-2 structure, so the recovery refuses it as input out of scope
+    v, h, r = tmp_path / "v.json", tmp_path / "h.json", tmp_path / "r.json"
+    f = tmp_path / "form.json"
+    f.write_text(json.dumps({"p": 3, "arity": 3, "dim": 3, "coeffs": {"0,1,2": 1}}))
+    assert run(["veronese", "--base", "pg:2:3", "--level", "3", "--out", str(v)]) == 0
+    assert run(["hyperplane", "--space", str(v), "--form", str(f), "--out", str(h)]) == 0
+    assert run(["reduct", "--space", str(v), "--hyperplane", str(h), "--out", str(r)]) == 0
+    data = json.loads(r.read_text())
+    assert (len(data["proper_points"]), len(data["lines"])) == (234, 936)
+    capsys.readouterr()
+    assert run(["recover", "--reduct", str(r), "--out", str(tmp_path / "rec.json")]) == 2
+    assert "3 visible tops" in capsys.readouterr().err
+    assert not (tmp_path / "rec.json").exists()
+
+
 def test_falsification_exits_1_with_its_message(monkeypatch, capsys):
     def falsified(n, p):
         raise FalsificationError(f"PG({n},{p}) lost a line")

@@ -1,3 +1,4 @@
+import functools
 from unittest import mock
 
 import pytest
@@ -9,7 +10,7 @@ from verogeo.hyperplanes import (FULL, VeroneseHyperplane, _base_prime,
                                  enumerate_hyperplanes_level2, extract_h_function,
                                  hyperplane_from_alternating,
                                  hyperplane_from_symplectic, leaf_pencil,
-                                 polar_hyperplane, vari1_construction,
+                                 polar_hyperplane, slice_census, vari1_construction,
                                  verify_characterization)
 from verogeo.incidence import (enumerate_hyperplanes, is_hyperplane,
                                is_l_transversal, is_subspace)
@@ -223,8 +224,8 @@ def test_polar_hyperplane_hyperbolic_quadric():
 
 
 def test_symplectic_hyperplane_on_a_quadric_base_is_the_polar_intersection():
-    # Q+(3,3) has 16 points, not the 40 of PG(3,3), so its field cannot be
-    # read off the point count; the form still applies to its coordinates
+    # Q+(3,3) has 16 points, not the 40 of PG(3,3); its lines show GF(3),
+    # and the form applies to its coordinates
     Q = QuadraticForm(3, ((0, 1, 0, 0), (0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 0, 0)))
     polar, kept = polar_space_quadratic(Q)
     Vq = build_veronese(polar, 2)
@@ -232,6 +233,15 @@ def test_symplectic_hyperplane_on_a_quadric_base_is_the_polar_intersection():
     H = hyperplane_from_symplectic(Vq, xi)
     assert H.points == polar_hyperplane(Vq, hyperplane_from_symplectic(v2(3, 3), xi),
                                         base_point_map=kept)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_symplectic_refuses_a_form_over_another_field_on_a_quadric_base(p):
+    # the form has the quadric's dimension, so only the field read off a
+    # base line tells it apart; it is an input error, not a failed check
+    Vq = build_veronese(polar_space_quadratic(Q_PLUS_33)[0], 2)
+    with pytest.raises(ValueError, match=rf"GF\({p}\) does not match the base over GF\(3\)"):
+        hyperplane_from_symplectic(Vq, standard_symplectic(4, p))
 
 
 def test_polar_hyperplane_rejects_empty_line_set():
@@ -266,11 +276,24 @@ def test_base_prime_from_line_size(n, p):
 
 
 def test_base_prime_rejects_a_base_that_is_no_projective_space():
-    # AG(2,3): 3-point lines would mean GF(2), but PG(2,2) has 7 points, not 9
-    with pytest.raises(ValueError):
-        _base_prime(build_veronese(affine_space(2, 3).base, 2))
+    # AG(2,3): 3-point lines would mean GF(2), but its coordinates are over
+    # GF(3); AG(2,5): 5-point lines would mean GF(4), which is no prime
+    for n, p in ((2, 3), (2, 5)):
+        assert _base_prime(build_veronese(affine_space(n, p).base, 2)) is None
 
 
+@pytest.mark.parametrize("base, p", [
+    (lambda: polar_space_quadratic(Q_PLUS_33)[0], 3),
+    (lambda: polar_space_symplectic(standard_symplectic(4, 3)), 3),
+    (lambda: projective_space(3, 5), 5),
+], ids=["Q+(3,3)", "W(3,3)", "PG(3,5)"])
+def test_base_prime_read_off_the_first_line(base, p):
+    # a polar base has fewer points than its PG(3,p), but each of its
+    # lines is a projective line over GF(p) in its coordinates
+    assert _base_prime(build_veronese(base(), 1)) == p
+
+
+Q_PLUS_33 = QuadraticForm(3, ((0, 1, 0, 0), (0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 0, 0)))
 Q_PLUS_32 = QuadraticForm(2, ((0, 1, 0, 0), (0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 0, 0)))
 
 
@@ -335,7 +358,7 @@ def test_scan_counts_the_level3_hyperplanes_over_pg22():
 
 
 def test_level2_search_stops_at_its_budget():
-    # V(2,PG(2,3)) takes the level-2 search 7,073 nodes
+    # V(2,PG(2,3)) takes the slice census 7,073 nodes
     V = v2(2, 3)
     with mock.patch.object(incidence, "SEARCH_NODE_BUDGET", 7072):
         with pytest.raises(incidence.CapacityError, match=r"\b7073 nodes"):
@@ -343,6 +366,51 @@ def test_level2_search_stops_at_its_budget():
     with mock.patch.object(incidence, "SEARCH_NODE_BUDGET", 7073):
         got = enumerate_hyperplanes_level2(V)
     assert len(got) == 26
+
+
+CHAIN_BASES = {"PG(1,3)": lambda: projective_space(1, 3),
+               "PG(2,2)": lambda: projective_space(2, 2),
+               "PG(2,3)": lambda: projective_space(2, 3)}
+
+
+@functools.lru_cache(maxsize=None)
+def census_chain(name, level):
+    """Hyperplanes of V(level, M): the level-2 census, then each level's
+    slice census over the list of the level below."""
+    V = build_veronese(CHAIN_BASES[name](), level)
+    if level == 2:
+        return tuple(enumerate_hyperplanes_level2(V))
+    return tuple(slice_census(V, census_chain(name, level - 1)))
+
+
+@pytest.mark.parametrize("name, level, count, nodes", [
+    ("PG(1,3)", 3, 4, 25), ("PG(1,3)", 4, 4, 22),
+    ("PG(2,2)", 3, 127, 5697), ("PG(2,2)", 4, 127, 1409),
+    ("PG(2,3)", 3, 14, 357), ("PG(2,3)", 4, 13, 248),
+])
+def test_slice_census_past_level_2(name, level, count, nodes):
+    # the census stops at its first node past the budget; over PG(1,3) it
+    # equals the scan and over PG(2,2) the GF(2) kernel.  V(3,Q+(3,2)) is
+    # left to the kernel: its 1,023 slice traces take the census past the
+    # budget
+    V = build_veronese(CHAIN_BASES[name](), level)
+    lower = census_chain(name, level - 1)
+    with mock.patch.object(incidence, "SEARCH_NODE_BUDGET", nodes - 1):
+        with pytest.raises(incidence.CapacityError, match=rf"\b{nodes} nodes"):
+            slice_census(V, lower)
+    with mock.patch.object(incidence, "SEARCH_NODE_BUDGET", nodes):
+        got = slice_census(V, lower)
+    assert len(got) == count
+    if (name, level) == ("PG(2,3)", 3):
+        assert hyperplane_from_alternating(V, determinant_form(3, 3)).points in got
+    elif name != "PG(2,3)":
+        assert got == enumerate_hyperplanes(V.structure)
+
+
+def test_slice_census_refuses_level_1():
+    V = build_veronese(projective_space(1, 3), 1)
+    with pytest.raises(ValueError, match="level 2 or more"):
+        slice_census(V, enumerate_hyperplanes(V.base))
 
 
 def test_characterization_v2_pg23_leaf_trace():

@@ -2,8 +2,10 @@ import itertools
 
 import pytest
 
-from verogeo.algebra import BilinearForm, standard_symplectic
-from verogeo.hyperplanes import FULL, hyperplane_from_symplectic
+from verogeo.algebra import (BilinearForm, QuadraticForm, determinant_form,
+                             standard_symplectic)
+from verogeo.hyperplanes import (FULL, hyperplane_from_alternating,
+                                 hyperplane_from_symplectic)
 from verogeo.multiset import EMPTY, Multiset, scale_point
 from verogeo.configs import FalsificationError
 from verogeo.reduct import (AffineReduct, build_reduct,
@@ -15,12 +17,15 @@ from verogeo.reduct import (AffineReduct, build_reduct,
                             reduct_plane_family, scan_declared_double_triples,
                             veblen_parallel, verify_maximal_strong,
                             visible_tops)
-from verogeo.spaces import ParallelStructure, projective_space
+from verogeo.spaces import ParallelStructure, polar_space_quadratic, projective_space
 from verogeo.verify import _reduct_pg33
 from verogeo.veronese import build_veronese
 
 from oracles import (DEGENERATE, PLANE, check_preparallelism, is_connected,
                      plane_from_triangle)
+
+
+Q_PLUS_33 = QuadraticForm(3, ((0, 1, 0, 0), (0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 0, 0)))
 
 
 def pg13_reduct():
@@ -326,6 +331,34 @@ def test_double_line_read_refuses_a_degenerate_hyperplane():
     A = pg25_degenerate_reduct()
     for read in (recover_horizon_double_lines, scan_declared_double_triples):
         with pytest.raises(ValueError, match="nondegenerate hyperplane"):
+            read(A)
+
+
+def level3_determinant_reduct():
+    V = build_veronese(projective_space(2, 3), 3)
+    return build_reduct(V, hyperplane_from_alternating(V, determinant_form(3, 3)))
+
+
+def quadric_symplectic_reduct():
+    V = build_veronese(polar_space_quadratic(Q_PLUS_33)[0], 2)
+    return build_reduct(V, hyperplane_from_symplectic(V, standard_symplectic(4, 3)))
+
+
+@pytest.mark.parametrize("reduct, tops, shape", [
+    (level3_determinant_reduct, 3, (234, 936)),
+    (quadric_symplectic_reduct, 4, (72, 96)),
+], ids=["V(3,PG(2,3))", "V(2,Q+(3,3))"])
+def test_level2_readers_refuse_tops_that_are_not_level2_leaves(reduct, tops, shape):
+    # a point of V(3,PG(2,3)) lies in three leaves, and over Q+(3,3) the
+    # tops are lines, four through each point: every reader that takes the
+    # tops for level-2 leaves refuses, rather than read a falsification
+    # ("top 0 has one-top directions 1 and 13") or level-2 kinds off them
+    A = reduct()
+    assert (A.structure.point_count, len(A.lines)) == shape
+    for read in (recover_veronese, scan_declared_double_triples,
+                 recover_horizon_double_lines, classify_directions,
+                 check_parallelism_reconstruction, net_violation_witness):
+        with pytest.raises(ValueError, match=f"{tops} visible tops"):
             read(A)
 
 
