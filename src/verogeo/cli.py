@@ -279,8 +279,7 @@ def _verify_on_space(args) -> int:
         print(json.dumps(verdict, sort_keys=True))
         return 1 if witness["found"] else 0
     V = _veronese_from_json(data, args.space)
-    tops = [V.block_top[i] for i in range(len(V.structure.lines))]
-    report = check_net_axiom(V.structure, tops)
+    report = check_net_axiom(V.structure, V.block_top)
     verdict = {"claim": "net-axiom-on-space", "ok": report.ok,
                "witness": None if report.ok else repr(report.witness),
                "checked": report.checked}

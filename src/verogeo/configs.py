@@ -11,8 +11,9 @@ pairwise distinct.
 
 Classification relies on block shape: every block of a level-2 Veronese
 space over a linear space is either a translate x + m of a base line m or
-a double 2m, which _level2_shape alone reads off the provenance table, and
-the possible quadrangle and crossing-line shapes are pinned down exactly.
+a double 2m, which _level2_shape alone reads off V.block_top and
+V.block_line, and the possible quadrangle and crossing-line shapes are
+pinned down exactly.
 An unclassifiable figure is a falsification event, never silently skipped.
 
 Enumeration budgets: the Net-axiom scan is exhaustive at every size.
@@ -121,11 +122,7 @@ def _meet(G: IncidenceStructure, i: int, j: int) -> Optional[int]:
 def _level2_shape(V: VeroneseSpace, b: int) -> tuple[Optional[int], frozenset[int]]:
     """(x, L) for the level-2 block x + L and (None, L) for the double 2L,
     L being the base line as a point set."""
-    gens = V.provenance[b]
-    if len(gens) != 1:
-        raise FalsificationError(f"block {b} has several presentations: {gens}")
-    e, li = gens[0]
-    return next(iter(e.support()), None), V.base.lines[li]
+    return next(iter(V.block_top[b].support()), None), V.base.lines[V.block_line[b]]
 
 
 def classify_veblen_in_veronese(V: VeroneseSpace, fig: VeblenFigure) -> str:

@@ -271,7 +271,7 @@ def slice_census(V: VeroneseSpace, lower: Sequence[frozenset[int]]) -> list[froz
     # each frozenset is copied from a set, which sizes its table to its
     # points; built from the generator it would keep up to twice the room
     return sorted((frozenset({q for q in range(len(V.points)) if X >> q & 1})
-                   for X in found), key=lambda s: tuple(sorted(s)))
+                   for X in found), key=sorted)
 
 
 def enumerate_hyperplanes_level2(V: VeroneseSpace,
@@ -334,7 +334,7 @@ def verify_characterization(V: VeroneseSpace, mode: str) -> CharacterizationRepo
     constructed = []
     for xi in alternating_forms_up_to_scalar(dim, p):
         constructed.append(hyperplane_from_symplectic(V, xi).points)
-    constructed = sorted(set(constructed), key=lambda s: tuple(sorted(s)))
+    constructed = sorted(set(constructed), key=sorted)
 
     base_hyps = inc.enumerate_hyperplanes(V.base)
     if mode == "scan":

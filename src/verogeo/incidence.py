@@ -35,7 +35,7 @@ class IncidenceStructure:
                 if not (0 <= q < point_count):
                     raise ValueError(f"line point {q} out of range 0..{point_count - 1}")
         if sort_lines:
-            lines.sort(key=lambda l: tuple(sorted(l)))
+            lines.sort(key=sorted)
         self.lines: tuple[frozenset[int], ...] = tuple(lines)
         self.labels = dict(labels) if labels else None
         self._adjacency: Optional[list[set[int]]] = None
@@ -138,7 +138,7 @@ def is_partial_linear(G: IncidenceStructure) -> tuple[bool, Optional[tuple]]:
 
     Returns (ok, witness); the witness is ("undersized_line", line_index)
     or ("double_joined", a, b, line1, line2), first violation in
-    deterministic order.
+    deterministic order; a line listed twice joins its points twice.
     """
     for i, line in enumerate(G.lines):
         if len(line) < 3:
@@ -149,9 +149,9 @@ def is_partial_linear(G: IncidenceStructure) -> tuple[bool, Optional[tuple]]:
         for x in range(len(pts)):
             for y in range(x + 1, len(pts)):
                 pair = (pts[x], pts[y])
-                if pair in seen and G.lines[seen[pair]] != line:
+                if pair in seen:
                     return False, ("double_joined", pair[0], pair[1], seen[pair], i)
-                seen.setdefault(pair, i)
+                seen[pair] = i
     return True, None
 
 
@@ -336,7 +336,7 @@ def enumerate_hyperplanes(G: IncidenceStructure) -> list[frozenset[int]]:
         # each frozenset is copied from a set, which sizes its table to
         # its points
         found.append(frozenset(current))
-    found.sort(key=lambda s: tuple(sorted(s)))
+    found.sort(key=sorted)
     return found
 
 
@@ -396,7 +396,7 @@ def _scan_hyperplanes(G: IncidenceStructure) -> list[frozenset[int]]:
             if all(L & out != L and not (L & out and (L & X).bit_count() > 1)
                    for L in through[q]):
                 stack.append((q + 1, X))
-    found.sort(key=lambda s: tuple(sorted(s)))
+    found.sort(key=sorted)
     return found
 
 
@@ -485,5 +485,4 @@ def gamma_plane_classes(G: IncidenceStructure,
     classes: dict[int, set[int]] = {}
     for idx, pl in enumerate(planes):
         classes.setdefault(find(idx), set()).update(pl)
-    return sorted((frozenset(c) for c in classes.values()),
-                  key=lambda s: tuple(sorted(s)))
+    return sorted((frozenset(c) for c in classes.values()), key=sorted)

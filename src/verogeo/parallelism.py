@@ -31,8 +31,7 @@ def _block_directions(V: VeroneseSpace, base: ParallelStructure) -> list[int]:
     """Base parallel class of each block's generating base line, by block."""
     class_of_base_line = base.class_of()
     base_index = base.base.line_index()
-    return [class_of_base_line[base_index[V.base.lines[V.provenance[bi][0][1]]]]
-            for bi in range(len(V.structure.lines))]
+    return [class_of_base_line[base_index[V.base.lines[li]]] for li in V.block_line]
 
 
 def induced_relation(V: VeroneseSpace, base: ParallelStructure
@@ -119,7 +118,7 @@ def search_leaf_closed_parallelism(V: VeroneseSpace) -> SearchResult:
     per_class, rest = divmod(len(V.points), sizes.pop())
     if rest:
         return SearchResult(None, True, 0, "capacity: kappa does not divide v")
-    leaf_of = [V.leaves[V.block_top[bi]] for bi in range(len(blocks))]
+    leaf_of = [V.leaves[e] for e in V.block_top]
     trace = hashlib.sha256()
     classes: list[list[int]] = []
     unassigned = set(range(len(blocks)))
@@ -198,6 +197,6 @@ def leaf_preparallelism(V: VeroneseSpace, base: ParallelStructure
     disjoint distinct blocks."""
     out: dict[tuple, list[int]] = {}
     for bi, ci in enumerate(_block_directions(V, base)):
-        out.setdefault((V.provenance[bi][0][0], ci), []).append(bi)
+        out.setdefault((V.block_top[bi], ci), []).append(bi)
     return {key: tuple(sorted(v)) for key, v in sorted(
         out.items(), key=lambda kv: (kv[0][0].sort_key(), kv[0][1]))}

@@ -319,7 +319,7 @@ def reduct_plane_family(A: AffineReduct) -> tuple[list, list, int]:
                         coplanar.setdefault(li, set()).update(inside)
                     traces[frozenset(closed)] = frozenset(A.lines[li].infinite
                                                           for li in inside)
-        planes = sorted(traces, key=lambda s: tuple(sorted(s)))
+        planes = sorted(traces, key=sorted)
         A._planes = (planes, [traces[pl] for pl in planes], closures)
     return A._planes
 
@@ -698,4 +698,4 @@ def truncated_plane_family(V: VeroneseSpace, H_points: frozenset[int],
         kept = frozenset(red_of[q] for q in pl - H_points)
         if len(kept) >= 3:
             out.add(kept)
-    return sorted(out, key=lambda s: tuple(sorted(s)))
+    return sorted(out, key=sorted)

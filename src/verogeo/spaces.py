@@ -107,7 +107,7 @@ def projective_hyperplanes(G: IncidenceStructure, p: int) -> list[frozenset[int]
     for f in projective_points(dim, p):
         out.append(frozenset(i for i, v in enumerate(pts)
                              if sum(a * b for a, b in zip(f, v)) % p == 0))
-    return sorted(set(out), key=lambda s: tuple(sorted(s)))
+    return sorted(set(out), key=sorted)
 
 
 def projective_plane_family(G: IncidenceStructure, p: int) -> list[frozenset[int]]:
@@ -117,7 +117,7 @@ def projective_plane_family(G: IncidenceStructure, p: int) -> list[frozenset[int
     coordinate labels of G; for PG(2,p) this is the whole point set.
     """
     planes = _echelon_spans([G.labels[i] for i in range(G.point_count)], p, 3)
-    return sorted(planes, key=lambda s: tuple(sorted(s)))
+    return sorted(planes, key=sorted)
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +186,7 @@ def restriction(G: IncidenceStructure, S0: Sequence[int]
         labels = {new: G.labels.get(old, old) for new, old in enumerate(kept)}
     else:
         labels = {new: old for new, old in enumerate(kept)}
-    return IncidenceStructure(len(kept), sorted(set(lines), key=lambda l: tuple(sorted(l))),
+    return IncidenceStructure(len(kept), sorted(set(lines), key=sorted),
                               labels=labels, sort_lines=False), kept
 
 

@@ -238,7 +238,7 @@ def suite_hyperplane_characterization() -> list[Verdict]:
             if inc.is_hyperplane(G, X):
                 brute.append(X)
         report = verify_characterization(V, mode="scan")
-        scan_agrees = sorted(brute, key=lambda s: tuple(sorted(s))) == report.enumerated
+        scan_agrees = sorted(brute, key=sorted) == report.enumerated
         expected_single = len(report.enumerated) == 1 and report.equal
         witness = None
         if not expected_single:
@@ -372,9 +372,8 @@ def suite_veblen_classification() -> list[Verdict]:
 
     def check_shapes():
         V = _vpg(2, 3)
-        tops = [V.block_top[i] for i in range(len(V.structure.lines))]
         quadrangles, crossings = Counter(), Counter()
-        for q, *fresh in quadrangle_crossings(V.structure, tops):
+        for q, *fresh in quadrangle_crossings(V.structure, V.block_top):
             quadrangles[classify_proper_quadrangle(V, q)] += 1
             crossings.update(classify_crossing_line(V, a, b, k)
                              for (a, b), lines in zip(q.opposite_pairs, fresh)
@@ -403,8 +402,7 @@ def suite_net_axiom() -> list[Verdict]:
 
     def check_ag():
         V = _vag(2, 3)
-        tops = [V.block_top[i] for i in range(len(V.structure.lines))]
-        report = check_net_axiom(V.structure, tops)
+        report = check_net_axiom(V.structure, V.block_top)
         return (report.ok and report.exhaustive, report.witness,
                 {"configurations_checked": report.checked})
 

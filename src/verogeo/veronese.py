@@ -8,9 +8,10 @@ distinct leaves share at most one point.
 
 The leaf table leaf_points[e][x] is the index of e + (k-|e|)*x, the one
 place where multisets are added; blocks, leaves, the pair table, leaf
-planes and leaf traces read its rows.  A provenance table records every
-generating triple (e, r, base line), which powers the configuration
-classification without re-deriving decompositions.
+planes and leaf traces read its rows.  Since e is the pointwise minimum
+of any two points of e + r*B, a base with distinct lines gives each block
+one generator, kept as two per-block lists: block_top[b] = e and
+block_line[b] = the index of B.
 """
 
 from __future__ import annotations
@@ -32,10 +33,11 @@ class VeroneseSpace:
     structure: IncidenceStructure
     points: tuple[Multiset, ...]
     index: dict[Multiset, int]
-    # block index -> tuple of (e, base_line_index); r is level - e.degree
-    provenance: dict[int, tuple[tuple[Multiset, int], ...]]
     leaves: dict[Multiset, frozenset[int]]
-    block_top: dict[int, Multiset]
+    # block b is block_top[b] + r*B for the base line B of index block_line[b],
+    # r being level - block_top[b].degree
+    block_top: list[Multiset]
+    block_line: list[int]
     # leaf key e -> row whose x-th entry is the index of e + (k-|e|)*x
     leaf_points: dict[Multiset, list[int]]
 
@@ -55,11 +57,7 @@ class VeroneseSpace:
 
 
 def build_veronese(base: IncidenceStructure, level: int) -> VeroneseSpace:
-    """Construct V(level, base); the base must be a PLS (floor >= 3).
-
-    Blocks generated from different triples are merged by point-set
-    equality, keeping all generators in the provenance table.
-    """
+    """Construct V(level, base); the base must be a PLS (floor >= 3)."""
     if level < 1:
         raise ValueError("level must be at least 1")
     ok, witness = is_partial_linear(base)
@@ -72,20 +70,17 @@ def build_veronese(base: IncidenceStructure, level: int) -> VeroneseSpace:
     leaf_points = {e: [index[e + scale_point(level - e.degree, x)] for x in range(n)]
                    for e in enumerate_lower_multisets(n, level)}
 
-    # generators in order of r = 1..level; sorted() is stable within a degree
-    raw: dict[frozenset[int], list[tuple[Multiset, int]]] = {}
-    for e, row in sorted(leaf_points.items(), key=lambda item: -item[0].degree):
-        for li, line in enumerate(base.lines):
-            raw.setdefault(frozenset(row[x] for x in sorted(line)), []).append((e, li))
-    blocks = sorted(raw, key=lambda b: tuple(sorted(b)))
-    provenance = {bi: tuple(raw[b]) for bi, b in enumerate(blocks)}
-    block_top = {bi: provenance[bi][0][0] for bi in provenance}
+    triples = sorted(((tuple(sorted(row[x] for x in line)), e, li)
+                      for e, row in leaf_points.items()
+                      for li, line in enumerate(base.lines)), key=lambda t: t[0])
+    block_top = [e for _, e, _ in triples]
+    block_line = [li for _, _, li in triples]
     leaves = {e: frozenset(row) for e, row in leaf_points.items()}
 
-    labels = {i: f for i, f in enumerate(points)}
-    structure = IncidenceStructure(len(points), blocks, labels=labels, sort_lines=False)
-    V = VeroneseSpace(base, level, structure, points, index, provenance,
-                      leaves, block_top, leaf_points)
+    structure = IncidenceStructure(len(points), [b for b, _, _ in triples],
+                                   labels=dict(enumerate(points)), sort_lines=False)
+    V = VeroneseSpace(base, level, structure, points, index, leaves,
+                      block_top, block_line, leaf_points)
     ok, witness = is_partial_linear(structure)
     if not ok:
         raise AssertionError(f"Veronese space failed the PLS check: {witness}")
@@ -166,7 +161,7 @@ def leaf_substructure(V: VeroneseSpace, e: Multiset) -> IncidenceStructure:
     """
     back = {q: x for x, q in enumerate(V.leaf_points[e])}
     lines = []
-    for bi, top in V.block_top.items():
+    for bi, top in enumerate(V.block_top):
         if top == e:
             block = V.structure.lines[bi]
             if not block <= back.keys():
@@ -186,7 +181,7 @@ def leaf_plane_family(V: VeroneseSpace,
     """Planes of V inside leaves: e + (k-|e|)*P for base planes P."""
     planes = {frozenset(row[x] for x in P)
               for row in V.leaf_points.values() for P in base_planes}
-    return sorted(planes, key=lambda s: tuple(sorted(s)))
+    return sorted(planes, key=sorted)
 
 
 # ---------------------------------------------------------------------------

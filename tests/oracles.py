@@ -4,8 +4,9 @@ is_nondegenerate_alternating is the oracle of VeroneseHyperplane.degenerate;
 veronese_by_sums, h_function_by_sums and leaf_planes_by_sums form every
 point e + (k-|e|)*x by adding multisets, as the leaf table does once.
 veblen_by_provenance, quadrangle_by_provenance and
-crossing_line_by_provenance read each block's generator in every
-classifier, where configs reads it once per block through _level2_shape;
+crossing_line_by_provenance read each block's generator off those sums in
+every classifier, where configs reads V.block_top and V.block_line once
+per block through _level2_shape;
 affine_space_by_ranks sorts the lines of AG(n,p) through a rank
 permutation.  check_preparallelism and check_euclid decide the
 parallelism axioms on a ParallelStructure directly.
@@ -23,6 +24,7 @@ reads visible tops, direction classes and reduct incidence alone.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 from typing import Optional, Sequence
@@ -230,8 +232,9 @@ def leaf_adjacency_test(V: VeroneseSpace, point: int, block_index: int) -> bool:
 
 
 def veronese_by_sums(base: IncidenceStructure, level: int) -> dict:
-    """Blocks (in index order), provenance, block tops and leaves of
-    V(level, base), each point e + r*x added up and looked up by index."""
+    """Blocks (in index order), every generator (e, base line index) of
+    each block, and the leaves of V(level, base), each point e + r*x added
+    up and looked up by index."""
     n = base.point_count
     index = {f: i for i, f in enumerate(enumerate_multisets(n, level))}
     raw: dict[frozenset[int], list[tuple[Multiset, int]]] = {}
@@ -244,9 +247,14 @@ def veronese_by_sums(base: IncidenceStructure, level: int) -> dict:
     provenance = {bi: tuple(raw[b]) for bi, b in enumerate(blocks)}
     leaves = {e: frozenset(index[e + scale_point(level - e.degree, x)] for x in range(n))
               for e in enumerate_lower_multisets(n, level)}
-    return {"lines": tuple(blocks), "provenance": provenance,
-            "block_top": {bi: gens[0][0] for bi, gens in provenance.items()},
-            "leaves": leaves}
+    return {"lines": tuple(blocks), "provenance": provenance, "leaves": leaves}
+
+
+@functools.lru_cache(maxsize=None)
+def _generators_by_sums(base: IncidenceStructure, level: int
+                        ) -> dict[frozenset[int], tuple[tuple[Multiset, int], ...]]:
+    want = veronese_by_sums(base, level)
+    return {block: want["provenance"][bi] for bi, block in enumerate(want["lines"])}
 
 
 def h_function_by_sums(V: VeroneseSpace, H: frozenset[int]) -> dict[Multiset, object]:
@@ -342,7 +350,7 @@ def _two_generated(A: AffineReduct, pts: frozenset[int]) -> bool:
 
 
 def _sole_generator(V: VeroneseSpace, block: int) -> tuple[Multiset, int]:
-    gens = V.provenance[block]
+    gens = _generators_by_sums(V.base, V.level)[V.structure.lines[block]]
     if len(gens) != 1:
         raise FalsificationError(f"block {block} has several presentations: {gens}")
     return gens[0]
@@ -356,12 +364,11 @@ def veblen_by_provenance(V: VeroneseSpace, fig: VeblenFigure) -> str:
     THREE_POINT_WITH_2M: {a + m : a in A} plus 2m for a 3-subset A of m.
     """
     blocks = [fig.l1, fig.l2, fig.m1, fig.m2]
-    tops = [V.block_top[b] for b in blocks]
-    if len(set(tops)) == 1:
+    gens = [_sole_generator(V, b) for b in blocks]
+    if len({e for e, _ in gens}) == 1:
         return BASE_EMBEDDED
     if V.level != 2:
         return UNCLASSIFIABLE
-    gens = [_sole_generator(V, b) for b in blocks]
     doubles = [b for b, (e, _) in zip(blocks, gens) if e == EMPTY]
     translates = [(e, li) for (e, li) in gens if e != EMPTY]
     base_lines = {li for _, li in gens}
@@ -442,10 +449,9 @@ def crossing_line_by_provenance(V: VeroneseSpace, l1: int, l2: int, k: int) -> s
     """
     if V.level != 2:
         return UNCLASSIFIABLE
-    tops = {V.block_top[b] for b in (l1, l2, k)}
-    if len(tops) != 3:
-        raise ValueError("tops of k, l1, l2 must be pairwise distinct")
     gens = {b: _sole_generator(V, b) for b in (l1, l2, k)}
+    if len({gens[b][0] for b in (l1, l2, k)}) != 3:
+        raise ValueError("tops of k, l1, l2 must be pairwise distinct")
     ek, lik = gens[k]
     k_line = V.base.lines[lik]
 

@@ -5,6 +5,7 @@ import pytest
 from verogeo import cli
 from verogeo.cli import main
 from verogeo.configs import FalsificationError
+from verogeo.spaces import projective_space
 
 
 def run(argv):
@@ -196,6 +197,19 @@ def test_base_file_without_lines_exits_2(tmp_path, capsys):
     rc = run(["veronese", "--base", str(base), "--level", "2"])
     assert rc == 2
     assert "'lines'" in capsys.readouterr().err
+
+
+def test_base_with_a_repeated_line_exits_2(tmp_path, capsys):
+    # the Fano plane with one line listed twice is no partial linear space
+    base = tmp_path / "base.json"
+    data = projective_space(2, 2).to_json()
+    data["lines"].append(data["lines"][0])
+    base.write_text(json.dumps(data))
+    out = tmp_path / "v.json"
+    rc = run(["veronese", "--base", str(base), "--level", "2", "--out", str(out)])
+    assert rc == 2
+    assert "double_joined" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_internal_key_error_is_not_a_usage_error(monkeypatch):

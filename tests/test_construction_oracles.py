@@ -674,8 +674,9 @@ def test_leaf_table_matches_multiset_sums(name):
         assert row == [V.index[e + scale_point(k - e.degree, x)] for x in range(n)]
     want = veronese_by_sums(base, k)
     assert V.structure.lines == want["lines"]
-    assert list(V.provenance.items()) == list(want["provenance"].items())
-    assert list(V.block_top.items()) == list(want["block_top"].items())
+    # e is the pointwise minimum of two points of e + r*B: one generator a block
+    assert list(want["provenance"].values()) == [
+        ((top, li),) for top, li in zip(V.block_top, V.block_line)]
     assert list(V.leaves.items()) == list(want["leaves"].items())
     H = frozenset(random.Random(name).sample(range(len(V.points)), len(V.points) // 2))
     assert extract_h_function(V, H) == h_function_by_sums(V, H)
@@ -944,8 +945,8 @@ def reconstruct_both_orientations(A, look, i, j):
         return veblen_parallel(A, i, j)
     if G.lines[i] & G.lines[j]:
         return False
-    (ei, mi) = V.provenance[A.lines[i].parent][0]
-    (ej, mj) = V.provenance[A.lines[j].parent][0]
+    ei, mi = V.block_top[A.lines[i].parent], V.block_line[A.lines[i].parent]
+    ej, mj = V.block_top[A.lines[j].parent], V.block_line[A.lines[j].parent]
     if ei.degree != 1 or ej.degree != 1:
         return False
     x, y = next(iter(ei.support())), next(iter(ej.support()))

@@ -35,17 +35,16 @@ def test_induced_relation_classes():
 
 def test_induced_relation_is_equivalence():
     # the classes partition the blocks, and two blocks share a class
-    # exactly when some generating base lines of theirs are parallel
+    # exactly when their generating base lines are parallel
     V, A = v2_ag23()
     classes = induced_relation(V, A)
     class_of = {b: ci for ci, members in classes.items() for b in members}
     assert sorted(class_of) == list(range(len(V.structure.lines)))
     parallel = A.class_of()
     lines = A.base.line_index()
-    directions = [{parallel[lines[V.base.lines[li]]] for _, li in V.provenance[b]}
-                  for b in range(len(V.structure.lines))]
+    directions = [parallel[lines[V.base.lines[li]]] for li in V.block_line]
     for b1, b2 in itertools.combinations(range(len(V.structure.lines)), 2):
-        assert (class_of[b1] == class_of[b2]) == bool(directions[b1] & directions[b2])
+        assert (class_of[b1] == class_of[b2]) == (directions[b1] == directions[b2])
 
 
 def test_translate_and_double_of_one_line_related():

@@ -71,6 +71,13 @@ def test_non_pls_base_rejected():
         build_veronese(IncidenceStructure(3, [[0, 1]]), 2)
 
 
+def test_base_with_a_repeated_line_rejected():
+    from verogeo.incidence import IncidenceStructure
+    lines = [sorted(l) for l in fano().lines]
+    with pytest.raises(ValueError, match="double_joined"):
+        build_veronese(IncidenceStructure(7, lines + [lines[0]]), 2)
+
+
 def test_mu_embedding_level1_to_2():
     V1 = build_veronese(fano(), 1)
     target, mapping = mu_embedding(V1, 2)
@@ -91,12 +98,11 @@ def test_tau_embedding():
 
 def test_top_of_block():
     V = build_veronese(projective_space(2, 3), 2)
-    for bi, gens in V.provenance.items():
-        e, li = gens[0]
-        assert V.block_top[bi] == e
-        block = V.structure.lines[bi]
+    assert len(V.block_top) == len(V.block_line) == len(V.structure.lines)
+    for block, e, li in zip(V.structure.lines, V.block_top, V.block_line):
         assert block <= V.leaves[e]
-    with pytest.raises(KeyError):
+        assert block == frozenset(V.leaf_points[e][x] for x in V.base.lines[li])
+    with pytest.raises(IndexError):
         V.block_top[10 ** 6]
 
 
@@ -162,7 +168,7 @@ def test_leaf_substructure_matches_base():
 
 def test_leaf_substructure_rejects_a_block_off_its_leaf():
     V = build_veronese(fano(), 2)
-    bi = next(bi for bi, top in V.block_top.items() if top != EMPTY)
+    bi = next(bi for bi, top in enumerate(V.block_top) if top != EMPTY)
     V.block_top[bi] = EMPTY
     with pytest.raises(AssertionError, match="not a leaf translate"):
         leaf_substructure(V, EMPTY)
