@@ -18,7 +18,8 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 
 class IncidenceStructure:
-    """Points 0..point_count-1 plus a family of lines (frozensets of points).
+    """Points 0..point_count-1 plus a family of lines (frozensets of points),
+    kept in the order given.
 
     Instances are immutable after construction and safe to share; the
     adjacency, point-to-line and crossing indexes are computed lazily and
@@ -27,15 +28,13 @@ class IncidenceStructure:
     """
 
     def __init__(self, point_count: int, lines: Iterable[Iterable[int]],
-                 labels: Optional[dict] = None, sort_lines: bool = True):
+                 labels: Optional[dict] = None):
         self.point_count = point_count
         lines = [frozenset(l) for l in lines]
         for l in lines:
             for q in l:
                 if not (0 <= q < point_count):
                     raise ValueError(f"line point {q} out of range 0..{point_count - 1}")
-        if sort_lines:
-            lines.sort(key=sorted)
         self.lines: tuple[frozenset[int], ...] = tuple(lines)
         self.labels = dict(labels) if labels else None
         self._adjacency: Optional[list[set[int]]] = None
@@ -107,8 +106,7 @@ class IncidenceStructure:
         labels = None
         if "labels" in data:
             labels = {int(k): _label_from_json(v) for k, v in data["labels"].items()}
-        return IncidenceStructure(data["point_count"], data["lines"], labels=labels,
-                                  sort_lines=False)
+        return IncidenceStructure(data["point_count"], data["lines"], labels=labels)
 
 
 def _label_json(v):

@@ -120,8 +120,7 @@ def build_reduct(V: VeroneseSpace, H: VeroneseHyperplane) -> AffineReduct:
                  for bi, block in enumerate(V.structure.lines) if not block <= pts)
     lines = tuple(TruncatedLine(frozenset(trunc), bi, e) for trunc, bi, e in cut)
     structure = IncidenceStructure(len(amb_of), [t.points for t in lines],
-                                   labels={r: V.points[a] for r, a in enumerate(amb_of)},
-                                   sort_lines=False)
+                                   labels={r: V.points[a] for r, a in enumerate(amb_of)})
     classes: dict[int, list[int]] = {}
     for i, t in enumerate(lines):
         classes.setdefault(t.infinite, []).append(i)

@@ -65,8 +65,8 @@ def projective_space(n: int, p: int) -> IncidenceStructure:
 
 def _echelon_spans(pts: Sequence[Vector], p: int, k: int) -> list[frozenset[int]]:
     """Point sets of the k-dimensional subspaces of GF(p)^dim, each once,
-    from its reduced echelon basis; pts holds every normalized point, in
-    any order.
+    from its reduced echelon basis, sorted by their sorted point lists;
+    pts holds every normalized point, in any order.
 
     The rows of that basis lead at increasing positions, and each row is 0
     at the leads of the rows after it.  A point of the span is a row plus a
@@ -96,6 +96,7 @@ def _echelon_spans(pts: Sequence[Vector], p: int, k: int) -> list[frozenset[int]
                 else:
                     stack.append((span, [tuple([(t * x + y) % p for x, y in zip(r, c)])
                                          for t in range(p) for c in combos], (a,) + leads))
+    out.sort(key=sorted)
     return out
 
 
@@ -116,8 +117,7 @@ def projective_plane_family(G: IncidenceStructure, p: int) -> list[frozenset[int
     Each plane is written down once from its reduced echelon basis over the
     coordinate labels of G; for PG(2,p) this is the whole point set.
     """
-    planes = _echelon_spans([G.labels[i] for i in range(G.point_count)], p, 3)
-    return sorted(planes, key=sorted)
+    return _echelon_spans([G.labels[i] for i in range(G.point_count)], p, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +140,8 @@ def affine_space(n: int, p: int) -> ParallelStructure:
     classes = [{frozenset(index[vec_add(base, vec_scale(t, d, p), p)] for t in range(p))
                 for base in pts}
                for d in projective_points(n, p)]
-    structure = IncidenceStructure(len(pts), [l for cls in classes for l in cls],
+    structure = IncidenceStructure(len(pts), sorted((l for cls in classes for l in cls),
+                                                    key=sorted),
                                    labels=dict(enumerate(pts)))
     line_index = structure.line_index()
     return ParallelStructure(structure, tuple(tuple(sorted(line_index[l] for l in cls))
@@ -166,8 +167,7 @@ def polar_space_symplectic(xi: BilinearForm) -> IncidenceStructure:
     rows = algebra.perp_rows(xi, [G.labels[i] for i in range(G.point_count)])
     # any two points span their line: it is totally isotropic iff they are orthogonal
     lines = [line for line in G.lines if sorted(line)[1] in rows[min(line)]]
-    return IncidenceStructure(G.point_count, lines, labels=dict(G.labels),
-                              sort_lines=False)
+    return IncidenceStructure(G.point_count, lines, labels=dict(G.labels))
 
 
 def restriction(G: IncidenceStructure, S0: Sequence[int]
@@ -187,7 +187,7 @@ def restriction(G: IncidenceStructure, S0: Sequence[int]
     else:
         labels = {new: old for new, old in enumerate(kept)}
     return IncidenceStructure(len(kept), sorted(set(lines), key=sorted),
-                              labels=labels, sort_lines=False), kept
+                              labels=labels), kept
 
 
 def polar_space_quadratic(Q: QuadraticForm) -> tuple[IncidenceStructure, tuple[int, ...]]:

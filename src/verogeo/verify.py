@@ -146,39 +146,24 @@ def _reduct_pg33():
 
 
 def suite_construction_counts() -> list[Verdict]:
-    out = []
-
-    def check_fano():
-        V = _vpg(2, 2)
+    def check_counts(V, base_parameters):
         through = V.structure.lines_through()
         got = (V.structure.point_count, len(V.structure.lines),
                len(through[0]), len(V.structure.lines[0]))
-        expected = parameters(7, 7, 3, 3, 2)
+        expected = parameters(*base_parameters, 2)
         ranks_ok = all(len(through[q]) == expected[2] for q in V.structure.points)
         sizes_ok = all(len(b) == expected[3] for b in V.structure.lines)
         return (got == expected and ranks_ok and sizes_ok,
                 None if got == expected else got, {"parameters": list(expected)})
 
-    out.append(_verdict(
+    out = [_verdict(
         "construction-counts-fano",
         "level-2 Veronese space over the 7-point projective plane has "
         "(points, lines, point rank, line size) = (28, 56, 6, 3)",
-        "V(2, PG(2,2))", check_fano))
-
-    def check_pg23():
-        V = _vpg(2, 3)
-        through = V.structure.lines_through()
-        got = (V.structure.point_count, len(V.structure.lines),
-               len(through[0]), len(V.structure.lines[0]))
-        expected = parameters(13, 13, 4, 4, 2)
-        ranks_ok = all(len(through[q]) == expected[2] for q in V.structure.points)
-        return (got == expected and ranks_ok, None if got == expected else got,
-                {"parameters": list(expected)})
-
-    out.append(_verdict(
+        "V(2, PG(2,2))", lambda: check_counts(_vpg(2, 2), (7, 7, 3, 3))), _verdict(
         "construction-counts-pg23",
         "level-2 Veronese space over PG(2,3) has (91, 182, 8, 4)",
-        "V(2, PG(2,3))", check_pg23))
+        "V(2, PG(2,3))", lambda: check_counts(_vpg(2, 3), (13, 13, 4, 4)))]
 
     def check_leaves():
         details, witness = {}, {}
@@ -217,9 +202,9 @@ def suite_construction_counts() -> list[Verdict]:
 def suite_hyperplane_characterization() -> list[Verdict]:
     out = []
     V = _vpg(1, 3)
+    report = verify_characterization(V, mode="scan")
 
     def check_sound():
-        report = verify_characterization(V, mode="scan")
         return (report.constructed_subset_of_enumerated,
                 None, {"constructed": len(report.constructed)})
 
@@ -237,7 +222,6 @@ def suite_hyperplane_characterization() -> list[Verdict]:
             X = frozenset(q for q in range(G.point_count) if mask >> q & 1)
             if inc.is_hyperplane(G, X):
                 brute.append(X)
-        report = verify_characterization(V, mode="scan")
         scan_agrees = sorted(brute, key=sorted) == report.enumerated
         expected_single = len(report.enumerated) == 1 and report.equal
         witness = None
@@ -340,35 +324,23 @@ def suite_negative_control() -> list[Verdict]:
 
 
 def suite_veblen_classification() -> list[Verdict]:
-    out = []
-
-    def check_fano():
-        counts = classify_all_veblen(_vpg(2, 2))
+    def check_types(V, four_point_translates):
+        counts = classify_all_veblen(V)
         ok = (counts.get(UNCLASSIFIABLE, 0) == 0
-              and counts.get(FOUR_POINT_TRANSLATE, 0) == 0
+              and (counts.get(FOUR_POINT_TRANSLATE, 0) > 0) == four_point_translates
               and counts.get(BASE_EMBEDDED, 0) > 0
               and counts.get(THREE_POINT_WITH_2M, 0) > 0)
         return ok, None if ok else counts, {"counts": counts}
 
-    out.append(_verdict(
+    out = [_verdict(
         "veblen-types-v2-fano",
         "every Veblen figure is leaf-embedded or a three-translate figure "
         "with a double block; four-translate figures need line size 4 and "
         "are absent",
-        "V(2, PG(2,2))", check_fano))
-
-    def check_pg23():
-        counts = classify_all_veblen(_vpg(2, 3))
-        ok = (counts.get(UNCLASSIFIABLE, 0) == 0
-              and counts.get(FOUR_POINT_TRANSLATE, 0) > 0
-              and counts.get(BASE_EMBEDDED, 0) > 0
-              and counts.get(THREE_POINT_WITH_2M, 0) > 0)
-        return ok, None if ok else counts, {"counts": counts}
-
-    out.append(_verdict(
+        "V(2, PG(2,2))", lambda: check_types(_vpg(2, 2), False)), _verdict(
         "veblen-types-v2-pg23",
         "all three figure types occur and every figure classifies",
-        "V(2, PG(2,3))", check_pg23))
+        "V(2, PG(2,3))", lambda: check_types(_vpg(2, 3), True))]
 
     def check_shapes():
         V = _vpg(2, 3)
@@ -705,36 +677,24 @@ def suite_parallelism_appendix() -> list[Verdict]:
 
 
 def suite_affine_conditions() -> list[Verdict]:
-    out = []
-
-    def check_tam():
+    def check(scan):
         A = _reduct_pg33()
-        class_of = veblen_subclass_map(A)
-        report = check_tamaschke(A.structure, class_of)
+        report = scan(A.structure, veblen_subclass_map(A))
         return (report.ok, report.witness,
                 {"checked": report.checked, "exhaustive": report.exhaustive,
                  "strata": report.strata})
 
-    out.append(_verdict(
+    return [_verdict(
         "tamaschke-on-reduct",
         "a line Veblen-parallel to one side of a triangle crossing a "
         "second side crosses the third (strata-sampled apexes recorded)",
-        "V(2, PG(3,3)) minus the symplectic hyperplane", check_tam))
-
-    def check_pcc():
-        A = _reduct_pg33()
-        class_of = veblen_subclass_map(A)
-        report = check_parallelogram_completion(A.structure, class_of)
-        return (report.ok, report.witness,
-                {"checked": report.checked, "exhaustive": report.exhaustive,
-                 "strata": report.strata})
-
-    out.append(_verdict(
+        "V(2, PG(3,3)) minus the symplectic hyperplane",
+        lambda: check(check_tamaschke)), _verdict(
         "parallelogram-completion-on-reduct",
         "two pairs of Veblen-parallel lines with three of four crossings "
         "realize the fourth as well",
-        "V(2, PG(3,3)) minus the symplectic hyperplane", check_pcc))
-    return out
+        "V(2, PG(3,3)) minus the symplectic hyperplane",
+        lambda: check(check_parallelogram_completion))]
 
 
 SUITES: dict[str, Callable[[], list[Verdict]]] = {

@@ -78,7 +78,7 @@ def build_veronese(base: IncidenceStructure, level: int) -> VeroneseSpace:
     leaves = {e: frozenset(row) for e, row in leaf_points.items()}
 
     structure = IncidenceStructure(len(points), [b for b, _, _ in triples],
-                                   labels=dict(enumerate(points)), sort_lines=False)
+                                   labels=dict(enumerate(points)))
     V = VeroneseSpace(base, level, structure, points, index, leaves,
                       block_top, block_line, leaf_points)
     ok, witness = is_partial_linear(structure)

@@ -20,6 +20,9 @@ GuidedLookups, two_line_quadrangle and crosses_both are the ambient
 lookups and the quadrangle test the guided Net-violation route named its
 candidates with (trace rows, lines by their level-2 block), where reduct
 reads visible tops, direction classes and reduct incidence alone.
+assert_pinned_verdict compares a verdict with its line in
+battery_report.jsonl: the 33 lines of `verogeo verify --suite all`, each
+without runtime_s and with sorted keys.
 """
 
 from __future__ import annotations
@@ -27,6 +30,8 @@ from __future__ import annotations
 import functools
 import hashlib
 import itertools
+import json
+import pathlib
 from typing import Optional, Sequence
 
 from verogeo import configs, incidence as inc
@@ -189,8 +194,7 @@ def singular_plane_family(Q: QuadraticForm,
     on_set = {i for i in range(G.point_count) if Q.evaluate(pts[i]) == 0}
     planes = set()
     sing_lines = [l for l in G.lines if l <= on_set]
-    collinear = IncidenceStructure(G.point_count, sing_lines,
-                                   sort_lines=False).adjacency()
+    collinear = IncidenceStructure(G.point_count, sing_lines).adjacency()
     for line in sing_lines:
         rep = sorted(line)
         u, v = pts[rep[0]], pts[rep[1]]
@@ -520,8 +524,7 @@ def affine_space_by_ranks(n: int, p: int) -> ParallelStructure:
     order = sorted(range(len(flattened)), key=lambda i: tuple(sorted(flattened[i])))
     rank_of = {old: new for new, old in enumerate(order)}
     structure = IncidenceStructure(len(pts), [flattened[i] for i in order],
-                                   labels={i: v for i, v in enumerate(pts)},
-                                   sort_lines=False)
+                                   labels={i: v for i, v in enumerate(pts)})
     class_tuples = []
     pos = 0
     for cls in classes:
@@ -730,3 +733,17 @@ def two_line_quadrangle(A: AffineReduct, look: GuidedLookups,
 def crosses_both(A: AffineReduct, k: int, a: int, b: int) -> bool:
     G = A.structure
     return bool(G.lines[k] & G.lines[a]) and bool(G.lines[k] & G.lines[b])
+
+
+@functools.lru_cache(maxsize=None)
+def _battery_report() -> dict[str, str]:
+    path = pathlib.Path(__file__).with_name("battery_report.jsonl")
+    return {json.loads(line)["claim"]: line for line in path.read_text().splitlines()}
+
+
+def assert_pinned_verdict(verdict) -> None:
+    """The verdict's report line, runtime_s dropped, is its pinned line."""
+    got = verdict.to_json()
+    del got["runtime_s"]
+    assert json.dumps(got, sort_keys=True) == _battery_report()[verdict.claim], (
+        f"{verdict.claim}: verdict content changed")

@@ -12,9 +12,12 @@ import time
 
 from verogeo import verify as V
 
+from oracles import assert_pinned_verdict
+
 
 def run_criterion(number, budget_s, suite, claims):
-    """Run a suite, print the criterion line, assert its claims, then its verdicts."""
+    """Run a suite, print the criterion line, assert its claims, pin each
+    verdict's content to tests/battery_report.jsonl, then assert its verdicts."""
     start = time.perf_counter()
     verdicts = V.SUITES[suite]()
     elapsed = time.perf_counter() - start
@@ -24,6 +27,8 @@ def run_criterion(number, budget_s, suite, claims):
     print(f"{tag} criterion {number} [{elapsed:.1f}s < {budget_s}s]: {names}")
     assert elapsed < budget_s, f"criterion {number} exceeded {budget_s}s"
     assert [v.claim for v in verdicts] == claims, f"criterion {number}: claims {names}"
+    for v in verdicts:
+        assert_pinned_verdict(v)
     for v in verdicts:
         assert v.ok, (f"criterion {number}: {v.claim} failed on {v.instance}; "
                       f"witness={v.witness!r} details={v.details!r}")

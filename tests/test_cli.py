@@ -60,6 +60,57 @@ def test_elliptic_quadric_over_gf2_without_lines_rejected(tmp_path, capsys):
     assert "quadric carries no lines" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["w", "3", "3"],
+                                  ["quadric", "4", "3", "--quadric-type", "parabolic"]])
+def test_build_w33_and_the_parabolic_quadric(tmp_path, argv):
+    # W(3,3) and Q(4,3) are dual generalized quadrangles: 40 points, 40 lines
+    out = tmp_path / "g.json"
+    assert run(["build"] + argv + ["--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert data["point_count"] == 40
+    assert len(data["lines"]) == 40
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["w", "2", "3"], "symplectic polar spaces need even"),
+    (["quadric", "3", "3", "--quadric-type", "parabolic"], "parabolic quadrics need odd"),
+    (["quadric", "2", "3"], "hyperbolic quadrics need even"),
+    (["quadric", "2", "3", "--quadric-type", "elliptic"], "elliptic quadrics need even"),
+])
+def test_build_refuses_a_vector_dimension_of_the_wrong_parity(tmp_path, capsys, argv,
+                                                               message):
+    out = tmp_path / "g.json"
+    assert run(["build"] + argv + ["--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_build_without_out_prints_the_json(capsys):
+    assert run(["build", "pg", "1", "3"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["point_count"] == 4
+    assert data["lines"] == [[0, 1, 2, 3]]
+
+
+@pytest.mark.parametrize("token", ["quadric:3:3:foo", "bogus:1"])
+def test_veronese_refuses_a_bad_named_base(capsys, token):
+    assert run(["veronese", "--base", token, "--level", "2"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_commands_refuse_a_file_of_the_wrong_kind(tmp_path, capsys):
+    base, v = tmp_path / "base.json", tmp_path / "v.json"
+    assert run(["build", "pg", "1", "3", "--out", str(base)]) == 0
+    assert run(["veronese", "--base", str(base), "--level", "2", "--out", str(v)]) == 0
+    capsys.readouterr()
+    assert run(["verify", "--suite", "recovery", "--space", str(v)]) == 2
+    assert "net-axiom suite only" in capsys.readouterr().err
+    assert run(["recover", "--reduct", str(v)]) == 2
+    assert "does not hold a reduct" in capsys.readouterr().err
+    assert run(["parallelism-search", "--space", str(base)]) == 2
+    assert "does not hold a Veronese space" in capsys.readouterr().err
+
+
 def test_full_pipeline(tmp_path):
     v = tmp_path / "v.json"
     h = tmp_path / "h.json"

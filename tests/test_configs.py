@@ -182,7 +182,7 @@ def test_parallelogram_completion_missing_fourth_crossing():
         [3, 8, 9],   # L2
         [0, 3, 6],   # M1
         [1, 4, 7],   # M2
-    ], sort_lines=False)
+    ])
     class_of = {0: 0, 1: 0, 2: 1, 3: 1}
     report = check_parallelogram_completion(G, class_of)
     assert not report.ok
@@ -204,7 +204,7 @@ def test_parallelogram_completion_counts_past_a_clean_class_pair():
         [2, 3, 15],    # N1b meets L1 and L2
         [10, 11, 12],  # N2 meets neither
         [1, 13, 14],   # N3 meets L1 only
-    ], sort_lines=False)
+    ])
     class_of = {0: 0, 1: 0, 2: 1, 3: 1, 4: 1, 5: 2, 6: 2, 7: 2, 8: 2}
     report = check_parallelogram_completion(G, class_of)
     assert not report.ok

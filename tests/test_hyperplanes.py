@@ -20,7 +20,8 @@ from verogeo.spaces import (affine_space, polar_space_quadratic,
                             projective_space)
 from verogeo.veronese import build_veronese
 
-from oracles import is_nondegenerate_alternating, l_transversal_from_h
+from oracles import (assert_pinned_verdict, is_nondegenerate_alternating,
+                     l_transversal_from_h)
 
 
 def v2(n, p):
@@ -472,6 +473,7 @@ def test_polar_hyperplane_census_q33():
     verdicts = vfy.SUITES["polar-conjecture"]()
     assert len(verdicts) == 1
     v = verdicts[0]
+    assert_pinned_verdict(v)
     assert v.ok
     assert v.details["base_hyperplanes"] == 40
     assert v.details["enumerated"] == 491

@@ -52,10 +52,10 @@ def test_pls_refuses_a_repeated_line():
     # a line listed twice is a second line through each of its pairs
     lines = [sorted(l) for l in fano().lines]
     G = IncidenceStructure(7, lines + [lines[3]])
-    assert G.lines[3] == G.lines[4]
+    assert G.lines[3] == G.lines[7]
     ok, witness = is_partial_linear(G)
     assert not ok
-    assert witness == ("double_joined", lines[3][0], lines[3][1], 3, 4)
+    assert witness == ("double_joined", lines[3][0], lines[3][1], 3, 7)
 
 
 def test_adjacency_and_connectivity():

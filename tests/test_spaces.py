@@ -229,7 +229,7 @@ def test_polar_and_affine_polar_strongly_connected():
     on = frozenset(i for i in range(P.point_count)
                    if Q.evaluate(P.labels[i]) == 0)
     sing_lines = [l for l in P.lines if l <= on]
-    polar_pg = IncidenceStructure(P.point_count, sing_lines, sort_lines=False)
+    polar_pg = IncidenceStructure(P.point_count, sing_lines)
     planes = singular_plane_family(Q, P)
     assert len(on) == 130 and len(sing_lines) == 520 and len(planes) == 80
     classes = gamma_plane_classes(polar_pg, planes)
