@@ -90,15 +90,13 @@ def find_incomplete_veblen(G: IncidenceStructure) -> Iterator[VeblenFigure]:
     The no-three-concurrent requirement is enforced: the two non-apex
     lines must cross each apex line in distinct points.
     """
-    cross = G.crossing()
     through = G.lines_through()
     for p in range(G.point_count):
         here = through[p]
         for a in range(len(here)):
             for b in range(a + 1, len(here)):
                 l1, l2 = here[a], here[b]
-                candidates = sorted(m for m in cross[l1] & cross[l2]
-                                    if p not in G.lines[m])
+                candidates = _apex_crossings(G, p, l1, l2)
                 for x in range(len(candidates)):
                     for y in range(x + 1, len(candidates)):
                         m1, m2 = candidates[x], candidates[y]
@@ -112,6 +110,14 @@ def find_incomplete_veblen(G: IncidenceStructure) -> Iterator[VeblenFigure]:
                             continue
                         complete = bool(G.lines[m1] & G.lines[m2])
                         yield VeblenFigure(p, l1, l2, m1, m2, complete)
+
+
+def _apex_crossings(G: IncidenceStructure, p: int, l1: int, l2: int) -> list[int]:
+    """The lines crossing l1 and l2 off their common point p, in increasing
+    order: each joins a point of l1 to a point of l2, neither of them p."""
+    join = G.join()
+    return sorted({join[q][r] for q in G.lines[l1] - {p}
+                   for r in G.lines[l2] - {p} if r in join[q]})
 
 
 def _meet(G: IncidenceStructure, i: int, j: int) -> Optional[int]:
@@ -176,13 +182,13 @@ def find_quadrangles(G: IncidenceStructure, top_of: Sequence
 
     The figures are enumerated as vertex cycles a-b-c-d with a the least
     vertex: each point c > a not collinear with a, and each pair b < d of
-    common neighbours of a and c above a with b, d not collinear.  The
-    non-collinear diagonals make the four joins distinct lines.
+    common neighbours of a and c above a with b, d not collinear, the
+    sides read from G.join().  The non-collinear diagonals make the four
+    joins distinct lines.
     """
     n = G.point_count
-    through = G.lines_through()
-    # join[p][q]: the line through p and q; near[p]: p and its neighbours
-    join = [{q: li for li in through[p] for q in G.lines[li]} for p in range(n)]
+    join = G.join()
+    # near[p]: p and its neighbours
     near = [sum(1 << q for q in join[p]) | 1 << p for p in range(n)]
     found = []
     for a in range(n):
@@ -223,10 +229,8 @@ def quadrangle_crossings(G: IncidenceStructure, top_of: Sequence
     fresh crossings of its opposite pairs (l1, l2) and (k1, k2): the lines
     crossing both lines of the pair whose top is neither of theirs, in
     increasing order."""
-    cross = G.crossing()
-
     def fresh(a: int, b: int) -> list[int]:
-        return sorted(m for m in cross[a] & cross[b]
+        return sorted(m for m in G.crossing_both(a, b)
                       if top_of[m] != top_of[a] and top_of[m] != top_of[b])
 
     for q in find_quadrangles(G, top_of):
@@ -312,10 +316,10 @@ def classify_crossing_line(V: VeroneseSpace, l1: int, l2: int, k: int) -> str:
 def _join(base: IncidenceStructure, a: int, b: int) -> frozenset[int]:
     if a == b:
         raise ValueError("join needs two distinct points")
-    for line in base.lines_through()[a]:
-        if b in base.lines[line]:
-            return base.lines[line]
-    raise ValueError(f"points {a}, {b} are not collinear in the base")
+    line = base.join()[a].get(b)
+    if line is None:
+        raise ValueError(f"points {a}, {b} are not collinear in the base")
+    return base.lines[line]
 
 
 # ---------------------------------------------------------------------------
@@ -392,16 +396,14 @@ def check_tamaschke(G: IncidenceStructure, class_of: dict[int, int]) -> ScanRepo
     sides through it and a third side crossing both elsewhere), so over
     all apexes every side takes the parallel role.
 
-    Third sides come from the crossing index G.crossing(), and the class
-    rows of the sides through an apex are built once per apex.  A triangle
-    is read from the rows of its two apex sides over the class c of the
-    third: a parallel crossing one side but not the other is a set bit of
-    their XOR.
+    Third sides come from _apex_crossings, and the class rows of the sides
+    through an apex are built once per apex.  A triangle is read from the
+    rows of its two apex sides over the class c of the third: a parallel
+    crossing one side but not the other is a set bit of their XOR.
     checked still counts the (triangle, line of c) pairs the scan covers,
     len(members[c]) per triangle without a violation.
     """
     through = G.lines_through()
-    cross = G.crossing()
     members, position = _class_members(G, class_of)
     apexes = range(G.point_count)
     strata = None
@@ -417,9 +419,7 @@ def check_tamaschke(G: IncidenceStructure, class_of: dict[int, int]) -> ScanRepo
         for a in range(len(here)):
             for b in range(a + 1, len(here)):
                 t2, t3 = here[a], here[b]
-                for t1 in sorted(cross[t2] & cross[t3]):
-                    if p in G.lines[t1]:
-                        continue
+                for t1 in _apex_crossings(G, p, t2, t3):
                     c = class_of.get(t1)
                     if c is None:
                         continue

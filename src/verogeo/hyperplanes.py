@@ -247,7 +247,7 @@ def slice_census(V: VeroneseSpace, lower: Sequence[frozenset[int]]) -> list[froz
     shared: list[int] = []
     table: list[dict[int, list[int]]] = []
     for x in range(n):
-        bits = [1 << V.index[scale_point(1, x) + f] for f in below]
+        bits = [1 << V.leaf_points[f][x] for f in below]  # the points f + x
         shared.append(sum(b for b, f in zip(bits, below) if f.entries[0][0] < x))
         table.append({})
         for m in (sum(bits[j] for j in t) for t in traces):

@@ -22,8 +22,8 @@ class IncidenceStructure:
     kept in the order given.
 
     Instances are immutable after construction and safe to share; the
-    adjacency, point-to-line and crossing indexes are computed lazily and
-    cached.
+    point-to-line index and the join table, the one point-pair index, are
+    computed lazily and cached.
     Equality is identity; compare line sets explicitly when needed.
     """
 
@@ -37,11 +37,10 @@ class IncidenceStructure:
                     raise ValueError(f"line point {q} out of range 0..{point_count - 1}")
         self.lines: tuple[frozenset[int], ...] = tuple(lines)
         self.labels = dict(labels) if labels else None
-        self._adjacency: Optional[list[set[int]]] = None
         self._lines_through: Optional[list[list[int]]] = None
         self._line_masks: Optional[list[int]] = None
         self._line_index: Optional[dict[frozenset, int]] = None
-        self._crossing: Optional[list[set[int]]] = None
+        self._join: Optional[list[dict[int, int]]] = None
 
     def __repr__(self):
         return f"IncidenceStructure({self.point_count} points, {len(self.lines)} lines)"
@@ -49,16 +48,6 @@ class IncidenceStructure:
     @property
     def points(self) -> range:
         return range(self.point_count)
-
-    def adjacency(self) -> list[set[int]]:
-        """adjacency()[a] = points sharing a line with a (includes a if non-isolated)."""
-        if self._adjacency is None:
-            adj: list[set[int]] = [set() for _ in range(self.point_count)]
-            for line in self.lines:
-                for a in line:
-                    adj[a] |= line
-            self._adjacency = adj
-        return self._adjacency
 
     def lines_through(self) -> list[list[int]]:
         if self._lines_through is None:
@@ -69,17 +58,30 @@ class IncidenceStructure:
             self._lines_through = through
         return self._lines_through
 
-    def crossing(self) -> list[set[int]]:
-        """crossing()[i] = indexes of the other lines sharing a point with line i."""
-        if self._crossing is None:
-            through = self.lines_through()
-            cross: list[set[int]] = [set() for _ in self.lines]
+    def join(self) -> list[dict[int, int]]:
+        """join()[p][q] = index of the line through the distinct points p, q.
+
+        Raises ValueError when two points lie on two lines.
+        """
+        if self._join is None:
+            join: list[dict[int, int]] = [{} for _ in range(self.point_count)]
             for i, line in enumerate(self.lines):
-                for q in line:
-                    cross[i].update(through[q])
-                cross[i].discard(i)
-            self._crossing = cross
-        return self._crossing
+                for p in line:
+                    row = join[p]
+                    for q in line:
+                        if q != p and row.setdefault(q, i) != i:
+                            raise ValueError(f"points {p}, {q} lie on lines "
+                                             f"{row[q]} and {i}")
+            self._join = join
+        return self._join
+
+    def crossing_both(self, a: int, b: int) -> set[int]:
+        """The lines other than a and b that share a point with each."""
+        join, lb = self.join(), self.lines[b]
+        out = {join[q][r] for q in self.lines[a] for r in lb if r in join[q]}
+        for q in self.lines[a] & lb:
+            out.update(self.lines_through()[q])
+        return out - {a, b}
 
     def line_masks(self) -> list[int]:
         """line_masks()[i]: line i as a bitset, bit q set for each point q."""
@@ -195,13 +197,13 @@ def is_subspace(G: IncidenceStructure, X: Iterable[int]) -> bool:
 def is_strong(G: IncidenceStructure, X: Iterable[int]) -> bool:
     """Subspace with all points pairwise adjacent."""
     X = frozenset(X)
-    return is_subspace(G, X) and _is_clique(G.adjacency(), X)
+    return is_subspace(G, X) and _is_clique(G.join(), X)
 
 
 def common_neighbours(G: IncidenceStructure, X: frozenset[int]) -> set[int]:
-    """Points adjacent to every point of X (empty for empty X)."""
-    adj = G.adjacency()
-    return set.intersection(*(adj[a] for a in X)) if X else set()
+    """Points equal or adjacent to every point of X (empty for empty X)."""
+    join = G.join()
+    return set.intersection(*(join[a].keys() | {a} for a in X)) if X else set()
 
 
 def strong_extensions(G: IncidenceStructure, X: frozenset[int]
@@ -213,18 +215,18 @@ def strong_extensions(G: IncidenceStructure, X: frozenset[int]
     superset of a strong subspace X contains one of them, so X is maximal
     strong exactly when this yields nothing.
     """
-    adj = G.adjacency()
+    join = G.join()
     for p in sorted(common_neighbours(G, X) - X):
         Y = subspace_closure(G, X | {p})
-        if _is_clique(adj, Y):
+        if _is_clique(join, Y):
             yield Y
 
 
-def _is_clique(adj: list[set[int]], X: frozenset[int]) -> bool:
+def _is_clique(join: list[dict[int, int]], X: frozenset[int]) -> bool:
     pts = sorted(X)
     for i, a in enumerate(pts):
         for b in pts[i + 1:]:
-            if b not in adj[a]:
+            if b not in join[a]:
                 return False
     return True
 
@@ -416,9 +418,8 @@ def veblen_parallel_lines(G: IncidenceStructure, i: int, j: int) -> bool:
     li, lj = G.lines[i], G.lines[j]
     if li & lj:
         return False
-    cross = G.crossing()
-    candidates = sorted(cross[i] & cross[j])
-    adj = G.adjacency()
+    candidates = sorted(G.crossing_both(i, j))
+    join = G.join()
     for a in candidates:
         la = G.lines[a]
         pa_i = next(iter(la & li))
@@ -433,7 +434,7 @@ def veblen_parallel_lines(G: IncidenceStructure, i: int, j: int) -> bool:
             if p in li or p in lj:
                 continue
             a2 = next(iter(lb & lj))
-            if a2 in adj[pa_i]:
+            if a2 in join[pa_i]:
                 return True
     return False
 

@@ -72,7 +72,6 @@ class AffineReduct:
         self._planes: Optional[tuple[list[frozenset[int]], list[frozenset[int]], int]] = None
         self._directions: Optional[DirectionsReport] = None
         self._quadrangles: Optional[tuple[list, frozenset[tuple[int, int]]]] = None
-        self._veblen_cache: dict[tuple[int, int], bool] = {}
 
     # -- cached geometry ---------------------------------------------------
 
@@ -126,20 +125,6 @@ def build_reduct(V: VeroneseSpace, H: VeroneseHyperplane) -> AffineReduct:
         classes.setdefault(t.infinite, []).append(i)
     return AffineReduct(V, H, structure, amb_of, lines,
                         {e: tuple(classes[e]) for e in sorted(classes)})
-
-
-# ---------------------------------------------------------------------------
-# Veblen parallelism on the reduct
-
-
-def veblen_parallel(A: AffineReduct, i: int, j: int) -> bool:
-    """Formula-level Veblen parallelism between reduct lines, cached."""
-    key = (min(i, j), max(i, j))
-    hit = A._veblen_cache.get(key)
-    if hit is None:
-        hit = inc.veblen_parallel_lines(A.structure, i, j)
-        A._veblen_cache[key] = hit
-    return hit
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +228,7 @@ def classify_directions(A: AffineReduct) -> DirectionsReport:
     _tops_at(A, "the direction taxonomy")
     if A.hyperplane.degenerate:
         raise ValueError("direction taxonomy needs a nondegenerate hyperplane")
+    G = A.structure
     kinds: dict[int, str] = {}
     subclasses: dict[int, tuple[tuple[int, ...], ...]] = {}
     dichotomy_ok = True
@@ -250,22 +236,22 @@ def classify_directions(A: AffineReduct) -> DirectionsReport:
         if len(A.direction_tops[e]) == 1:
             kinds[e] = ONE_LEAF
             for i, j in itertools.combinations(members, 2):
-                if not veblen_parallel(A, i, j):
+                if not inc.veblen_parallel_lines(G, i, j):
                     dichotomy_ok = False
             subclasses[e] = (tuple(members),)
         else:
             kinds[e] = TWO_LEAF
             rep1 = members[0]
             rep2 = next((m for m in members[1:]
-                         if not veblen_parallel(A, rep1, m)), None)
+                         if not inc.veblen_parallel_lines(G, rep1, m)), None)
             if rep2 is None:
                 dichotomy_ok = False
                 subclasses[e] = (tuple(members),)
                 continue
             part1, part2 = [], []
             for m in members:
-                p1 = veblen_parallel(A, rep1, m)
-                p2 = veblen_parallel(A, rep2, m)
+                p1 = inc.veblen_parallel_lines(G, rep1, m)
+                p2 = inc.veblen_parallel_lines(G, rep2, m)
                 if p1 == p2:
                     dichotomy_ok = False
                 (part1 if p1 else part2).append(m)
@@ -512,8 +498,9 @@ def _net_accepts(G: IncidenceStructure, top_of: Sequence[int], quad: Sequence[in
     if not all(crossings):
         return False
     p1, p2, p3, p4 = (next(iter(c)) for c in crossings)
-    adj = G.adjacency()
-    return not (p3 in adj[p1] or p4 in adj[p2] or l3 in quad or k3 in quad
+    join = G.join()
+    return not (p3 == p1 or p3 in join[p1] or p4 == p2 or p4 in join[p2]
+                or l3 in quad or k3 in quad
                 or not (lines[l3] & lines[k1] and lines[l3] & lines[k2])
                 or not (lines[k3] & lines[l1] and lines[k3] & lines[l2])
                 or lines[l3] & lines[k3])
@@ -549,7 +536,7 @@ def net_violation_witness(A: AffineReduct) -> dict:
     """
     top_of, subs = visible_tops(A)
     G = A.structure
-    lines, through = G.lines, G.lines_through()
+    lines, join = G.lines, G.join()
     tops_at = _tops_at(A, "the Net-violation witness")
     mixed = [(e, min(tops)) for e, tops in A.direction_tops.items() if len(tops) == 2]
     if not mixed:
@@ -571,9 +558,6 @@ def net_violation_witness(A: AffineReduct) -> dict:
                  for q in sorted(lines[li]) if len(tops_at[q]) == 2]
         return [(P, R, 1 << P[1] | 1 << R[1]) for P, R in itertools.combinations(named, 2)]
 
-    def side(p: int, v: int) -> int:
-        return next(li for li in through[p] if v in lines[li])
-
     checked = 0
     for e, k_top in mixed:
         k_side, l_side = [], []
@@ -589,7 +573,7 @@ def net_violation_witness(A: AffineReduct) -> dict:
                     if qm & live != qm:  # a vertex is missing
                         continue
                     v1, v3 = vertex[a1, a2], vertex[b1, b2]
-                    quad = [side(P1, v1), side(Q1, v1), side(P2, v3), side(Q2, v3)]
+                    quad = [join[P1][v1], join[Q1][v1], join[P2][v3], join[Q2][v3]]
                     if _net_accepts(G, top_of, quad, l3, k3):
                         return {"found": True, "quadrangle": quad,
                                 "l3": l3, "k3": k3, "ambient_meet": e,
@@ -649,7 +633,7 @@ def reconstruct_parallel_pair(A: AffineReduct, i: int, j: int) -> bool:
         return True
     top_of, _ = visible_tops(A)
     if top_of[i] == top_of[j]:
-        return veblen_parallel(A, i, j)
+        return inc.veblen_parallel_lines(A.structure, i, j)
     return (min(i, j), max(i, j)) in _quadrangle_index(A)[1]
 
 

@@ -84,11 +84,28 @@ def line_points(u: Vector, v: Vector, p: int) -> list[Vector]:
     return sorted(pts)
 
 
+def adjacency_rows(G: IncidenceStructure) -> list[set[int]]:
+    """rows[a]: the points sharing a line with a (a itself when it lies on
+    a line), read from the lines alone, without the join table."""
+    rows: list[set[int]] = [set() for _ in G.points]
+    for line in G.lines:
+        for a in line:
+            rows[a] |= line
+    return rows
+
+
+def crossing_rows(G: IncidenceStructure) -> list[set[int]]:
+    """rows[i]: the other lines sharing a point with line i, by pairwise
+    intersection of the lines."""
+    return [{j for j, other in enumerate(G.lines) if j != i and line & other}
+            for i, line in enumerate(G.lines)]
+
+
 def is_connected(G: IncidenceStructure) -> bool:
     """Graph connectivity of the adjacency relation; isolated points disconnect."""
     if G.point_count <= 1:
         return True
-    adj = G.adjacency()
+    adj = adjacency_rows(G)
     seen = {0}
     stack = [0]
     while stack:
@@ -194,7 +211,7 @@ def singular_plane_family(Q: QuadraticForm,
     on_set = {i for i in range(G.point_count) if Q.evaluate(pts[i]) == 0}
     planes = set()
     sing_lines = [l for l in G.lines if l <= on_set]
-    collinear = IncidenceStructure(G.point_count, sing_lines).adjacency()
+    collinear = adjacency_rows(IncidenceStructure(G.point_count, sing_lines))
     for line in sing_lines:
         rep = sorted(line)
         u, v = pts[rep[0]], pts[rep[1]]
@@ -225,7 +242,7 @@ def leaf_adjacency_test(V: VeroneseSpace, point: int, block_index: int) -> bool:
 
     Returns the truth of that implication for the given pair.
     """
-    adj = V.structure.adjacency()
+    adj = adjacency_rows(V.structure)
     block = V.structure.lines[block_index]
     close = sum(1 for q in block if q != point and q in adj[point])
     if point in block:
@@ -674,7 +691,8 @@ class GuidedLookups:
     rows[x] is the trace of the hyperplane on the leaf of base point x,
     the whole base point set when that leaf lies in the hyperplane;
     line_at(x, base_line) is the reduct line cut from the level-2 block
-    x + base_line, or None when that block lies inside the hyperplane.
+    x + base_line, or None when that block lies inside the hyperplane;
+    adjacency is adjacency_rows of the reduct.
     """
 
     def __init__(self, A: AffineReduct):
@@ -686,6 +704,7 @@ class GuidedLookups:
             trace = A.hyperplane.h_function[scale_point(1, x)]
             self.rows[x] = everything if trace == FULL else trace
         self._line_of_parent = {t.parent: li for li, t in enumerate(A.lines)}
+        self.adjacency = adjacency_rows(A.structure)
         self._line_at: dict[tuple[int, frozenset[int]], Optional[int]] = {}
 
     def line_at(self, x: int, base_line: frozenset[int]) -> Optional[int]:
@@ -724,8 +743,7 @@ def two_line_quadrangle(A: AffineReduct, look: GuidedLookups,
     if not (p1 and p2 and p3 and p4):
         return None
     p1, p2, p3, p4 = (next(iter(s)) for s in (p1, p2, p3, p4))
-    adj = G.adjacency()
-    if p3 in adj[p1] or p4 in adj[p2]:
+    if p3 in look.adjacency[p1] or p4 in look.adjacency[p2]:
         return None
     return q_lines
 

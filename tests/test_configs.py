@@ -14,6 +14,8 @@ from verogeo.incidence import IncidenceStructure
 from verogeo.spaces import affine_space, projective_space
 from verogeo.veronese import build_veronese
 
+from oracles import adjacency_rows, crossing_rows
+
 
 def tops_list(V):
     return [V.block_top[i] for i in range(len(V.structure.lines))]
@@ -107,7 +109,7 @@ def test_quadrangle_vertices_match_shapes():
 def test_crossing_line_classification_exhaustive_small():
     V = build_veronese(projective_space(1, 3), 2)
     tops = tops_list(V)
-    cross = V.structure.crossing()
+    cross = crossing_rows(V.structure)
     checked = 0
     for q in find_quadrangles(V.structure, tops):
         for (a, b) in q.opposite_pairs:
@@ -125,7 +127,7 @@ def test_crossing_line_classification_exhaustive_pg23():
     # quadrangle classifies; all three shapes occur
     V = build_veronese(projective_space(2, 3), 2)
     tops = tops_list(V)
-    cross = V.structure.crossing()
+    cross = crossing_rows(V.structure)
     seen = set()
     quadrangles = 0
     crossings = 0
@@ -233,7 +235,7 @@ def test_veblen_adjacent_crossing_pair_forces_one_leaf():
     # lies in one leaf, hence closes when the base closes
     V = build_veronese(projective_space(2, 3), 2)
     G = V.structure
-    adj = G.adjacency()
+    adj = adjacency_rows(G)
     confined = 0
     for fig in find_incomplete_veblen(G):
         l1, l2, m1, m2 = fig.l1, fig.l2, fig.m1, fig.m2

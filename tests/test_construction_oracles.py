@@ -19,6 +19,7 @@ work and must return exactly the same results, in the same order.
 
 import itertools
 import random
+import re
 from math import comb
 from unittest import mock
 
@@ -40,24 +41,25 @@ from verogeo.hyperplanes import (FULL, VeroneseHyperplane,
 from verogeo.incidence import (IncidenceStructure, _close, enumerate_hyperplanes,
                                gamma_plane_classes, is_hyperplane,
                                is_hyperplane_mask, is_strong, is_subspace,
-                               subspace_closure)
+                               subspace_closure, veblen_parallel_lines)
 from verogeo.multiset import EMPTY, Multiset, scale_point
 from verogeo.reduct import (build_reduct, net_violation_shape_on_base,
                             net_violation_witness,
                             reconstruct_parallel_pair, recover_horizon_leaf_lines,
-                            reduct_plane_family, veblen_parallel,
-                            veblen_subclass_map, visible_tops)
+                            reduct_plane_family, veblen_subclass_map,
+                            visible_tops)
 from verogeo.spaces import (affine_space, polar_space_quadratic,
                             polar_space_symplectic, projective_plane_family,
                             projective_space)
 from verogeo.verify import _reduct_pg33, _symplectic_hyperplane_pg33, _vpg
 from verogeo.veronese import build_veronese, leaf_plane_family, leaf_substructure
 
-from oracles import (GuidedLookups, affine_space_by_ranks, assemble_from_h,
-                     crosses_both, crossing_line_by_provenance, h_function_by_sums,
-                     is_reflexive, leaf_planes_by_sums, line_points,
-                     maximal_strong_subspaces, normalize_vector,
-                     projective_points_by_normalizing, quadrangle_by_provenance,
+from oracles import (GuidedLookups, adjacency_rows, affine_space_by_ranks,
+                     assemble_from_h, crosses_both, crossing_line_by_provenance,
+                     crossing_rows, h_function_by_sums, is_reflexive,
+                     leaf_planes_by_sums, line_points, maximal_strong_subspaces,
+                     normalize_vector, projective_points_by_normalizing,
+                     quadrangle_by_provenance,
                      singular_plane_family, two_line_quadrangle,
                      veblen_by_provenance, veronese_by_sums)
 
@@ -390,16 +392,6 @@ def test_mask_hyperplane_test_matches_is_hyperplane(G):
         assert is_hyperplane_mask(G, sum(1 << q for q in X)) == is_hyperplane(G, X)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.one_of(small_incidence_structures(), random_partial_linear_spaces(),
-                 pg32_pieces()))
-def test_crossing_index_matches_pairwise_intersection(G):
-    cross = G.crossing()
-    assert cross == [{j for j, other in enumerate(G.lines) if j != i and line & other}
-                     for i, line in enumerate(G.lines)]
-    assert G.crossing() is cross
-
-
 def quadrangles_per_quadruple(G, top_of):
     """find_quadrangles over every quadruple of distinct lines in canonical
     form, with crossings and diagonals found by intersecting point sets."""
@@ -429,8 +421,8 @@ def quadrangles_per_quadruple(G, top_of):
 def quadrangles_by_line_walk(G, top_of):
     """find_quadrangles as a walk over lines l1, k1, l2, k2 in canonical
     order, each crossing the last, tops checked as each line is added."""
-    cross = G.crossing()
-    adj = G.adjacency()
+    cross = crossing_rows(G)
+    adj = adjacency_rows(G)
 
     def meet(a, b):
         return next(iter(G.lines[a] & G.lines[b]))
@@ -498,6 +490,68 @@ def structures_with_tops(draw):
 def test_find_quadrangles_matches_quadruple_search(case):
     G, top_of = case
     assert list(find_quadrangles(G, top_of)) == quadrangles_per_quadruple(G, top_of)
+
+
+def joins_by_line_search(G):
+    """join() by searching the lines for each pair of distinct points."""
+    return [{q: i for q in G.points for i, line in enumerate(G.lines)
+             if q != p and {p, q} <= line} for p in G.points]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(random_partial_linear_spaces(), pg32_pieces(), grid_nets()))
+def test_join_matches_pairwise_line_search(G):
+    join = G.join()
+    assert join == joins_by_line_search(G)
+    assert G.join() is join
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_incidence_structures())
+def test_join_refuses_exactly_a_doubly_joined_pair(G):
+    if not any(len(a & b) >= 2 for a, b in itertools.combinations(G.lines, 2)):
+        assert G.join() == joins_by_line_search(G)
+        return
+    with pytest.raises(ValueError, match="lie on lines") as refusal:
+        G.join()
+    p, q, i, j = map(int, re.findall(r"\d+", str(refusal.value)))
+    assert i != j and {p, q} <= G.lines[i] and {p, q} <= G.lines[j]
+
+
+def veblen_figures_by_intersection(G):
+    """find_incomplete_veblen by intersecting point sets: for each apex p
+    and lines l1 < l2 through it, each pair m1 < m2 of lines off p meeting
+    both, which cross each of l1 and l2 at distinct points."""
+    def meet(a, b):
+        common = G.lines[a] & G.lines[b]
+        return next(iter(common)) if common else None
+
+    found = []
+    for p in G.points:
+        here = [i for i, line in enumerate(G.lines) if p in line]
+        for l1, l2 in itertools.combinations(here, 2):
+            off = [m for m, line in enumerate(G.lines) if p not in line
+                   and meet(m, l1) is not None and meet(m, l2) is not None]
+            for m1, m2 in itertools.combinations(off, 2):
+                if meet(l1, m1) != meet(l1, m2) and meet(l2, m1) != meet(l2, m2):
+                    found.append(configs.VeblenFigure(p, l1, l2, m1, m2,
+                                                      meet(m1, m2) is not None))
+    return found
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(random_partial_linear_spaces(), pg32_pieces(), grid_nets()))
+def test_find_incomplete_veblen_matches_intersection_search(G):
+    assert list(configs.find_incomplete_veblen(G)) == veblen_figures_by_intersection(G)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(random_partial_linear_spaces(), pg32_pieces(), grid_nets()))
+def test_crossing_both_matches_pairwise_meets(G):
+    for a, b in itertools.product(range(len(G.lines)), repeat=2):
+        assert G.crossing_both(a, b) == {
+            m for m, line in enumerate(G.lines)
+            if m not in (a, b) and line & G.lines[a] and line & G.lines[b]}
 
 
 def characterization_extras(V, enumerated, constructed):
@@ -942,7 +996,7 @@ def reconstruct_both_orientations(A, look, i, j):
     G, V = A.structure, A.ambient
     rows = look.rows
     if top_of[i] == top_of[j]:
-        return veblen_parallel(A, i, j)
+        return veblen_parallel_lines(G, i, j)
     if G.lines[i] & G.lines[j]:
         return False
     ei, mi = V.block_top[A.lines[i].parent], V.block_line[A.lines[i].parent]

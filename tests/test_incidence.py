@@ -18,7 +18,7 @@ from verogeo.spaces import (polar_space_quadratic, polar_space_symplectic,
                             projective_space)
 from verogeo.veronese import build_veronese
 
-from oracles import is_connected, maximal_strong_subspaces
+from oracles import adjacency_rows, is_connected, maximal_strong_subspaces
 
 
 def fano():
@@ -71,7 +71,8 @@ def test_veronese_adjacency_example():
     V = v2_pg13()
     a = V.index[Multiset.from_pairs([[0, 2]])]
     b = V.index[Multiset.from_pairs([[0, 1], [1, 1]])]
-    assert b in V.structure.adjacency()[a]
+    assert b in adjacency_rows(V.structure)[a]
+    assert {a, b} <= V.structure.lines[V.structure.join()[a][b]]
 
 
 def test_closure_contains_line():

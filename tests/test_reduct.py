@@ -8,6 +8,7 @@ from verogeo.hyperplanes import (FULL, hyperplane_from_alternating,
                                  hyperplane_from_symplectic)
 from verogeo.multiset import EMPTY, Multiset, scale_point
 from verogeo.configs import FalsificationError
+from verogeo.incidence import veblen_parallel_lines
 from verogeo.reduct import (AffineReduct, build_reduct,
                             check_parallelism_reconstruction,
                             classify_directions, net_violation_witness,
@@ -15,8 +16,7 @@ from verogeo.reduct import (AffineReduct, build_reduct,
                             recover_horizon_double_lines,
                             recover_horizon_leaf_lines, recover_veronese,
                             reduct_plane_family, scan_declared_double_triples,
-                            veblen_parallel, verify_maximal_strong,
-                            visible_tops)
+                            verify_maximal_strong, visible_tops)
 from verogeo.spaces import ParallelStructure, polar_space_quadratic, projective_space
 from verogeo.verify import _reduct_pg33
 from verogeo.veronese import build_veronese
@@ -131,11 +131,11 @@ def test_veblen_parallel_examples_pg33():
         by_top.setdefault(top_of[li], []).append(li)
     groups = sorted(by_top.values(), key=len, reverse=True)
     same_leaf = groups[0][:2]
-    assert veblen_parallel(A, same_leaf[0], same_leaf[1])
+    assert veblen_parallel_lines(A.structure, same_leaf[0], same_leaf[1])
     cross_leaf = (groups[0][0], groups[1][0])
-    assert not veblen_parallel(A, cross_leaf[0], cross_leaf[1])
+    assert not veblen_parallel_lines(A.structure, cross_leaf[0], cross_leaf[1])
     # reflexivity and the common-point exclusion
-    assert veblen_parallel(A, members[0], members[0])
+    assert veblen_parallel_lines(A.structure, members[0], members[0])
 
 
 def test_veblen_parallel_crossing_lines_in_distinct_leaves():
@@ -147,7 +147,7 @@ def test_veblen_parallel_crossing_lines_in_distinct_leaves():
     li = next(a for a in here for b in here
               if a != b and top_of[a] != top_of[b])
     lj = next(b for b in here if top_of[b] != top_of[li])
-    assert not veblen_parallel(A, li, lj)
+    assert not veblen_parallel_lines(A.structure, li, lj)
 
 
 def test_plane_from_triangle_leaf_plane():
