@@ -14,20 +14,18 @@ H = {q1 + ... + qk : eta vanishes}; the complement consists of k-subsets.
 Polar spaces: intersecting a projective-Veronese hyperplane with the
 polar point universe yields a hyperplane of the polar Veronese.
 
-Exhaustive enumeration.  Over 3-point lines (p = 2) it is linear algebra:
-the complements of the hyperplanes are the nonzero vectors of the GF(2)
-kernel of the line-point incidence matrix (Ronan, "Embeddings and
-hyperplanes of discrete geometries", European J. Combin. 8 (1987)), so a
-kernel of dimension d gives exactly 2^d - 1, and
+Exhaustive enumeration has one entry, census(V).  Over 3-point lines
+(p = 2) it is linear algebra: the complements of the hyperplanes are the
+nonzero vectors of the GF(2) kernel of the line-point incidence matrix
+(Ronan, "Embeddings and hyperplanes of discrete geometries", European J.
+Combin. 8 (1987)), so a kernel of dimension d gives exactly 2^d - 1, and
 incidence.enumerate_hyperplanes lists them unless 2^d - 1 passes the node
-budget, which it refuses before listing any.  The slice census lists the
-hyperplanes of V(k, M) for any k >= 2 from those of V(k-1, M): each slice
-x + V(k-1, M) is a subspace, so a hyperplane meets it in a hyperplane of
-V(k-1, M) or in the whole slice; the census chooses one such trace per
-slice, each agreeing with the slices before it, and checks every full
-choice honestly against the hyperplane definition.  At level 2 the
-slices are the leaves x + M, and for odd p enumerate_hyperplanes_level2
-is that census over the base hyperplanes.
+budget, which it refuses before listing any.  Past level 1 otherwise, the
+slice census lists the hyperplanes of V(k, M) from those of V(k-1, M):
+a hyperplane meets each slice x + V(k-1, M) in a hyperplane of V(k-1, M)
+or in the whole slice; one trace is chosen per slice, forward-checking
+the later slices and the diagonal, and every full choice is checked
+honestly against the hyperplane definition.
 """
 
 from __future__ import annotations
@@ -42,7 +40,7 @@ from .algebra import (AlternatingMultiForm, BilinearForm,
                       perp_rows, vec_add, vec_scale)
 from .configs import FalsificationError, _join
 from .multiset import EMPTY, Multiset, enumerate_multisets, scale_point
-from .veronese import VeroneseSpace
+from .veronese import VeroneseSpace, build_veronese
 
 FULL = "full"
 
@@ -231,31 +229,49 @@ def slice_census(V: VeroneseSpace, lower: Sequence[frozenset[int]]) -> list[froz
     of V(k-1, M), indexed as enumerate_multisets(n, k-1).
 
     A hyperplane meets each slice x + V(k-1, M) in a hyperplane of
-    V(k-1, M) or in the whole slice.  The search picks one trace per slice
-    on one bitset X over V's points; a trace is allowed when it agrees
-    with X on the points of its slice that lie in an earlier slice, and
-    each full choice faces the hyperplane check.  Each call is one node;
-    the first past inc.SEARCH_NODE_BUDGET raises CapacityError.
+    V(k-1, M) or in the whole slice, and the points kz in those of a
+    diagonal {z : (k-1)z in t} of a trace t, a base hyperplane D (t being
+    {f : f meets D}) or all of M.  The search picks one trace per slice on
+    one bitset X over V's points, forward-checked: it keeps a domain per
+    later slice and one of diagonals, each choice keeps what agrees with
+    it, and an empty domain prunes.  Each full choice faces the hyperplane
+    check.  Each call is one node; the first past inc.SEARCH_NODE_BUDGET
+    raises CapacityError.
     """
     if V.level < 2:
         raise ValueError("the slice census needs level 2 or more")
     n = V.base.point_count
     below = enumerate_multisets(n, V.level - 1)
     traces = [*lower, frozenset(range(len(below)))]
-    # shared[x]: the points of slice x in an earlier slice; table[x] keys
-    # each trace on slice x, as a bitset over V, by its bits on shared[x]
-    shared: list[int] = []
-    table: list[dict[int, list[int]]] = []
+    # masks[x][i]: trace i on slice x, as a bitset over V; the last is the
+    # slice.  Row n holds the diagonals: trace i at the point kz of each z
+    masks: list[list[int]] = []
     for x in range(n):
         bits = [1 << V.leaf_points[f][x] for f in below]  # the points f + x
-        shared.append(sum(b for b, f in zip(bits, below) if f.entries[0][0] < x))
-        table.append({})
-        for m in (sum(bits[j] for j in t) for t in traces):
-            table[x].setdefault(m & shared[x], []).append(m)
+        masks.append([sum(bits[j] for j in t) for t in traces])
+    kz = V.leaf_points[EMPTY]
+    masks.append([sum(masks[z][i] & 1 << kz[z] for z in range(n)) for i in range(len(traces))])
+    # the domains are the fields of one int, one per row of masks, each
+    # with a guard bit on top; compat[x][i] keeps in field y > x the
+    # entries of row y that agree with trace i of slice x where they meet
+    width, full = len(traces) + 1, (1 << len(traces)) - 1
+    ones = sum(full << width * y for y in range(n + 1))
+    guards = sum(1 << width * y + width - 1 for y in range(n + 1))
+    compat: list[list[int]] = []
+    for x in range(n):
+        rows = [ones & ((1 << width * (x + 1)) - 1) for _ in traces]
+        for y in range(x + 1, n + 1):
+            common = masks[x][-1] & masks[y][-1]
+            agree: dict[int, int] = {}
+            for j, m in enumerate(masks[y]):
+                agree[m & common] = agree.get(m & common, 0) | 1 << j
+            for i, m in enumerate(masks[x]):
+                rows[i] |= agree.get(m & common, 0) << width * y
+        compat.append(rows)
     found: list[int] = []
     nodes = 0
 
-    def dfs(x: int, X: int) -> None:
+    def dfs(x: int, X: int, domains: int) -> None:
         nonlocal nodes
         nodes += 1
         if nodes > inc.SEARCH_NODE_BUDGET:
@@ -264,34 +280,40 @@ def slice_census(V: VeroneseSpace, lower: Sequence[frozenset[int]]) -> list[froz
             if inc.is_hyperplane_mask(V.structure, X):
                 found.append(X)
             return
-        for m in table[x].get(X & shared[x], ()):
-            dfs(x + 1, X | m)
+        domain = domains >> width * x & full
+        while domain:
+            i = (domain & -domain).bit_length() - 1
+            domain &= domain - 1
+            later = domains & compat[x][i]  # a field is nonempty when adding full sets its guard
+            if (later + ones) & guards == guards:
+                dfs(x + 1, X | masks[x][i], later)
 
-    dfs(0, 0)
+    dfs(0, 0, ones)
     # each frozenset is copied from a set, which sizes its table to its
     # points; built from the generator it would keep up to twice the room
     return sorted((frozenset({q for q in range(len(V.points)) if X >> q & 1})
                    for X in found), key=sorted)
 
 
+def census(V: VeroneseSpace) -> list[frozenset[int]]:
+    """All hyperplanes of V = V(k, M), sorted by their sorted point tuples:
+    incidence.enumerate_hyperplanes on V over 3-point lines or at level 1,
+    else the slice census over the list of M (k = 2) or census(V(k-1, M)).
+    """
+    if V.level == 1 or all(len(l) == 3 for l in V.structure.lines):
+        return inc.enumerate_hyperplanes(V.structure)
+    if V.level == 2:
+        return slice_census(V, inc.enumerate_hyperplanes(V.base))
+    return slice_census(V, census(build_veronese(V.base, V.level - 1)))
+
+
 def enumerate_hyperplanes_level2(V: VeroneseSpace,
                                  base_hyperplanes: Optional[list[frozenset[int]]] = None
                                  ) -> list[frozenset[int]]:
-    """All hyperplanes of a level-2 Veronese space.
-
-    Over 3-point lines (p = 2) this is incidence.enumerate_hyperplanes on V
-    itself, the GF(2) kernel route (Ronan 1987), which refuses before
-    listing when 2^d - 1 passes the node budget and does not read
-    base_hyperplanes.  Otherwise it is the slice census over the leaves
-    x + M, with the base hyperplanes (enumerated by default) as traces.
-    """
+    """census(V) for a level-2 Veronese space; base_hyperplanes is not read."""
     if V.level != 2:
         raise ValueError("the level-2 census applies to level 2 only")
-    if all(len(l) == 3 for l in V.structure.lines):
-        return inc.enumerate_hyperplanes(V.structure)
-    if base_hyperplanes is None:
-        base_hyperplanes = inc.enumerate_hyperplanes(V.base)
-    return slice_census(V, base_hyperplanes)
+    return census(V)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +340,8 @@ def leaf_pencil(V: VeroneseSpace, base_hyperplane: frozenset[int]) -> frozenset[
 def verify_characterization(V: VeroneseSpace, mode: str) -> CharacterizationReport:
     """Compare exhaustively enumerated hyperplanes with the symplectic family.
 
-    mode is "scan" (incidence.enumerate_hyperplanes on V) or "leaf-trace".
+    mode is "scan" (incidence.enumerate_hyperplanes on V) or "leaf-trace"
+    (census(V)).
     The symplectic side ranges over all nonzero alternating forms up to
     scalar (degenerate ones included).  Each is verified to be a
     hyperplane, so the containment direction is checked rather than
@@ -336,16 +359,15 @@ def verify_characterization(V: VeroneseSpace, mode: str) -> CharacterizationRepo
         constructed.append(hyperplane_from_symplectic(V, xi).points)
     constructed = sorted(set(constructed), key=sorted)
 
-    base_hyps = inc.enumerate_hyperplanes(V.base)
     if mode == "scan":
         enumerated = inc.enumerate_hyperplanes(V.structure)
     elif mode == "leaf-trace":
-        enumerated = enumerate_hyperplanes_level2(V, base_hyperplanes=base_hyps)
+        enumerated = census(V)
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
     pencils: dict[frozenset[int], list[int]] = {}
-    for bh in base_hyps:
+    for bh in inc.enumerate_hyperplanes(V.base):
         pencils.setdefault(leaf_pencil(V, bh), sorted(bh))
     n = V.base.point_count
     pair = V.pair

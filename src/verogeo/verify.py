@@ -32,7 +32,7 @@ from .configs import (BASE_EMBEDDED, CROSS_DOUBLE_OR_MEET_TRANSLATE,
                       check_parallelogram_completion, check_tamaschke,
                       classify_all_veblen, classify_crossing_line,
                       classify_proper_quadrangle, quadrangle_crossings)
-from .hyperplanes import (VeroneseHyperplane, extract_h_function,
+from .hyperplanes import (VeroneseHyperplane, census, extract_h_function,
                           hyperplane_from_alternating, hyperplane_from_symplectic,
                           leaf_pencil, polar_hyperplane, vari1_construction,
                           verify_characterization)
@@ -583,9 +583,7 @@ def suite_polar_conjecture() -> list[Verdict]:
         polar, kept = polar_space_quadratic(Q)
         base_hyps = inc.enumerate_hyperplanes(polar)
         Vq = build_veronese(polar, 2)
-        # the scan: the slice census needs 5,528,760 nodes here, 2.8 times
-        # the node budget
-        enumerated = set(inc.enumerate_hyperplanes(Vq.structure))
+        enumerated = set(census(Vq))
         VP = _vpg(3, 3)
         intersections = set()
         for xi in alternating_forms_up_to_scalar(4, 3):

@@ -33,8 +33,7 @@ from verogeo import configs
 from verogeo.configs import (QuadrangleFigure, ScanReport, _join,
                              check_parallelogram_completion, check_tamaschke,
                              find_quadrangles)
-from verogeo.hyperplanes import (FULL, VeroneseHyperplane,
-                                 enumerate_hyperplanes_level2, extract_h_function,
+from verogeo.hyperplanes import (FULL, VeroneseHyperplane, census, extract_h_function,
                                  hyperplane_from_symplectic, leaf_pencil,
                                  polar_hyperplane, vari1_construction,
                                  verify_characterization)
@@ -630,7 +629,7 @@ CENSUS_BASES = {
 def test_level2_census_matches_leaf_trace_dfs(name):
     V = build_veronese(CENSUS_BASES[name](), 2)
     want = leaf_trace_dfs(V, enumerate_hyperplanes(V.base))
-    assert want and enumerate_hyperplanes_level2(V) == want
+    assert want and census(V) == want
 
 
 @st.composite
@@ -645,9 +644,7 @@ def relabelled_census_bases(draw):
 @given(relabelled_census_bases())
 def test_level2_census_matches_leaf_trace_dfs_relabelled(base):
     V = build_veronese(base, 2)
-    base_hyps = enumerate_hyperplanes(base)
-    assert (enumerate_hyperplanes_level2(V, base_hyperplanes=base_hyps)
-            == leaf_trace_dfs(V, base_hyps))
+    assert census(V) == leaf_trace_dfs(V, enumerate_hyperplanes(base))
 
 
 def plane_direction_trace(A, plane):
@@ -1059,7 +1056,7 @@ def test_net_violation_witness_on_the_census_of_v2_pg23():
     V = _vpg(2, 3)
     doubles = V.leaves[EMPTY]
     kinds = {True: 0, False: 0}
-    for pts in enumerate_hyperplanes_level2(V):
+    for pts in census(V):
         A = build_reduct(V, VeroneseHyperplane(V, pts, extract_h_function(V, pts)))
         witness, old = net_violation_witness(A), witness_per_frame(A)
         kinds[doubles <= pts] += 1
