@@ -85,10 +85,9 @@ def _build_named(kind: str, n: int, p: int, quadric_type: str = "hyperbolic"
         if (n + 1) % 2:
             raise UsageError("symplectic polar spaces need even vector dimension")
         return polar_space_symplectic(standard_symplectic(n + 1, p))
-    if kind == "quadric":
-        structure, _kept = polar_space_quadratic(_standard_quadric(n, p, quadric_type))
-        return structure
-    raise UsageError(f"unknown space kind {kind!r}")
+    # kind is "quadric": argparse choices and _load_base admit no other
+    structure, _kept = polar_space_quadratic(_standard_quadric(n, p, quadric_type))
+    return structure
 
 
 def _read_json(path: str) -> dict:

@@ -16,6 +16,15 @@ V.block_line, and the possible quadrangle and crossing-line shapes are
 pinned down exactly.
 An unclassifiable figure is a falsification event, never silently skipped.
 
+The Veblen scan decides figures by bitset rows of lines, built once per
+space: meets[m], the lines sharing a point with m, and one mask per top.
+For an apex p and lines l1 < l2 through it, the lines crossing both off p
+are meets[l1] & meets[l2] less the lines through p; the partners of each
+crossing line m1 are the later ones that avoid m1's points on l1 and l2.
+Partners outside meets[m1] are incomplete figures; those sharing the top
+of l1, l2 and m1 are leaf-embedded and counted by bit_count, and only the
+rest are built and classified one at a time.
+
 Enumeration budgets: the Net-axiom scan is exhaustive at every size.
 Only the Tamaschke and parallelogram-completion scans still take a
 deterministic stratified sample above 200 points, recording its strata in
@@ -84,45 +93,12 @@ class QuadrangleFigure:
 # Veblen configurations
 
 
-def find_incomplete_veblen(G: IncidenceStructure) -> Iterator[VeblenFigure]:
-    """All incomplete Veblen configurations, deterministic order.
-
-    The no-three-concurrent requirement is enforced: the two non-apex
-    lines must cross each apex line in distinct points.
-    """
-    through = G.lines_through()
-    for p in range(G.point_count):
-        here = through[p]
-        for a in range(len(here)):
-            for b in range(a + 1, len(here)):
-                l1, l2 = here[a], here[b]
-                candidates = _apex_crossings(G, p, l1, l2)
-                for x in range(len(candidates)):
-                    for y in range(x + 1, len(candidates)):
-                        m1, m2 = candidates[x], candidates[y]
-                        q11 = _meet(G, l1, m1)
-                        q12 = _meet(G, l1, m2)
-                        if q11 == q12:
-                            continue
-                        q21 = _meet(G, l2, m1)
-                        q22 = _meet(G, l2, m2)
-                        if q21 == q22:
-                            continue
-                        complete = bool(G.lines[m1] & G.lines[m2])
-                        yield VeblenFigure(p, l1, l2, m1, m2, complete)
-
-
 def _apex_crossings(G: IncidenceStructure, p: int, l1: int, l2: int) -> list[int]:
     """The lines crossing l1 and l2 off their common point p, in increasing
     order: each joins a point of l1 to a point of l2, neither of them p."""
     join = G.join()
     return sorted({join[q][r] for q in G.lines[l1] - {p}
                    for r in G.lines[l2] - {p} if r in join[q]})
-
-
-def _meet(G: IncidenceStructure, i: int, j: int) -> Optional[int]:
-    common = G.lines[i] & G.lines[j]
-    return next(iter(common)) if common else None
 
 
 def _level2_shape(V: VeroneseSpace, b: int) -> tuple[Optional[int], frozenset[int]]:
@@ -156,15 +132,65 @@ def classify_veblen_in_veronese(V: VeroneseSpace, fig: VeblenFigure) -> str:
 
 
 def classify_all_veblen(V: VeroneseSpace) -> dict[str, int]:
-    """Histogram of figure types over every complete Veblen figure."""
+    """Histogram of figure types over every complete Veblen figure, by the
+    bitset scan of the module docstring.  A figure is an apex p, lines
+    l1 < l2 through p and lines m1 < m2 crossing both off p, at distinct
+    points of l1 and of l2; it is complete when m1 and m2 meet.
+
+    Raises FalsificationError at the first figure, in (p, l1, l2, m1, m2)
+    order, that is incomplete or unclassifiable.
+    """
+    G = V.structure
+    through, points_of = G.lines_through(), G.line_masks()
+    point_rows = [sum(1 << m for m in here) for here in through]
+    meets = [0] * len(G.lines)
+    for m, line in enumerate(G.lines):
+        for q in line:
+            meets[m] |= point_rows[q]
+    top_ids: dict = {}
+    top = [top_ids.setdefault(e, len(top_ids)) for e in V.block_top]
+    top_mask = [0] * len(top_ids)
+    for m, t in enumerate(top):
+        top_mask[t] |= 1 << m
     counts: dict[str, int] = {}
-    for fig in find_incomplete_veblen(V.structure):
-        if not fig.complete:
-            raise FalsificationError(f"Veblen axiom fails at {fig}")
-        tag = classify_veblen_in_veronese(V, fig)
-        counts[tag] = counts.get(tag, 0) + 1
-        if tag == UNCLASSIFIABLE:
-            raise FalsificationError(f"unclassifiable Veblen figure {fig}")
+    for p in range(G.point_count):
+        here = through[p]
+        for a, l1 in enumerate(here):
+            off_p = meets[l1] & ~point_rows[p]
+            for l2 in here[a + 1:]:
+                later = off_p & meets[l2]
+                while later:
+                    m1 = (later & -later).bit_length() - 1
+                    later &= later - 1
+                    if not later:
+                        break
+                    # later: the crossing lines above m1; one that meets m1
+                    # on l1 or l2 lies in meets[m1], so missing skips it
+                    missing = later & ~meets[m1]
+                    # V is a partial linear space: m1 meets l1 and l2 once each
+                    q = (points_of[l1] & points_of[m1]).bit_length() - 1
+                    r = (points_of[l2] & points_of[m1]).bit_length() - 1
+                    closed = later & meets[m1] & ~(point_rows[q] | point_rows[r])
+                    same_leaf = top[l1] == top[l2] == top[m1]
+                    leaf = closed & top_mask[top[m1]] if same_leaf else 0
+                    rest = closed ^ leaf
+                    if missing:
+                        rest &= (missing & -missing) - 1
+                    while rest:
+                        m2 = (rest & -rest).bit_length() - 1
+                        rest &= rest - 1
+                        fig = VeblenFigure(p, l1, l2, m1, m2, True)
+                        tag = classify_veblen_in_veronese(V, fig)
+                        if tag == UNCLASSIFIABLE:
+                            raise FalsificationError(f"unclassifiable Veblen figure {fig}")
+                        counts[tag] = counts.get(tag, 0) + 1
+                    if missing:
+                        m2 = (missing & -missing).bit_length() - 1
+                        fig = VeblenFigure(p, l1, l2, m1, m2, False)
+                        raise FalsificationError(f"Veblen axiom fails at {fig}")
+                    if leaf:
+                        counts[BASE_EMBEDDED] = (counts.get(BASE_EMBEDDED, 0)
+                                                 + leaf.bit_count())
     return counts
 
 

@@ -7,6 +7,10 @@ veblen_by_provenance, quadrangle_by_provenance and
 crossing_line_by_provenance read each block's generator off those sums in
 every classifier, where configs reads V.block_top and V.block_line once
 per block through _level2_shape;
+find_incomplete_veblen lists the Veblen figures one at a time, meeting
+lines by intersecting their point sets, and veblen_histogram_per_figure
+classifies each, where classify_all_veblen decides the figures of one
+apex line pair by bitset rows of lines;
 affine_space_by_ranks sorts the lines of AG(n,p) through a rank
 permutation.  check_preparallelism and check_euclid decide the
 parallelism axioms on a ParallelStructure directly.
@@ -32,7 +36,7 @@ import hashlib
 import itertools
 import json
 import pathlib
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from verogeo import configs, incidence as inc
 from verogeo.algebra import (AlternatingMultiForm, BilinearForm, QuadraticForm,
@@ -368,6 +372,50 @@ def _two_generated(A: AffineReduct, pts: frozenset[int]) -> bool:
             if subspace_closure(G, G.lines[la] | G.lines[lb]) == pts:
                 return True
     return False
+
+
+def _meet(G: IncidenceStructure, i: int, j: int) -> Optional[int]:
+    common = G.lines[i] & G.lines[j]
+    return next(iter(common)) if common else None
+
+
+def find_incomplete_veblen(G: IncidenceStructure) -> Iterator[VeblenFigure]:
+    """All Veblen figures, complete or not, in (apex, l1, l2, m1, m2) order.
+
+    The no-three-concurrent requirement is enforced: the two non-apex
+    lines must cross each apex line in distinct points.
+    """
+    through = G.lines_through()
+    for p in range(G.point_count):
+        here = through[p]
+        for a in range(len(here)):
+            for b in range(a + 1, len(here)):
+                l1, l2 = here[a], here[b]
+                candidates = configs._apex_crossings(G, p, l1, l2)
+                for x in range(len(candidates)):
+                    for y in range(x + 1, len(candidates)):
+                        m1, m2 = candidates[x], candidates[y]
+                        if _meet(G, l1, m1) == _meet(G, l1, m2):
+                            continue
+                        if _meet(G, l2, m1) == _meet(G, l2, m2):
+                            continue
+                        complete = _meet(G, m1, m2) is not None
+                        yield VeblenFigure(p, l1, l2, m1, m2, complete)
+
+
+def veblen_histogram_per_figure(V: VeroneseSpace) -> dict[str, int]:
+    """classify_all_veblen one figure at a time: each figure of
+    find_incomplete_veblen must be complete and classifiable, and the first
+    that is not raises FalsificationError."""
+    counts: dict[str, int] = {}
+    for fig in find_incomplete_veblen(V.structure):
+        if not fig.complete:
+            raise FalsificationError(f"Veblen axiom fails at {fig}")
+        tag = configs.classify_veblen_in_veronese(V, fig)
+        if tag == UNCLASSIFIABLE:
+            raise FalsificationError(f"unclassifiable Veblen figure {fig}")
+        counts[tag] = counts.get(tag, 0) + 1
+    return counts
 
 
 def _sole_generator(V: VeroneseSpace, block: int) -> tuple[Multiset, int]:

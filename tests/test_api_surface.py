@@ -26,6 +26,7 @@ UNUSED: set[str] = set()
 UNREAD_MEMBERS = {
     # figure data, printed in the repr a FalsificationError carries
     "VeblenFigure.apex",
+    "VeblenFigure.complete",
     # a work counter, kept out of the verdict on purpose
     "RecoveryReport.plane_closures",
 }

@@ -8,13 +8,12 @@ from verogeo.configs import (BASE_EMBEDDED, CROSS_DOUBLE_OR_MEET_TRANSLATE,
                              check_parallelogram_completion, check_tamaschke,
                              classify_all_veblen, classify_crossing_line,
                              classify_proper_quadrangle,
-                             classify_veblen_in_veronese, find_incomplete_veblen,
-                             find_quadrangles)
+                             classify_veblen_in_veronese, find_quadrangles)
 from verogeo.incidence import IncidenceStructure
 from verogeo.spaces import affine_space, projective_space
 from verogeo.veronese import build_veronese
 
-from oracles import adjacency_rows, crossing_rows
+from oracles import adjacency_rows, crossing_rows, find_incomplete_veblen
 
 
 def tops_list(V):
@@ -46,8 +45,10 @@ def test_crafted_incomplete_figure_fails():
     witness = open_figures(G)[0]
     assert witness.apex == 0
     assert not witness.complete
-    with pytest.raises(FalsificationError):
-        classify_all_veblen(build_veronese(G, 1))
+    V = build_veronese(G, 1)
+    with pytest.raises(FalsificationError) as refusal:
+        classify_all_veblen(V)
+    assert str(refusal.value) == f"Veblen axiom fails at {open_figures(V.structure)[0]}"
 
 
 def test_veblen_classification_v2_fano():
@@ -66,6 +67,11 @@ def test_veblen_classification_v2_pg23():
     assert counts.get(FOUR_POINT_TRANSLATE, 0) > 0  # line size 4
     assert counts.get(THREE_POINT_WITH_2M, 0) > 0
     assert counts.get(BASE_EMBEDDED, 0) > 0
+
+
+def test_veblen_classification_v2_pg32():
+    V = build_veronese(projective_space(3, 2), 2)
+    assert classify_all_veblen(V) == {BASE_EMBEDDED: 10080, THREE_POINT_WITH_2M: 210}
 
 
 def test_leaf_embedded_figure_is_base_type():

@@ -24,15 +24,15 @@ from math import comb
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from verogeo.algebra import (BilinearForm, QuadraticForm,
                              alternating_forms_up_to_scalar, nullspace, perp_rows,
                              projective_points, standard_symplectic)
 from verogeo import configs
-from verogeo.configs import (QuadrangleFigure, ScanReport, _join,
-                             check_parallelogram_completion, check_tamaschke,
-                             find_quadrangles)
+from verogeo.configs import (FalsificationError, QuadrangleFigure, ScanReport,
+                             _join, check_parallelogram_completion,
+                             check_tamaschke, find_quadrangles)
 from verogeo.hyperplanes import (FULL, VeroneseHyperplane, census, extract_h_function,
                                  hyperplane_from_symplectic, leaf_pencil,
                                  polar_hyperplane, vari1_construction,
@@ -55,12 +55,13 @@ from verogeo.veronese import build_veronese, leaf_plane_family, leaf_substructur
 
 from oracles import (GuidedLookups, adjacency_rows, affine_space_by_ranks,
                      assemble_from_h, crosses_both, crossing_line_by_provenance,
-                     crossing_rows, h_function_by_sums, is_reflexive,
-                     leaf_planes_by_sums, line_points, maximal_strong_subspaces,
-                     normalize_vector, projective_points_by_normalizing,
-                     quadrangle_by_provenance,
+                     crossing_rows, find_incomplete_veblen, h_function_by_sums,
+                     is_reflexive, leaf_planes_by_sums, line_points,
+                     maximal_strong_subspaces, normalize_vector,
+                     projective_points_by_normalizing, quadrangle_by_provenance,
                      singular_plane_family, two_line_quadrangle,
-                     veblen_by_provenance, veronese_by_sums)
+                     veblen_by_provenance, veblen_histogram_per_figure,
+                     veronese_by_sums)
 
 
 def _sorted_family(sets):
@@ -518,9 +519,9 @@ def test_join_refuses_exactly_a_doubly_joined_pair(G):
 
 
 def veblen_figures_by_intersection(G):
-    """find_incomplete_veblen by intersecting point sets: for each apex p
-    and lines l1 < l2 through it, each pair m1 < m2 of lines off p meeting
-    both, which cross each of l1 and l2 at distinct points."""
+    """The oracle find_incomplete_veblen by intersecting point sets: for
+    each apex p and lines l1 < l2 through it, each pair m1 < m2 of lines
+    off p meeting both, which cross each of l1 and l2 at distinct points."""
     def meet(a, b):
         common = G.lines[a] & G.lines[b]
         return next(iter(common)) if common else None
@@ -541,7 +542,27 @@ def veblen_figures_by_intersection(G):
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(random_partial_linear_spaces(), pg32_pieces(), grid_nets()))
 def test_find_incomplete_veblen_matches_intersection_search(G):
-    assert list(configs.find_incomplete_veblen(G)) == veblen_figures_by_intersection(G)
+    assert list(find_incomplete_veblen(G)) == veblen_figures_by_intersection(G)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(random_partial_linear_spaces(), pg32_pieces(), grid_nets()))
+@example(projective_space(2, 2))
+def test_classify_all_veblen_matches_per_figure_oracle(G):
+    # level 1 over a non-Veblenian base reaches the incomplete figures,
+    # level 2 the figures outside one leaf and their classifier; in the
+    # Fano plane two crossing lines can share their point on an apex line,
+    # a pair no figure may take
+    for level in (1, 2):
+        V = build_veronese(G, level)
+        try:
+            expected = veblen_histogram_per_figure(V)
+        except FalsificationError as exc:
+            with pytest.raises(FalsificationError) as refusal:
+                configs.classify_all_veblen(V)
+            assert str(refusal.value) == str(exc)
+        else:
+            assert configs.classify_all_veblen(V) == expected
 
 
 @settings(max_examples=200, deadline=None)
@@ -760,7 +781,7 @@ def outcome(classify, *args):
 def test_block_shape_classifiers_match_provenance_reads(n, p):
     V = _vpg(n, p)
     tops = [V.block_top[i] for i in range(len(V.structure.lines))]
-    for fig in configs.find_incomplete_veblen(V.structure):
+    for fig in find_incomplete_veblen(V.structure):
         assert (outcome(configs.classify_veblen_in_veronese, V, fig)
                 == outcome(veblen_by_provenance, V, fig)), fig
     quads = list(configs.quadrangle_crossings(V.structure, tops))
