@@ -105,10 +105,24 @@ class IncidenceStructure:
 
     @staticmethod
     def from_json(data: dict) -> "IncidenceStructure":
+        """Refuses, by a ValueError naming the field, a point_count that is
+        not a nonnegative int, lines that are not lists of ints and labels
+        that are not an object; a missing field raises KeyError."""
+        if not isinstance(data, dict):
+            raise ValueError("an incidence structure must be a JSON object")
+        count, lines = data["point_count"], data["lines"]
+        if type(count) is not int or count < 0:  # bool is an int subclass
+            raise ValueError(f"point_count must be a nonnegative integer, got {count!r}")
+        if not (isinstance(lines, list)
+                and all(isinstance(l, list) and all(type(q) is int for q in l)
+                        for l in lines)):
+            raise ValueError("lines must be a list of lists of integer points")
         labels = None
         if "labels" in data:
+            if not isinstance(data["labels"], dict):
+                raise ValueError("labels must be an object keyed by point")
             labels = {int(k): _label_from_json(v) for k, v in data["labels"].items()}
-        return IncidenceStructure(data["point_count"], data["lines"], labels=labels)
+        return IncidenceStructure(count, lines, labels=labels)
 
 
 def _label_json(v):
@@ -139,20 +153,36 @@ def is_partial_linear(G: IncidenceStructure) -> tuple[bool, Optional[tuple]]:
     Returns (ok, witness); the witness is ("undersized_line", line_index)
     or ("double_joined", a, b, line1, line2), first violation in
     deterministic order; a line listed twice joins its points twice.
+
+    joined[x] holds, as a bitset, the points y > x that an earlier line
+    joins to x.  Only the first line to join a pair twice is read again,
+    pair by pair, for the witness.
     """
     for i, line in enumerate(G.lines):
         if len(line) < 3:
             return False, ("undersized_line", i)
-    seen: dict[tuple[int, int], int] = {}
+    joined = [0] * G.point_count
     for i, line in enumerate(G.lines):
-        pts = sorted(line)
-        for x in range(len(pts)):
-            for y in range(x + 1, len(pts)):
-                pair = (pts[x], pts[y])
-                if pair in seen:
-                    return False, ("double_joined", pair[0], pair[1], seen[pair], i)
-                seen[pair] = i
+        above = 0  # the points of the line above x
+        for x in sorted(line, reverse=True):
+            if joined[x] & above:
+                return False, _double_join(G, i)
+            joined[x] |= above
+            above |= 1 << x
     return True, None
+
+
+def _double_join(G: IncidenceStructure, i: int) -> tuple:
+    """The witness of line i, the first line that joins a pair twice: its
+    first such pair in sorted order and the earlier line joining it."""
+    pts = sorted(G.lines[i])
+    for x in range(len(pts)):
+        for y in range(x + 1, len(pts)):
+            pair = {pts[x], pts[y]}
+            for j in range(i):
+                if pair <= G.lines[j]:
+                    return ("double_joined", pts[x], pts[y], j, i)
+    raise AssertionError(f"line {i} joins no pair twice")
 
 
 # ---------------------------------------------------------------------------
@@ -448,8 +478,8 @@ def gamma_plane_classes(G: IncidenceStructure,
     """Chain-connectivity classes of a plane family, returned as point unions.
 
     Planes are point sets of G.  Two planes chain when both contain a common
-    line of G.  Each plane finds
-    the lines it contains among the lines through its points; the first
+    line of G.  Each plane finds the lines it contains among the lines
+    whose least point it holds, testing each such line once; the first
     plane to contain a line owns it, and every later plane containing that
     line is unioned with its owner.  Lines of fewer than 2 points are
     rejected: containing one does not make two planes share a line.  The
@@ -458,7 +488,9 @@ def gamma_plane_classes(G: IncidenceStructure,
     """
     if any(len(l) < 2 for l in G.lines):
         raise ValueError("gamma chains need lines of at least 2 points")
-    through = G.lines_through()
+    least: list[list[int]] = [[] for _ in range(G.point_count)]
+    for i, line in enumerate(G.lines):
+        least[min(line)].append(i)
     parent = list(range(len(planes)))
 
     def find(x: int) -> int:
@@ -475,7 +507,7 @@ def gamma_plane_classes(G: IncidenceStructure,
     owner: dict[int, int] = {}
     for idx, pl in enumerate(planes):
         for q in pl:
-            for li in through[q]:
+            for li in least[q]:
                 if G.lines[li] <= pl:
                     first = owner.setdefault(li, idx)
                     if first != idx:

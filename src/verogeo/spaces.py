@@ -72,30 +72,50 @@ def _echelon_spans(pts: Sequence[Vector], p: int, k: int) -> list[frozenset[int]
     at the leads of the rows after it.  A point of the span is a row plus a
     combination of the rows after it, so it already leads with that row's
     1 and is looked up as it is.
+
+    Vectors are packed into ints, coordinate i in the field of b + 1 bits
+    at bit i * (b + 1), b = p.bit_length().  A sum of two reduced vectors
+    has fields below 2p, so it carries nothing between fields; adding
+    2^b - p to every field sets bit b of exactly the fields >= p, and p is
+    taken off those.
     """
-    index = {v: i for i, v in enumerate(pts)}
-    blocks: list[list[Vector]] = [[] for _ in pts[0]]
-    for v in pts:
-        blocks[v.index(1)].append(v)
-    # each entry: the points the rows so far span, their combinations (0
-    # included) and their leads.  A recursive closure here would hold index
-    # in a reference cycle until a full collection: 0.1 MB more peak RSS.
-    stack = [([index[w]], [tuple([t * x % p for x in w]) for t in range(p)], (w.index(1),))
-             for w in pts]
+    b = p.bit_length()
+    width = b + 1
+    field = (1 << width) - 1
+    ones = sum(1 << (i * width) for i in range(len(pts[0])))
+    lift = ones * ((1 << b) - p)
+
+    def pack(v: Vector) -> int:
+        return sum(x << (i * width) for i, x in enumerate(v))
+
+    # multiples[i]: the packed 0, v, ..., (p-1)v of pts[i] = v
+    multiples = [[pack([t * x % p for x in v]) for t in range(p)] for v in pts]
+    index = {m[1]: i for i, m in enumerate(multiples)}
+    leads_of = [v.index(1) for v in pts]
+    blocks: list[list[tuple[int, list[int]]]] = [[] for _ in pts[0]]
+    for i, a in enumerate(leads_of):
+        blocks[a].append((multiples[i][1], multiples[i]))
+    # each entry: the points the rows so far span, their packed combinations
+    # (0 included, p^rows of them), the least lead and the field mask of
+    # the leads.  A recursive closure here would hold index in a reference
+    # cycle until a full collection: 0.1 MB more peak RSS.
+    stack = [([i], multiples[i], a, field << (a * width)) for i, a in enumerate(leads_of)]
+    last = p ** (k - 1)  # the combinations of k - 1 rows
     out = []
     while stack:
-        points, combos, leads = stack.pop()
-        for a in range(leads[0]):
-            for r in blocks[a]:
-                if any(r[b] for b in leads):
+        points, combos, lead, leads = stack.pop()
+        for a in range(lead):
+            for r, mults in blocks[a]:
+                if r & leads:
                     continue
-                span = points + [index[tuple([(x + y) % p for x, y in zip(r, c)])]
-                                 for c in combos]
-                if len(leads) + 1 == k:
+                sums = [r + c for c in combos]
+                span = points + [index[s - (((s + lift) >> b) & ones) * p] for s in sums]
+                if len(combos) == last:
                     out.append(frozenset(span))
                 else:
-                    stack.append((span, [tuple([(t * x + y) % p for x, y in zip(r, c)])
-                                         for t in range(p) for c in combos], (a,) + leads))
+                    sums = [m + c for m in mults for c in combos]
+                    stack.append((span, [s - (((s + lift) >> b) & ones) * p for s in sums],
+                                  a, leads | field << (a * width)))
     out.sort(key=sorted)
     return out
 

@@ -6,9 +6,10 @@ there is a block {e + r*x : x in B}.  The leaf of e is e + (k-|e|)*S, a
 copy of the base; exactly k leaves pass through each point, and two
 distinct leaves share at most one point.
 
-The leaf table leaf_points[e][x] is the index of e + (k-|e|)*x, the one
-place where multisets are added; blocks, leaves, the pair table, leaf
-planes and leaf traces read its rows.  Since e is the pointwise minimum
+The leaf table leaf_points[e][x] is the index of e + (k-|e|)*x, looked
+up by the sorted expansion of e with k-|e| copies of x, so building it
+adds no multisets; blocks, leaves, the pair table, leaf planes and leaf
+traces read its rows.  Since e is the pointwise minimum
 of any two points of e + r*B, a base with distinct lines gives each block
 one generator, kept as two per-block lists: block_top[b] = e and
 block_line[b] = the index of B.
@@ -67,8 +68,12 @@ def build_veronese(base: IncidenceStructure, level: int) -> VeroneseSpace:
     points = tuple(enumerate_multisets(n, level))
     index = {f: i for i, f in enumerate(points)}
 
-    leaf_points = {e: [index[e + scale_point(level - e.degree, x)] for x in range(n)]
-                   for e in enumerate_lower_multisets(n, level)}
+    # e + r*x read by its sorted expansion, one tuple per entry
+    at = {f.expansion(): i for i, f in enumerate(points)}
+    leaf_points = {}
+    for e in enumerate_lower_multisets(n, level):
+        expansion, r = e.expansion(), level - e.degree
+        leaf_points[e] = [at[tuple(sorted(expansion + (x,) * r))] for x in range(n)]
 
     triples = sorted(((tuple(sorted(row[x] for x in line)), e, li)
                       for e, row in leaf_points.items()

@@ -20,6 +20,11 @@ its own nodes, which parallelism runs as one.
 normalize_vector, projective_points_by_normalizing and line_points build
 the points and lines of PG(n,p) by normalizing every vector, where spaces
 writes each one down from its reduced echelon basis.
+is_partial_linear_by_pairs keeps every joined point pair in a dict, where
+incidence.is_partial_linear keeps one bitset row per point, and
+gamma_classes_by_through_walk tests every line through every point of a
+plane, where gamma_plane_classes tests each line once, from its least
+point.
 GuidedLookups, two_line_quadrangle and crosses_both are the ambient
 lookups and the quadrangle test the guided Net-violation route named its
 candidates with (trace rows, lines by their level-2 block), where reduct
@@ -87,6 +92,47 @@ def line_points(u: Vector, v: Vector, p: int) -> list[Vector]:
         pts.add(normalize_vector(vec_add(u, vec_scale(t, v, p), p), p))
     return sorted(pts)
 
+
+def is_partial_linear_by_pairs(G: IncidenceStructure) -> tuple[bool, Optional[tuple]]:
+    """The PLS check over a dict of every joined pair, each pair read in
+    sorted order line by line."""
+    for i, line in enumerate(G.lines):
+        if len(line) < 3:
+            return False, ("undersized_line", i)
+    seen: dict[tuple[int, int], int] = {}
+    for i, line in enumerate(G.lines):
+        for pair in itertools.combinations(sorted(line), 2):
+            if pair in seen:
+                return False, ("double_joined", pair[0], pair[1], seen[pair], i)
+            seen[pair] = i
+    return True, None
+
+
+def gamma_classes_by_through_walk(G: IncidenceStructure,
+                                  planes: Sequence[frozenset[int]]) -> list[frozenset[int]]:
+    """Gamma classes from every line through every point of each plane: a
+    contained line is tested once per point it has in the plane."""
+    if any(len(l) < 2 for l in G.lines):
+        raise ValueError("gamma chains need lines of at least 2 points")
+    through = G.lines_through()
+    parent = list(range(len(planes)))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    owner: dict[int, int] = {}
+    for idx, pl in enumerate(planes):
+        for q in pl:
+            for li in through[q]:
+                if G.lines[li] <= pl:
+                    rx, ry = find(owner.setdefault(li, idx)), find(idx)
+                    parent[max(rx, ry)] = min(rx, ry)
+    classes: dict[int, set[int]] = {}
+    for idx, pl in enumerate(planes):
+        classes.setdefault(find(idx), set()).update(pl)
+    return sorted((frozenset(c) for c in classes.values()), key=sorted)
 
 def adjacency_rows(G: IncidenceStructure) -> list[set[int]]:
     """rows[a]: the points sharing a line with a (a itself when it lies on

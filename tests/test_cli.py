@@ -250,6 +250,20 @@ def test_base_file_without_lines_exits_2(tmp_path, capsys):
     assert "'lines'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("data,field", [
+    ({"point_count": "x", "lines": [[0, 1, 2]]}, "point_count"),
+    ({"point_count": True, "lines": []}, "point_count"),
+    ({"point_count": 3, "lines": [[0, 1, "a"]]}, "lines"),
+    ({"point_count": 3, "lines": 7}, "lines"),
+    ({"point_count": 3, "lines": [[0, 1, 2]], "labels": [0, 1, 2]}, "labels"),
+])
+def test_base_file_with_a_mistyped_field_exits_2(tmp_path, capsys, data, field):
+    base = tmp_path / "base.json"
+    base.write_text(json.dumps(data))
+    assert run(["veronese", "--base", str(base), "--level", "2"]) == 2
+    assert field in capsys.readouterr().err
+
+
 def test_base_with_a_repeated_line_exits_2(tmp_path, capsys):
     # the Fano plane with one line listed twice is no partial linear space
     base = tmp_path / "base.json"

@@ -12,8 +12,9 @@ of points, look every sum x + y up by its multiset, intersect the point
 sets of every line pair an affine condition names, write the
 Net-violation shape loops out per search, walk the four lines of every
 quadrangle one at a time, read every block's generator in each level-2
-classifier and sort the lines of AG(n,p) through a rank permutation.
-The library does less
+classifier, sort the lines of AG(n,p) through a rank permutation, keep
+every joined point pair in a dict and test every line through every point
+of a plane.  The library does less
 work and must return exactly the same results, in the same order.
 """
 
@@ -39,8 +40,8 @@ from verogeo.hyperplanes import (FULL, VeroneseHyperplane, census, extract_h_fun
                                  verify_characterization)
 from verogeo.incidence import (IncidenceStructure, _close, enumerate_hyperplanes,
                                gamma_plane_classes, is_hyperplane,
-                               is_hyperplane_mask, is_strong, is_subspace,
-                               subspace_closure, veblen_parallel_lines)
+                               is_hyperplane_mask, is_partial_linear, is_strong,
+                               is_subspace, subspace_closure, veblen_parallel_lines)
 from verogeo.multiset import EMPTY, Multiset, scale_point
 from verogeo.reduct import (build_reduct, net_violation_shape_on_base,
                             net_violation_witness,
@@ -55,8 +56,10 @@ from verogeo.veronese import build_veronese, leaf_plane_family, leaf_substructur
 
 from oracles import (GuidedLookups, adjacency_rows, affine_space_by_ranks,
                      assemble_from_h, crosses_both, crossing_line_by_provenance,
-                     crossing_rows, find_incomplete_veblen, h_function_by_sums,
-                     is_reflexive, leaf_planes_by_sums, line_points,
+                     crossing_rows, find_incomplete_veblen,
+                     gamma_classes_by_through_walk, h_function_by_sums,
+                     is_partial_linear_by_pairs, is_reflexive,
+                     leaf_planes_by_sums, line_points,
                      maximal_strong_subspaces, normalize_vector,
                      projective_points_by_normalizing, quadrangle_by_provenance,
                      singular_plane_family, two_line_quadrangle,
@@ -133,7 +136,9 @@ def structures_with_planes(draw):
 @given(structures_with_planes())
 def test_gamma_classes_match_pairwise_rule(case):
     G, planes = case
-    assert gamma_plane_classes(G, planes) == pairwise_gamma_classes(G, planes)
+    classes = gamma_plane_classes(G, planes)
+    assert classes == pairwise_gamma_classes(G, planes)
+    assert classes == gamma_classes_by_through_walk(G, planes)
 
 
 @pytest.mark.parametrize("line", [frozenset(), frozenset({0})])
@@ -144,8 +149,10 @@ def test_gamma_classes_reject_degenerate_lines(line):
 
 
 @pytest.mark.parametrize("n,p", [(n, p) for n in (1, 2, 3) for p in (2, 3, 5)]
-                         + [(4, 3), (5, 2), (2, 7)])
+                         + [(4, 3), (5, 2), (2, 7)]
+                         + [(n, p) for n in (1, 2) for p in (11, 13)])
 def test_projective_space_matches_all_pairs_join(n, p):
+    # p = 11 and 13 pack each coordinate into a field of 5 bits
     G = projective_space(n, p)
     assert list(G.lines) == all_pairs_lines(n, p)
     assert G.labels == dict(enumerate(projective_points_by_normalizing(n + 1, p)))
@@ -179,7 +186,7 @@ def gaussian_binomial(m, k, p):
     return out
 
 
-@pytest.mark.parametrize("n,p", [(3, 5), (4, 3), (5, 2)])
+@pytest.mark.parametrize("n,p", [(3, 5), (4, 3), (5, 2), (3, 7)])
 def test_projective_plane_family_counts_past_the_outside_point_oracle(n, p):
     """Where extending every line by every outside point is too slow: the
     Gaussian count of distinct subspace planes, each line on the planes of
@@ -390,6 +397,29 @@ def small_incidence_structures(draw):
 def test_mask_hyperplane_test_matches_is_hyperplane(G):
     for X in all_subsets(G):
         assert is_hyperplane_mask(G, sum(1 << q for q in X)) == is_hyperplane(G, X)
+
+
+@st.composite
+def spoiled_partial_linear_spaces(draw):
+    """A partial linear space with lines inserted: some listed twice, some
+    of fewer than 3 points, some joining a pair a second time."""
+    G = draw(st.one_of(random_partial_linear_spaces(), pg32_pieces()))
+    lines = list(G.lines)
+    points = st.integers(0, G.point_count - 1)
+    extra = st.one_of(st.frozensets(points, min_size=3, max_size=min(5, G.point_count)),
+                      st.frozensets(points, max_size=2))
+    if lines:
+        extra = st.one_of(extra, st.sampled_from(lines))
+    for line in draw(st.lists(extra, max_size=3)):
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    return IncidenceStructure(G.point_count, lines)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(spoiled_partial_linear_spaces(), small_incidence_structures(),
+                 random_partial_linear_spaces()))
+def test_partial_linear_check_matches_pair_table(G):
+    assert is_partial_linear(G) == is_partial_linear_by_pairs(G)
 
 
 def quadrangles_per_quadruple(G, top_of):
