@@ -106,8 +106,10 @@ class IncidenceStructure:
     @staticmethod
     def from_json(data: dict) -> "IncidenceStructure":
         """Refuses, by a ValueError naming the field, a point_count that is
-        not a nonnegative int, lines that are not lists of ints and labels
-        that are not an object; a missing field raises KeyError."""
+        not a nonnegative int, lines that are not lists of ints, and labels
+        that are not an object keyed by decimal point indices in range or
+        that hold a multiset pair other than [point >= 0, multiplicity
+        >= 1] of ints; a missing field raises KeyError."""
         if not isinstance(data, dict):
             raise ValueError("an incidence structure must be a JSON object")
         count, lines = data["point_count"], data["lines"]
@@ -121,7 +123,8 @@ class IncidenceStructure:
         if "labels" in data:
             if not isinstance(data["labels"], dict):
                 raise ValueError("labels must be an object keyed by point")
-            labels = {int(k): _label_from_json(v) for k, v in data["labels"].items()}
+            labels = {_label_key(k, count): _label_from_json(v)
+                      for k, v in data["labels"].items()}
         return IncidenceStructure(count, lines, labels=labels)
 
 
@@ -134,10 +137,24 @@ def _label_json(v):
     return v
 
 
+def _label_key(k: str, count: int) -> int:
+    if not (k.isascii() and k.isdigit() and str(int(k)) == k and int(k) < count):
+        raise ValueError(f"labels must be keyed by point indices 0..{count - 1}, "
+                         f"got {k!r}")
+    return int(k)
+
+
 def _label_from_json(v):
     from .multiset import Multiset
     if isinstance(v, dict) and "multiset" in v:
-        return Multiset.from_pairs(v["multiset"])
+        pairs = v["multiset"]
+        if not (isinstance(pairs, list)
+                and all(isinstance(pr, list) and len(pr) == 2
+                        and type(pr[0]) is int and type(pr[1]) is int
+                        and pr[0] >= 0 and pr[1] >= 1 for pr in pairs)):
+            raise ValueError("labels: a multiset must be a list of [point, multiplicity] "
+                             f"integer pairs, point >= 0 and multiplicity >= 1, got {pairs!r}")
+        return Multiset.from_pairs(pairs)
     if isinstance(v, list):
         return tuple(v)
     return v
@@ -190,29 +207,22 @@ def _double_join(G: IncidenceStructure, i: int) -> tuple:
 
 
 def subspace_closure(G: IncidenceStructure, X: Iterable[int]) -> frozenset[int]:
-    """Least superset of X containing every line that meets it twice."""
-    return frozenset(_close(G.lines, G.lines_through(), X)[0])
+    """Least superset of X containing every line that meets it twice.
 
-
-def _close(lines: Sequence[frozenset[int]], through, X: Iterable[int]
-           ) -> tuple[set[int], list[int]]:
-    """Counting closure of X: (the closure, the lines it holds 2+ points of).
-
-    Each point added bumps the hit count of its lines in through (which may
-    list only a subspace holding X); a line closes when its count reaches 2.
+    Each point added bumps the hit count of its lines; a line closes when
+    its count reaches 2.
     """
+    lines, through = G.lines, G.lines_through()
     current = set(X)
     stack = list(current)
     hits: dict[int, int] = {}
-    closed: list[int] = []
     while stack:
         for i in through[stack.pop()]:
             n = hits[i] = hits.get(i, 0) + 1
             if n == 2:
-                closed.append(i)
                 stack.extend(lines[i] - current)
                 current |= lines[i]
-    return current, closed
+    return frozenset(current)
 
 
 def is_subspace(G: IncidenceStructure, X: Iterable[int]) -> bool:
@@ -442,29 +452,23 @@ def veblen_parallel_lines(G: IncidenceStructure, i: int, j: int) -> bool:
     with the crossing points a1 = i cap L' and a2 = j cap L'' adjacent.
     The adjacency clause matters: not every triangle in a Veronese space
     spans a plane.
+
+    Each line crossing the disjoint lines i and j is join[x][y] for one
+    adjacent pair x on i, y on j.  Two such pairs (x, y), (x', y') give
+    L' and L'' exactly when x != x', y != y', y' is adjacent to x and
+    their lines meet: a common point on i or j would be x = x' or y = y'.
     """
     if i == j:
         return True
     li, lj = G.lines[i], G.lines[j]
     if li & lj:
         return False
-    candidates = sorted(G.crossing_both(i, j))
-    join = G.join()
-    for a in candidates:
-        la = G.lines[a]
-        pa_i = next(iter(la & li))
-        for b in candidates:
-            if b == a:
-                continue
-            lb = G.lines[b]
-            common = la & lb
-            if not common:
-                continue
-            p = next(iter(common))
-            if p in li or p in lj:
-                continue
-            a2 = next(iter(lb & lj))
-            if a2 in join[pa_i]:
+    join, lines = G.join(), G.lines
+    pairs = [(x, y, lines[join[x][y]]) for x in li for y in lj if y in join[x]]
+    for x, y, la in pairs:
+        row = join[x]
+        for x2, y2, lb in pairs:
+            if x2 != x and y2 != y and y2 in row and not la.isdisjoint(lb):
                 return True
     return False
 

@@ -277,36 +277,72 @@ def reduct_plane_family(A: AffineReduct) -> tuple[list, list, int]:
     """(planes, their direction traces, seeds closed), cached on A.
 
     The planes are the closures of crossing line pairs inside one leaf
-    reduct.  A leaf reduct T is a subspace, so seeds close on T's
-    points-to-lines table.  A seed is skipped when its two lines already
-    share a found plane (the coplanar-line index, filled from the lines
-    each closure records); those lines also give the plane's direction
+    reduct.  Each top numbers its lines in line order and keeps, per line,
+    one bitset of the lines already found coplanar with it; at each point
+    a line seeds only the partners after it that no found plane covers.
+    A leaf reduct is a strong subspace, so a seed closes on the join rows
+    of its points; the lines the closure meets give the plane's direction
     trace.
     """
     if A._planes is None:
         G = A.structure
+        join, lines = G.join(), G.lines
         top_of, subs = visible_tops(A)
-        local: list[dict[int, list[int]]] = [{} for _ in subs]
+        own: list[list[int]] = [[] for _ in subs]
         for li, ti in enumerate(top_of):
-            for q in G.lines[li]:
-                local[ti].setdefault(q, []).append(li)
+            own[ti].append(li)
+        infinite = [t.infinite for t in A.lines]
         traces: dict[frozenset[int], frozenset[int]] = {}
         closures = 0
-        for through in local:
-            coplanar: dict[int, set[int]] = {}
-            for p in sorted(through):
-                for la, lb in itertools.combinations(through[p], 2):
-                    if lb in coplanar.get(la, ()):
-                        continue
-                    closed, inside = inc._close(G.lines, through, G.lines[la] | G.lines[lb])
-                    closures += 1
-                    for li in inside:
-                        coplanar.setdefault(li, set()).update(inside)
-                    traces[frozenset(closed)] = frozenset(A.lines[li].infinite
-                                                          for li in inside)
+        for members in own:
+            number = {li: n for n, li in enumerate(members)}
+            at: dict[int, int] = {}  # point -> its lines in the top, as a bitset
+            for n, li in enumerate(members):
+                for q in lines[li]:
+                    at[q] = at.get(q, 0) | 1 << n
+            coplanar = [0] * len(members)
+            for p in sorted(at):
+                here = at[p]
+                while here:
+                    a = (here & -here).bit_length() - 1
+                    here &= here - 1
+                    rest = here & ~coplanar[a]
+                    while rest:
+                        b = (rest & -rest).bit_length() - 1
+                        plane, inside = _join_closure(
+                            join, lines, lines[members[a]] | lines[members[b]])
+                        closures += 1
+                        nums = [number[li] for li in inside]
+                        mask = sum(1 << n for n in nums)
+                        for n in nums:
+                            coplanar[n] |= mask
+                        rest &= ~mask
+                        traces[plane] = frozenset(infinite[li] for li in inside)
         planes = sorted(traces, key=sorted)
         A._planes = (planes, [traces[pl] for pl in planes], closures)
     return A._planes
+
+
+def _join_closure(join: list[dict[int, int]], lines: Sequence[frozenset[int]],
+                  seed: frozenset[int]) -> tuple[frozenset[int], set[int]]:
+    """(closure of seed, the lines joining its point pairs), for a seed
+    inside a strong subspace, where every pair is joined: each point is
+    joined to every point before it, and a line met adds its points."""
+    pts = list(seed)
+    held = set(seed)
+    inside: set[int] = set()
+    n = 1
+    while n < len(pts):
+        row = join[pts[n]]
+        for r in pts[:n]:
+            li = row[r]
+            if li not in inside:
+                inside.add(li)
+                fresh = lines[li] - held
+                held |= fresh
+                pts.extend(fresh)
+        n += 1
+    return frozenset(held), inside
 
 
 # ---------------------------------------------------------------------------

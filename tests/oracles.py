@@ -24,7 +24,9 @@ is_partial_linear_by_pairs keeps every joined point pair in a dict, where
 incidence.is_partial_linear keeps one bitset row per point, and
 gamma_classes_by_through_walk tests every line through every point of a
 plane, where gamma_plane_classes tests each line once, from its least
-point.
+point.  veblen_parallel_by_crossings tests every ordered pair of lines
+crossing both, where veblen_parallel_lines reads the adjacent point pairs
+of the two lines off the join table.
 GuidedLookups, two_line_quadrangle and crosses_both are the ambient
 lookups and the quadrangle test the guided Net-violation route named its
 candidates with (trace rows, lines by their level-2 block), where reduct
@@ -133,6 +135,37 @@ def gamma_classes_by_through_walk(G: IncidenceStructure,
     for idx, pl in enumerate(planes):
         classes.setdefault(find(idx), set()).update(pl)
     return sorted((frozenset(c) for c in classes.values()), key=sorted)
+
+
+def veblen_parallel_by_crossings(G: IncidenceStructure, i: int, j: int) -> bool:
+    """veblen_parallel_lines over the lines crossing both: every ordered
+    pair of them is tested for a common point off i and j and for adjacent
+    crossing points, one on i and one on j."""
+    if i == j:
+        return True
+    li, lj = G.lines[i], G.lines[j]
+    if li & lj:
+        return False
+    candidates = sorted(G.crossing_both(i, j))
+    join = G.join()
+    for a in candidates:
+        la = G.lines[a]
+        pa_i = next(iter(la & li))
+        for b in candidates:
+            if b == a:
+                continue
+            lb = G.lines[b]
+            common = la & lb
+            if not common:
+                continue
+            p = next(iter(common))
+            if p in li or p in lj:
+                continue
+            a2 = next(iter(lb & lj))
+            if a2 in join[pa_i]:
+                return True
+    return False
+
 
 def adjacency_rows(G: IncidenceStructure) -> list[set[int]]:
     """rows[a]: the points sharing a line with a (a itself when it lies on

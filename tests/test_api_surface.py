@@ -11,10 +11,12 @@ property or a dataclass field) counts as used when any such file reads
 its name outside the member's own definition; the unused ones must be
 exactly UNREAD_MEMBERS.  Reference implementations that only tests
 compare against live in tests/oracles.py.  Imports from __future__ are
-exempt from the last check.
+exempt from the last check.  The library's own absolute imports all name
+standard-library modules: pyproject.toml declares no dependencies.
 """
 
 import ast
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -123,3 +125,25 @@ def unread_test_imports():
 
 def test_every_test_import_is_read():
     assert not unread_test_imports(), f"imported, never read: {unread_test_imports()}"
+
+
+def absolute_imports():
+    """(file, top-level module) for each absolute import in src/verogeo."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            out.extend((path.name, name.split(".")[0]) for name in names)
+    return out
+
+
+def test_library_imports_only_the_standard_library():
+    imports = absolute_imports()
+    assert ("incidence.py", "typing") in imports
+    outside = [(f, m) for f, m in imports if m not in sys.stdlib_module_names]
+    assert not outside, f"imports outside the standard library: {outside}"

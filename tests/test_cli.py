@@ -264,6 +264,19 @@ def test_base_file_with_a_mistyped_field_exits_2(tmp_path, capsys, data, field):
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("labels,message", [
+    ({"0": {"multiset": [[0, "a"]]}},
+     "error: labels: a multiset must be a list of [point, multiplicity] integer pairs, "
+     "point >= 0 and multiplicity >= 1, got [[0, 'a']]"),
+    ({"x": [0]}, "error: labels must be keyed by point indices 0..2, got 'x'"),
+])
+def test_base_file_with_a_bad_label_exits_2(tmp_path, capsys, labels, message):
+    base = tmp_path / "base.json"
+    base.write_text(json.dumps({"point_count": 3, "lines": [[0, 1, 2]], "labels": labels}))
+    assert run(["veronese", "--base", str(base), "--level", "2"]) == 2
+    assert capsys.readouterr().err.strip() == message
+
+
 def test_base_with_a_repeated_line_exits_2(tmp_path, capsys):
     # the Fano plane with one line listed twice is no partial linear space
     base = tmp_path / "base.json"

@@ -13,8 +13,9 @@ sets of every line pair an affine condition names, write the
 Net-violation shape loops out per search, walk the four lines of every
 quadrangle one at a time, read every block's generator in each level-2
 classifier, sort the lines of AG(n,p) through a rank permutation, keep
-every joined point pair in a dict and test every line through every point
-of a plane.  The library does less
+every joined point pair in a dict, test every line through every point
+of a plane and test every ordered pair of lines crossing two lines for
+Veblen parallelism.  The library does less
 work and must return exactly the same results, in the same order.
 """
 
@@ -38,7 +39,7 @@ from verogeo.hyperplanes import (FULL, VeroneseHyperplane, census, extract_h_fun
                                  hyperplane_from_symplectic, leaf_pencil,
                                  polar_hyperplane, vari1_construction,
                                  verify_characterization)
-from verogeo.incidence import (IncidenceStructure, _close, enumerate_hyperplanes,
+from verogeo.incidence import (IncidenceStructure, enumerate_hyperplanes,
                                gamma_plane_classes, is_hyperplane,
                                is_hyperplane_mask, is_partial_linear, is_strong,
                                is_subspace, subspace_closure, veblen_parallel_lines)
@@ -64,7 +65,7 @@ from oracles import (GuidedLookups, adjacency_rows, affine_space_by_ranks,
                      projective_points_by_normalizing, quadrangle_by_provenance,
                      singular_plane_family, two_line_quadrangle,
                      veblen_by_provenance, veblen_histogram_per_figure,
-                     veronese_by_sums)
+                     veblen_parallel_by_crossings, veronese_by_sums)
 
 
 def _sorted_family(sets):
@@ -1176,6 +1177,40 @@ def test_reconstruction_matches_both_orientation_completion(instance, parallel):
     assert sum(got[:len(cross)]) == parallel
 
 
+def _veblen_both_ways(G, pairs):
+    """veblen_parallel_lines and its crossing-line oracle on each pair."""
+    got = [veblen_parallel_lines(G, i, j) for i, j in pairs]
+    assert got == [veblen_parallel_by_crossings(G, i, j) for i, j in pairs]
+    return got
+
+
+@pytest.mark.parametrize("instance,parallel", [
+    (_reduct_pg33, 18720), (lambda: seeded_symplectic_reduct(1), 18720),
+    (lambda: seeded_symplectic_reduct(2), 18720), (lambda: degenerate_reduct(5), 1800)],
+    ids=["J", "seed1", "seed2", "degenerate-pg25"])
+def test_veblen_parallel_lines_matches_crossing_scan_on_classes(instance, parallel):
+    A = instance()
+    pairs = [(i, j) for members in A.classes.values()
+             for i, j in itertools.combinations(members, 2)]
+    assert sum(_veblen_both_ways(A.structure, pairs)) == parallel
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_veblen_parallel_lines_matches_crossing_scan_on_random_pairs(n):
+    G = _vpg(n, 3).structure
+    rng = random.Random(20261020 + n)
+    pairs = [(rng.randrange(len(G.lines)), rng.randrange(len(G.lines)))
+             for _ in range(20000)]
+    got = _veblen_both_ways(G, pairs)
+    assert any(got) and not all(got)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(random_partial_linear_spaces(), pg32_pieces(), grid_nets()))
+def test_veblen_parallel_lines_matches_crossing_scan_on_all_pairs(G):
+    _veblen_both_ways(G, list(itertools.product(range(len(G.lines)), repeat=2)))
+
+
 def scan_plane_family(A):
     """reduct_plane_family closing each seed over all of the reduct, after
     testing it against every plane found in its leaf; also returns the
@@ -1213,15 +1248,18 @@ def test_plane_family_matches_scan_over_found_planes(instance):
     leaf_lines = recover_horizon_leaf_lines(A)
     assert leaf_lines == {tr for tr in traces if len(tr) >= 3}
     assert len(leaf_lines) == 520
-    # a leaf reduct is a subspace: a seed closes on the leaf's own lines
+    # each seed lies in one plane: its closure over the whole reduct, which
+    # stays inside the seed's top
     G = A.structure
-    top_of, subs = visible_tops(A)
-    local = [{} for _ in subs]
-    for li, ti in enumerate(top_of):
-        for q in G.lines[li]:
-            local[ti].setdefault(q, []).append(li)
+    _, subs = visible_tops(A)
+    planes_at = {}
+    for pl in planes:
+        for q in pl:
+            planes_at.setdefault(q, []).append(pl)
     for ti, seed in seeds:
-        assert _close(G.lines, local[ti], seed)[0] == subspace_closure(G, seed)
+        closed = worklist_closure(G, seed)
+        assert [pl for pl in planes_at[min(seed)] if seed <= pl] == [closed]
+        assert closed <= subs[ti]
 
 
 def tamaschke_per_line(G, class_of, budget_points=200):

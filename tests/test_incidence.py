@@ -302,3 +302,26 @@ def test_json_round_trip(tmp_path):
     assert G.point_count == V.structure.point_count
     assert set(G.lines) == set(V.structure.lines)
     assert G.labels == V.structure.labels
+
+
+@pytest.mark.parametrize("labels", [
+    {"x": [0]}, {"01": [0]}, {"3": [0]}, {"-1": [0]}, {" 1": [0]}, {"١": [0]},
+    {"0": {"multiset": [[0, "a"]]}}, {"0": {"multiset": [[0, 0]]}},
+    {"0": {"multiset": [[-1, 1]]}}, {"0": {"multiset": [[0, True]]}},
+    {"0": {"multiset": [[0, 1, 1]]}}, {"0": {"multiset": [0, 1]}},
+    {"0": {"multiset": 7}},
+])
+def test_from_json_refuses_a_bad_label_naming_labels(labels):
+    data = {"point_count": 3, "lines": [[0, 1, 2]], "labels": labels}
+    with pytest.raises(ValueError, match="labels"):
+        IncidenceStructure.from_json(data)
+
+
+def test_from_json_reads_point_keys_and_multiset_pairs():
+    data = {"point_count": 3, "lines": [[0, 1, 2]],
+            "labels": {"2": {"multiset": [[1, 2], [0, 1]]}, "10": [1]}}
+    with pytest.raises(ValueError, match="0..2, got '10'"):
+        IncidenceStructure.from_json(data)
+    del data["labels"]["10"]
+    G = IncidenceStructure.from_json(data)
+    assert G.labels == {2: Multiset(((0, 1), (1, 2)))}
