@@ -24,8 +24,8 @@ budget, which it refuses before listing any.  Past level 1 otherwise, the
 slice census lists the hyperplanes of V(k, M) from those of V(k-1, M):
 a hyperplane meets each slice x + V(k-1, M) in a hyperplane of V(k-1, M)
 or in the whole slice; one trace is chosen per slice, forward-checking
-the later slices and the diagonal, and every full choice is checked
-honestly against the hyperplane definition.
+the later slices and the diagonal.  Like the scan, it accepts each full
+choice short of every point, which its pruning has made a hyperplane.
 """
 
 from __future__ import annotations
@@ -225,8 +225,9 @@ def polar_hyperplane(V_polar: VeroneseSpace, H_proj: VeroneseHyperplane,
 
 
 def slice_census(V: VeroneseSpace, lower: Sequence[frozenset[int]]) -> list[frozenset[int]]:
-    """All hyperplanes of V = V(k, M), k >= 2, from the hyperplanes lower
-    of V(k-1, M), indexed as enumerate_multisets(n, k-1).
+    """All hyperplanes of V = V(k, M), k >= 2, from lower, the complete
+    hyperplane list of V(k-1, M) (census passes no other), indexed as
+    enumerate_multisets(n, k-1).
 
     A hyperplane meets each slice x + V(k-1, M) in a hyperplane of
     V(k-1, M) or in the whole slice, and the points kz in those of a
@@ -234,9 +235,11 @@ def slice_census(V: VeroneseSpace, lower: Sequence[frozenset[int]]) -> list[froz
     {f : f meets D}) or all of M.  The search picks one trace per slice on
     one bitset X over V's points, forward-checked: it keeps a domain per
     later slice and one of diagonals, each choice keeps what agrees with
-    it, and an empty domain prunes.  Each full choice faces the hyperplane
-    check.  Each call is one node; the first past inc.SEARCH_NODE_BUDGET
-    raises CapacityError.
+    it, and an empty domain prunes.  A full choice is a hyperplane unless
+    it is every point: a block e + rB, e nonempty, lies in the slice of an
+    x in e, where X is the chosen trace, and a block kB in the diagonal,
+    whose choice is the diagonal of a trace.  Each call is one node; the
+    first past inc.SEARCH_NODE_BUDGET raises CapacityError.
     """
     if V.level < 2:
         raise ValueError("the slice census needs level 2 or more")
@@ -255,6 +258,7 @@ def slice_census(V: VeroneseSpace, lower: Sequence[frozenset[int]]) -> list[froz
     # with a guard bit on top; compat[x][i] keeps in field y > x the
     # entries of row y that agree with trace i of slice x where they meet
     width, full = len(traces) + 1, (1 << len(traces)) - 1
+    every_point = (1 << len(V.points)) - 1
     ones = sum(full << width * y for y in range(n + 1))
     guards = sum(1 << width * y + width - 1 for y in range(n + 1))
     compat: list[list[int]] = []
@@ -277,7 +281,7 @@ def slice_census(V: VeroneseSpace, lower: Sequence[frozenset[int]]) -> list[froz
         if nodes > inc.SEARCH_NODE_BUDGET:
             raise inc.CapacityError(f"slice census passed the node budget at {nodes} nodes")
         if x == n:
-            if inc.is_hyperplane_mask(V.structure, X):
+            if X != every_point:
                 found.append(X)
             return
         domain = domains >> width * x & full
@@ -366,9 +370,6 @@ def verify_characterization(V: VeroneseSpace, mode: str) -> CharacterizationRepo
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    pencils: dict[frozenset[int], list[int]] = {}
-    for bh in inc.enumerate_hyperplanes(V.base):
-        pencils.setdefault(leaf_pencil(V, bh), sorted(bh))
     n = V.base.point_count
     pair = V.pair
     constructed_set = set(constructed)
@@ -381,11 +382,13 @@ def verify_characterization(V: VeroneseSpace, mode: str) -> CharacterizationRepo
                         for x in range(n) for y in range(n))
         traces_ok = all(val == FULL or inc.is_hyperplane(V.base, val)
                         for val in h.values())
+        F = frozenset(x for x in range(n) if h[scale_point(1, x)] == FULL)
+        pencil = F and inc.is_hyperplane(V.base, F) and leaf_pencil(V, F) == H
         extras.append({
             "points": sorted(H),
             "traces_hyperplane_or_full": traces_ok,
             "relation_symmetric": symmetric,
-            "leaf_pencil_over": pencils.get(H),
+            "leaf_pencil_over": sorted(F) if pencil else None,
         })
     return CharacterizationReport(
         enumerated=enumerated,

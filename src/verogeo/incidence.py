@@ -288,21 +288,6 @@ def is_hyperplane(G: IncidenceStructure, X: Iterable[int]) -> bool:
     return is_l_transversal(G, X) and is_subspace(G, X)
 
 
-def is_hyperplane_mask(G: IncidenceStructure, X: int) -> bool:
-    """is_hyperplane for a point set given as a bitset (bit q for point q).
-
-    Every line must meet X in exactly one point or lie inside it, and X
-    must not be the whole point set.
-    """
-    if X == (1 << G.point_count) - 1:
-        return False
-    for L in G.line_masks():
-        m = L & X
-        if not m or (m != L and m & (m - 1)):
-            return False
-    return True
-
-
 def is_spiky(G: IncidenceStructure, X: Iterable[int]) -> tuple[bool, Optional[int]]:
     """Through each point of X there must go a line not contained in X.
 
@@ -413,12 +398,16 @@ def _scan_hyperplanes(G: IncidenceStructure) -> list[frozenset[int]]:
 
     A depth-first scan on an explicit stack decides the points in order on
     line bitsets, pruning a line with two points in and one out, or with
-    every point out, and accepts a full assignment by is_hyperplane_mask.
-    Each decision step is one node; the first node past SEARCH_NODE_BUDGET
-    raises CapacityError, since a partial list proves nothing.
+    every point out.  A line is tested at each of its points, the last
+    included, so a full assignment short of every point is a hyperplane;
+    an empty line, on no point's list, is met by none.  Each decision step
+    is one node; the first node past SEARCH_NODE_BUDGET raises
+    CapacityError, since a partial list proves nothing.
     """
     n = G.point_count
     masks = G.line_masks()
+    if not all(masks):
+        return []
     through = [[masks[i] for i in lines] for lines in G.lines_through()]
     found: list[frozenset[int]] = []
     stack, nodes = [(0, 0)], 0
@@ -428,7 +417,7 @@ def _scan_hyperplanes(G: IncidenceStructure) -> list[frozenset[int]]:
         if nodes > SEARCH_NODE_BUDGET:
             raise CapacityError(f"hyperplane scan passed the node budget at {nodes} nodes")
         if q == n:
-            if is_hyperplane_mask(G, inside):
+            if inside != (1 << n) - 1:
                 found.append(frozenset(p for p in range(n) if inside >> p & 1))
             continue
         for X in (inside, inside | 1 << q):

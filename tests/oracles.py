@@ -21,7 +21,9 @@ normalize_vector, projective_points_by_normalizing and line_points build
 the points and lines of PG(n,p) by normalizing every vector, where spaces
 writes each one down from its reduced echelon basis.
 is_partial_linear_by_pairs keeps every joined point pair in a dict, where
-incidence.is_partial_linear keeps one bitset row per point, and
+incidence.is_partial_linear keeps one bitset row per point.
+is_hyperplane_mask tests a bitset against every line, where the scan and
+the slice census accept a full choice by their own pruning.
 gamma_classes_by_through_walk tests every line through every point of a
 plane, where gamma_plane_classes tests each line once, from its least
 point.  veblen_parallel_by_crossings tests every ordered pair of lines
@@ -108,6 +110,19 @@ def is_partial_linear_by_pairs(G: IncidenceStructure) -> tuple[bool, Optional[tu
                 return False, ("double_joined", pair[0], pair[1], seen[pair], i)
             seen[pair] = i
     return True, None
+
+
+def is_hyperplane_mask(G: IncidenceStructure, X: int) -> bool:
+    """incidence.is_hyperplane for a point set given as a bitset (bit q for
+    point q): every line meets X in exactly one point or lies inside it,
+    and X is not the whole point set."""
+    if X == (1 << G.point_count) - 1:
+        return False
+    for L in G.line_masks():
+        m = L & X
+        if not m or (m != L and m & (m - 1)):
+            return False
+    return True
 
 
 def gamma_classes_by_through_walk(G: IncidenceStructure,

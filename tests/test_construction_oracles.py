@@ -39,9 +39,9 @@ from verogeo.hyperplanes import (FULL, VeroneseHyperplane, census, extract_h_fun
                                  hyperplane_from_symplectic, leaf_pencil,
                                  polar_hyperplane, vari1_construction,
                                  verify_characterization)
-from verogeo.incidence import (IncidenceStructure, enumerate_hyperplanes,
-                               gamma_plane_classes, is_hyperplane,
-                               is_hyperplane_mask, is_partial_linear, is_strong,
+from verogeo.incidence import (IncidenceStructure, _scan_hyperplanes,
+                               enumerate_hyperplanes, gamma_plane_classes,
+                               is_hyperplane, is_partial_linear, is_strong,
                                is_subspace, subspace_closure, veblen_parallel_lines)
 from verogeo.multiset import EMPTY, Multiset, scale_point
 from verogeo.reduct import (build_reduct, net_violation_shape_on_base,
@@ -59,7 +59,7 @@ from oracles import (GuidedLookups, adjacency_rows, affine_space_by_ranks,
                      assemble_from_h, crosses_both, crossing_line_by_provenance,
                      crossing_rows, find_incomplete_veblen,
                      gamma_classes_by_through_walk, h_function_by_sums,
-                     is_partial_linear_by_pairs, is_reflexive,
+                     is_hyperplane_mask, is_partial_linear_by_pairs, is_reflexive,
                      leaf_planes_by_sums, line_points,
                      maximal_strong_subspaces, normalize_vector,
                      projective_points_by_normalizing, quadrangle_by_provenance,
@@ -375,14 +375,6 @@ def test_subspace_closure_matches_worklist_closure(G, seed):
         assert subspace_closure(G, X) == worklist_closure(G, X)
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.one_of(random_partial_linear_spaces(), pg32_pieces()))
-def test_is_hyperplane_and_enumeration_match_subset_search(G):
-    want = subset_search_hyperplanes(G)
-    assert _sorted_family(X for X in all_subsets(G) if is_hyperplane(G, X)) == want
-    assert enumerate_hyperplanes(G) == want
-
-
 @st.composite
 def small_incidence_structures(draw):
     """Lines of 0 to 4 points, meeting anyhow: no partial linear space needed."""
@@ -390,6 +382,22 @@ def small_incidence_structures(draw):
     lines = draw(st.lists(st.frozensets(st.integers(0, n - 1), max_size=min(4, n)),
                           max_size=10)) if n else []
     return IncidenceStructure(n, lines)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(small_incidence_structures(), random_partial_linear_spaces(),
+                 pg32_pieces()))
+@example(IncidenceStructure(3, [frozenset(), frozenset({0, 1, 2})]))
+@example(IncidenceStructure(4, [frozenset({0, 1}), frozenset({2}), frozenset({1, 2, 3})]))
+def test_is_hyperplane_and_enumeration_match_subset_search(G):
+    # the scan accepts a full choice by its pruning alone, so lines of 0,
+    # 1 and 2 points, which the pruning treats apart, are drawn too, and
+    # the scan is compared where the kernel lists 3-point lines; an empty
+    # line is met by no set, so it leaves no hyperplane
+    want = subset_search_hyperplanes(G)
+    assert _sorted_family(X for X in all_subsets(G) if is_hyperplane(G, X)) == want
+    assert enumerate_hyperplanes(G) == want
+    assert _scan_hyperplanes(G) == want
 
 
 @settings(max_examples=200, deadline=None)

@@ -19,12 +19,18 @@ from verogeo.spaces import (affine_space, polar_space_quadratic,
                             projective_space)
 from verogeo.veronese import build_veronese
 
-from oracles import (assert_pinned_verdict, is_nondegenerate_alternating,
-                     l_transversal_from_h)
+from oracles import (assert_pinned_verdict, is_hyperplane_mask,
+                     is_nondegenerate_alternating, l_transversal_from_h)
 
 
 def v2(n, p):
     return build_veronese(projective_space(n, p), 2)
+
+
+def assert_all_hyperplanes(V, family):
+    # the scan and the slice census accept a full choice by their own
+    # pruning; the oracle tests each set against every line
+    assert all(is_hyperplane_mask(V.structure, sum(1 << q for q in H)) for H in family)
 
 
 def test_symplectic_hyperplane_projective_line():
@@ -308,6 +314,7 @@ def test_leaf_trace_enumeration_matches_scan(base, count):
     V = build_veronese(base(), 2)
     got = enumerate_hyperplanes(V.structure)
     assert len(got) == count
+    assert_all_hyperplanes(V, got)
     assert enumerate_hyperplanes_level2(V) == got
 
 
@@ -320,10 +327,11 @@ def test_leaf_trace_enumeration_matches_scan(base, count):
 def test_kernel_route_matches_scan(base, level, count):
     # on 3-point lines enumerate_hyperplanes lists the GF(2) kernel; the
     # decision scan it replaces there must give the same list, in order
-    G = build_veronese(base(), level).structure
-    got = enumerate_hyperplanes(G)
+    V = build_veronese(base(), level)
+    got = enumerate_hyperplanes(V.structure)
     assert len(got) == count
-    assert got == incidence._scan_hyperplanes(G)
+    assert_all_hyperplanes(V, got)
+    assert got == incidence._scan_hyperplanes(V.structure)
 
 
 W_32 = standard_symplectic(4, 2)
@@ -367,6 +375,7 @@ def test_level2_search_stops_at_its_budget():
     with mock.patch.object(incidence, "SEARCH_NODE_BUDGET", 790):
         got = census(V)
     assert len(got) == 26
+    assert_all_hyperplanes(V, got)
 
 
 @pytest.mark.parametrize("n, p, level, count, nodes", [
@@ -381,13 +390,16 @@ def test_slice_census_past_level_2(n, p, level, count, nodes):
     # left to the kernel: from its 1,023 slice traces the census lists the
     # same 32,767 hyperplanes, but in over 10 s
     V = build_veronese(projective_space(n, p), level)
-    lower = census(build_veronese(projective_space(n, p), level - 1))
+    V_lower = build_veronese(projective_space(n, p), level - 1)
+    lower = census(V_lower)
+    assert_all_hyperplanes(V_lower, lower)
     with mock.patch.object(incidence, "SEARCH_NODE_BUDGET", nodes - 1):
         with pytest.raises(incidence.CapacityError, match=rf"\b{nodes} nodes"):
             slice_census(V, lower)
     with mock.patch.object(incidence, "SEARCH_NODE_BUDGET", nodes):
         got = slice_census(V, lower)
     assert len(got) == count
+    assert_all_hyperplanes(V, got)
     assert census(V) == got
     if (n, p, level) == (2, 3, 3):
         assert hyperplane_from_alternating(V, determinant_form(3, 3)).points in got
@@ -412,6 +424,22 @@ def test_characterization_v2_pg23_leaf_trace():
         assert extra["relation_symmetric"]
         assert extra["leaf_pencil_over"] is not None
     assert len(report.enumerated) == 26
+    assert_all_hyperplanes(V, report.enumerated)
+
+
+@pytest.mark.parametrize("n, pencils", [(1, 4), (2, 13)])
+def test_leaf_pencil_over_matches_the_pencil_table(n, pencils):
+    # with no constructed family every hyperplane is an extra, degenerate
+    # symplectic ones included, whose radical's leaf lies in H; each extra
+    # must name the base hyperplane whose leaf pencil it is, if any
+    V = v2(n, 3)
+    table = {leaf_pencil(V, F): sorted(F) for F in enumerate_hyperplanes(V.base)}
+    with mock.patch("verogeo.hyperplanes.alternating_forms_up_to_scalar", return_value=[]):
+        report = verify_characterization(V, mode="leaf-trace")
+    assert len(report.extras) == len(report.enumerated)
+    got = [e["leaf_pencil_over"] for e in report.extras]
+    assert got == [table.get(frozenset(e["points"])) for e in report.extras]
+    assert sum(g is not None for g in got) == pencils
 
 
 def test_leaf_pencil_is_hyperplane():
@@ -459,8 +487,9 @@ def test_polar_hyperplane_census_q33():
     # hyperplanes, of which 404 come from intersecting the known ambient
     # families (364 symplectic, 40 leaf pencils) and 87 do not.  The count
     # of 491 was pinned from the exhaustive scan; every set the census
-    # lists passes is_hyperplane_mask, so an equal count makes the two
-    # lists equal
+    # lists is a hyperplane, since its pruning leaves no block unmet (the
+    # tests above check its lists against the oracle), so an equal count
+    # makes the two lists equal
     from verogeo import verify as vfy
     verdicts = vfy.SUITES["polar-conjecture"]()
     assert len(verdicts) == 1

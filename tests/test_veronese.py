@@ -1,8 +1,10 @@
 import math
+import re
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from verogeo.incidence import is_partial_linear
+from verogeo.incidence import IncidenceStructure, is_partial_linear
 from verogeo.multiset import EMPTY, scale_point
 from verogeo.spaces import polar_space_symplectic, projective_space
 from verogeo.algebra import standard_symplectic
@@ -13,6 +15,7 @@ from verogeo.veronese import (build_veronese, check_leaf_covering,
                               verify_restriction_points)
 
 from oracles import leaf_adjacency_test
+from test_construction_oracles import pg32_pieces, random_partial_linear_spaces
 
 
 def fano():
@@ -66,15 +69,13 @@ def test_parameters_match_enumeration_pg23():
 
 
 def test_non_pls_base_rejected():
-    from verogeo.incidence import IncidenceStructure
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("('undersized_line', 0)")):
         build_veronese(IncidenceStructure(3, [[0, 1]]), 2)
 
 
 def test_base_with_a_repeated_line_rejected():
-    from verogeo.incidence import IncidenceStructure
     lines = [sorted(l) for l in fano().lines]
-    with pytest.raises(ValueError, match="double_joined"):
+    with pytest.raises(ValueError, match=re.escape("('double_joined', 0, 1, 0, 7)")):
         build_veronese(IncidenceStructure(7, lines + [lines[0]]), 2)
 
 
@@ -118,16 +119,20 @@ def test_leaf_covering_and_isomorphism():
               build_veronese(projective_space(1, 3), 3)):
         ok, witness = check_leaf_covering(V)
         assert ok, witness
+        assert V.leaf_keys() == sorted(V.leaves, key=lambda e: e.sort_key())
         for e in V.leaf_keys():
             assert check_leaf_isomorphism(V, e)
 
 
-def test_pls_preserved():
-    for V in (build_veronese(fano(), 2),
-              build_veronese(projective_space(1, 3), 3),
-              build_veronese(projective_space(2, 3), 2)):
-        ok, _ = is_partial_linear(V.structure)
-        assert ok
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(random_partial_linear_spaces(), pg32_pieces()), st.integers(1, 3))
+@example(fano(), 2)
+@example(projective_space(1, 3), 3)
+@example(projective_space(2, 3), 2)
+def test_pls_preserved(base, level):
+    # build_veronese checks the base alone: blocks sharing two points share
+    # their top and base line, so a PLS base gives a PLS V(level, base)
+    assert is_partial_linear(build_veronese(base, level).structure) == (True, None)
 
 
 def test_leaf_count_formula():
