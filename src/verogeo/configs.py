@@ -254,12 +254,19 @@ def quadrangle_crossings(G: IncidenceStructure, top_of: Sequence
     """Each proper quadrangle (l1, k1, l2, k2) of find_quadrangles with the
     fresh crossings of its opposite pairs (l1, l2) and (k1, k2): the lines
     crossing both lines of the pair whose top is neither of theirs, in
-    increasing order."""
+    increasing order.
+
+    Tops are only compared for equality, so each is read once as an int
+    id (the order of its first line) and the walk compares ids: a
+    Multiset top would otherwise be compared field by field."""
+    ids: dict = {}
+    top_id = [ids.setdefault(t, len(ids)) for t in top_of]
+
     def fresh(a: int, b: int) -> list[int]:
         return sorted(m for m in G.crossing_both(a, b)
-                      if top_of[m] != top_of[a] and top_of[m] != top_of[b])
+                      if top_id[m] != top_id[a] and top_id[m] != top_id[b])
 
-    for q in find_quadrangles(G, top_of):
+    for q in find_quadrangles(G, top_id):
         l1, k1, l2, k2 = q.lines
         yield q, fresh(l1, l2), fresh(k1, k2)
 

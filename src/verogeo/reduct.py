@@ -542,6 +542,130 @@ def _net_accepts(G: IncidenceStructure, top_of: Sequence[int], quad: Sequence[in
                 or lines[l3] & lines[k3])
 
 
+def _bit_indices(mask: int) -> list[int]:
+    """The set bits of mask, lowest first."""
+    out = []
+    while mask:
+        out.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return out
+
+
+def _pairs(n: int) -> int:
+    """C(n, 2), and 0 below 2."""
+    return n * (n - 1) // 2 if n > 1 else 0
+
+
+class _NetSearch:
+    """The reduct data the Net-violation search reads, built once per call,
+    and its steps on one mixed class.
+
+    For a point q in two tops s and t, vertex[s, t] is q, meets[s] has bit
+    t set and both[q] has bits s and t; both[q] is 0 for a point in one
+    top.  A top never lies in its own meets row.  A class's rows are
+    (line, number of named points, bitset of their other tops), one per
+    line, in class order; the walk alone sorts a line's named points.
+    """
+
+    def __init__(self, A: AffineReduct):
+        self.top_of, subs = visible_tops(A)
+        self.G = A.structure
+        self.tops_at = _tops_at(A, "the Net-violation witness")
+        self.classes = A.classes
+        self.mixed = [(e, min(tops)) for e, tops in A.direction_tops.items()
+                      if len(tops) == 2]
+        self.vertex: dict[tuple[int, int], int] = {}
+        self.meets = [0] * len(subs)
+        self.both = [0] * len(self.tops_at)
+        for q, tops in enumerate(self.tops_at):
+            if len(tops) == 2:
+                s, t = tops
+                self.vertex[s, t] = self.vertex[t, s] = q
+                self.meets[s] |= 1 << t
+                self.meets[t] |= 1 << s
+                self.both[q] = 1 << s | 1 << t
+
+    def sides(self, e: int, k_top: int) -> tuple[list, list]:
+        """The rows of class e's lines in top k_top (the k side) and in the
+        other top (the l side)."""
+        lines, top_of, both = self.G.lines, self.top_of, self.both
+        k_rows, l_rows = [], []
+        for li in self.classes[e]:
+            t = top_of[li]
+            mask = named = 0
+            for q in lines[li]:
+                if both[q]:
+                    mask |= both[q]
+                    named += 1
+            (k_rows if t == k_top else l_rows).append((li, named, mask & ~(1 << t)))
+        return k_rows, l_rows
+
+    def holds_vertex_pair(self, k_rows: list, l_rows: list) -> bool:
+        """Whether some candidate of the class may have both vertices:
+        some l-side mask has two bits in the live of some k-side pair
+        (a1 and b1 are not in their live, so such a q-pair is disjoint
+        from the p-pair), or two named points of a line share an other
+        top, where the bits undercount the pairs."""
+        if any(mask.bit_count() != named for _, named, mask in k_rows + l_rows):
+            return True
+        meets = self.meets
+        lives = {meets[a] & meets[b] for _, _, pm in k_rows
+                 for a, b in itertools.combinations(_bit_indices(pm), 2)}
+        return any((qm & live).bit_count() > 1 for _, _, qm in l_rows for live in lives)
+
+    @staticmethod
+    def count_class(k_rows: list, l_rows: list) -> int:
+        """The class's candidates, whose p-pair and q-pair name disjoint
+        tops, in closed form; the named points of each line must have
+        distinct other tops.  For k3 with np named points and l3 with n,
+        c other tops in common: the p-pairs with no, one and two common
+        tops take C(n, 2), C(n - 1, 2) and C(n - 2, 2) q-pairs."""
+        total = 0
+        for _, n, qm in l_rows:
+            none, one, two = _pairs(n), _pairs(n - 1), _pairs(n - 2)
+            for _, np, pm in k_rows:
+                c = (pm & qm).bit_count()
+                d = np - c
+                total += d * (d - 1) // 2 * none + c * d * one + c * (c - 1) // 2 * two
+        return total
+
+    def walk_class(self, e: int, k_rows: list, l_rows: list,
+                   checked: int) -> tuple[Optional[dict], int]:
+        """Walk class e's candidates one at a time from position checked:
+        (the witness dict of the first accepted candidate or None, the
+        position reached)."""
+        G, top_of, tops_at = self.G, self.top_of, self.tops_at
+        lines, join = G.lines, G.join()
+        vertex, meets = self.vertex, self.meets
+
+        def point_pairs(li: int) -> list:
+            """The pairs ((P, a), (R, b), bitset of a and b) of points on line
+            li with other tops a and b."""
+            named = [(q, next(t for t in tops_at[q] if t != top_of[li]))
+                     for q in sorted(lines[li]) if len(tops_at[q]) == 2]
+            return [(P, R, 1 << P[1] | 1 << R[1]) for P, R in itertools.combinations(named, 2)]
+
+        k_side = [(li, point_pairs(li)) for li, _, _ in k_rows]
+        l_side = [(li, point_pairs(li)) for li, _, _ in l_rows]
+        for (l3, q_pairs), (k3, p_pairs) in itertools.product(l_side, k_side):
+            for (P1, a1), (P2, b1), pm in p_pairs:
+                live = meets[a1] & meets[b1]  # the tops meeting both a1 and b1
+                for (Q1, a2), (Q2, b2), qm in q_pairs:
+                    if pm & qm:
+                        continue
+                    checked += 1
+                    if qm & live != qm:  # a vertex is missing
+                        continue
+                    v1, v3 = vertex[a1, a2], vertex[b1, b2]
+                    quad = [join[P1][v1], join[Q1][v1], join[P2][v3], join[Q2][v3]]
+                    if _net_accepts(G, top_of, quad, l3, k3):
+                        return {"found": True, "quadrangle": quad,
+                                "l3": l3, "k3": k3, "ambient_meet": e,
+                                "meet_in_hyperplane": True,
+                                "configurations_checked": checked}, checked
+        return None, checked
+
+
 def net_violation_witness(A: AffineReduct) -> dict:
     """Search for two reduct lines meeting only at a deleted mixed point,
     completed to a proper quadrangle they cross (one opposite pair each),
@@ -561,60 +685,40 @@ def net_violation_witness(A: AffineReduct) -> dict:
     rejected; the sides join P1 and Q1 to the first vertex and P2 and Q2
     to the third, as [l1, k1, l2, k2], and _net_accepts decides the rest.
     The meet e is a deleted point, so meet_in_hyperplane is always true.
-    configurations_checked is the position of the candidate reached; an
-    exhausted search is a certificate that no violation of this kind
-    exists (over GF(3) the vertex conditions are in fact unsatisfiable, so
-    the certificate is the expected outcome there).  On a hyperplane that
-    holds every double 2x these are the candidates of the shape on base
-    lines (l3 = y + m and k3 = x + n for a deleted x + y); on a leaf
-    pencil no deleted point has lines in two tops, so the answer there is
-    "no mixed deleted point".
+
+    Each class is first filtered on bitsets.  A candidate has both
+    vertices exactly when a2 and b2 lie in live, the tops meeting both a1
+    and b1, so the class holds one exactly when some l3's mask of other
+    tops has two bits in the live of some p-pair of a k3.  A class that
+    holds one, or where two named points of a line share an other top,
+    is walked candidate by candidate, in order.  Every other class is
+    counted in closed form (_NetSearch.count_class), since none of its
+    candidates reaches _net_accepts.  At level 2 the named points of a
+    line have distinct other tops: two with the same one would both lie
+    in that top and in the line's, and two leaves share at most one
+    point.  configurations_checked is still the position of the
+    candidate reached; an exhausted search is a certificate that no
+    violation of this kind exists (over GF(3) the vertex conditions are
+    in fact unsatisfiable, so every class is counted and the certificate
+    is the expected outcome there).  On a
+    hyperplane that holds every double 2x these are the candidates of the
+    shape on base lines (l3 = y + m and k3 = x + n for a deleted x + y);
+    on a leaf pencil no deleted point has lines in two tops, so the
+    answer there is "no mixed deleted point".
     """
-    top_of, subs = visible_tops(A)
-    G = A.structure
-    lines, join = G.lines, G.join()
-    tops_at = _tops_at(A, "the Net-violation witness")
-    mixed = [(e, min(tops)) for e, tops in A.direction_tops.items() if len(tops) == 2]
-    if not mixed:
+    search = _NetSearch(A)
+    if not search.mixed:
         return {"found": False, "reason": "no mixed deleted point",
                 "configurations_checked": 0}
-    vertex: dict[tuple[int, int], int] = {}
-    meets = [0] * len(subs)  # meets[s]: bitset of the tops sharing a point with s
-    for q, tops in enumerate(tops_at):
-        if len(tops) == 2:
-            s, t = tops
-            vertex[s, t] = vertex[t, s] = q
-            meets[s] |= 1 << t
-            meets[t] |= 1 << s
-
-    def point_pairs(li: int) -> list:
-        """The pairs ((P, a), (R, b), bitset of a and b) of points on line
-        li with other tops a and b."""
-        named = [(q, next(t for t in tops_at[q] if t != top_of[li]))
-                 for q in sorted(lines[li]) if len(tops_at[q]) == 2]
-        return [(P, R, 1 << P[1] | 1 << R[1]) for P, R in itertools.combinations(named, 2)]
-
     checked = 0
-    for e, k_top in mixed:
-        k_side, l_side = [], []
-        for li in A.classes[e]:
-            (k_side if top_of[li] == k_top else l_side).append((li, point_pairs(li)))
-        for (l3, q_pairs), (k3, p_pairs) in itertools.product(l_side, k_side):
-            for (P1, a1), (P2, b1), pm in p_pairs:
-                live = meets[a1] & meets[b1]  # the tops meeting both a1 and b1
-                for (Q1, a2), (Q2, b2), qm in q_pairs:
-                    if pm & qm:
-                        continue
-                    checked += 1
-                    if qm & live != qm:  # a vertex is missing
-                        continue
-                    v1, v3 = vertex[a1, a2], vertex[b1, b2]
-                    quad = [join[P1][v1], join[Q1][v1], join[P2][v3], join[Q2][v3]]
-                    if _net_accepts(G, top_of, quad, l3, k3):
-                        return {"found": True, "quadrangle": quad,
-                                "l3": l3, "k3": k3, "ambient_meet": e,
-                                "meet_in_hyperplane": True,
-                                "configurations_checked": checked}
+    for e, k_top in search.mixed:
+        k_rows, l_rows = search.sides(e, k_top)
+        if search.holds_vertex_pair(k_rows, l_rows):
+            found, checked = search.walk_class(e, k_rows, l_rows, checked)
+            if found:
+                return found
+        else:
+            checked += search.count_class(k_rows, l_rows)
     return {"found": False, "reason": "complete shape enumeration exhausted",
             "configurations_checked": checked}
 

@@ -4,12 +4,14 @@ from verogeo.configs import (BASE_EMBEDDED, CROSS_DOUBLE_OR_MEET_TRANSLATE,
                              CROSS_POINT_JOIN, CROSS_TRANSLATE_OF_JOIN,
                              FOUR_POINT_TRANSLATE, THREE_LINE_TYPE, THREE_POINT_WITH_2M, TWO_LINE_TYPE,
                              UNCLASSIFIABLE, FalsificationError, QuadrangleFigure,
-                             _level2_shape, check_net_axiom,
+                             ScanReport, _level2_shape, check_net_axiom,
                              check_parallelogram_completion, check_tamaschke,
                              classify_all_veblen, classify_crossing_line,
                              classify_proper_quadrangle,
-                             classify_veblen_in_veronese, find_quadrangles)
+                             classify_veblen_in_veronese, find_quadrangles,
+                             quadrangle_crossings)
 from verogeo.incidence import IncidenceStructure
+from verogeo.multiset import Multiset
 from verogeo.spaces import affine_space, projective_space
 from verogeo.veronese import build_veronese
 
@@ -151,6 +153,29 @@ def test_crossing_line_classification_exhaustive_pg23():
     assert crossings == 20826
     assert seen == {CROSS_TRANSLATE_OF_JOIN, CROSS_POINT_JOIN,
                     CROSS_DOUBLE_OR_MEET_TRANSLATE}
+
+
+@pytest.mark.parametrize("base,quadrangles,checked", [
+    (lambda: affine_space(2, 3).base, 630, 4194),
+    (lambda: projective_space(2, 2), 210, 1281),
+    (lambda: projective_space(2, 3), 3003, 35451),
+], ids=["AG(2,3)", "PG(2,2)", "PG(2,3)"])
+def test_quadrangle_walk_compares_tops_by_value(base, quadrangles, checked):
+    # the walk reads tops by equality alone: the Multiset tops, equal copies
+    # of them and int labels in reverse top order give one walk and one scan
+    V = build_veronese(base(), 2)
+    tops = V.block_top
+    copies = [Multiset(t.entries) for t in tops]
+    label = {t: i for i, t in enumerate(sorted(set(tops), key=Multiset.sort_key,
+                                               reverse=True))}
+    ints = [label[t] for t in tops]
+    walk = list(quadrangle_crossings(V.structure, tops))
+    assert len(walk) == quadrangles
+    assert walk == list(quadrangle_crossings(V.structure, copies))
+    assert walk == list(quadrangle_crossings(V.structure, ints))
+    report = check_net_axiom(V.structure, tops)
+    assert report == ScanReport(True, None, checked, True)
+    assert report == check_net_axiom(V.structure, copies) == check_net_axiom(V.structure, ints)
 
 
 def test_net_axiom_tiny_instance():

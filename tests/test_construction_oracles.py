@@ -44,7 +44,7 @@ from verogeo.incidence import (IncidenceStructure, _scan_hyperplanes,
                                is_hyperplane, is_partial_linear, is_strong,
                                is_subspace, subspace_closure, veblen_parallel_lines)
 from verogeo.multiset import EMPTY, Multiset, scale_point
-from verogeo.reduct import (build_reduct, net_violation_shape_on_base,
+from verogeo.reduct import (_NetSearch, build_reduct, net_violation_shape_on_base,
                             net_violation_witness,
                             reconstruct_parallel_pair, recover_horizon_leaf_lines,
                             reduct_plane_family, veblen_subclass_map,
@@ -1149,6 +1149,57 @@ def test_net_violation_whole_walk_matches_per_frame_search(monkeypatch):
                  "configurations_checked": 126000}
     assert net_violation_witness(A) == witness_per_frame(A) == exhausted
     assert reached == {"vertices": 45000, "prefilter": 45000}
+
+
+@pytest.mark.parametrize("instance,mixed,walked", [
+    (_reduct_pg33, 240, 0),
+    (lambda: seeded_symplectic_reduct(1), 240, 0),
+    (lambda: seeded_symplectic_reduct(2), 240, 0),
+    (lambda: degenerate_reduct(3), 12, 0),
+    (lambda: degenerate_reduct(5), 60, 60),
+], ids=["J", "seed1", "seed2", "degenerate-pg23", "degenerate-pg25"])
+def test_net_class_count_matches_the_exact_walk(monkeypatch, instance, mixed, walked):
+    # with every acceptance refused the exact walk of a class reaches all
+    # its candidates, and the closed form counts as many, class by class;
+    # no instance mixes the two paths, so the sum alone would not show it
+    monkeypatch.setattr("verogeo.reduct._net_accepts", lambda *args: False)
+    search = _NetSearch(instance())
+    held = 0
+    for e, k_top in search.mixed:
+        k_rows, l_rows = search.sides(e, k_top)
+        # two named points of a line never share an other top at level 2
+        assert all(mask.bit_count() == named for _, named, mask in k_rows + l_rows)
+        held += search.holds_vertex_pair(k_rows, l_rows)
+        assert search.walk_class(e, k_rows, l_rows, 0) == (None, search.count_class(k_rows, l_rows))
+    assert (len(search.mixed), held) == (mixed, walked)
+
+
+def test_net_filter_needs_two_tops_of_an_l3_in_a_live():
+    # a candidate has both vertices when its two l3 tops lie in the live of
+    # its k3 pair; in every class of the PG(2,5) reduct some live holds
+    # three tops of an l3, so the whole rows would pass a test for three as
+    # well, and rows cut down to one k3 pair and two or one l3 tops pin it
+    search = _NetSearch(degenerate_reduct(5))
+    k_rows, l_rows = search.sides(*search.mixed[0])
+    (k3, _, pm), (l3, _, qm) = k_rows[0], l_rows[0]
+    a, b = [t for t in range(pm.bit_length()) if pm >> t & 1][:2]
+    live = search.meets[a] & search.meets[b]
+    u, v = [t for t in range(qm.bit_length()) if (qm & live) >> t & 1][:2]
+    k_cut = [(k3, 2, 1 << a | 1 << b)]
+    assert search.holds_vertex_pair(k_cut, [(l3, 2, 1 << u | 1 << v)])
+    assert not search.holds_vertex_pair(k_cut, [(l3, 1, 1 << u)])
+
+
+def test_net_violation_witness_keeps_its_count_across_walked_classes(monkeypatch):
+    # forcing the exact walk on every other class of the J reduct: the
+    # walked and the counted classes add up to the same certificate
+    calls = itertools.count()
+    monkeypatch.setattr(_NetSearch, "holds_vertex_pair",
+                        lambda self, k_rows, l_rows: next(calls) % 2 == 0)
+    assert net_violation_witness(_reduct_pg33()) == {
+        "found": False, "reason": "complete shape enumeration exhausted",
+        "configurations_checked": 157680}
+    assert next(calls) == 240
 
 
 def test_net_violation_witness_refuses_a_quadric_reduct():
