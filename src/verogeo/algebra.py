@@ -53,10 +53,6 @@ def vec_scale(c: int, v: Vector, p: int) -> Vector:
     return tuple((c * a) % p for a in v)
 
 
-def mat_vec(M: Sequence[Sequence[int]], v: Vector, p: int) -> Vector:
-    return tuple(sum(r * x for r, x in zip(row, v)) % p for row in M)
-
-
 def nullspace(M: Sequence[Sequence[int]], p: int) -> list[Vector]:
     """Basis of {v : Mv = 0} by Gaussian elimination mod p."""
     if not M:
@@ -110,10 +106,6 @@ class BilinearForm:
     @property
     def dim(self) -> int:
         return len(self.matrix)
-
-    def evaluate(self, u: Vector, v: Vector) -> int:
-        Mv = mat_vec(self.matrix, v, self.p)
-        return sum(a * b for a, b in zip(u, Mv)) % self.p
 
     def is_zero(self) -> bool:
         return all(all(x == 0 for x in row) for row in self.matrix)

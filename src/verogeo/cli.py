@@ -4,8 +4,9 @@ emit machine-readable reports.
 Exit codes: 0 when every requested check passes, 1 when a check fails
 (the report names the claim and carries the witness, or counts the
 missing and extra lines of a recovery; a falsification is named on
-stderr), 2 for usage or capacity errors.  Reports on equal inputs are identical
-across runs once each verdict's runtime_s is dropped.
+stderr), 2 for usage or capacity errors, a Veronese or reduct file whose
+stored data differ from its rebuild included.  Reports on equal inputs are
+identical across runs once each verdict's runtime_s is dropped.
 """
 
 from __future__ import annotations
@@ -190,30 +191,42 @@ def cmd_hyperplane(args) -> int:
     return 0
 
 
-def cmd_reduct(args) -> int:
-    V = _load_veronese(args.space)
-    H = _load_hyperplane(_read_json(args.hyperplane), V, args.hyperplane)
-    A = build_reduct(V, H)
-    data = {
-        "kind": "reduct",
-        "space": V.to_json(),
-        "hyperplane": H.to_json(),
+def _reduct_rows(A: AffineReduct) -> dict:
+    """The data a reduct file stores beside its space and hyperplane."""
+    V = A.ambient
+    return {
         "proper_points": [list(V.points[a].to_pairs()) for a in A.amb_of],
         "lines": [{"points": sorted(t.points), "parent": t.parent,
                    "infinite": t.infinite} for t in A.lines],
         "classes": {str(e): list(members) for e, members in A.classes.items()},
     }
-    _write_json(data, args.out)
+
+
+def cmd_reduct(args) -> int:
+    V = _load_veronese(args.space)
+    H = _load_hyperplane(_read_json(args.hyperplane), V, args.hyperplane)
+    A = build_reduct(V, H)
+    _write_json({"kind": "reduct", "space": V.to_json(), "hyperplane": H.to_json(),
+                 **_reduct_rows(A)}, args.out)
     return 0
 
 
 def _rebuild_reduct(data: dict, path: str) -> AffineReduct:
+    """Rebuild a stored reduct from its space and hyperplane, refusing a
+    file whose stored rows differ from the rebuild."""
     if data.get("kind") != "reduct":
         raise UsageError(f"{path} does not hold a reduct")
     with _fields_of(path):
         space, hyperplane = data["space"], data["hyperplane"]
     V = _veronese_from_json(space, path)
-    return build_reduct(V, _load_hyperplane(hyperplane, V, path))
+    A = build_reduct(V, _load_hyperplane(hyperplane, V, path))
+    rebuilt = _reduct_rows(A)
+    with _fields_of(path):
+        differs = [key for key in rebuilt if data[key] != rebuilt[key]]
+    if differs:
+        raise UsageError(f"{path} is inconsistent: stored {differs[0]} differ "
+                         "from the deterministic rebuild")
+    return A
 
 
 def cmd_recover(args) -> int:

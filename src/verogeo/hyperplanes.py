@@ -94,8 +94,8 @@ def _coordinates(V: VeroneseSpace) -> list[tuple]:
 def hyperplane_from_symplectic(V: VeroneseSpace, xi: BilinearForm) -> VeroneseHyperplane:
     """H = union over base points x of the leaf trace x + kappa(x).
 
-    Requires level 2, odd p, and a symplectic (alternating) form; the
-    result is verified to be a hyperplane containing the full double leaf.
+    Requires level 2, odd p, and a symplectic (alternating) form, whose
+    xi(x, x) = 0 puts every double 2x in H; H is checked to be a hyperplane.
     Degenerate forms are accepted: radical points contribute whole leaves
     to H, which makes H.degenerate hold.
     """
@@ -113,10 +113,6 @@ def hyperplane_from_symplectic(V: VeroneseSpace, xi: BilinearForm) -> VeroneseHy
     h: dict[Multiset, object] = {EMPTY: FULL}
     for i, row in enumerate(rows):
         h[scale_point(1, i)] = FULL if len(row) == n else row
-    # the double leaf is FULL, so the union of the single-point traces
-    # must carry every double 2x, i.e. x in kappa(x)
-    if not all(i in row for i, row in enumerate(rows)):
-        raise FalsificationError("symplectic union missed a double point")
     pair = V.pair
     points = frozenset(pair[i][j] for i, row in enumerate(rows) for j in row)
     if not inc.is_hyperplane(V.structure, points):
@@ -167,8 +163,9 @@ def hyperplane_from_alternating(V: VeroneseSpace,
                                 eta: AlternatingMultiForm) -> VeroneseHyperplane:
     """H = multisets whose expansions are eta-orthogonal tuples.
 
-    The arity must equal the level; repeated points always land in H, so
-    the complement consists of genuine k-subsets.  Verified hyperplane.
+    The arity must equal the level.  A repeated point gives every k x k
+    minor in eta two equal rows, so it lands in H and the complement
+    consists of genuine k-subsets.  Verified hyperplane.
     """
     if eta.arity != V.level:
         raise ValueError(f"arity {eta.arity} does not match level {V.level}")
@@ -176,11 +173,6 @@ def hyperplane_from_alternating(V: VeroneseSpace,
     coords = _coordinates(V)
     pts = frozenset(i for i, f in enumerate(V.points)
                     if eta.evaluate([coords[x] for x in f.expansion()]) == 0)
-    for i, f in enumerate(V.points):
-        if i not in pts and len(f.support()) != V.level:
-            raise FalsificationError(
-                "complement point with a repeated entry contradicts the "
-                "alternating law")
     if not inc.is_hyperplane(V.structure, pts):
         raise FalsificationError("alternating construction failed the hyperplane check")
     return VeroneseHyperplane(V, pts, extract_h_function(V, pts),
@@ -191,30 +183,25 @@ def hyperplane_from_alternating(V: VeroneseSpace,
 # polar intersection
 
 
-def polar_hyperplane(V_polar: VeroneseSpace, H_proj: VeroneseHyperplane,
-                     base_point_map: Optional[Sequence[int]] = None) -> frozenset[int]:
+def polar_hyperplane(V_polar: VeroneseSpace, H_proj: VeroneseHyperplane) -> frozenset[int]:
     """Intersection of a projective-Veronese hyperplane with the polar
     Veronese point universe, verified to be a hyperplane there.
 
-    base_point_map sends polar base indices to the ambient projective
-    base indices (identity when the universes coincide).
+    A polar base point is the projective base point with its coordinate
+    label; a label that none carries is refused.
     """
     V_proj = H_proj.ambient
     if V_polar.level != V_proj.level:
         raise ValueError("levels differ")
     if not V_polar.structure.lines:
         raise ValueError("polar Veronese has no lines: not a partial linear space")
-    if base_point_map is None:
-        if V_polar.base.point_count != V_proj.base.point_count:
-            raise ValueError("base point counts differ and no map was given")
-        base_point_map = list(range(V_polar.base.point_count))
-    in_proj = frozenset(V_proj.points[q] for q in H_proj.points)
-    got = []
-    for i, f in enumerate(V_polar.points):
-        lifted = Multiset(tuple(sorted((base_point_map[x], m) for x, m in f.entries)))
-        if lifted in in_proj:
-            got.append(i)
-    pts = frozenset(got)
+    proj_of = {c: x for x, c in enumerate(_coordinates(V_proj))}
+    base = [proj_of.get(c) for c in _coordinates(V_polar)]
+    if None in base:
+        raise ValueError(f"polar base point {base.index(None)} has a label that "
+                         "no projective base point carries")
+    pts = frozenset(i for i, f in enumerate(V_polar.points) if V_proj.index[
+        Multiset(tuple(sorted((base[x], m) for x, m in f.entries)))] in H_proj.points)
     if not inc.is_hyperplane(V_polar.structure, pts):
         raise FalsificationError("polar intersection failed the hyperplane check")
     return pts

@@ -194,18 +194,15 @@ def restriction(G: IncidenceStructure, S0: Sequence[int]
                 ) -> tuple[IncidenceStructure, tuple[int, ...]]:
     """Substructure on S0 keeping exactly the lines fully inside S0.
 
-    Points are reindexed densely; returns (structure, kept) with
-    kept[new] = old.  An empty S0 yields the degenerate empty structure.
+    Points are reindexed densely with their labels; returns (structure,
+    kept) with kept[new] = old.  An empty S0 yields the empty structure.
     """
     kept = tuple(sorted(set(S0)))
     new_of = {old: new for new, old in enumerate(kept)}
     keep_set = frozenset(kept)
     lines = [frozenset(new_of[q] for q in l) for l in G.lines if l <= keep_set]
-    labels = None
-    if G.labels is not None:
-        labels = {new: G.labels.get(old, old) for new, old in enumerate(kept)}
-    else:
-        labels = {new: old for new, old in enumerate(kept)}
+    labels = None if G.labels is None else {
+        new: G.labels[old] for new, old in enumerate(kept) if old in G.labels}
     return IncidenceStructure(len(kept), sorted(set(lines), key=sorted),
                               labels=labels), kept
 

@@ -580,7 +580,7 @@ def suite_polar_conjecture() -> list[Verdict]:
     def check():
         Q = QuadraticForm(3, ((0, 1, 0, 0), (0, 0, 0, 0),
                               (0, 0, 0, 1), (0, 0, 0, 0)))
-        polar, kept = polar_space_quadratic(Q)
+        polar = polar_space_quadratic(Q)[0]
         base_hyps = inc.enumerate_hyperplanes(polar)
         Vq = build_veronese(polar, 2)
         enumerated = set(census(Vq))
@@ -588,11 +588,11 @@ def suite_polar_conjecture() -> list[Verdict]:
         intersections = set()
         for xi in alternating_forms_up_to_scalar(4, 3):
             H = hyperplane_from_symplectic(VP, xi)
-            intersections.add(polar_hyperplane(Vq, H, base_point_map=kept))
+            intersections.add(polar_hyperplane(Vq, H))
         for F in projective_hyperplanes(_pg(3, 3), 3):
             U = leaf_pencil(VP, F)
             HU = VeroneseHyperplane(VP, U, extract_h_function(VP, U))
-            intersections.add(polar_hyperplane(Vq, HU, base_point_map=kept))
+            intersections.add(polar_hyperplane(Vq, HU))
         consistent = intersections <= enumerated
         return (consistent, None, {
             "base_hyperplanes": len(base_hyps),

@@ -14,6 +14,8 @@ apex line pair by bitset rows of lines;
 affine_space_by_ranks sorts the lines of AG(n,p) through a rank
 permutation.  check_preparallelism and check_euclid decide the
 parallelism axioms on a ParallelStructure directly.
+bilinear_value evaluates a bilinear form as u^T M v (with mat_vec), where
+the library reads its orthogonality rows off algebra.perp_rows.
 leaf_closed_search_two_recursions is the leaf-closed parallelism search
 as two nested recursions (one per class, one per block), each counting
 its own nodes, which parallelism runs as one.
@@ -241,6 +243,15 @@ def maximal_strong_subspaces(G: IncidenceStructure) -> list[frozenset[int]]:
     maximal = [X for X in results
                if not any(X < Y for Y in results if Y is not X)]
     return sorted(maximal, key=lambda s: tuple(sorted(s)))
+
+
+def mat_vec(M: Sequence[Sequence[int]], v: Vector, p: int) -> Vector:
+    return tuple(sum(r * x for r, x in zip(row, v)) % p for row in M)
+
+
+def bilinear_value(xi: BilinearForm, u: Vector, v: Vector) -> int:
+    """xi(u, v) = u^T M v, where the library reads xi through perp_rows."""
+    return sum(a * b for a, b in zip(u, mat_vec(xi.matrix, v, xi.p))) % xi.p
 
 
 def is_symmetric(xi: BilinearForm) -> bool:

@@ -10,8 +10,8 @@ from verogeo.algebra import (AlternatingMultiForm, BilinearForm, QuadraticForm,
                              standard_symplectic)
 from verogeo.spaces import polar_space_quadratic
 
-from oracles import (is_nondegenerate_alternating, is_reflexive, normalize_vector,
-                     projective_points_by_normalizing, quadric_points)
+from oracles import (bilinear_value, is_nondegenerate_alternating, is_reflexive,
+                     normalize_vector, projective_points_by_normalizing, quadric_points)
 
 
 def test_prime_field():
@@ -51,7 +51,7 @@ def test_standard_symplectic_classification():
     assert is_reflexive(identity)
     assert not is_symplectic(identity)
     e1 = (1, 0, 0)
-    assert identity.evaluate(e1, e1) == 1
+    assert bilinear_value(identity, e1, e1) == 1
 
 
 def test_rank_deficient_alternating_radical():

@@ -10,9 +10,11 @@ nothing calls fails the test.  A public member of a class (a method, a
 property or a dataclass field) counts as used when any such file reads
 its name outside the member's own definition; the unused ones must be
 exactly UNREAD_MEMBERS.  Reference implementations that only tests
-compare against live in tests/oracles.py.  Imports from __future__ are
-exempt from the last check.  The library's own absolute imports all name
-standard-library modules: pyproject.toml declares no dependencies.
+compare against live in tests/oracles.py.  Every parameter of every
+function in src/verogeo is read in that function's body, save those in
+UNREAD_PARAMETERS.  Imports from __future__ are exempt from the import
+check.  The library's own absolute imports all name standard-library
+modules: pyproject.toml declares no dependencies.
 """
 
 import ast
@@ -31,6 +33,13 @@ UNREAD_MEMBERS = {
     "VeblenFigure.complete",
     # a work counter, kept out of the verdict on purpose
     "RecoveryReport.plane_closures",
+}
+
+UNREAD_PARAMETERS = {
+    # perfbench/workloads.py passes both, so they stay until the
+    # benchmark stops passing them
+    "reduct.py: truncated_plane_family(V)",
+    "hyperplanes.py: enumerate_hyperplanes_level2(base_hyperplanes)",
 }
 
 
@@ -103,6 +112,32 @@ def test_unread_public_members_match_the_closed_list():
     extra, stale = sorted(unread - UNREAD_MEMBERS), sorted(UNREAD_MEMBERS - unread)
     assert not extra, f"members nothing reads: {extra}"
     assert not stale, f"drop from UNREAD_MEMBERS: {stale}"
+
+
+def unread_parameters():
+    """'file: function(parameter)' for each parameter of a function or
+    lambda in src/verogeo that its body never reads."""
+    out = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            a = node.args
+            params = [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {sub.id for stmt in body for sub in ast.walk(stmt)
+                    if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+            name = getattr(node, "name", "<lambda>")
+            out.update(f"{path.name}: {name}({arg.arg})" for arg in params
+                       if arg is not None and arg.arg not in read)
+    return out
+
+
+def test_every_parameter_is_read():
+    unread = unread_parameters()
+    extra, stale = sorted(unread - UNREAD_PARAMETERS), sorted(UNREAD_PARAMETERS - unread)
+    assert not extra, f"parameters nothing reads: {extra}"
+    assert not stale, f"drop from UNREAD_PARAMETERS: {stale}"
 
 
 def unread_test_imports():

@@ -396,6 +396,43 @@ def test_reduct_file_with_inconsistent_space_exits_2(tmp_path, capsys, command):
     assert "inconsistent" in capsys.readouterr().err
 
 
+def pg13_reduct_file(tmp_path):
+    """Write V(2,PG(1,3)) minus its symplectic hyperplane; return the
+    reduct file."""
+    v, h, r = tmp_path / "v.json", tmp_path / "h.json", tmp_path / "r.json"
+    form = tmp_path / "form.json"
+    form.write_text(json.dumps({"p": 3, "matrix": [[0, 1], [2, 0]]}))
+    assert run(["veronese", "--base", "pg:1:3", "--level", "2", "--out", str(v)]) == 0
+    assert run(["hyperplane", "--space", str(v), "--form", str(form), "--out", str(h)]) == 0
+    assert run(["reduct", "--space", str(v), "--hyperplane", str(h), "--out", str(r)]) == 0
+    return r
+
+
+TAMPERS = {
+    "proper_points": lambda rows: rows[::-1],
+    "lines": lambda rows: rows[:1],
+    "classes": lambda rows: dict(zip(rows, [*rows.values()][1:] + [*rows.values()][:1])),
+}
+
+
+@pytest.mark.parametrize("key", sorted(TAMPERS))
+@pytest.mark.parametrize("command", [
+    ["recover", "--reduct"], ["verify", "--suite", "net-axiom", "--space"]])
+def test_reduct_file_with_tampered_rows_exits_2(tmp_path, capsys, command, key):
+    # the space and hyperplane rebuild the reduct; rows stored beside them
+    # that differ from the rebuild make the file inconsistent
+    r = pg13_reduct_file(tmp_path)
+    assert run(command + [str(r)]) == 0
+    data = json.loads(r.read_text())
+    tampered = TAMPERS[key](data[key])
+    assert tampered != data[key]
+    data[key] = tampered
+    r.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run(command + [str(r)]) == 2
+    assert f"inconsistent: stored {key} differ" in capsys.readouterr().err
+
+
 def test_verify_net_axiom_on_degenerate_reduct(tmp_path, capsys):
     # the leaf of the form's radical point lies in the hyperplane; the
     # shape search still runs to exhaustion

@@ -33,7 +33,7 @@ from verogeo.algebra import (BilinearForm, QuadraticForm,
                              projective_points, standard_symplectic)
 from verogeo import configs
 from verogeo.configs import (FalsificationError, QuadrangleFigure, ScanReport,
-                             _join, check_parallelogram_completion,
+                             _join, check_net_axiom, check_parallelogram_completion,
                              check_tamaschke, find_quadrangles)
 from verogeo.hyperplanes import (FULL, VeroneseHyperplane, census, extract_h_function,
                                  hyperplane_from_symplectic, leaf_pencil,
@@ -56,7 +56,8 @@ from verogeo.verify import _reduct_pg33, _symplectic_hyperplane_pg33, _vpg
 from verogeo.veronese import build_veronese, leaf_plane_family, leaf_substructure
 
 from oracles import (GuidedLookups, adjacency_rows, affine_space_by_ranks,
-                     assemble_from_h, crosses_both, crossing_line_by_provenance,
+                     assemble_from_h, bilinear_value, crosses_both,
+                     crossing_line_by_provenance,
                      crossing_rows, find_incomplete_veblen,
                      gamma_classes_by_through_walk, h_function_by_sums,
                      is_hyperplane_mask, is_partial_linear_by_pairs, is_reflexive,
@@ -736,11 +737,11 @@ def test_perp_rows_match_evaluate_on_a_non_reflexive_form():
     assert not is_reflexive(xi)
     coords = projective_points(3, 5)
     rows = perp_rows(xi, coords)
-    assert rows == [frozenset(j for j, v in enumerate(coords) if xi.evaluate(u, v) == 0)
-                    for u in coords]
+    assert rows == [frozenset(j for j, v in enumerate(coords)
+                              if bilinear_value(xi, u, v) == 0) for u in coords]
     # row i is xi(c_i, .), not xi(., c_i)
-    assert rows != [frozenset(j for j, v in enumerate(coords) if xi.evaluate(v, u) == 0)
-                    for u in coords]
+    assert rows != [frozenset(j for j, v in enumerate(coords)
+                              if bilinear_value(xi, v, u) == 0) for u in coords]
 
 
 def test_pair_table_matches_multiset_lookup():
@@ -865,7 +866,7 @@ def symplectic_per_pair(V, xi):
     pts = set()
     degenerate = False
     for i in range(n):
-        row = frozenset(j for j in range(n) if xi.evaluate(coords[i], coords[j]) == 0)
+        row = frozenset(j for j in range(n) if bilinear_value(xi, coords[i], coords[j]) == 0)
         if len(row) == n:
             h[scale_point(1, i)] = FULL
             degenerate = True
@@ -898,7 +899,7 @@ def vari1_per_pair(V, xi, h0):
     and every x + y looked up by its multiset."""
     coords = [V.base.labels[i] for i in range(V.base.point_count)]
     n = len(coords)
-    kappa = [frozenset(j for j in range(n) if xi.evaluate(coords[i], coords[j]) == 0)
+    kappa = [frozenset(j for j in range(n) if bilinear_value(xi, coords[i], coords[j]) == 0)
              for i in range(n)]
     pts = set()
     for i in range(n):
@@ -938,7 +939,7 @@ def shape_search_per_pair(P, xi):
     coords = [P.labels[i] for i in range(P.point_count)]
 
     def perp(i, j):
-        return xi.evaluate(coords[i], coords[j]) == 0
+        return bilinear_value(xi, coords[i], coords[j]) == 0
 
     kappa = {i: frozenset(j for j in range(P.point_count) if perp(i, j))
              for i in range(P.point_count)}
@@ -1107,6 +1108,16 @@ def test_net_violation_witness_matches_per_frame_search(instance, found, checked
     witness = net_violation_witness(A)
     assert witness == witness_per_frame(A)
     assert (witness["found"], witness["configurations_checked"]) == (found, checked)
+
+
+def test_direct_net_scan_fails_on_the_degenerate_pg25_reduct():
+    # where the shape search finds its violation at position 4, the scan
+    # over every proper quadrangle fails too: two crossing lines that miss
+    A = degenerate_reduct(5)
+    report = check_net_axiom(A.structure, visible_tops(A)[0])
+    assert (report.ok, report.checked, report.exhaustive) == (False, 6603, True)
+    _, m3, n3 = report.witness
+    assert not A.structure.lines[m3] & A.structure.lines[n3]
 
 
 def test_net_violation_witness_on_the_census_of_v2_pg23():

@@ -21,8 +21,8 @@ from verogeo.spaces import ParallelStructure, polar_space_quadratic, projective_
 from verogeo.verify import _reduct_pg33
 from verogeo.veronese import build_veronese
 
-from oracles import (DEGENERATE, PLANE, check_preparallelism, is_connected,
-                     plane_from_triangle)
+from oracles import (DEGENERATE, PLANE, bilinear_value, check_preparallelism,
+                     is_connected, plane_from_triangle)
 
 
 Q_PLUS_33 = QuadraticForm(3, ((0, 1, 0, 0), (0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 0, 0)))
@@ -116,6 +116,20 @@ def test_directions_pg13_all_one_leaf():
     assert report.one_leaf == 4
     assert report.two_leaf == 0
     assert report.dichotomy_ok
+
+
+@pytest.mark.parametrize("answer", [False, True])
+def test_directions_refuse_the_dichotomy_under_a_constant_veblen_test(monkeypatch, answer):
+    # never Veblen-parallel: two members of a one-leaf class are apart, and
+    # each two-leaf member is parallel to neither representative; always:
+    # a two-leaf class finds no second representative.  A fresh reduct,
+    # since the report is cached
+    V = build_veronese(projective_space(3, 3), 2)
+    A = build_reduct(V, hyperplane_from_symplectic(V, standard_symplectic(4, 3)))
+    monkeypatch.setattr("verogeo.incidence.veblen_parallel_lines", lambda G, i, j: answer)
+    report = classify_directions(A)
+    assert (report.one_leaf, report.two_leaf) == (40, 240)
+    assert report.dichotomy_ok is False
 
 
 def test_veblen_parallel_examples_pg33():
@@ -285,12 +299,12 @@ def test_net_violation_shape_gf3_vs_gf5():
     J = std(4, 5)
     coords = [P.labels[i] for i in range(P.point_count)]
     v, w, mi, ni, a1, b1, a2, b2 = hit
-    assert J.evaluate(coords[v], coords[w]) == 0
+    assert bilinear_value(J, coords[v], coords[w]) == 0
     assert v in P.lines[mi] and w in P.lines[ni]
     assert {a1, b1} <= P.lines[ni] and {a2, b2} <= P.lines[mi]
     for u in (a1, b1):
         for t in (a2, b2):
-            assert J.evaluate(coords[u], coords[t]) != 0
+            assert bilinear_value(J, coords[u], coords[t]) != 0
 
 
 def test_net_violation_absent_without_mixed_points():

@@ -5,7 +5,7 @@ import pytest
 from verogeo import spaces
 from verogeo.algebra import QuadraticForm, standard_symplectic
 from verogeo.hyperplanes import VeroneseHyperplane, extract_h_function
-from verogeo.incidence import is_hyperplane, is_partial_linear
+from verogeo.incidence import IncidenceStructure, is_hyperplane, is_partial_linear
 from verogeo.reduct import build_reduct
 from verogeo.spaces import (ParallelStructure, affine_space,
                             polar_space_quadratic, polar_space_symplectic,
@@ -141,6 +141,10 @@ def test_restriction():
     sub, kept = restriction(G, line)
     assert sub.point_count == 4
     assert len(sub.lines) == 1
+    # labels stay coordinates, or absent: none is invented
+    assert sub.labels == {new: G.labels[old] for new, old in enumerate(kept)}
+    bare = IncidenceStructure(G.point_count, G.lines)
+    assert restriction(bare, line)[0].labels is None
     empty, kept = restriction(G, [])
     assert empty.point_count == 0
     assert len(empty.lines) == 0
