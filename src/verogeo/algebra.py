@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 Vector = tuple[int, ...]
@@ -137,21 +138,64 @@ def is_nondegenerate(xi: BilinearForm) -> bool:
 def perp_rows(xi: BilinearForm, coords: Sequence[Vector]) -> list[frozenset[int]]:
     """rows[i] = {j : xi(coords[i], coords[j]) = 0}, the orthogonality table.
 
-    Row i reads the functional w_i = coords[i]^T M, computed once per
-    point, against every point; for a symplectic form row i is the
-    quasi-correlation kappa(x_i) = x_i^perp as a set of point indices.
+    For a symplectic form row i is the quasi-correlation kappa(x_i) =
+    x_i^perp as a set of point indices.  Read through a fresh
+    OrthogonalityTable; the forms over one coordinate list share one.
     Coordinates whose length is not xi.dim are refused.
     """
-    if any(len(u) != xi.dim for u in coords):
-        raise ValueError(f"a form of dimension {xi.dim} needs coordinates of that length")
-    p = xi.p
-    columns = list(zip(*xi.matrix))
-    rows = []
-    for u in coords:
-        w = [sum(a * b for a, b in zip(u, col)) % p for col in columns]
-        rows.append(frozenset(j for j, v in enumerate(coords)
-                              if not sum(a * b for a, b in zip(w, v)) % p))
-    return rows
+    return OrthogonalityTable(coords).rows(xi)
+
+
+class OrthogonalityTable:
+    """perp_rows for every bilinear form over one list of coordinates.
+
+    Row i of a form with matrix M is the base hyperplane with normal
+    w = coords[i]^T M: the points j with w . coords[j] = 0, every point
+    when w = 0.  Proportional normals give one row, so the rows are held
+    in one table keyed by p and w scaled to a first nonzero entry 1, each
+    computed the first time a form needs it; the forms read through one
+    table share its rows.  A dot product is one multiply and shift on
+    packed ints: coords[j] is held with entry t in the field at bit s*t
+    and w in the reverse order, so the field at bit s*(d-1) of their
+    product is w . coords[j], s being wide enough that no field of the
+    product, a sum of at most d terms below p^2, carries into the next.
+    """
+
+    def __init__(self, coords: Sequence[Vector]):
+        self._coords = [tuple(u) for u in coords]
+        self._lengths = {len(u) for u in self._coords}
+        self._packed: dict[int, tuple[int, list[int]]] = {}  # p -> (s, packed coords)
+        self._rows: dict[tuple[int, Vector], frozenset[int]] = {}
+
+    def rows(self, xi: BilinearForm) -> list[frozenset[int]]:
+        if self._lengths - {xi.dim}:
+            raise ValueError(f"a form of dimension {xi.dim} needs coordinates of that length")
+        p, table = xi.p, self._rows
+        columns = list(zip(*xi.matrix))
+        out = []
+        for u in self._coords:
+            w = [sum(a * b for a, b in zip(u, col)) % p for col in columns]
+            lead = next((a for a in w if a), 1)
+            if lead != 1:
+                inv = pow(lead, -1, p)
+                w = [a * inv % p for a in w]
+            key = (p, tuple(w))
+            row = table.get(key)
+            if row is None:
+                row = table[key] = self._hyperplane(p, w)
+            out.append(row)
+        return out
+
+    def _hyperplane(self, p: int, w: list[int]) -> frozenset[int]:
+        """{j : w . coords[j] = 0 mod p}, read on packed ints."""
+        if p not in self._packed:
+            s = (len(w) * (p - 1) ** 2).bit_length()
+            self._packed[p] = s, [sum(a % p << s * t for t, a in enumerate(u))
+                                  for u in self._coords]
+        s, packed = self._packed[p]
+        shift, mask = s * (len(w) - 1), (1 << s) - 1
+        W = sum(a << s * t for t, a in enumerate(reversed(w)))
+        return frozenset(j for j, v in enumerate(packed) if not (W * v >> shift & mask) % p)
 
 
 def standard_symplectic(dim: int, p: int) -> BilinearForm:
@@ -236,8 +280,8 @@ class AlternatingMultiForm:
     """k-linear alternating form given by coefficients on increasing k-tuples.
 
     Evaluation expands each argument tuple against the coefficient table
-    via k x k minors, so multilinearity and the alternating law hold by
-    construction.
+    via its k x k minors (extend_minors), so multilinearity and the
+    alternating law hold by construction.
     """
 
     p: int
@@ -262,10 +306,22 @@ class AlternatingMultiForm:
     def evaluate(self, vectors: Sequence[Vector]) -> int:
         if len(vectors) != self.arity:
             raise ValueError(f"arity {self.arity} form applied to {len(vectors)} vectors")
-        total = 0
-        for idx, c in self.coeffs:
-            total += c * _det([[v[i] for i in idx] for v in vectors], self.p)
-        return total % self.p
+        minors: tuple[int, ...] = (1,)
+        for rows, v in enumerate(vectors, 1):
+            minors = extend_minors(minors, v, rows)
+        return self.on_minors(minors)
+
+    def on_minors(self, minors: Sequence[int]) -> int:
+        """eta on k vectors from their k x k minors, one per k-subset of
+        the coordinates in itertools.combinations order (extend_minors)."""
+        return sum(c * minors[i] for i, c in self._weights) % self.p
+
+    @cached_property
+    def _weights(self) -> tuple[tuple[int, int], ...]:
+        """(position of the index tuple among the k-subsets, coefficient)."""
+        position = {idx: i for i, idx in
+                    enumerate(itertools.combinations(range(self.dim), self.arity))}
+        return tuple((position[idx], c) for idx, c in self.coeffs)
 
     def to_json(self) -> dict:
         return {"p": self.p, "arity": self.arity, "dim": self.dim,
@@ -277,26 +333,27 @@ class AlternatingMultiForm:
         return AlternatingMultiForm.from_dict(data["p"], data["arity"], data["dim"], coeffs)
 
 
-def _det(rows: list[list[int]], p: int) -> int:
-    n = len(rows)
-    if n == 1:
-        return rows[0][0] % p
-    if n == 2:
-        return (rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]) % p
-    total = 0
-    for perm in itertools.permutations(range(n)):
-        sign = _perm_sign(perm)
-        prod = 1
-        for i, j in enumerate(perm):
-            prod *= rows[i][j]
-        total += sign * prod
-    return total % p
+def extend_minors(minors: Sequence[int], u: Vector, rows: int) -> tuple[int, ...]:
+    """The rows x rows minors of a matrix with `rows` rows, the last u, from
+    the minors of its first rows - 1 (the single minor 1 when there are
+    none), one per rows-subset I of the columns in itertools.combinations
+    order.  Laplace expansion along u: the minor on I is the sum over the
+    positions t of I of (-1)^(rows-1+t) u[I_t] times the minor on I less
+    I_t.  Exact integers, never reduced: a product of entries below p keeps
+    every minor small, and a form reduces its sum mod p once.
+    """
+    return tuple(sum(sign * u[b] * minors[j] for sign, b, j in terms)
+                 for terms in _laplace_terms(len(u), rows))
 
 
-def _perm_sign(perm: Sequence[int]) -> int:
-    inversions = sum(1 for i in range(len(perm)) for j in range(i + 1, len(perm))
-                     if perm[i] > perm[j])
-    return -1 if inversions % 2 else 1
+@lru_cache(maxsize=None)
+def _laplace_terms(dim: int, rows: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """For each rows-subset I of range(dim): the (sign, column, position of
+    I less that column among the (rows-1)-subsets) of its expansion."""
+    lower = {I: j for j, I in enumerate(itertools.combinations(range(dim), rows - 1))}
+    return tuple(tuple(((-1) ** (rows - 1 + t), I[t], lower[I[:t] + I[t + 1:]])
+                       for t in range(rows))
+                 for I in itertools.combinations(range(dim), rows))
 
 
 def determinant_form(dim: int, p: int) -> AlternatingMultiForm:

@@ -3,16 +3,24 @@
 Level 2 over a projective space: a symplectic quasi-correlation kappa
 yields the point set H = union of x + kappa(x); its leaf trace function h
 has h(x) = kappa(x) and h(0) = S, and H is verified (never assumed) to be
-a hyperplane.  kappa(x) is read from the form's orthogonality rows
-(algebra.perp_rows) and x + y from the pair table V.pair.  Choosing h(0)
-equal to a projective hyperplane not inside the selfconjugate set destroys
-the subspace property, with an explicit witness block.
+a hyperplane.  kappa(x) is the base hyperplane with normal x^T M, read
+from the orthogonality table V.orthogonality that every form on V shares
+(algebra.OrthogonalityTable), and x + y from the pair table V.pair.
+Choosing h(0) equal to a projective hyperplane not inside the
+selfconjugate set destroys the subspace property, with an explicit
+witness block.
 
 Level k over a projective space: a k-linear alternating form eta yields
 H = {q1 + ... + qk : eta vanishes}; the complement consists of k-subsets.
+eta is read off V.minors, the k x k minors of each k-subset of base
+points, built once per space by Laplace expansion over shared prefixes.
 
 Polar spaces: intersecting a projective-Veronese hyperplane with the
-polar point universe yields a hyperplane of the polar Veronese.
+polar point universe yields a hyperplane of the polar Veronese; each polar
+point is lifted to the projective one through the leaf tables.
+
+Every construction keeps its hyperplane check, incidence.is_hyperplane,
+one pass over the lines of the space.
 
 Exhaustive enumeration has one entry, census(V).  Over 3-point lines
 (p = 2) it is linear algebra: the complements of the hyperplanes are the
@@ -37,7 +45,7 @@ from typing import Optional, Sequence
 from . import incidence as inc
 from .algebra import (AlternatingMultiForm, BilinearForm,
                       alternating_forms_up_to_scalar, is_prime, is_symplectic,
-                      perp_rows, vec_add, vec_scale)
+                      vec_add, vec_scale)
 from .configs import FalsificationError, _join
 from .multiset import EMPTY, Multiset, enumerate_multisets, scale_point
 from .veronese import VeroneseSpace, build_veronese
@@ -85,12 +93,6 @@ def extract_h_function(V: VeroneseSpace, H: Sequence[int]) -> dict[Multiset, obj
 # symplectic construction (level 2)
 
 
-def _coordinates(V: VeroneseSpace) -> list[tuple]:
-    if V.base.labels is None:
-        raise ValueError("base carries no coordinate labels")
-    return [V.base.labels[i] for i in range(V.base.point_count)]
-
-
 def hyperplane_from_symplectic(V: VeroneseSpace, xi: BilinearForm) -> VeroneseHyperplane:
     """H = union over base points x of the leaf trace x + kappa(x).
 
@@ -108,11 +110,11 @@ def hyperplane_from_symplectic(V: VeroneseSpace, xi: BilinearForm) -> VeroneseHy
         raise ValueError("form is not symplectic; construction not applicable")
     if xi.is_zero():
         raise ValueError("zero form rejected")
-    rows = perp_rows(xi, _coordinates(V))
+    rows = V.orthogonality.rows(xi)
     n = len(rows)
-    h: dict[Multiset, object] = {EMPTY: FULL}
-    for i, row in enumerate(rows):
-        h[scale_point(1, i)] = FULL if len(row) == n else row
+    # the leaf keys are 0, then the base points x in order
+    h: dict[Multiset, object] = dict(zip(V.leaf_points, [FULL] + [
+        FULL if len(row) == n else row for row in rows]))
     pair = V.pair
     points = frozenset(pair[i][j] for i, row in enumerate(rows) for j in row)
     if not inc.is_hyperplane(V.structure, points):
@@ -132,7 +134,7 @@ def vari1_construction(V: VeroneseSpace, xi: BilinearForm,
     if V.level != 2:
         raise ValueError("construction needs level 2")
     _refuse_other_field(V, xi.p)
-    kappa = perp_rows(xi, _coordinates(V))
+    kappa = V.orthogonality.rows(xi)
     pair = V.pair
     points = frozenset([pair[i][j] for i, row in enumerate(kappa) for j in row]
                        + [pair[x][x] for x in h0])
@@ -163,16 +165,19 @@ def hyperplane_from_alternating(V: VeroneseSpace,
                                 eta: AlternatingMultiForm) -> VeroneseHyperplane:
     """H = multisets whose expansions are eta-orthogonal tuples.
 
-    The arity must equal the level.  A repeated point gives every k x k
-    minor in eta two equal rows, so it lands in H and the complement
-    consists of genuine k-subsets.  Verified hyperplane.
+    The arity must equal the level, and the coordinate length eta.dim.  A
+    repeated point gives every k x k minor two equal rows, so it lands in
+    H and the complement consists of genuine k-subsets: eta is read off
+    V.minors, the minors of each k-subset of base points, one dot product
+    with eta's coefficients per point.  Verified hyperplane.
     """
     if eta.arity != V.level:
         raise ValueError(f"arity {eta.arity} does not match level {V.level}")
     _refuse_other_field(V, eta.p)
-    coords = _coordinates(V)
-    pts = frozenset(i for i, f in enumerate(V.points)
-                    if eta.evaluate([coords[x] for x in f.expansion()]) == 0)
+    if any(len(u) != eta.dim for u in V.coordinates):
+        raise ValueError(f"a form of dimension {eta.dim} needs coordinates of that length")
+    outside = {q for q, minors in V.minors if eta.on_minors(minors)}
+    pts = frozenset(q for q in range(len(V.points)) if q not in outside)
     if not inc.is_hyperplane(V.structure, pts):
         raise FalsificationError("alternating construction failed the hyperplane check")
     return VeroneseHyperplane(V, pts, extract_h_function(V, pts),
@@ -188,20 +193,32 @@ def polar_hyperplane(V_polar: VeroneseSpace, H_proj: VeroneseHyperplane) -> froz
     Veronese point universe, verified to be a hyperplane there.
 
     A polar base point is the projective base point with its coordinate
-    label; a label that none carries is refused.
+    label; a label that none carries is refused.  Each polar point is
+    lifted through the leaf tables: every point lies on the leaf of a key
+    e of degree k - 1, and e + x lifts to base(e) + base(x), so each such
+    key is mapped to the projective one once and its row read entry by
+    entry, with no multiset built per point.
     """
     V_proj = H_proj.ambient
-    if V_polar.level != V_proj.level:
+    k = V_polar.level
+    if k != V_proj.level:
         raise ValueError("levels differ")
     if not V_polar.structure.lines:
         raise ValueError("polar Veronese has no lines: not a partial linear space")
-    proj_of = {c: x for x, c in enumerate(_coordinates(V_proj))}
-    base = [proj_of.get(c) for c in _coordinates(V_polar)]
+    proj_of = {c: x for x, c in enumerate(V_proj.coordinates)}
+    base = [proj_of.get(c) for c in V_polar.coordinates]
     if None in base:
         raise ValueError(f"polar base point {base.index(None)} has a label that "
                          "no projective base point carries")
-    pts = frozenset(i for i, f in enumerate(V_polar.points) if V_proj.index[
-        Multiset(tuple(sorted((base[x], m) for x, m in f.entries)))] in H_proj.points)
+    lift = [0] * len(V_polar.points)
+    for e, row in V_polar.leaf_points.items():
+        if e.degree == k - 1:
+            proj_row = V_proj.leaf_points[
+                Multiset(tuple(sorted((base[x], m) for x, m in e.entries)))]
+            for x, q in enumerate(row):
+                lift[q] = proj_row[base[x]]
+    H = H_proj.points
+    pts = frozenset(q for q, l in enumerate(lift) if l in H)
     if not inc.is_hyperplane(V_polar.structure, pts):
         raise FalsificationError("polar intersection failed the hyperplane check")
     return pts
@@ -340,8 +357,7 @@ def verify_characterization(V: VeroneseSpace, mode: str) -> CharacterizationRepo
     extracted trace function, the symmetry of its point relation, and a
     leaf-pencil match when one exists.
     """
-    coords = _coordinates(V)
-    dim = len(coords[0])
+    dim = len(V.coordinates[0])
     p = _base_prime(V)
     if p is None:
         raise ValueError("could not infer the base field size")
@@ -389,9 +405,10 @@ def verify_characterization(V: VeroneseSpace, mode: str) -> CharacterizationRepo
 def _base_prime(V: VeroneseSpace) -> Optional[int]:
     """The p of a base whose first line is a line of PG(n, p) in its
     coordinates, else None: with two of its p + 1 points, u and v, the
-    nonzero a*u + b*v are the nonzero multiples of its points."""
+    nonzero a*u + b*v are the nonzero multiples of its points.  A base
+    labelled in part is refused (VeroneseSpace.coordinates)."""
     G = V.base
-    line = [G.labels[q] for q in sorted(G.lines[0])] if G.labels and G.lines else []
+    line = [V.coordinates[q] for q in sorted(G.lines[0])] if G.labels and G.lines else []
     p = len(line) - 1
     if not is_prime(p):
         return None

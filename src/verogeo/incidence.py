@@ -272,20 +272,24 @@ def _is_clique(join: list[dict[int, int]], X: frozenset[int]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# transversality, hyperplanes, spiky/flappy
-
-
-def is_l_transversal(G: IncidenceStructure, X: Iterable[int]) -> bool:
-    X = frozenset(X)
-    return all(line & X for line in G.lines)
+# hyperplanes, spiky/flappy
 
 
 def is_hyperplane(G: IncidenceStructure, X: Iterable[int]) -> bool:
-    """Proper l-transversal subspace."""
+    """Proper l-transversal subspace: X is not every point, and each line
+    meets X in all its points or in exactly one.  One pass over the lines,
+    reading each overlap once: a line fails when it misses X (not
+    l-transversal) or meets it in two or more points but not all (not a
+    subspace).  Reads no line masks, so it adds no memory to the space.
+    """
     X = frozenset(X)
     if len(X) == G.point_count:
         return False
-    return is_l_transversal(G, X) and is_subspace(G, X)
+    for line in G.lines:
+        k = len(line & X)
+        if k == 0 or 1 < k < len(line):
+            return False
+    return True
 
 
 def is_spiky(G: IncidenceStructure, X: Iterable[int]) -> tuple[bool, Optional[int]]:

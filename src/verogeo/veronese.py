@@ -15,6 +15,10 @@ one generator, kept as two per-block lists: block_top[b] = e and
 block_line[b] = the index of B.  So two blocks through e + r*x and
 e + r*y share e, r and a base line through x and y: over a partial linear
 space M0, V(k, M0) is one too, and build_veronese checks M0 alone.
+
+The form constructions of hyperplanes read three tables cached on the
+space: the base coordinates, the orthogonality table shared by every
+bilinear form, and the minors of each k-subset of base points.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
+from .algebra import OrthogonalityTable, extend_minors
 from .incidence import IncidenceStructure, is_partial_linear
 from .multiset import (Multiset, enumerate_lower_multisets,
                        enumerate_multisets, scale, scale_point)
@@ -54,6 +59,46 @@ class VeroneseSpace:
         if self.level != 2:
             raise ValueError("the pair table is defined at level 2 only")
         return [self.leaf_points[scale_point(1, x)] for x in range(self.base.point_count)]
+
+    @cached_property
+    def coordinates(self) -> list[tuple]:
+        """The coordinate label of each base point; ValueError names the
+        first base point without one."""
+        labels = self.base.labels
+        if labels is None:
+            raise ValueError("base carries no coordinate labels")
+        missing = next((x for x in range(self.base.point_count) if x not in labels), None)
+        if missing is not None:
+            raise ValueError(f"base point {missing} carries no coordinate label")
+        return [labels[x] for x in range(self.base.point_count)]
+
+    @cached_property
+    def orthogonality(self) -> OrthogonalityTable:
+        """The base hyperplanes by normalized functional, shared by every
+        form whose orthogonality rows are read on this space."""
+        return OrthogonalityTable(self.coordinates)
+
+    @cached_property
+    def minors(self) -> list[tuple[int, tuple[int, ...]]]:
+        """(q, the k x k minors of the coordinates of x_1 < ... < x_k) for
+        each point q = x_1 + ... + x_k of k distinct base points, in
+        itertools.combinations order of the column subsets.  The minors of
+        each prefix x_1 < ... < x_r are computed once and extended by
+        Laplace expansion (algebra.extend_minors) to every x > x_r; q is
+        read off the leaf row of x_1 + ... + x_(k-1).  A point with a
+        repeated base point is left out: its minors all vanish.
+        """
+        coords, n, k = self.coordinates, self.base.point_count, self.level
+        prefixes: dict[tuple[int, ...], tuple[int, ...]] = {(): (1,)}
+        for rows in range(1, k):
+            prefixes = {t + (x,): extend_minors(m, coords[x], rows)
+                        for t, m in prefixes.items() for x in range(t[-1] + 1 if t else 0, n)}
+        out = []
+        for t, m in prefixes.items():
+            row = self.leaf_points[Multiset(tuple((x, 1) for x in t))]
+            out.extend((row[x], extend_minors(m, coords[x], k))
+                       for x in range(t[-1] + 1 if t else 0, n))
+        return out
 
     def to_json(self) -> dict:
         return {"kind": "veronese", "level": self.level,

@@ -25,7 +25,12 @@ writes each one down from its reduced echelon basis.
 is_partial_linear_by_pairs keeps every joined point pair in a dict, where
 incidence.is_partial_linear keeps one bitset row per point.
 is_hyperplane_mask tests a bitset against every line, where the scan and
-the slice census accept a full choice by their own pruning.
+the slice census accept a full choice by their own pruning;
+is_hyperplane_two_pass tests l-transversality (is_l_transversal) and the
+subspace property in two passes over the lines, where
+incidence.is_hyperplane reads each line once.  det_by_permutations sums
+a determinant over all permutations, where algebra.extend_minors expands
+minors along rows.
 gamma_classes_by_through_walk tests every line through every point of a
 plane, where gamma_plane_classes tests each line once, from its least
 point.  veblen_parallel_by_crossings tests every ordered pair of lines
@@ -47,7 +52,7 @@ import hashlib
 import itertools
 import json
 import pathlib
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from verogeo import configs, incidence as inc
 from verogeo.algebra import (AlternatingMultiForm, BilinearForm, QuadraticForm,
@@ -112,6 +117,21 @@ def is_partial_linear_by_pairs(G: IncidenceStructure) -> tuple[bool, Optional[tu
                 return False, ("double_joined", pair[0], pair[1], seen[pair], i)
             seen[pair] = i
     return True, None
+
+
+def is_l_transversal(G: IncidenceStructure, X: Iterable[int]) -> bool:
+    """Every line meets X."""
+    X = frozenset(X)
+    return all(line & X for line in G.lines)
+
+
+def is_hyperplane_two_pass(G: IncidenceStructure, X: Iterable[int]) -> bool:
+    """Proper l-transversal subspace, one pass over the lines for each
+    property, where incidence.is_hyperplane reads each line once."""
+    X = frozenset(X)
+    if len(X) == G.point_count:
+        return False
+    return is_l_transversal(G, X) and inc.is_subspace(G, X)
 
 
 def is_hyperplane_mask(G: IncidenceStructure, X: int) -> bool:
@@ -252,6 +272,24 @@ def mat_vec(M: Sequence[Sequence[int]], v: Vector, p: int) -> Vector:
 def bilinear_value(xi: BilinearForm, u: Vector, v: Vector) -> int:
     """xi(u, v) = u^T M v, where the library reads xi through perp_rows."""
     return sum(a * b for a, b in zip(u, mat_vec(xi.matrix, v, xi.p))) % xi.p
+
+
+def det_by_permutations(rows: Sequence[Sequence[int]], p: int) -> int:
+    """det mod p as the signed sum over all permutations, where the library
+    expands minors row by row (algebra.extend_minors)."""
+    total = 0
+    for perm in itertools.permutations(range(len(rows))):
+        prod = 1
+        for i, j in enumerate(perm):
+            prod *= rows[i][j]
+        total += _perm_sign(perm) * prod
+    return total % p
+
+
+def _perm_sign(perm: Sequence[int]) -> int:
+    inversions = sum(1 for i in range(len(perm)) for j in range(i + 1, len(perm))
+                     if perm[i] > perm[j])
+    return -1 if inversions % 2 else 1
 
 
 def is_symmetric(xi: BilinearForm) -> bool:
@@ -428,7 +466,7 @@ def l_transversal_from_h(V: VeroneseSpace, h: dict[Multiset, object]) -> frozens
     if missing:
         raise ValueError(f"h assigns no trace to leaves {sorted(map(str, missing))}")
     pts = assemble_from_h(V, h)
-    if not inc.is_l_transversal(V.structure, pts):
+    if not is_l_transversal(V.structure, pts):
         raise FalsificationError("leaf-trace union failed to be l-transversal")
     return pts
 

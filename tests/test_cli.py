@@ -277,6 +277,27 @@ def test_base_file_with_a_bad_label_exits_2(tmp_path, capsys, labels, message):
     assert capsys.readouterr().err.strip() == message
 
 
+@pytest.mark.parametrize("form", [
+    {"p": 3, "matrix": [[0, 1], [2, 0]]},
+    {"p": 3, "arity": 2, "dim": 2, "coeffs": {"0,1": 1}},
+], ids=["symplectic", "alternating"])
+def test_base_labelled_in_part_exits_2_naming_the_point(tmp_path, capsys, form):
+    # PG(1,3) with the label of point 0 alone: the space builds, and a form
+    # read on its coordinates names the first unlabelled point
+    base, v, f = tmp_path / "base.json", tmp_path / "v.json", tmp_path / "form.json"
+    data = projective_space(1, 3).to_json()
+    data["labels"] = {"0": data["labels"]["0"]}
+    base.write_text(json.dumps(data))
+    f.write_text(json.dumps(form))
+    assert run(["veronese", "--base", str(base), "--level", "2", "--out", str(v)]) == 0
+    capsys.readouterr()
+    rc = run(["hyperplane", "--space", str(v), "--form", str(f),
+              "--out", str(tmp_path / "h.json")])
+    assert rc == 2
+    assert "base point 1 carries no coordinate label" in capsys.readouterr().err
+    assert not (tmp_path / "h.json").exists()
+
+
 def test_base_with_a_repeated_line_exits_2(tmp_path, capsys):
     # the Fano plane with one line listed twice is no partial linear space
     base = tmp_path / "base.json"

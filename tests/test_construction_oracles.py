@@ -26,11 +26,11 @@ from math import comb
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from verogeo.algebra import (BilinearForm, QuadraticForm,
-                             alternating_forms_up_to_scalar, nullspace, perp_rows,
-                             projective_points, standard_symplectic)
+from verogeo.algebra import (AlternatingMultiForm, BilinearForm, OrthogonalityTable,
+                             QuadraticForm, alternating_forms_up_to_scalar, nullspace,
+                             perp_rows, projective_points, standard_symplectic)
 from verogeo import configs
 from verogeo.configs import (FalsificationError, QuadrangleFigure, ScanReport,
                              _join, check_net_axiom, check_parallelogram_completion,
@@ -58,9 +58,10 @@ from verogeo.veronese import build_veronese, leaf_plane_family, leaf_substructur
 from oracles import (GuidedLookups, adjacency_rows, affine_space_by_ranks,
                      assemble_from_h, bilinear_value, crosses_both,
                      crossing_line_by_provenance,
-                     crossing_rows, find_incomplete_veblen,
+                     crossing_rows, det_by_permutations, find_incomplete_veblen,
                      gamma_classes_by_through_walk, h_function_by_sums,
-                     is_hyperplane_mask, is_partial_linear_by_pairs, is_reflexive,
+                     is_hyperplane_mask, is_hyperplane_two_pass,
+                     is_partial_linear_by_pairs, is_reflexive,
                      leaf_planes_by_sums, line_points,
                      maximal_strong_subspaces, normalize_vector,
                      projective_points_by_normalizing, quadrangle_by_provenance,
@@ -409,6 +410,21 @@ def test_mask_hyperplane_test_matches_is_hyperplane(G):
         assert is_hyperplane_mask(G, sum(1 << q for q in X)) == is_hyperplane(G, X)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(small_incidence_structures(), random_partial_linear_spaces(),
+                 pg32_pieces()), st.data())
+def test_one_pass_is_hyperplane_matches_the_two_pass_oracle(G, data):
+    # the empty set, every point, a random subset, and each hyperplane with
+    # one point flipped: near misses that fail on a single line
+    n = G.point_count
+    drawn = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    sets = [frozenset(), frozenset(G.points), frozenset(q for q in G.points if drawn[q])]
+    for H in enumerate_hyperplanes(G):
+        sets += [H] + [H ^ {q} for q in G.points]
+    for X in sets:
+        assert is_hyperplane(G, X) == is_hyperplane_two_pass(G, X), sorted(X)
+
+
 @st.composite
 def spoiled_partial_linear_spaces(draw):
     """A partial linear space with lines inserted: some listed twice, some
@@ -742,6 +758,67 @@ def test_perp_rows_match_evaluate_on_a_non_reflexive_form():
     # row i is xi(c_i, .), not xi(., c_i)
     assert rows != [frozenset(j for j, v in enumerate(coords)
                               if bilinear_value(xi, v, u) == 0) for u in coords]
+
+
+@st.composite
+def forms_on_vectors(draw):
+    """An alternating form of arity 1-4 over GF(2), GF(3), GF(5) or GF(7)
+    and arguments drawn from a small pool, so that some repeat."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    arity = draw(st.integers(1, 4))
+    dim = draw(st.integers(arity, arity + 2))
+    subsets = list(itertools.combinations(range(dim), arity))
+    coeffs = draw(st.dictionaries(st.sampled_from(subsets), st.integers(0, p - 1)))
+    pool = draw(st.lists(st.tuples(*[st.integers(0, p - 1)] * dim), min_size=1, max_size=3))
+    vectors = draw(st.lists(st.sampled_from(pool), min_size=arity, max_size=arity))
+    return AlternatingMultiForm.from_dict(p, arity, dim, coeffs), vectors
+
+
+@settings(max_examples=400, deadline=None)
+@given(forms_on_vectors())
+def test_alternating_evaluate_matches_the_permutation_determinant(case):
+    eta, vectors = case
+    want = sum(c * det_by_permutations([[v[i] for i in idx] for v in vectors], eta.p)
+               for idx, c in eta.coeffs) % eta.p
+    assert eta.evaluate(vectors) == want
+    if len(set(vectors)) < len(vectors):
+        assert want == 0
+
+
+@st.composite
+def forms_with_coordinates(draw):
+    """A non-reflexive bilinear form of dimension 2-6 over GF(p), p up to
+    13, and coordinates that include the all-(p-1) vector, whose dot
+    products fill the packed fields the most."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+    dim = draw(st.integers(2, 6))
+    entries = st.integers(0, p - 1)
+    xi = BilinearForm(p, draw(st.tuples(*[st.tuples(*[entries] * dim)] * dim)))
+    coords = draw(st.lists(st.tuples(*[entries] * dim), max_size=20))
+    return xi, coords + [(p - 1,) * dim]
+
+
+@settings(max_examples=300, deadline=None)
+@given(forms_with_coordinates(), forms_with_coordinates())
+def test_packed_perp_rows_match_bilinear_value(case, other):
+    xi, coords = case
+    assume(not is_reflexive(xi))
+    want = [frozenset(j for j, v in enumerate(coords) if bilinear_value(xi, u, v) == 0)
+            for u in coords]
+    assert perp_rows(xi, coords) == want
+    # one table read by a second form, over another field or dimension,
+    # then by the first again: the rows are kept apart by p and normal
+    table = OrthogonalityTable(coords)
+    assert table.rows(xi) == want
+    zeta = other[0]
+    if zeta.dim == xi.dim:
+        assert table.rows(zeta) == [
+            frozenset(j for j, v in enumerate(coords) if bilinear_value(zeta, u, v) == 0)
+            for u in coords]
+    else:
+        with pytest.raises(ValueError, match=f"dimension {zeta.dim}"):
+            table.rows(zeta)
+    assert table.rows(xi) == want
 
 
 def test_pair_table_matches_multiset_lookup():

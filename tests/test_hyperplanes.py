@@ -1,9 +1,12 @@
+import hashlib
+import json
 from unittest import mock
 
 import pytest
 
 from verogeo import incidence
-from verogeo.algebra import (BilinearForm, QuadraticForm, determinant_form,
+from verogeo.algebra import (BilinearForm, QuadraticForm, alternating_forms_up_to_scalar,
+                             determinant_form,
                              standard_symplectic)
 from verogeo.hyperplanes import (FULL, VeroneseHyperplane, _base_prime, census,
                                  enumerate_hyperplanes_level2, extract_h_function,
@@ -11,8 +14,8 @@ from verogeo.hyperplanes import (FULL, VeroneseHyperplane, _base_prime, census,
                                  hyperplane_from_symplectic, leaf_pencil,
                                  polar_hyperplane, slice_census, vari1_construction,
                                  verify_characterization)
-from verogeo.incidence import (enumerate_hyperplanes, is_hyperplane,
-                               is_l_transversal, is_subspace)
+from verogeo.incidence import (IncidenceStructure, enumerate_hyperplanes, is_hyperplane,
+                               is_subspace)
 from verogeo.multiset import EMPTY, scale_point
 from verogeo.spaces import (affine_space, polar_space_quadratic,
                             polar_space_symplectic, projective_hyperplanes,
@@ -20,7 +23,8 @@ from verogeo.spaces import (affine_space, polar_space_quadratic,
 from verogeo.veronese import build_veronese
 
 from oracles import (assert_pinned_verdict, bilinear_value, is_hyperplane_mask,
-                     is_nondegenerate_alternating, l_transversal_from_h)
+                     is_l_transversal, is_nondegenerate_alternating,
+                     l_transversal_from_h)
 
 
 def v2(n, p):
@@ -499,3 +503,42 @@ def test_polar_hyperplane_census_q33():
     assert v.details["enumerated"] == 491
     assert v.details["from_ambient_intersections"] == 404
     assert v.details["beyond_intersections"] == 87
+
+
+def _digest(sets):
+    """sha256 of the sorted list of the sorted point tuples, repeats kept."""
+    return hashlib.sha256(json.dumps(sorted(sorted(s) for s in sets)).encode()).hexdigest()
+
+
+HYPERBOLIC_Q33 = QuadraticForm(3, ((0, 1, 0, 0), (0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 0, 0)))
+
+# the relabelling of PG(2,3) that perfbench's build workload draws for seed 1
+BUILD_SEED_1_PG23 = [10, 11, 1, 6, 8, 3, 5, 2, 0, 9, 12, 7, 4]
+
+
+def test_constructed_point_sets_are_pinned():
+    # digests taken before the constructors read index tables (the
+    # orthogonality table, the minors table, the leaf-row lift): the same
+    # point sets, form by form
+    VP = v2(3, 3)
+    sym = [hyperplane_from_symplectic(VP, xi) for xi in alternating_forms_up_to_scalar(4, 3)]
+    assert len(sym) == 364
+    assert _digest(H.points for H in sym) == (
+        "49a276e63b0992888f03b09a2c4923259f6d674ce7c11b07c8261b403c481e10")
+    Vq = build_veronese(polar_space_quadratic(HYPERBOLIC_Q33)[0], 2)
+    polar = [polar_hyperplane(Vq, H) for H in sym]
+    for F in projective_hyperplanes(VP.base, 3):
+        U = leaf_pencil(VP, F)
+        polar.append(polar_hyperplane(Vq, VeroneseHyperplane(VP, U, extract_h_function(VP, U))))
+    assert len(polar) == 404
+    assert _digest(polar) == "200f84c6ee323fa34433593ef3c30fde205824f444e909c617666d6b364eeba9"
+    pg23 = projective_space(2, 3)
+    relabelled = IncidenceStructure(
+        13, [[BUILD_SEED_1_PG23[q] for q in line] for line in pg23.lines],
+        labels={BUILD_SEED_1_PG23[q]: c for q, c in pg23.labels.items()})
+    for base, want in (
+            (pg23, "7101837e7e888176d8dff041c14a85ef65f660469045852e2ef22d6d57a5ef01"),
+            (relabelled, "ca130de0efc4652520c17a10cd81e753cd2060ad11d50cf41d394ef78dd9c879")):
+        H = hyperplane_from_alternating(build_veronese(base, 3), determinant_form(3, 3))
+        assert len(H.points) == 221
+        assert _digest([H.points]) == want

@@ -9,16 +9,16 @@ from verogeo import incidence
 from verogeo.algebra import QuadraticForm, standard_symplectic
 from verogeo.incidence import (IncidenceStructure, enumerate_hyperplanes,
                                gamma_plane_classes, is_flappy, is_hyperplane,
-                               is_l_transversal, is_partial_linear, is_spiky,
-                               is_strong, is_subspace, subspace_closure,
-                               veblen_parallel_lines)
+                               is_partial_linear, is_spiky, is_strong,
+                               is_subspace, subspace_closure, veblen_parallel_lines)
 from verogeo.multiset import Multiset
 from verogeo.spaces import (polar_space_quadratic, polar_space_symplectic,
                             projective_hyperplanes, projective_plane_family,
                             projective_space)
 from verogeo.veronese import build_veronese
 
-from oracles import adjacency_rows, is_connected, maximal_strong_subspaces
+from oracles import (adjacency_rows, is_connected, is_l_transversal,
+                     maximal_strong_subspaces)
 
 
 def fano():
