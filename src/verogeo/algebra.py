@@ -135,30 +135,23 @@ def is_nondegenerate(xi: BilinearForm) -> bool:
     return not radical(xi)
 
 
-def perp_rows(xi: BilinearForm, coords: Sequence[Vector]) -> list[frozenset[int]]:
-    """rows[i] = {j : xi(coords[i], coords[j]) = 0}, the orthogonality table.
-
-    For a symplectic form row i is the quasi-correlation kappa(x_i) =
-    x_i^perp as a set of point indices.  Read through a fresh
-    OrthogonalityTable; the forms over one coordinate list share one.
-    Coordinates whose length is not xi.dim are refused.
-    """
-    return OrthogonalityTable(coords).rows(xi)
-
-
 class OrthogonalityTable:
-    """perp_rows for every bilinear form over one list of coordinates.
+    """The orthogonality rows of every bilinear form over one list of
+    coordinates: rows(xi)[i] = {j : xi(coords[i], coords[j]) = 0}, for a
+    symplectic form the quasi-correlation kappa(x_i) = x_i^perp.
 
     Row i of a form with matrix M is the base hyperplane with normal
-    w = coords[i]^T M: the points j with w . coords[j] = 0, every point
-    when w = 0.  Proportional normals give one row, so the rows are held
-    in one table keyed by p and w scaled to a first nonzero entry 1, each
-    computed the first time a form needs it; the forms read through one
-    table share its rows.  A dot product is one multiply and shift on
-    packed ints: coords[j] is held with entry t in the field at bit s*t
-    and w in the reverse order, so the field at bit s*(d-1) of their
-    product is w . coords[j], s being wide enough that no field of the
-    product, a sum of at most d terms below p^2, carries into the next.
+    w = coords[i]^T M, hyperplane(p, w): the points j with
+    w . coords[j] = 0, every point when w = 0.  Proportional normals give
+    one row, so the rows are held in one table keyed by p and w scaled to
+    a first nonzero entry 1, each computed the first time a form needs
+    it; the forms read through one table share its rows.  A dot product
+    is one multiply and shift on packed ints: coords[j] is held with
+    entry t in the field at bit s*t and w in the reverse order, so the
+    field at bit s*(d-1) of their product is w . coords[j], s being wide
+    enough that no field of the product, a sum of at most d terms below
+    p^2, carries into the next.  Coordinates whose length is not that of
+    w, or the form's dimension, are refused.
     """
 
     def __init__(self, coords: Sequence[Vector]):
@@ -168,8 +161,7 @@ class OrthogonalityTable:
         self._rows: dict[tuple[int, Vector], frozenset[int]] = {}
 
     def rows(self, xi: BilinearForm) -> list[frozenset[int]]:
-        if self._lengths - {xi.dim}:
-            raise ValueError(f"a form of dimension {xi.dim} needs coordinates of that length")
+        # a row of another length is never stored: hyperplane refuses it
         p, table = xi.p, self._rows
         columns = list(zip(*xi.matrix))
         out = []
@@ -182,12 +174,14 @@ class OrthogonalityTable:
             key = (p, tuple(w))
             row = table.get(key)
             if row is None:
-                row = table[key] = self._hyperplane(p, w)
+                row = table[key] = self.hyperplane(p, w)
             out.append(row)
         return out
 
-    def _hyperplane(self, p: int, w: list[int]) -> frozenset[int]:
+    def hyperplane(self, p: int, w: Sequence[int]) -> frozenset[int]:
         """{j : w . coords[j] = 0 mod p}, read on packed ints."""
+        if self._lengths - {len(w)}:
+            raise ValueError(f"a form of dimension {len(w)} needs coordinates of that length")
         if p not in self._packed:
             s = (len(w) * (p - 1) ** 2).bit_length()
             self._packed[p] = s, [sum(a % p << s * t for t, a in enumerate(u))
@@ -279,9 +273,9 @@ class QuadraticForm:
 class AlternatingMultiForm:
     """k-linear alternating form given by coefficients on increasing k-tuples.
 
-    Evaluation expands each argument tuple against the coefficient table
-    via its k x k minors (extend_minors), so multilinearity and the
-    alternating law hold by construction.
+    It is read on the k x k minors of its arguments (on_minors, the minors
+    built by extend_minors), so multilinearity and the alternating law
+    hold by construction.
     """
 
     p: int
@@ -302,14 +296,6 @@ class AlternatingMultiForm:
             if val % p:
                 cleaned[key] = val % p
         return AlternatingMultiForm(p, arity, dim, tuple(sorted(cleaned.items())))
-
-    def evaluate(self, vectors: Sequence[Vector]) -> int:
-        if len(vectors) != self.arity:
-            raise ValueError(f"arity {self.arity} form applied to {len(vectors)} vectors")
-        minors: tuple[int, ...] = (1,)
-        for rows, v in enumerate(vectors, 1):
-            minors = extend_minors(minors, v, rows)
-        return self.on_minors(minors)
 
     def on_minors(self, minors: Sequence[int]) -> int:
         """eta on k vectors from their k x k minors, one per k-subset of

@@ -175,14 +175,8 @@ def cmd_veronese(args) -> int:
 def cmd_hyperplane(args) -> int:
     V = _load_veronese(args.space)
     form = _load_form(args.form)
-    if isinstance(form, AlternatingMultiForm) and form.arity != 2:
+    if isinstance(form, AlternatingMultiForm):
         H = hyperplane_from_alternating(V, form)
-    elif isinstance(form, AlternatingMultiForm):
-        M = [[0] * form.dim for _ in range(form.dim)]
-        for (i, j), c in form.coeffs:
-            M[i][j] = c
-            M[j][i] = (-c) % form.p
-        H = hyperplane_from_symplectic(V, BilinearForm(form.p, tuple(map(tuple, M))))
     elif isinstance(form, BilinearForm):
         H = hyperplane_from_symplectic(V, form)
     else:

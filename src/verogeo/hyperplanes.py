@@ -19,8 +19,11 @@ Polar spaces: intersecting a projective-Veronese hyperplane with the
 polar point universe yields a hyperplane of the polar Veronese; each polar
 point is lifted to the projective one through the leaf tables.
 
-Every construction keeps its hyperplane check, incidence.is_hyperplane,
-one pass over the lines of the space.
+Each form construction first fits the form to the space in one check:
+its field against V.field, the field the base shows, cached once per
+space, then its dimension against the coordinate length.  Every
+construction keeps its hyperplane check, incidence.is_hyperplane, one
+pass over the lines of the space.
 
 Exhaustive enumeration has one entry, census(V).  Over 3-point lines
 (p = 2) it is linear algebra: the complements of the hyperplanes are the
@@ -44,8 +47,7 @@ from typing import Optional, Sequence
 
 from . import incidence as inc
 from .algebra import (AlternatingMultiForm, BilinearForm,
-                      alternating_forms_up_to_scalar, is_prime, is_symplectic,
-                      vec_add, vec_scale)
+                      alternating_forms_up_to_scalar, is_symplectic)
 from .configs import FalsificationError, _join
 from .multiset import EMPTY, Multiset, enumerate_multisets, scale_point
 from .veronese import VeroneseSpace, build_veronese
@@ -103,7 +105,7 @@ def hyperplane_from_symplectic(V: VeroneseSpace, xi: BilinearForm) -> VeroneseHy
     """
     if V.level != 2:
         raise ValueError("symplectic construction needs a level-2 Veronese space")
-    _refuse_other_field(V, xi.p)
+    _fit(V, xi.p, xi.dim)
     if xi.p == 2:
         raise ValueError("odd characteristic required")
     if not is_symplectic(xi):
@@ -133,7 +135,7 @@ def vari1_construction(V: VeroneseSpace, xi: BilinearForm,
     """
     if V.level != 2:
         raise ValueError("construction needs level 2")
-    _refuse_other_field(V, xi.p)
+    _fit(V, xi.p, xi.dim)
     kappa = V.orthogonality.rows(xi)
     pair = V.pair
     points = frozenset([pair[i][j] for i, row in enumerate(kappa) for j in row]
@@ -165,17 +167,17 @@ def hyperplane_from_alternating(V: VeroneseSpace,
                                 eta: AlternatingMultiForm) -> VeroneseHyperplane:
     """H = multisets whose expansions are eta-orthogonal tuples.
 
-    The arity must equal the level, and the coordinate length eta.dim.  A
-    repeated point gives every k x k minor two equal rows, so it lands in
-    H and the complement consists of genuine k-subsets: eta is read off
-    V.minors, the minors of each k-subset of base points, one dot product
-    with eta's coefficients per point.  Verified hyperplane.
+    The arity must equal the level, and the form be nonzero.  A repeated
+    point gives every k x k minor two equal rows, so it lands in H and the
+    complement consists of genuine k-subsets: eta is read off V.minors,
+    the minors of each k-subset of base points, one dot product with
+    eta's coefficients per point.  Verified hyperplane.
     """
     if eta.arity != V.level:
         raise ValueError(f"arity {eta.arity} does not match level {V.level}")
-    _refuse_other_field(V, eta.p)
-    if any(len(u) != eta.dim for u in V.coordinates):
-        raise ValueError(f"a form of dimension {eta.dim} needs coordinates of that length")
+    _fit(V, eta.p, eta.dim)
+    if not eta.coeffs:
+        raise ValueError("zero form rejected")
     outside = {q for q, minors in V.minors if eta.on_minors(minors)}
     pts = frozenset(q for q in range(len(V.points)) if q not in outside)
     if not inc.is_hyperplane(V.structure, pts):
@@ -357,8 +359,7 @@ def verify_characterization(V: VeroneseSpace, mode: str) -> CharacterizationRepo
     extracted trace function, the symmetry of its point relation, and a
     leaf-pencil match when one exists.
     """
-    dim = len(V.coordinates[0])
-    p = _base_prime(V)
+    dim, p = len(V.coordinates[0]), V.field
     if p is None:
         raise ValueError("could not infer the base field size")
     constructed = []
@@ -402,25 +403,12 @@ def verify_characterization(V: VeroneseSpace, mode: str) -> CharacterizationRepo
     )
 
 
-def _base_prime(V: VeroneseSpace) -> Optional[int]:
-    """The p of a base whose first line is a line of PG(n, p) in its
-    coordinates, else None: with two of its p + 1 points, u and v, the
-    nonzero a*u + b*v are the nonzero multiples of its points.  A base
-    labelled in part is refused (VeroneseSpace.coordinates)."""
-    G = V.base
-    line = [V.coordinates[q] for q in sorted(G.lines[0])] if G.labels and G.lines else []
-    p = len(line) - 1
-    if not is_prime(p):
-        return None
-    u, v = line[:2]
-    span = {vec_add(vec_scale(a, u, p), vec_scale(b, v, p), p)
-            for a in range(p) for b in range(p)} - {(0,) * len(u)}
-    return p if span == {vec_scale(c, w, p) for w in line for c in range(1, p)} else None
-
-
-def _refuse_other_field(V: VeroneseSpace, p: int) -> None:
-    # a base that shows no field (an affine one, say) is checked for the
-    # coordinate length alone
-    base_p = _base_prime(V)
-    if base_p is not None and p != base_p:
-        raise ValueError(f"form over GF({p}) does not match the base over GF({base_p})")
+def _fit(V: VeroneseSpace, p: int, dim: int) -> None:
+    """Refuse a form over GF(p) of dimension dim that does not fit V: a
+    field other than the one V's base shows (a base that shows none, an
+    affine one say, is checked for the dimension alone), then a dimension
+    other than the length of V's coordinates."""
+    if V.field is not None and p != V.field:
+        raise ValueError(f"form over GF({p}) does not match the base over GF({V.field})")
+    if any(len(u) != dim for u in V.coordinates):
+        raise ValueError(f"a form of dimension {dim} needs coordinates of that length")

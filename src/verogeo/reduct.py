@@ -28,7 +28,7 @@ from functools import cached_property
 from typing import Collection, Optional, Sequence
 
 from . import incidence as inc
-from .algebra import perp_rows
+from .algebra import OrthogonalityTable
 from .configs import FalsificationError, _join, quadrangle_crossings
 from .hyperplanes import VeroneseHyperplane
 from .incidence import IncidenceStructure, subspace_closure
@@ -738,7 +738,7 @@ def net_violation_shape_on_base(P, xi) -> Optional[tuple]:
     b2) or None after complete enumeration; over GF(3) the answer is None,
     over GF(5) a witness exists.
     """
-    kappa = perp_rows(xi, [P.labels[i] for i in range(P.point_count)])
+    kappa = OrthogonalityTable([P.labels[i] for i in range(P.point_count)]).rows(xi)
     through = P.lines_through()
     for v, w in ((v, w) for v in P.points for w in sorted(kappa[v]) if w != v):
         ms = [mi for mi in through[v] if w not in P.lines[mi] and not P.lines[mi] <= kappa[w]]

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import algebra
-from .algebra import (BilinearForm, QuadraticForm, Vector, projective_points,
-                      vec_add, vec_scale)
+from .algebra import (BilinearForm, OrthogonalityTable, QuadraticForm, Vector,
+                      projective_points, vec_add, vec_scale)
 from .incidence import IncidenceStructure
 
 
@@ -123,12 +123,9 @@ def _echelon_spans(pts: Sequence[Vector], p: int, k: int) -> list[frozenset[int]
 def projective_hyperplanes(G: IncidenceStructure, p: int) -> list[frozenset[int]]:
     """Hyperplanes of PG from linear functionals; each is a point set."""
     pts = [G.labels[i] for i in range(G.point_count)]
-    dim = len(pts[0])
-    out = []
-    for f in projective_points(dim, p):
-        out.append(frozenset(i for i, v in enumerate(pts)
-                             if sum(a * b for a, b in zip(f, v)) % p == 0))
-    return sorted(set(out), key=sorted)
+    table = OrthogonalityTable(pts)
+    return sorted({table.hyperplane(p, f) for f in projective_points(len(pts[0]), p)},
+                  key=sorted)
 
 
 def projective_plane_family(G: IncidenceStructure, p: int) -> list[frozenset[int]]:
@@ -184,7 +181,7 @@ def polar_space_symplectic(xi: BilinearForm) -> IncidenceStructure:
         raise ValueError("degenerate symplectic form rejected")
     p = xi.p
     G = projective_space(xi.dim - 1, p)
-    rows = algebra.perp_rows(xi, [G.labels[i] for i in range(G.point_count)])
+    rows = OrthogonalityTable([G.labels[i] for i in range(G.point_count)]).rows(xi)
     # any two points span their line: it is totally isotropic iff they are orthogonal
     lines = [line for line in G.lines if sorted(line)[1] in rows[min(line)]]
     return IncidenceStructure(G.point_count, lines, labels=dict(G.labels))

@@ -24,7 +24,7 @@ from typing import Callable, Optional
 
 from . import incidence as inc
 from .algebra import (BilinearForm, QuadraticForm, alternating_forms_up_to_scalar,
-                      determinant_form, perp_rows, standard_symplectic)
+                      determinant_form, standard_symplectic)
 from .configs import (BASE_EMBEDDED, CROSS_DOUBLE_OR_MEET_TRANSLATE,
                       CROSS_POINT_JOIN, CROSS_TRANSLATE_OF_JOIN,
                       FOUR_POINT_TRANSLATE, THREE_LINE_TYPE, THREE_POINT_WITH_2M,
@@ -303,7 +303,7 @@ def suite_negative_control() -> list[Verdict]:
         identity = BilinearForm(3, tuple(tuple(1 if i == j else 0
                                                for j in range(3))
                                          for i in range(3)))
-        rows = perp_rows(identity, [V.base.labels[i] for i in range(13)])
+        rows = V.orthogonality.rows(identity)
         selfconj = {i for i, row in enumerate(rows) if i in row}
         h0 = next(h for h in projective_hyperplanes(V.base, 3)
                   if not h <= selfconj)

@@ -16,9 +16,10 @@ block_line[b] = the index of B.  So two blocks through e + r*x and
 e + r*y share e, r and a base line through x and y: over a partial linear
 space M0, V(k, M0) is one too, and build_veronese checks M0 alone.
 
-The form constructions of hyperplanes read three tables cached on the
-space: the base coordinates, the orthogonality table shared by every
-bilinear form, and the minors of each k-subset of base points.
+The form constructions of hyperplanes read four things cached on the
+space: the base coordinates, the base field they show, the orthogonality
+table shared by every bilinear form, and the minors of each k-subset of
+base points.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .algebra import OrthogonalityTable, extend_minors
+from .algebra import OrthogonalityTable, extend_minors, is_prime, vec_add, vec_scale
 from .incidence import IncidenceStructure, is_partial_linear
 from .multiset import (Multiset, enumerate_lower_multisets,
                        enumerate_multisets, scale, scale_point)
@@ -71,6 +72,21 @@ class VeroneseSpace:
         if missing is not None:
             raise ValueError(f"base point {missing} carries no coordinate label")
         return [labels[x] for x in range(self.base.point_count)]
+
+    @cached_property
+    def field(self) -> Optional[int]:
+        """The p of a base whose first line is a line of PG(n, p) in its
+        coordinates, else None: with two of its p + 1 points, u and v, the
+        nonzero a*u + b*v are the nonzero multiples of its points."""
+        lines = self.base.lines
+        line = [self.coordinates[q] for q in sorted(lines[0])] if lines else []
+        p = len(line) - 1
+        if not is_prime(p):
+            return None
+        u, v = line[:2]
+        span = {vec_add(vec_scale(a, u, p), vec_scale(b, v, p), p)
+                for a in range(p) for b in range(p)} - {(0,) * len(u)}
+        return p if span == {vec_scale(c, w, p) for w in line for c in range(1, p)} else None
 
     @cached_property
     def orthogonality(self) -> OrthogonalityTable:

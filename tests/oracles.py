@@ -15,7 +15,9 @@ affine_space_by_ranks sorts the lines of AG(n,p) through a rank
 permutation.  check_preparallelism and check_euclid decide the
 parallelism axioms on a ParallelStructure directly.
 bilinear_value evaluates a bilinear form as u^T M v (with mat_vec), where
-the library reads its orthogonality rows off algebra.perp_rows.
+the library reads its orthogonality rows off algebra.OrthogonalityTable;
+alternating_value evaluates an alternating form on its arguments, where
+the library reads it off the minors table VeroneseSpace.minors.
 leaf_closed_search_two_recursions is the leaf-closed parallelism search
 as two nested recursions (one per class, one per block), each counting
 its own nodes, which parallelism runs as one.
@@ -56,8 +58,8 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from verogeo import configs, incidence as inc
 from verogeo.algebra import (AlternatingMultiForm, BilinearForm, QuadraticForm,
-                             Vector, is_symplectic, projective_points,
-                             vec_add, vec_scale)
+                             Vector, extend_minors, is_symplectic,
+                             projective_points, vec_add, vec_scale)
 from verogeo.configs import (BASE_EMBEDDED, CROSS_DOUBLE_OR_MEET_TRANSLATE,
                              CROSS_POINT_JOIN, CROSS_TRANSLATE_OF_JOIN,
                              FOUR_POINT_TRANSLATE, THREE_LINE_TYPE,
@@ -270,8 +272,20 @@ def mat_vec(M: Sequence[Sequence[int]], v: Vector, p: int) -> Vector:
 
 
 def bilinear_value(xi: BilinearForm, u: Vector, v: Vector) -> int:
-    """xi(u, v) = u^T M v, where the library reads xi through perp_rows."""
+    """xi(u, v) = u^T M v, where the library reads xi through
+    OrthogonalityTable."""
     return sum(a * b for a, b in zip(u, mat_vec(xi.matrix, v, xi.p))) % xi.p
+
+
+def alternating_value(eta: AlternatingMultiForm, vectors: Sequence[Vector]) -> int:
+    """eta on its arguments, from their k x k minors expanded one row at a
+    time, where the library reads eta off VeroneseSpace.minors."""
+    if len(vectors) != eta.arity:
+        raise ValueError(f"arity {eta.arity} form applied to {len(vectors)} vectors")
+    minors: tuple[int, ...] = (1,)
+    for rows, v in enumerate(vectors, 1):
+        minors = extend_minors(minors, v, rows)
+    return eta.on_minors(minors)
 
 
 def det_by_permutations(rows: Sequence[Sequence[int]], p: int) -> int:
@@ -311,7 +325,7 @@ def is_nondegenerate_alternating(eta: AlternatingMultiForm,
     """No point annihilates all completions: for every q some tuple with
     first argument q evaluates nonzero."""
     for q in points:
-        if not any(eta.evaluate((q,) + rest)
+        if not any(alternating_value(eta, (q,) + rest)
                    for rest in itertools.combinations(points, eta.arity - 1)):
             return False
     return True

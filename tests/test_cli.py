@@ -481,7 +481,15 @@ def test_hyperplane_rejects_quadratic_form(tmp_path, capsys):
      "dimension 4"),
     ({"p": 5, "matrix": [[0, 1, 0], [4, 0, 0], [0, 0, 0]]}, "GF(5) does not match"),
     ({"p": 5, "arity": 3, "dim": 3, "coeffs": {"0,1,2": 1}}, "GF(5) does not match"),
-], ids=["dim4", "gf5", "gf5-arity3"])
+    # the field is refused before the dimension, and both before the
+    # checks of each construction
+    ({"p": 5, "matrix": [[1, 0], [0, 1]]}, "GF(5) does not match the base over GF(3)"),
+    ({"p": 2, "matrix": [[0, 1, 0], [1, 0, 0], [0, 0, 0]]}, "GF(2) does not match"),
+    ({"p": 3, "matrix": [[1, 0], [0, 1]]}, "a form of dimension 2 needs coordinates"),
+    ({"p": 3, "matrix": [[0, 0], [0, 0]]}, "a form of dimension 2 needs coordinates"),
+    ({"p": 3, "arity": 3, "dim": 2, "coeffs": {}}, "a form of dimension 2 needs coordinates"),
+], ids=["dim4", "gf5", "gf5-arity3", "gf5-before-dim2", "gf2-before-characteristic",
+        "dim2-before-symplectic", "dim2-before-zero", "dim2-before-zero-arity3"])
 def test_hyperplane_refuses_a_form_that_does_not_match_the_base(tmp_path, capsys, form,
                                                                 message):
     v = tmp_path / "v.json"
@@ -541,6 +549,65 @@ def test_hyperplane_from_arity1_alternating_form(tmp_path, capsys):
     assert run(["hyperplane", "--space", str(v2), "--form", str(f), "--out", str(h)]) == 2
     assert "arity 1 does not match level 2" in capsys.readouterr().err
     assert not h.exists()
+
+
+def _hyperplane_run(tmp_path, base, level, form):
+    """verogeo hyperplane of the form on V(level, base): the exit code and
+    the written hyperplane, None when none was written."""
+    v, f, h = tmp_path / "v.json", tmp_path / "form.json", tmp_path / "h.json"
+    f.write_text(json.dumps(form))
+    assert run(["veronese", "--base", base, "--level", str(level), "--out", str(v)]) == 0
+    rc = run(["hyperplane", "--space", str(v), "--form", str(f), "--out", str(h)])
+    return rc, json.loads(h.read_text()) if h.exists() else None
+
+
+@pytest.mark.parametrize("base,form,message", [
+    ("pg:2:3", {"p": 3, "arity": 2, "dim": 3, "coeffs": {}}, "zero form rejected"),
+    ("pg:2:3", {"p": 3, "arity": 2, "dim": 3, "coeffs": {"0,1": 3}}, "zero form rejected"),
+    ("pg:2:3", {"p": 3, "arity": 3, "dim": 3, "coeffs": {}}, "zero form rejected"),
+    ("pg:2:3", {"p": 3, "arity": 3, "dim": 3, "coeffs": {"0,1,2": 3}}, "zero form rejected"),
+    ("pg:2:3", {"p": 3, "matrix": [[1, 0, 0], [0, 0, 0], [0, 0, 0]]},
+     "form is not symplectic; construction not applicable"),
+    ("pg:2:3", {"p": 3, "matrix": [[0, 0, 0], [0, 0, 0], [0, 0, 0]]}, "zero form rejected"),
+], ids=["zero-arity2", "arity2-reduces-to-zero", "zero-arity3", "arity3-reduces-to-zero",
+        "not-symplectic", "zero-bilinear"])
+def test_hyperplane_refuses_a_form_the_construction_cannot_take(tmp_path, capsys, base,
+                                                                form, message):
+    # an input error, not a failed check: a zero alternating form of arity
+    # 3 used to fail the hyperplane check and exit 1
+    rc, H = _hyperplane_run(tmp_path, base, form.get("arity", 2), form)
+    assert (rc, H) == (2, None)
+    assert message in capsys.readouterr().err
+
+
+def test_arity2_alternating_form_gives_the_symplectic_hyperplane(tmp_path):
+    # the alternating route and the symplectic one agree on V(2, PG(2,3));
+    # only the source differs
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    rc_a, alt = _hyperplane_run(tmp_path / "a", "pg:2:3", 2,
+                                {"p": 3, "arity": 2, "dim": 3, "coeffs": {"0,1": 1, "1,2": 2}})
+    rc_b, sym = _hyperplane_run(tmp_path / "b", "pg:2:3", 2,
+                                {"p": 3, "matrix": [[0, 1, 0], [2, 0, 2], [0, 1, 0]]})
+    assert rc_a == rc_b == 0
+    assert (alt.pop("source"), sym.pop("source")) == ("alternating", "symplectic")
+    assert alt == sym
+
+
+def test_arity2_alternating_form_over_gf2_is_built(tmp_path, capsys):
+    # the alternating construction takes characteristic 2; the symplectic
+    # one, read off a bilinear form, still refuses it
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    rc, H = _hyperplane_run(tmp_path / "a", "pg:2:2", 2,
+                            {"p": 2, "arity": 2, "dim": 3, "coeffs": {"0,1": 1}})
+    # the 12 points x + y whose first two coordinates are independent lie
+    # outside, and the radical point (0,0,1) makes the hyperplane degenerate
+    assert (rc, H["source"], len(H["points"]), H["degenerate"]) == (0, "alternating", 16, True)
+    rc, H = _hyperplane_run(tmp_path / "b", "pg:2:2", 2,
+                            {"p": 2, "matrix": [[0, 1, 0], [1, 0, 0], [0, 0, 0]]})
+    assert (rc, H) == (2, None)
+    assert "odd characteristic required" in capsys.readouterr().err
 
 
 def test_recover_refuses_a_level3_reduct(tmp_path, capsys):

@@ -30,7 +30,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from verogeo.algebra import (AlternatingMultiForm, BilinearForm, OrthogonalityTable,
                              QuadraticForm, alternating_forms_up_to_scalar, nullspace,
-                             perp_rows, projective_points, standard_symplectic)
+                             projective_points, standard_symplectic)
 from verogeo import configs
 from verogeo.configs import (FalsificationError, QuadrangleFigure, ScanReport,
                              _join, check_net_axiom, check_parallelogram_completion,
@@ -56,7 +56,7 @@ from verogeo.verify import _reduct_pg33, _symplectic_hyperplane_pg33, _vpg
 from verogeo.veronese import build_veronese, leaf_plane_family, leaf_substructure
 
 from oracles import (GuidedLookups, adjacency_rows, affine_space_by_ranks,
-                     assemble_from_h, bilinear_value, crosses_both,
+                     alternating_value, assemble_from_h, bilinear_value, crosses_both,
                      crossing_line_by_provenance,
                      crossing_rows, det_by_permutations, find_incomplete_veblen,
                      gamma_classes_by_through_walk, h_function_by_sums,
@@ -752,7 +752,7 @@ def test_perp_rows_match_evaluate_on_a_non_reflexive_form():
                                for _ in range(3)))
     assert not is_reflexive(xi)
     coords = projective_points(3, 5)
-    rows = perp_rows(xi, coords)
+    rows = OrthogonalityTable(coords).rows(xi)
     assert rows == [frozenset(j for j, v in enumerate(coords)
                               if bilinear_value(xi, u, v) == 0) for u in coords]
     # row i is xi(c_i, .), not xi(., c_i)
@@ -780,7 +780,7 @@ def test_alternating_evaluate_matches_the_permutation_determinant(case):
     eta, vectors = case
     want = sum(c * det_by_permutations([[v[i] for i in idx] for v in vectors], eta.p)
                for idx, c in eta.coeffs) % eta.p
-    assert eta.evaluate(vectors) == want
+    assert alternating_value(eta, vectors) == want
     if len(set(vectors)) < len(vectors):
         assert want == 0
 
@@ -805,7 +805,7 @@ def test_packed_perp_rows_match_bilinear_value(case, other):
     assume(not is_reflexive(xi))
     want = [frozenset(j for j, v in enumerate(coords) if bilinear_value(xi, u, v) == 0)
             for u in coords]
-    assert perp_rows(xi, coords) == want
+    assert OrthogonalityTable(coords).rows(xi) == want
     # one table read by a second form, over another field or dimension,
     # then by the first again: the rows are kept apart by p and normal
     table = OrthogonalityTable(coords)

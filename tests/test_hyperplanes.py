@@ -8,7 +8,7 @@ from verogeo import incidence
 from verogeo.algebra import (BilinearForm, QuadraticForm, alternating_forms_up_to_scalar,
                              determinant_form,
                              standard_symplectic)
-from verogeo.hyperplanes import (FULL, VeroneseHyperplane, _base_prime, census,
+from verogeo.hyperplanes import (FULL, VeroneseHyperplane, census,
                                  enumerate_hyperplanes_level2, extract_h_function,
                                  hyperplane_from_alternating,
                                  hyperplane_from_symplectic, leaf_pencil,
@@ -281,14 +281,14 @@ def test_characterization_v2_pg13():
 
 @pytest.mark.parametrize("n,p", [(2, 2), (1, 3), (2, 3), (1, 5)])
 def test_base_prime_from_line_size(n, p):
-    assert _base_prime(v2(n, p)) == p
+    assert v2(n, p).field == p
 
 
 def test_base_prime_rejects_a_base_that_is_no_projective_space():
     # AG(2,3): 3-point lines would mean GF(2), but its coordinates are over
     # GF(3); AG(2,5): 5-point lines would mean GF(4), which is no prime
     for n, p in ((2, 3), (2, 5)):
-        assert _base_prime(build_veronese(affine_space(n, p).base, 2)) is None
+        assert build_veronese(affine_space(n, p).base, 2).field is None
 
 
 @pytest.mark.parametrize("base, p", [
@@ -299,7 +299,7 @@ def test_base_prime_rejects_a_base_that_is_no_projective_space():
 def test_base_prime_read_off_the_first_line(base, p):
     # a polar base has fewer points than its PG(3,p), but each of its
     # lines is a projective line over GF(p) in its coordinates
-    assert _base_prime(build_veronese(base(), 1)) == p
+    assert build_veronese(base(), 1).field == p
 
 
 Q_PLUS_33 = QuadraticForm(3, ((0, 1, 0, 0), (0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 0, 0)))
