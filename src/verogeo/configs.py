@@ -395,28 +395,30 @@ def check_net_axiom(G: IncidenceStructure, top_of: Sequence) -> ScanReport:
 
 
 def _class_members(G: IncidenceStructure, class_of: dict[int, int]
-                   ) -> tuple[dict[int, list[int]], list[int]]:
-    """The lines of each class, in class_of order, and each classed line's
-    index among its class's members."""
+                   ) -> tuple[dict[int, list[int]], list[Optional[tuple[int, int]]]]:
+    """The lines of each class, in class_of order, and each line's tag:
+    (class, 1 << its index among the class's members), None for a line
+    with no class."""
     members: dict[int, list[int]] = {}
-    position = [0] * len(G.lines)
+    tag: list[Optional[tuple[int, int]]] = [None] * len(G.lines)
     for li, ci in class_of.items():
-        position[li] = len(members.setdefault(ci, []))
-        members[ci].append(li)
-    return members, position
+        ms = members.setdefault(ci, [])
+        tag[li] = (ci, 1 << len(ms))
+        ms.append(li)
+    return members, tag
 
 
-def _class_rows(G: IncidenceStructure, t: int, class_of: dict[int, int],
-                position: list[int], through: list[list[int]]) -> dict[int, int]:
-    """{class: mask} for line t: bit position[m] of mask is set for each
-    line m of the class that shares a point with t, position[m] being m's
-    index among its class's members.  A classed t meets itself."""
+def _class_rows(G: IncidenceStructure, t: int, tag: list[Optional[tuple[int, int]]],
+                through: list[list[int]]) -> dict[int, int]:
+    """{class: mask} for line t: the OR of the tag bits of the classed lines
+    that share a point with t.  A classed t meets itself."""
     rows: dict[int, int] = {}
     for q in G.lines[t]:
         for m in through[q]:
-            c = class_of.get(m)
-            if c is not None:
-                rows[c] = rows.get(c, 0) | 1 << position[m]
+            m_tag = tag[m]
+            if m_tag is not None:
+                c, bit = m_tag
+                rows[c] = rows.get(c, 0) | bit
     return rows
 
 
@@ -429,15 +431,18 @@ def check_tamaschke(G: IncidenceStructure, class_of: dict[int, int]) -> ScanRepo
     sides through it and a third side crossing both elsewhere), so over
     all apexes every side takes the parallel role.
 
-    Third sides come from _apex_crossings, and the class rows of the sides
-    through an apex are built once per apex.  A triangle is read from the
-    rows of its two apex sides over the class c of the third: a parallel
-    crossing one side but not the other is a set bit of their XOR.
-    checked still counts the (triangle, line of c) pairs the scan covers,
-    len(members[c]) per triangle without a violation.
+    Per apex, each side through it gives its points off the apex, their
+    join rows and its class rows once; the third sides of two sides t2,
+    t3 join a point of one to a point of the other, in increasing order.
+    A triangle is read from the rows of t2 and t3 over the class c of the
+    third side: a parallel crossing one side but not the other is a set
+    bit of their XOR.  When the XOR is 0 every line of c meets both sides
+    or neither, so none can fail, and checked adds len(members[c]), the
+    (triangle, line of c) pairs the scan covers.
     """
-    through = G.lines_through()
-    members, position = _class_members(G, class_of)
+    lines, join, through = G.lines, G.join(), G.lines_through()
+    members, tag = _class_members(G, class_of)
+    size = {c: len(ms) for c, ms in members.items()}
     apexes = range(G.point_count)
     strata = None
     exhaustive = G.point_count <= EXHAUSTIVE_POINT_BUDGET
@@ -448,21 +453,25 @@ def check_tamaschke(G: IncidenceStructure, class_of: dict[int, int]) -> ScanRepo
     checked = 0
     for p in apexes:
         here = through[p]
-        rows = {t: _class_rows(G, t, class_of, position, through) for t in here}
-        for a in range(len(here)):
+        off = [lines[t] - {p} for t in here]
+        joins = [[join[q] for q in o] for o in off]
+        rows = [_class_rows(G, t, tag, through) for t in here]
+        for a, t2 in enumerate(here):
+            joins2, rows2 = joins[a], rows[a]
             for b in range(a + 1, len(here)):
-                t2, t3 = here[a], here[b]
-                for t1 in _apex_crossings(G, p, t2, t3):
-                    c = class_of.get(t1)
-                    if c is None:
+                off3, rows3 = off[b], rows[b]
+                third = {row[r] for row in joins2 for r in off3 if r in row}
+                for t1 in sorted(third):
+                    if tag[t1] is None:
                         continue
-                    d = rows[t2].get(c, 0) ^ rows[t3].get(c, 0)
+                    c = tag[t1][0]
+                    d = rows2.get(c, 0) ^ rows3.get(c, 0)
                     if not d:
-                        checked += len(members[c])
+                        checked += size[c]
                         continue
                     j = (d & -d).bit_length() - 1
                     checked += j + 1
-                    return ScanReport(False, (p, t1, t2, t3, members[c][j]),
+                    return ScanReport(False, (p, t1, t2, here[b], members[c][j]),
                                       checked, exhaustive, strata)
     return ScanReport(True, None, checked, exhaustive, strata)
 
@@ -475,12 +484,22 @@ def check_parallelogram_completion(G: IncidenceStructure,
     For parallels l1, l2 and a later class cm, let r1, r2 be their class
     rows over cm.  Some pair of cm has exactly three crossings iff r1 & r2
     (a line meeting both) and r1 ^ r2 (a line meeting one) are nonzero.
-    checked still counts the four-line configurations the scan covers,
-    C(|cm|, 2) per class pair without a violation; a violation is found by
-    walking the pairs of cm in order.
+    A class missing from either row has r1 & r2 = 0, so only the later
+    classes that are keys of both rows can fail, and the first that does
+    holds a violation.  checked still counts the four-line configurations
+    the scan covers, C(|cm|, 2) per class pair: one suffix sum over the
+    later classes when none fails, else the sum over the classes before
+    the first that fails plus the position its walk, pair by pair in
+    order, reaches.
     """
-    members, position = _class_members(G, class_of)
+    members, tag = _class_members(G, class_of)
     class_ids = sorted(members)
+    index = {c: i for i, c in enumerate(class_ids)}
+    # pairs_from[i]: the pairs of cm summed over the classes from position i on
+    pairs_from = [0] * (len(class_ids) + 1)
+    for i in range(len(class_ids) - 1, -1, -1):
+        n = len(members[class_ids[i]])
+        pairs_from[i] = pairs_from[i + 1] + n * (n - 1) // 2
     through = G.lines_through()
     strata = None
     exhaustive = G.point_count <= EXHAUSTIVE_POINT_BUDGET
@@ -491,19 +510,22 @@ def check_parallelogram_completion(G: IncidenceStructure,
         strata = ("l_class_in", 0, step, len(class_ids))
     checked = 0
     for cl in pick_l:
+        later = index[cl] + 1
         ls = members[cl]
-        later = [cm for cm in class_ids if not cm <= cl]
-        rows = {l: _class_rows(G, l, class_of, position, through) for l in ls}
+        rows = {l: _class_rows(G, l, tag, through) for l in ls}
         for l1, l2 in itertools.combinations(ls, 2):
-            for cm in later:
-                r1, r2 = rows[l1].get(cm, 0), rows[l2].get(cm, 0)
-                ms = members[cm]
-                if not (r1 & r2 and r1 ^ r2):
-                    checked += len(ms) * (len(ms) - 1) // 2
-                    continue
-                for i, j in itertools.combinations(range(len(ms)), 2):
-                    checked += 1
-                    if (r1 >> i & 1) + (r1 >> j & 1) + (r2 >> i & 1) + (r2 >> j & 1) == 3:
-                        return ScanReport(False, (l1, l2, ms[i], ms[j]),
-                                          checked, exhaustive, strata)
+            r1s, r2s = rows[l1], rows[l2]
+            failing = [cm for cm in r1s.keys() & r2s.keys()
+                       if cm > cl and r1s[cm] & r2s[cm] and r1s[cm] ^ r2s[cm]]
+            if not failing:
+                checked += pairs_from[later]
+                continue
+            cm = min(failing)
+            checked += pairs_from[later] - pairs_from[index[cm]]
+            ms, r1, r2 = members[cm], r1s[cm], r2s[cm]
+            for i, j in itertools.combinations(range(len(ms)), 2):
+                checked += 1
+                if (r1 >> i & 1) + (r1 >> j & 1) + (r2 >> i & 1) + (r2 >> j & 1) == 3:
+                    return ScanReport(False, (l1, l2, ms[i], ms[j]),
+                                      checked, exhaustive, strata)
     return ScanReport(True, None, checked, exhaustive, strata)

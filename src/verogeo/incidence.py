@@ -358,15 +358,31 @@ def enumerate_hyperplanes(G: IncidenceStructure) -> list[frozenset[int]]:
                             f"hyperplanes, past the node budget")
     blocks = [{q for q in range(G.point_count) if v >> q & 1} for v in basis]
     current = set(range(G.point_count))
+    mask = (1 << G.point_count) - 1
     found: list[frozenset[int]] = []
+    keys: list[str] = []
     for g in range(1, count + 1):
         # Gray code: step g flips basis vector number (trailing zeros of g)
-        current ^= blocks[(g & -g).bit_length() - 1]
+        b = (g & -g).bit_length() - 1
+        current ^= blocks[b]
+        mask ^= basis[b]
         # each frozenset is copied from a set, which sizes its table to
         # its points
         found.append(frozenset(current))
-    found.sort(key=sorted)
-    return found
+        keys.append(_sorted_tuple_key(mask))
+    return [found[i] for i in sorted(range(count), key=keys.__getitem__)]
+
+
+_MEMBER_FIRST = str.maketrans("01", "10")
+
+
+def _sorted_tuple_key(mask: int) -> str:
+    """A string that orders point sets, given as bitsets, as their sorted
+    tuples do: one character per point from 0 up to the highest member,
+    "0" for a member and "1" for a non-member.  At the first point where
+    two sets differ the one holding it has the smaller next member; and
+    a set whose sorted tuple is a prefix of another's ends first."""
+    return bin(mask)[:1:-1].translate(_MEMBER_FIRST) if mask else ""
 
 
 def _gf2_kernel(G: IncidenceStructure) -> list[int]:

@@ -565,6 +565,15 @@ class _NetSearch:
     top.  A top never lies in its own meets row.  A class's rows are
     (line, number of named points, bitset of their other tops), one per
     line, in class order; the walk alone sorts a line's named points.
+
+    Only the classes holds_vertex_pair passes are walked.  A candidate's
+    vertices are the points shared by a1 or b1 with a2 or b2, so it has
+    all of them only when a2 and b2 both lie in live, the tops meeting a1
+    and b1.  When no l-side mask has two bits in any live, no candidate of
+    the class has its vertices and none can reach _net_accepts, so
+    count_class counts the class in closed form.  Its count reads a line's
+    pairs off its mask, which holds while the named points of a line have
+    distinct other tops; a class where they do not is walked.
     """
 
     def __init__(self, A: AffineReduct):
@@ -605,13 +614,29 @@ class _NetSearch:
         some l-side mask has two bits in the live of some k-side pair
         (a1 and b1 are not in their live, so such a q-pair is disjoint
         from the p-pair), or two named points of a line share an other
-        top, where the bits undercount the pairs."""
+        top, where the bits undercount the pairs.
+
+        The lives are packed as fields of one int, each with a guard bit
+        on top, as slice_census packs its domains, so one AND tests an
+        l-side mask against every live; a field f has two bits when
+        f & (f - 1) is nonzero, and subtracting 1 from every field at
+        once borrows no bit from the next, each field's guard being set."""
         if any(mask.bit_count() != named for _, named, mask in k_rows + l_rows):
             return True
         meets = self.meets
         lives = {meets[a] & meets[b] for _, _, pm in k_rows
                  for a, b in itertools.combinations(_bit_indices(pm), 2)}
-        return any((qm & live).bit_count() > 1 for _, _, qm in l_rows for live in lives)
+        width = len(meets) + 1
+        packed = ones = 0
+        for i, live in enumerate(lives):
+            packed |= live << width * i
+            ones |= 1 << width * i
+        guards = ones << width - 1
+        for _, _, qm in l_rows:
+            fields = packed & qm * ones
+            if fields & ((fields | guards) - ones):
+                return True
+        return False
 
     @staticmethod
     def count_class(k_rows: list, l_rows: list) -> int:

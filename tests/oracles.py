@@ -958,6 +958,18 @@ def crosses_both(A: AffineReduct, k: int, a: int, b: int) -> bool:
     return bool(G.lines[k] & G.lines[a]) and bool(G.lines[k] & G.lines[b])
 
 
+def holds_vertex_pair_per_pair(meets: Sequence[int], k_rows: list, l_rows: list) -> bool:
+    """_NetSearch.holds_vertex_pair with each l-side mask tested against
+    each live, one bit_count at a time."""
+    if any(mask.bit_count() != named for _, named, mask in k_rows + l_rows):
+        return True
+    lives = set()
+    for _, _, pm in k_rows:
+        tops = [t for t in range(pm.bit_length()) if pm >> t & 1]
+        lives |= {meets[a] & meets[b] for a, b in itertools.combinations(tops, 2)}
+    return any((qm & live).bit_count() > 1 for _, _, qm in l_rows for live in lives)
+
+
 @functools.lru_cache(maxsize=None)
 def _battery_report() -> dict[str, str]:
     path = pathlib.Path(__file__).with_name("battery_report.jsonl")

@@ -22,6 +22,7 @@ work and must return exactly the same results, in the same order.
 import itertools
 import random
 import re
+import types
 from math import comb
 from unittest import mock
 
@@ -39,7 +40,7 @@ from verogeo.hyperplanes import (FULL, VeroneseHyperplane, census, extract_h_fun
                                  hyperplane_from_symplectic, leaf_pencil,
                                  polar_hyperplane, vari1_construction,
                                  verify_characterization)
-from verogeo.incidence import (IncidenceStructure, _scan_hyperplanes,
+from verogeo.incidence import (IncidenceStructure, _scan_hyperplanes, _sorted_tuple_key,
                                enumerate_hyperplanes, gamma_plane_classes,
                                is_hyperplane, is_partial_linear, is_strong,
                                is_subspace, subspace_closure, veblen_parallel_lines)
@@ -60,6 +61,7 @@ from oracles import (GuidedLookups, adjacency_rows, affine_space_by_ranks,
                      crossing_line_by_provenance,
                      crossing_rows, det_by_permutations, find_incomplete_veblen,
                      gamma_classes_by_through_walk, h_function_by_sums,
+                     holds_vertex_pair_per_pair,
                      is_hyperplane_mask, is_hyperplane_two_pass,
                      is_partial_linear_by_pairs, is_reflexive,
                      leaf_planes_by_sums, line_points,
@@ -1258,6 +1260,8 @@ def test_net_class_count_matches_the_exact_walk(monkeypatch, instance, mixed, wa
         # two named points of a line never share an other top at level 2
         assert all(mask.bit_count() == named for _, named, mask in k_rows + l_rows)
         held += search.holds_vertex_pair(k_rows, l_rows)
+        assert (search.holds_vertex_pair(k_rows, l_rows)
+                == holds_vertex_pair_per_pair(search.meets, k_rows, l_rows))
         assert search.walk_class(e, k_rows, l_rows, 0) == (None, search.count_class(k_rows, l_rows))
     assert (len(search.mixed), held) == (mixed, walked)
 
@@ -1274,8 +1278,36 @@ def test_net_filter_needs_two_tops_of_an_l3_in_a_live():
     live = search.meets[a] & search.meets[b]
     u, v = [t for t in range(qm.bit_length()) if (qm & live) >> t & 1][:2]
     k_cut = [(k3, 2, 1 << a | 1 << b)]
-    assert search.holds_vertex_pair(k_cut, [(l3, 2, 1 << u | 1 << v)])
-    assert not search.holds_vertex_pair(k_cut, [(l3, 1, 1 << u)])
+    two, one = [(l3, 2, 1 << u | 1 << v)], [(l3, 1, 1 << u)]
+    assert search.holds_vertex_pair(k_cut, two)
+    assert not search.holds_vertex_pair(k_cut, one)
+    for l_cut in (two, one):
+        assert (search.holds_vertex_pair(k_cut, l_cut)
+                == holds_vertex_pair_per_pair(search.meets, k_cut, l_cut))
+
+
+@st.composite
+def net_filter_rows(draw):
+    """A meets row per top and some k-side and l-side rows over 1-7 tops,
+    each row's count of named points read off its mask."""
+    n = draw(st.integers(1, 7))
+    masks = st.integers(0, (1 << n) - 1)
+    meets = draw(st.lists(masks, min_size=n, max_size=n))
+    k_rows, l_rows = ([(li, m.bit_count(), m) for li, m in enumerate(draw(st.lists(masks, max_size=4)))]
+                      for _ in range(2))
+    return meets, k_rows, l_rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(net_filter_rows())
+def test_packed_net_filter_matches_per_pair(case):
+    # lives packed as guarded fields of one int against each live tested
+    # alone: empty fields next to one-bit ones, and bits in the lowest and
+    # highest top, where a missing guard would borrow or collide
+    meets, k_rows, l_rows = case
+    search = types.SimpleNamespace(meets=meets)
+    assert (_NetSearch.holds_vertex_pair(search, k_rows, l_rows)
+            == holds_vertex_pair_per_pair(meets, k_rows, l_rows))
 
 
 def test_net_violation_witness_keeps_its_count_across_walked_classes(monkeypatch):
@@ -1562,3 +1594,53 @@ def test_affine_scans_on_pg33_reduct_match_per_line_loops():
     # so its report is pinned as that loop gave it
     assert (check_parallelogram_completion(A.structure, class_of)
             == ScanReport(True, None, 13763520, False, ("l_class_in", 0, 13, 520)))
+
+
+def test_parallelogram_pin_counts_past_skipped_classes():
+    # l1, l2 (and l0, meeting nothing) in class 0; later classes: 1 in
+    # l1's row only, 2 in l2's row only, 3 in both with r1 ^ r2 = 0, 4 the
+    # first that fails, 5 after it.  Pairs (l0, l1) and (l0, l2) add the
+    # suffix sum 9; (l1, l2) adds the 3 pairs of classes 1-3, then walks
+    # class 4 [u, va, vb] to its third pair: 9 + 9 + 3 + 3
+    lines = {"l0": {24, 25}, "l1": {0, 1, 2}, "l2": {3, 4, 5},
+             "ma": {0, 6}, "mb": {7, 8}, "wa": {3, 9}, "wb": {10, 11},
+             "na": {1, 4, 12}, "nb": {13, 14},
+             "u": {15, 16}, "va": {2, 5, 17}, "vb": {0, 18},
+             "x": {4, 19}, "y": {20, 21}, "z": {22, 23}}
+    names = list(lines)
+    G = IncidenceStructure(26, [lines[n] for n in names])
+    classes = {"l0": 0, "l1": 0, "l2": 0, "ma": 1, "mb": 1, "wa": 2, "wb": 2,
+               "na": 3, "nb": 3, "u": 4, "va": 4, "vb": 4, "x": 5, "y": 5, "z": 5}
+    class_of = {names.index(n): c for n, c in classes.items()}
+    line = names.index
+    expected = ScanReport(False, (line("l1"), line("l2"), line("va"), line("vb")), 24, True)
+    assert check_parallelogram_completion(G, class_of) == expected
+    assert parallelogram_per_quadruple(G, class_of) == expected
+
+
+def test_tamaschke_pin_counts_past_triangles_that_cannot_fail():
+    # AG(2,3) with its classes merged in pairs and line 7 left out: at
+    # apex 0 the sides 0, 1 have third sides 4, 6, 7, 8; 7 has no class and
+    # the rows agree over the 5-line class of the others (15 checks), then
+    # sides 0, 2 fail at the second line of third side 4's class
+    class_of = {li: (0, 0, 1, 1)[c] for li, c in AG23.class_of().items() if li != 7}
+    expected = ScanReport(False, (0, 4, 0, 2, 6), 17, True)
+    assert check_tamaschke(AG23.base, class_of) == expected
+    assert tamaschke_per_line(AG23.base, class_of) == expected
+
+
+@st.composite
+def prefix_families(draw):
+    """Point sets with some of their sorted-tuple prefixes, the empty set
+    among them, on points past one machine word."""
+    sets = draw(st.lists(st.frozensets(st.integers(0, 70), max_size=12), max_size=20))
+    cuts = draw(st.lists(st.integers(0, 12), min_size=len(sets), max_size=len(sets)))
+    return sets + [frozenset(sorted(s)[:k]) for s, k in zip(sets, cuts)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(prefix_families())
+def test_sorted_tuple_key_orders_as_sorted_tuples(family):
+    def key(s):
+        return _sorted_tuple_key(sum(1 << q for q in s))
+    assert sorted(family, key=key) == sorted(family, key=sorted)
